@@ -46,9 +46,9 @@ use synts_bench::corpus::{Corpus, Effort};
 use synts_bench::render::{report_text_with_cache, save_csv, write_csv};
 use synts_core::scenario::Json;
 use synts_core::{
-    characterize_cached, default_theta_sweep, reference, worker_count, CacheStats, CharCache,
-    Experiment, FaultPlan, IntervalSelection, PhaseStats, Quality, ScenarioSpec, SolveRequest,
-    Solver, SolverRegistry, ThetaSpec, ThreadPool,
+    characterize_cached, default_theta_sweep, reference, worker_count, CharCache, Experiment,
+    FaultPlan, IntervalSelection, PhaseStats, Quality, ScenarioSpec, SolveRequest, Solver,
+    SolverRegistry, ThetaSpec, ThreadPool,
 };
 use synts_serve::{Client, ReportOutcome, Server, Service, ServiceConfig, Shutdown};
 
@@ -516,15 +516,20 @@ fn run(args: RunArgs) -> ExitCode {
         spec.quality.name(),
         if cache.is_enabled() { "on" } else { "off" },
     );
-    let before = CacheStats::snapshot();
-    let report = match Experiment::new(spec).with_cache(cache).run() {
+    let report = match Experiment::new(spec).with_cache(cache.clone()).run() {
         Ok(report) => report,
         Err(e) => {
             eprintln!("scenario failed: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let cache_stats = CacheStats::snapshot().since(before);
+    let cache_stats = cache.stats();
+    if cache_stats.lookups() > 0 {
+        eprintln!(
+            "[synts-cli] characterization cache: {} hit(s), {} miss(es), {} write error(s)",
+            cache_stats.hits, cache_stats.misses, cache_stats.write_errors
+        );
+    }
     if !args.quiet {
         print!("{}", report_text_with_cache(&report, Some(cache_stats)));
     }
@@ -737,12 +742,12 @@ fn chaos_leg(spec: &ScenarioSpec, monolithic_json: &str) -> Result<Json, String>
     let plan = Arc::new(FaultPlan::parse(PLAN).map_err(|e| e.to_string())?);
     let cache_dir = std::env::temp_dir().join(format!("synts-bench-chaos-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
-    let cache_before = CacheStats::snapshot();
+    let cache = CharCache::at_dir(&cache_dir);
     let service = Arc::new(Service::start(ServiceConfig {
         workers: 2,
         max_shards: 4,
         max_attempts: 3,
-        cache: CharCache::at_dir(&cache_dir),
+        cache: cache.clone(),
         registry: SolverRegistry::with_defaults(),
         journal: None,
         faults: Some(Arc::clone(&plan)),
@@ -762,7 +767,7 @@ fn chaos_leg(spec: &ScenarioSpec, monolithic_json: &str) -> Result<Json, String>
     };
     let elapsed_s = t.elapsed().as_secs_f64();
     let retries = service.status(&id).map_or(0, |s| s.retries);
-    let cache_stats = CacheStats::snapshot().since(cache_before);
+    let cache_stats = cache.stats();
     service.shutdown(Shutdown::Now);
     let _ = std::fs::remove_dir_all(&cache_dir);
     let body = result?;
@@ -931,17 +936,17 @@ fn bench(args: RunArgs) -> ExitCode {
         let row_dir =
             std::env::temp_dir().join(format!("synts-bench-corpus-{}-{w}w", std::process::id()));
         let _ = std::fs::remove_dir_all(&row_dir);
-        let stats_before = CacheStats::snapshot();
+        let row_cache = CharCache::at_dir(&row_dir);
         let t = Instant::now();
         let built = Corpus::build_subset_with(
             Effort::Quick,
             &corpus_benchmarks,
             &corpus_stages,
-            &CharCache::at_dir(&row_dir),
+            &row_cache,
             ThreadPool::new(w),
         );
         let secs = t.elapsed().as_secs_f64();
-        let row_stats = CacheStats::snapshot().since(stats_before);
+        let row_stats = row_cache.stats();
         let _ = std::fs::remove_dir_all(&row_dir);
         if let Err(e) = built {
             eprintln!("corpus build failed at {w} workers: {e}");

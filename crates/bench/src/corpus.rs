@@ -21,7 +21,9 @@
 //! preludes hang off `OnceLock`s initialized by whichever worker needs
 //! them first: workload traces (so trace building overlaps
 //! characterization of already-traced benchmarks instead of gating
-//! everything), and one cache probe per pair. Stage characterizers are
+//! everything), and one cache probe per pair. Probes are keyed on the
+//! workload recipe, so a trace is built only for a pair that misses and a
+//! warm build runs no workload at all. Stage characterizers are
 //! built once per *stage*, up front, on the pool. Results are collected
 //! in deterministic unit order, so the corpus stays bit-identical to a
 //! sequential build at any worker count, cache warm or cold.
@@ -150,21 +152,23 @@ impl Corpus {
             traces[b]
                 .get_or_init(|| time_phase(Phase::TraceBuild, || benchmarks[b].run(&cfg.workload)))
         };
-        // One cache probe per pair: `Some(data)` is a verified hit whose
-        // units all short-circuit; `None` is a miss to be computed.
+        // One cache probe per pair, by recipe: `Some(data)` is a verified
+        // hit whose units all short-circuit (its trace is never built);
+        // `None` is a miss to be computed.
+        let entry_of = |b: usize, s: usize| {
+            cache.recipe_entry(
+                benchmarks[b],
+                stages[s],
+                &cfg,
+                characterizers[s].stage().netlist(),
+            )
+        };
         let probes: Vec<OnceLock<Option<BenchmarkData>>> =
             pairs.iter().map(|_| OnceLock::new()).collect();
         let probe_of = |p: usize| -> &Option<BenchmarkData> {
             probes[p].get_or_init(|| {
                 let (b, s) = pairs[p];
-                cache
-                    .entry(
-                        trace_of(b),
-                        stages[s],
-                        &cfg,
-                        characterizers[s].stage().netlist(),
-                    )
-                    .load()
+                entry_of(b, s).load()
             })
         };
 
@@ -231,9 +235,7 @@ impl Corpus {
                     intervals,
                 })
             })?;
-            cache
-                .entry(trace, stage, &cfg, charac.stage().netlist())
-                .store(&assembled);
+            entry_of(b, s).store(&assembled);
             data.insert((benchmark, stage), assembled);
         }
         Ok(Corpus { effort, data })
@@ -260,7 +262,8 @@ impl Corpus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synts_core::{characterize_workload_cached, CacheStats, PhaseStats};
+    use synts_core::experiments::characterize_workload_pooled;
+    use synts_core::PhaseStats;
 
     #[test]
     fn subset_build_and_lookup() {
@@ -302,14 +305,8 @@ mod tests {
             for &bench in &benchmarks {
                 let trace = bench.run(&cfg.workload);
                 reference.push(
-                    characterize_workload_cached(
-                        &trace,
-                        s,
-                        &cfg,
-                        &CharCache::disabled(),
-                        ThreadPool::sequential(),
-                    )
-                    .expect("reference"),
+                    characterize_workload_pooled(&trace, s, &cfg, ThreadPool::sequential())
+                        .expect("reference"),
                 );
             }
         }
@@ -341,7 +338,6 @@ mod tests {
         let cache = CharCache::at_dir(&dir);
         let benchmarks = [Benchmark::Radix];
         let stages = [StageKind::SimpleAlu, StageKind::Decode];
-        let before = CacheStats::snapshot();
         let cold = Corpus::build_subset_with(
             Effort::Quick,
             &benchmarks,
@@ -350,9 +346,8 @@ mod tests {
             ThreadPool::new(2),
         )
         .expect("cold");
-        let mid = CacheStats::snapshot().since(before);
-        assert_eq!(mid.misses, 2, "one miss per pair");
-        assert_eq!(mid.hits, 0);
+        assert_eq!(cache.stats().misses, 2, "one miss per pair");
+        assert_eq!(cache.stats().hits, 0);
         let warm = Corpus::build_subset_with(
             Effort::Quick,
             &benchmarks,
@@ -361,8 +356,8 @@ mod tests {
             ThreadPool::new(2),
         )
         .expect("warm");
-        let after = CacheStats::snapshot().since(before);
-        assert_eq!(after.hits, 2, "one hit per pair");
+        assert_eq!(cache.stats().hits, 2, "one hit per pair");
+        assert_eq!(cache.stats().misses, 2);
         for (key, cold_data) in cold.iter() {
             assert_same(cold_data, warm.get(key.0, key.1).expect("pair"));
         }

@@ -1,25 +1,31 @@
-//! Persistent, content-addressed characterization cache.
+//! Persistent, recipe-keyed characterization cache.
 //!
 //! Gate-level characterization (Fig 5.8's trace → delay-trace →
 //! error-curve pipeline) dominates the wall-clock of every end-to-end run,
-//! yet its output is a pure function of the workload trace, the stage, the
-//! harness knobs and the cell library. This module memoizes that function
-//! on disk so the cost is paid **once per machine**, not once per process:
+//! yet its output is a pure function of the workload *recipe* (benchmark,
+//! [`WorkloadConfig`](workloads::WorkloadConfig) and
+//! [`workloads::GENERATOR_VERSION`]), the stage, the harness knobs and the
+//! cell library. This module memoizes that function on disk so the cost
+//! is paid **once per machine**, not once per process:
 //!
-//! * entries are *content-addressed*: the file name is a stable 64-bit
-//!   FNV-1a hash of the full characterization key — workload-trace
-//!   fingerprint, stage kind and datapath width, every [`HarnessConfig`]
-//!   knob, and a fingerprint of the cell library's delays/energies — so a
+//! * entries are keyed on the recipe, never on trace contents, so a hit
+//!   neither generates nor hashes a workload trace. The file name is a
+//!   64-bit FNV-1a hash of the format magic and the key line, so a
 //!   change to any input simply misses and recomputes;
-//! * payloads are serialized through the deterministic
-//!   [`crate::scenario::Json`] tree (shortest-round-trip floats), so a
-//!   cached [`BenchmarkData`] is **bit-identical** to a freshly computed
-//!   one — golden fixtures cannot tell the difference;
-//! * the store is crash- and corruption-safe: writes go through a
-//!   temp-file + rename, and any unreadable, truncated, version- or
-//!   key-mismatched entry falls back to recomputation (never an error);
-//! * hits and misses are counted process-wide ([`CacheStats`]) so CLIs
-//!   and report sinks can surface what the cache did.
+//! * an entry is ASCII: a magic line carrying the format version, the key
+//!   line, a checksum line over the body, then the body, with every `f64`
+//!   written as its 16 hex-digit bit pattern. A cached [`BenchmarkData`]
+//!   is therefore **bit-identical** to a freshly computed one, and golden
+//!   fixtures cannot tell the difference;
+//! * the header is verified before the body is parsed: a wrong magic, a
+//!   key that differs structurally (a hash collision) or a body that
+//!   fails its checksum reads as a miss, so a damaged local file or a
+//!   corrupt remote payload recomputes instead of being served;
+//! * writes go through a temp file + rename, and any I/O failure only
+//!   costs a recompute (never an error);
+//! * every [`CharCache`] counts its own lookups ([`CharCache::stats`],
+//!   shared by its clones); [`CacheStats::snapshot`] is the process total
+//!   over every handle.
 //!
 //! The store lives at [`CACHE_DIR_ENV`] (`SYNTS_CACHE_DIR`), defaulting
 //! to `target/synts-cache/`. Disable it with [`CharCache::disabled`] (the
@@ -39,7 +45,7 @@ use crate::experiments::{
 };
 use crate::faults::{site, FaultPlan};
 use crate::parallel::ThreadPool;
-use crate::scenario::Json;
+use crate::phase::{time_phase, Phase};
 use timing::{ErrorCurve, StageCharacterizer, TimingError};
 
 /// Environment variable naming the on-disk cache directory.
@@ -48,17 +54,54 @@ pub const CACHE_DIR_ENV: &str = "SYNTS_CACHE_DIR";
 /// Default cache directory, relative to the working directory.
 pub const CACHE_DIR_DEFAULT: &str = "target/synts-cache";
 
-/// Bump when the entry format or the characterization pipeline changes
-/// in a result-affecting way: old entries then miss instead of lying.
-const CACHE_FORMAT_VERSION: f64 = 1.0;
+/// First line of every entry. It is hashed into every entry name too, so
+/// bumping its version when the entry format or the characterization
+/// pipeline changes in a result-affecting way means old entries are
+/// never opened again.
+const MAGIC: &str = "synts-characterization v2";
 
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static WRITE_ERRORS: AtomicU64 = AtomicU64::new(0);
-static REMOTE_HITS: AtomicU64 = AtomicU64::new(0);
-static COALESCED: AtomicU64 = AtomicU64::new(0);
+/// Suffix of every entry file name (`<16 lowercase hex digits>.char`).
+const ENTRY_SUFFIX: &str = ".char";
 
-/// Process-wide cache hit/miss counters (monotonic snapshots).
+/// One countable cache event; indexes [`Counters`].
+#[derive(Debug, Clone, Copy)]
+enum Count {
+    Hit,
+    Miss,
+    WriteError,
+    RemoteHit,
+    Coalesced,
+}
+
+/// Lookup counters of one [`CharCache`] handle (or of the process).
+#[derive(Debug, Default)]
+struct Counters([AtomicU64; 5]);
+
+/// Every handle's counts, summed.
+static PROCESS: Counters = Counters([const { AtomicU64::new(0) }; 5]);
+
+impl Counters {
+    /// Counts `event` on this handle and in the process total.
+    fn count(&self, event: Count) {
+        for counters in [self, &PROCESS] {
+            counters.0[event as usize].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn snapshot(&self) -> CacheStats {
+        let [hits, misses, write_errors, remote_hits, coalesced] =
+            self.0.each_ref().map(|c| c.load(Ordering::Relaxed));
+        CacheStats {
+            hits,
+            misses,
+            write_errors,
+            remote_hits,
+            coalesced,
+        }
+    }
+}
+
+/// Cache hit/miss counters (monotonic snapshots).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Characterizations served from local disk.
@@ -78,16 +121,11 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// The counters as of now.
+    /// The process-wide counters as of now, summed over every
+    /// [`CharCache`] handle. Use [`CharCache::stats`] to see one cache.
     #[must_use]
     pub fn snapshot() -> CacheStats {
-        CacheStats {
-            hits: HITS.load(Ordering::Relaxed),
-            misses: MISSES.load(Ordering::Relaxed),
-            write_errors: WRITE_ERRORS.load(Ordering::Relaxed),
-            remote_hits: REMOTE_HITS.load(Ordering::Relaxed),
-            coalesced: COALESCED.load(Ordering::Relaxed),
-        }
+        PROCESS.snapshot()
     }
 
     /// Hits (local + remote) + misses.
@@ -112,9 +150,9 @@ impl CacheStats {
 /// Outcome of probing a remote characterization tier.
 #[derive(Debug)]
 pub enum RemoteFetch {
-    /// The tier holds the entry: the full entry text (`{"key":…,"data":…}`,
-    /// same format as the on-disk file). It is verified against the local
-    /// key before use, so a lying tier degrades to a miss.
+    /// The tier holds the entry: the full entry text, in the on-disk
+    /// format. It is verified (magic, key, body checksum) before use, so
+    /// a lying or damaged tier degrades to a miss.
     Hit(String),
     /// The tier does not hold the entry (or is down, or told this caller
     /// it holds the characterization claim): compute locally.
@@ -123,18 +161,32 @@ pub enum RemoteFetch {
 
 /// A shared characterization tier behind the local directory — in the
 /// fleet, the coordinator's `GET/PUT /v1/cache/<name>` endpoints. Entries
-/// are immutable and content-addressed by file name, so replication is
-/// trivially coherent: any byte-for-byte copy is as good as the original.
+/// are immutable and named by their key, so replication is trivially
+/// coherent: any byte-for-byte copy is as good as the original.
 ///
 /// Implementations must be cheap to call on the miss path and must never
 /// panic; a flaky tier should return [`RemoteFetch::Compute`] / `false`
 /// rather than block indefinitely.
 pub trait RemoteCacheTier: Send + Sync + std::fmt::Debug {
-    /// Looks up an entry by file name (`<hash>.json`).
+    /// Looks up an entry by file name (see [`valid_entry_name`]).
     fn fetch(&self, name: &str) -> RemoteFetch;
     /// Publishes a freshly computed entry. Returns `false` when the
     /// publish was dropped (counted as a write error; the run proceeds).
     fn publish(&self, name: &str, entry: &str) -> bool;
+}
+
+/// Whether `name` is a well-formed entry name, `<16 lowercase hex
+/// digits>.char`: the only names the cache writes, and the only ones the
+/// fleet's cache routes accept (anything else is rejected before it can
+/// touch the filesystem).
+#[must_use]
+pub fn valid_entry_name(name: &str) -> bool {
+    name.strip_suffix(ENTRY_SUFFIX)
+        .is_some_and(|stem| stem.len() == 16 && stem.bytes().all(is_lower_hex))
+}
+
+fn is_lower_hex(b: u8) -> bool {
+    b.is_ascii_digit() || (b'a'..=b'f').contains(&b)
 }
 
 /// Configuration of the on-disk characterization cache.
@@ -144,13 +196,16 @@ pub struct CharCache {
     dir: PathBuf,
     faults: Option<Arc<FaultPlan>>,
     remote: Option<Arc<dyn RemoteCacheTier>>,
+    /// This handle's lookup counters, shared by its clones.
+    counters: Arc<Counters>,
 }
 
 impl PartialEq for CharCache {
     fn eq(&self, other: &Self) -> bool {
         // The remote tier compares by identity: two caches pointing at
         // the same tier instance are the same cache; tiers have no
-        // value semantics of their own.
+        // value semantics of their own. Counters are observations, not
+        // configuration.
         self.enabled == other.enabled
             && self.dir == other.dir
             && self.faults == other.faults
@@ -165,6 +220,16 @@ impl PartialEq for CharCache {
 impl Eq for CharCache {}
 
 impl CharCache {
+    fn new(enabled: bool, dir: PathBuf) -> CharCache {
+        CharCache {
+            enabled,
+            dir,
+            faults: None,
+            remote: None,
+            counters: Arc::default(),
+        }
+    }
+
     /// The environment-resolved cache: enabled, rooted at
     /// [`CACHE_DIR_ENV`] or [`CACHE_DIR_DEFAULT`].
     #[must_use]
@@ -174,35 +239,20 @@ impl CharCache {
             .ok()
             .filter(|s| !s.trim().is_empty())
             .map_or_else(|| PathBuf::from(CACHE_DIR_DEFAULT), PathBuf::from);
-        CharCache {
-            enabled: true,
-            dir,
-            faults: None,
-            remote: None,
-        }
+        CharCache::new(true, dir)
     }
 
     /// An enabled cache rooted at an explicit directory.
     #[must_use]
     pub fn at_dir(dir: impl Into<PathBuf>) -> CharCache {
-        CharCache {
-            enabled: true,
-            dir: dir.into(),
-            faults: None,
-            remote: None,
-        }
+        CharCache::new(true, dir.into())
     }
 
     /// A cache that never reads or writes disk — every characterization
     /// recomputes (and the hit/miss counters are untouched).
     #[must_use]
     pub fn disabled() -> CharCache {
-        CharCache {
-            enabled: false,
-            dir: PathBuf::new(),
-            faults: None,
-            remote: None,
-        }
+        CharCache::new(false, PathBuf::new())
     }
 
     /// Whether lookups touch disk at all.
@@ -215,6 +265,13 @@ impl CharCache {
     #[must_use]
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// This cache's own counters: every lookup made through this handle
+    /// or any of its clones (fault- or tier-armed clones included).
+    #[must_use]
+    pub fn stats(&self) -> CacheStats {
+        self.counters.snapshot()
     }
 
     /// Arms (or disarms, with `None`) deterministic fault injection on
@@ -248,16 +305,47 @@ impl CharCache {
         self.remote.as_ref()
     }
 
-    fn entry_path(&self, key_hash: u64) -> PathBuf {
-        self.dir.join(format!("{key_hash:016x}.json"))
+    /// Resolves the cache slot for characterizing `benchmark`'s workload
+    /// on `stage` — the key and on-disk path are fixed here;
+    /// [`CacheEntry::load`] and [`CacheEntry::store`] then move data
+    /// through it. This is the split-phase form of [`characterize_cached`]
+    /// (and resolves the same slot) for callers, like the corpus build,
+    /// that probe many entries up front and compute the misses on their
+    /// own schedule. No trace is needed: the slot is named by the recipe.
+    #[must_use]
+    pub fn recipe_entry(
+        &self,
+        benchmark: Benchmark,
+        stage: StageKind,
+        cfg: &HarnessConfig,
+        netlist: &gatelib::Netlist,
+    ) -> CacheEntry {
+        let slot = self.enabled.then(|| {
+            time_phase(Phase::CacheLookup, || {
+                let key = CacheKey::new(benchmark, stage, cfg, netlist);
+                let name = key.entry_name();
+                Slot {
+                    path: self.dir.join(&name),
+                    name,
+                    key,
+                }
+            })
+        });
+        CacheEntry {
+            slot,
+            faults: self.faults.clone(),
+            remote: self.remote.clone(),
+            counters: Arc::clone(&self.counters),
+        }
     }
 
-    /// Resolves the cache slot for one characterization — the key and
-    /// on-disk path are fixed here; [`CacheEntry::load`] and
-    /// [`CacheEntry::store`] then move data through it. This is the
-    /// split-phase form of [`characterize_workload_cached`] for callers
-    /// (like the corpus build) that probe many entries up front and
-    /// compute the misses on their own schedule.
+    /// [`CharCache::recipe_entry`] for a caller that already holds the
+    /// workload trace.
+    ///
+    /// Slots are named by the trace's recipe, not its contents, so the
+    /// caller guarantees `*trace == trace.benchmark.run(&cfg.workload)`
+    /// (debug builds check it). The slot is then the very one
+    /// [`characterize_cached`] fills for `trace.benchmark`.
     #[must_use]
     pub fn entry(
         &self,
@@ -266,124 +354,163 @@ impl CharCache {
         cfg: &HarnessConfig,
         netlist: &gatelib::Netlist,
     ) -> CacheEntry {
-        if !self.enabled {
-            return CacheEntry {
-                slot: None,
-                faults: None,
-                remote: None,
-            };
-        }
-        // Key construction hashes the full trace; charge it to the
-        // lookup phase so the breakdown shows the probe's true cost.
-        crate::phase::time_phase(crate::phase::Phase::CacheLookup, || {
-            let key = cache_key(trace, stage, cfg, netlist);
-            let mut h = Fnv::new();
-            h.write_str(&key.render());
-            CacheEntry {
-                slot: Some((self.entry_path(h.finish()), key)),
-                faults: self.faults.clone(),
-                remote: self.remote.clone(),
-            }
-        })
+        debug_assert!(
+            *trace == trace.benchmark.run(&cfg.workload),
+            "CharCache::entry: the trace is not what its recipe generates"
+        );
+        self.recipe_entry(trace.benchmark, stage, cfg, netlist)
     }
 }
 
-/// One resolved characterization-cache slot (see [`CharCache::entry`]).
+/// One resolved characterization-cache slot (see
+/// [`CharCache::recipe_entry`]).
 #[derive(Debug, Clone)]
 pub struct CacheEntry {
-    /// `(path, full key)`; `None` for a disabled cache, which never
-    /// touches disk or the hit/miss counters.
-    slot: Option<(PathBuf, Json)>,
+    /// `None` for a disabled cache, which never touches disk or the
+    /// hit/miss counters.
+    slot: Option<Slot>,
     /// Fault plan inherited from the owning [`CharCache`].
     faults: Option<Arc<FaultPlan>>,
     /// Remote tier inherited from the owning [`CharCache`].
     remote: Option<Arc<dyn RemoteCacheTier>>,
+    /// Counters of the owning [`CharCache`].
+    counters: Arc<Counters>,
+}
+
+/// Where one key lives.
+#[derive(Debug, Clone)]
+struct Slot {
+    path: PathBuf,
+    /// The entry's file name: its coalescing, fault-plan and remote-tier
+    /// identity.
+    name: String,
+    key: CacheKey,
 }
 
 impl CacheEntry {
-    /// The entry's identity token (its file name) — the coalescing and
-    /// remote-tier key. `None` for a disabled cache.
+    /// The entry's identity token: its file name under
+    /// [`CharCache::dir`], and the coalescing and remote-tier key. `None`
+    /// for a disabled cache.
     #[must_use]
     pub fn token(&self) -> Option<String> {
-        self.slot.as_ref().map(|(path, _)| entry_token(path))
+        self.slot.as_ref().map(|slot| slot.name.clone())
+    }
+
+    fn faulted(&self, site: &str, name: &str) -> bool {
+        self.faults
+            .as_ref()
+            .is_some_and(|plan| plan.should(site, name))
     }
 
     /// Probes the slot: a verified local entry counts a hit; on a local
     /// miss the remote tier (if any) is consulted, and a verified remote
     /// entry counts a `remote_hit` and is replicated into the local
-    /// directory. Anything else (absent, corrupt, key-mismatched, or a
-    /// disabled cache) is a miss. The disabled cache skips the counters,
-    /// like [`characterize_workload_cached`] always has.
+    /// directory. Anything else (absent, damaged, key-mismatched, or a
+    /// disabled cache) is a miss. The disabled cache skips the counters.
     #[must_use]
     pub fn load(&self) -> Option<BenchmarkData> {
-        let (path, key) = self.slot.as_ref()?;
-        let token = entry_token(path);
-        if let Some(plan) = &self.faults {
-            // An injected read fault turns this probe into a miss — the
-            // exact behaviour of a corrupt or torn entry on disk.
-            if plan.should(site::CACHE_READ, &token) {
-                MISSES.fetch_add(1, Ordering::Relaxed);
-                return None;
+        let slot = self.slot.as_ref()?;
+        // An injected read fault turns this probe into a miss — the exact
+        // behaviour of a damaged entry on disk.
+        if !self.faulted(site::CACHE_READ, &slot.name) {
+            if let Some(data) = self.load_local(slot) {
+                return Some(data);
             }
-        }
-        if let Some(data) =
-            crate::phase::time_phase(crate::phase::Phase::CacheLookup, || load_entry(path, key))
-        {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            return Some(data);
-        }
-        if let Some(remote) = &self.remote {
             // An injected cache.remote fault models an unreachable tier:
             // the lookup degrades to an ordinary local miss.
-            let blocked = self
-                .faults
+            if let Some(remote) = self
+                .remote
                 .as_ref()
-                .is_some_and(|plan| plan.should(site::CACHE_REMOTE, &token));
-            if !blocked {
-                if let RemoteFetch::Hit(text) = remote.fetch(&token) {
+                .filter(|_| !self.faulted(site::CACHE_REMOTE, &slot.name))
+            {
+                if let RemoteFetch::Hit(text) = remote.fetch(&slot.name) {
                     if let Some(data) =
-                        crate::phase::time_phase(crate::phase::Phase::CacheLookup, || {
-                            parse_entry(&text, key)
-                        })
+                        time_phase(Phase::CacheLookup, || decode_entry(&text, &slot.key))
                     {
-                        REMOTE_HITS.fetch_add(1, Ordering::Relaxed);
+                        self.counters.count(Count::RemoteHit);
                         // Replicate locally (best-effort) so the next
                         // probe on this machine is a plain local hit.
-                        if write_local_copy(path, &text).is_err() {
-                            WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
+                        if write_local_copy(&slot.path, &text).is_err() {
+                            self.counters.count(Count::WriteError);
                         }
                         return Some(data);
                     }
                 }
             }
         }
-        MISSES.fetch_add(1, Ordering::Relaxed);
+        self.counters.count(Count::Miss);
         None
+    }
+
+    /// Reads and verifies the local entry, counting a hit when it serves.
+    fn load_local(&self, slot: &Slot) -> Option<BenchmarkData> {
+        let data = time_phase(Phase::CacheLookup, || {
+            let text = std::fs::read_to_string(&slot.path).ok()?;
+            decode_entry(&text, &slot.key)
+        })?;
+        self.counters.count(Count::Hit);
+        Some(data)
+    }
+
+    /// The local half of [`CacheEntry::load`] for a caller that falls
+    /// back to `load` on `None`: a verified local entry counts a hit, and
+    /// anything else counts nothing. A fault-armed entry always returns
+    /// `None`, so fault decisions are drawn by `load` alone.
+    fn probe_local(&self) -> Option<BenchmarkData> {
+        let slot = self.slot.as_ref().filter(|_| self.faults.is_none())?;
+        self.load_local(slot)
     }
 
     /// Persists freshly computed data into the slot (best-effort, like
     /// every cache write: I/O failure only costs a future recompute) and
     /// publishes it to the remote tier, if one is attached.
     pub fn store(&self, data: &BenchmarkData) {
-        if let Some((path, key)) = &self.slot {
-            crate::phase::time_phase(crate::phase::Phase::CacheStore, || {
-                let text = Json::obj()
-                    .field("key", key.clone())
-                    .field("data", benchmark_data_to_json(data))
-                    .render_pretty();
-                store_entry(path, &text, self.faults.as_deref());
-                if let Some(remote) = &self.remote {
-                    let token = entry_token(path);
-                    let blocked = self
-                        .faults
-                        .as_ref()
-                        .is_some_and(|plan| plan.should(site::CACHE_REMOTE, &token));
-                    if !blocked && !remote.publish(&token, &text) {
-                        WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
-                    }
+        let Some(slot) = &self.slot else {
+            return;
+        };
+        time_phase(Phase::CacheStore, || {
+            let text = encode_entry(&slot.key, data);
+            if !self.store_local(slot, &text) {
+                self.counters.count(Count::WriteError);
+            }
+            if let Some(remote) = &self.remote {
+                if !self.faulted(site::CACHE_REMOTE, &slot.name)
+                    && !remote.publish(&slot.name, &text)
+                {
+                    self.counters.count(Count::WriteError);
                 }
-            });
+            }
+        });
+    }
+
+    /// Lands a freshly encoded entry; `false` when it did not (a
+    /// read-only or full disk must never fail the run, and injected
+    /// `cache.write` / `cache.rename` faults drop the matching step).
+    fn store_local(&self, slot: &Slot, text: &str) -> bool {
+        if self.faulted(site::CACHE_WRITE, &slot.name) {
+            return false;
         }
+        let Some(dir) = slot.path.parent() else {
+            return false;
+        };
+        let tmp = slot
+            .path
+            .with_extension(format!("tmp.{}", std::process::id()));
+        if std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(&tmp, text))
+            .is_err()
+        {
+            return false;
+        }
+        if self.faulted(site::CACHE_RENAME, &slot.name) {
+            // The tmp file was written but the publish step "fails":
+            // clean up like a crashed renamer would not have.
+            let _ = std::fs::remove_file(&tmp);
+            return false;
+        }
+        // Atomic within one filesystem: concurrent writers of the same
+        // entry race benignly (identical content).
+        std::fs::rename(&tmp, &slot.path).is_ok()
     }
 }
 
@@ -403,10 +530,15 @@ impl Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
+    /// One FNV-1a step on a whole word. For a fixed state it is a
+    /// bijection of `x`, and for a fixed `x` a bijection of the state.
+    fn mix(&mut self, x: u64) {
+        self.0 = (self.0 ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
     fn write_u64(&mut self, x: u64) {
         for b in x.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.mix(u64::from(b));
         }
     }
 
@@ -417,14 +549,31 @@ impl Fnv {
     fn write_str(&mut self, s: &str) {
         self.write_u64(s.len() as u64);
         for b in s.as_bytes() {
-            self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.mix(u64::from(*b));
         }
     }
 
     fn finish(&self) -> u64 {
         self.0
     }
+}
+
+/// Checksum of an entry body: FNV-1a over its length, then its 8-byte
+/// little-endian words, then the tail bytes. Every step is a bijection of
+/// the running state, so damage confined to one word (a flipped bit, a
+/// wrong digit) always changes the sum.
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut h = Fnv::new();
+    h.mix(bytes.len() as u64);
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder();
+    for word in words {
+        h.mix(word.iter().rev().fold(0, |acc, &b| acc << 8 | u64::from(b)));
+    }
+    for &b in tail {
+        h.mix(u64::from(b));
+    }
+    h.finish()
 }
 
 /// Fingerprint of everything the characterized circuit contributes: the
@@ -458,217 +607,250 @@ fn library_fingerprint(netlist: &gatelib::Netlist) -> u64 {
     h.finish()
 }
 
-/// Fingerprint of the full workload trace: every event, memory
-/// reference and branch count of every thread in every interval.
-fn trace_fingerprint(trace: &WorkloadTrace) -> u64 {
-    let mut h = Fnv::new();
-    h.write_str(trace.benchmark.name());
-    h.write_u64(trace.intervals.len() as u64);
-    for interval in &trace.intervals {
-        h.write_u64(interval.threads() as u64);
-        for work in interval {
-            h.write_u64(work.events.len() as u64);
-            for ev in &work.events {
-                h.write_u64(ev.op.index() as u64);
-                h.write_u64(ev.a);
-                h.write_u64(ev.b);
-            }
-            h.write_u64(work.mem_refs.len() as u64);
-            for m in &work.mem_refs {
-                h.write_u64(m.addr);
-                h.write_u64(u64::from(m.is_store));
-            }
-            h.write_u64(work.branches);
+/// Names of the numeric key fields, in key-line order.
+const KEY_FIELDS: [&str; 15] = [
+    "generator",
+    "threads",
+    "scale",
+    "intervals",
+    "width",
+    "seed",
+    "max_samples",
+    "cache_sets",
+    "cache_ways",
+    "cache_line_bytes",
+    "miss_penalty",
+    "mul_extra",
+    "taken_rate_bits",
+    "redirect_penalty",
+    "library",
+];
+
+/// Everything one characterization is a function of: the workload recipe
+/// (benchmark, every [`workloads::WorkloadConfig`] field and the
+/// generator version), the stage, the harness knobs and the cell-library
+/// fingerprint. Integers are held exactly, the one float knob as its
+/// bits, so equal keys mean equal characterizations.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct CacheKey {
+    benchmark: Benchmark,
+    stage: StageKind,
+    values: [u64; KEY_FIELDS.len()],
+}
+
+impl CacheKey {
+    fn new(
+        benchmark: Benchmark,
+        stage: StageKind,
+        cfg: &HarnessConfig,
+        netlist: &gatelib::Netlist,
+    ) -> CacheKey {
+        let (w, cpi) = (&cfg.workload, &cfg.cpi_model);
+        CacheKey {
+            benchmark,
+            stage,
+            values: [
+                u64::from(workloads::GENERATOR_VERSION),
+                w.threads as u64,
+                w.scale as u64,
+                w.intervals as u64,
+                w.width as u64,
+                w.seed,
+                cfg.max_samples as u64,
+                cpi.cache.sets as u64,
+                cpi.cache.ways as u64,
+                cpi.cache.line_bytes as u64,
+                cpi.cache.miss_penalty,
+                cpi.mul_extra,
+                cpi.taken_rate.to_bits(),
+                cpi.redirect_penalty,
+                library_fingerprint(netlist),
+            ],
         }
     }
-    h.finish()
-}
 
-/// The full characterization key as a JSON object — stored inside every
-/// entry and compared verbatim on load, so a 64-bit hash collision can
-/// never alias two different characterizations.
-fn cache_key(
-    trace: &WorkloadTrace,
-    stage: StageKind,
-    cfg: &HarnessConfig,
-    netlist: &gatelib::Netlist,
-) -> Json {
-    let w = &cfg.workload;
-    let cpi = &cfg.cpi_model;
-    Json::obj()
-        .field("version", Json::num(CACHE_FORMAT_VERSION))
-        .field("benchmark", Json::str(trace.benchmark.name()))
-        .field("stage", Json::str(stage.name()))
-        .field(
-            "workload",
-            Json::obj()
-                .field("threads", Json::num(w.threads as f64))
-                .field("scale", Json::num(w.scale as f64))
-                .field("intervals", Json::num(w.intervals as f64))
-                .field("width", Json::num(w.width as f64))
-                .field("seed", Json::num(w.seed as f64)),
-        )
-        .field("max_samples", Json::num(cfg.max_samples as f64))
-        .field(
-            "cpi",
-            Json::obj()
-                .field("sets", Json::num(cpi.cache.sets as f64))
-                .field("ways", Json::num(cpi.cache.ways as f64))
-                .field("line_bytes", Json::num(cpi.cache.line_bytes as f64))
-                .field("miss_penalty", Json::num(cpi.cache.miss_penalty as f64))
-                .field("mul_extra", Json::num(cpi.mul_extra as f64))
-                .field("taken_rate", Json::num(cpi.taken_rate))
-                .field("redirect_penalty", Json::num(cpi.redirect_penalty as f64)),
-        )
-        .field(
-            "library",
-            Json::str(format!("{:016x}", library_fingerprint(netlist))),
-        )
-        .field(
-            "trace",
-            Json::str(format!("{:016x}", trace_fingerprint(trace))),
-        )
-}
+    /// The key line: `benchmark=<name> stage=<name>`, then
+    /// `<field>=<lowercase hex>` per numeric field. Every key has exactly
+    /// one spelling, and [`CacheKey::parse`] accepts only that one.
+    fn line(&self) -> String {
+        let mut line = format!(
+            "benchmark={} stage={}",
+            self.benchmark.name(),
+            self.stage.name()
+        );
+        for (name, value) in KEY_FIELDS.iter().zip(self.values) {
+            line.push_str(&format!(" {name}={value:x}"));
+        }
+        line
+    }
 
-/// Serializes a [`BenchmarkData`] to the cache payload tree.
-///
-/// Error curves are *not* stored: they are rebuilt from the normalized
-/// delays on load ([`ErrorCurve::from_normalized_delays`] sorts the same
-/// multiset [`ErrorCurve::from_trace`] sorts), which keeps the entry
-/// small and the round-trip exact.
-#[must_use]
-pub fn benchmark_data_to_json(data: &BenchmarkData) -> Json {
-    Json::obj()
-        .field("benchmark", Json::str(data.benchmark.name()))
-        .field("stage", Json::str(data.stage.name()))
-        .field("tnom_v1", Json::num(data.tnom_v1))
-        .field(
-            "intervals",
-            Json::Arr(
-                data.intervals
-                    .iter()
-                    .map(|iv| {
-                        Json::obj().field(
-                            "threads",
-                            Json::Arr(
-                                iv.threads
-                                    .iter()
-                                    .map(|t| {
-                                        Json::obj()
-                                            .field(
-                                                "normalized_delays",
-                                                Json::Arr(
-                                                    t.normalized_delays
-                                                        .iter()
-                                                        .map(|&d| Json::num(d))
-                                                        .collect(),
-                                                ),
-                                            )
-                                            .field("instructions", Json::num(t.instructions))
-                                            .field("cpi_base", Json::num(t.cpi_base))
-                                    })
-                                    .collect(),
-                            ),
-                        )
-                    })
-                    .collect(),
-            ),
-        )
-}
-
-/// Rebuilds a [`BenchmarkData`] from a cache payload tree.
-///
-/// # Errors
-///
-/// [`OptError::Spec`] on any structural mismatch (the caller treats this
-/// as a cache miss).
-pub fn benchmark_data_from_json(json: &Json) -> Result<BenchmarkData, OptError> {
-    let bad = |msg: &str| OptError::Spec(format!("cache entry: {msg}"));
-    let benchmark = json
-        .get("benchmark")
-        .and_then(Json::as_str)
-        .and_then(Benchmark::from_name)
-        .ok_or_else(|| bad("bad 'benchmark'"))?;
-    let stage = json
-        .get("stage")
-        .and_then(Json::as_str)
-        .and_then(StageKind::from_name)
-        .ok_or_else(|| bad("bad 'stage'"))?;
-    let tnom_v1 = json
-        .get("tnom_v1")
-        .and_then(Json::as_f64)
-        .filter(|t| *t > 0.0)
-        .ok_or_else(|| bad("bad 'tnom_v1'"))?;
-    let intervals = json
-        .get("intervals")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("missing 'intervals'"))?
-        .iter()
-        .map(|iv| {
-            let threads = iv
-                .get("threads")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| bad("missing 'threads'"))?
-                .iter()
-                .map(|t| {
-                    let normalized_delays = t
-                        .get("normalized_delays")
-                        .and_then(Json::as_arr)
-                        .ok_or_else(|| bad("missing 'normalized_delays'"))?
-                        .iter()
-                        .map(|d| {
-                            d.as_f64()
-                                .filter(|x| x.is_finite())
-                                .ok_or_else(|| bad("non-finite delay"))
-                        })
-                        .collect::<Result<Vec<f64>, OptError>>()?;
-                    let instructions = t
-                        .get("instructions")
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| bad("missing 'instructions'"))?;
-                    let cpi_base = t
-                        .get("cpi_base")
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| bad("missing 'cpi_base'"))?;
-                    // Mirror `characterize_thread`: a stage-idle thread carries an
-                    // empty trace and the zero-delay activity curve.
-                    let curve = if normalized_delays.is_empty() {
-                        ErrorCurve::from_normalized_delays(vec![0.0])?
-                    } else {
-                        ErrorCurve::from_normalized_delays(normalized_delays.clone())?
-                    };
-                    Ok(ThreadData {
-                        curve,
-                        normalized_delays,
-                        instructions,
-                        cpi_base,
-                    })
-                })
-                .collect::<Result<Vec<ThreadData>, OptError>>()?;
-            Ok(IntervalData { threads })
+    fn parse(line: &str) -> Option<CacheKey> {
+        let mut fields = line.split(' ').map(|field| field.split_once('='));
+        let mut value = |name: &str| match fields.next() {
+            Some(Some((n, v))) if n == name => Some(v),
+            _ => None,
+        };
+        let benchmark =
+            value("benchmark").and_then(|v| Benchmark::ALL.into_iter().find(|b| b.name() == v))?;
+        let stage =
+            value("stage").and_then(|v| StageKind::ALL.into_iter().find(|s| s.name() == v))?;
+        let mut values = [0; KEY_FIELDS.len()];
+        for (slot, name) in values.iter_mut().zip(KEY_FIELDS) {
+            *slot = value(name).and_then(parse_hex)?;
+        }
+        fields.next().is_none().then_some(CacheKey {
+            benchmark,
+            stage,
+            values,
         })
-        .collect::<Result<Vec<IntervalData>, OptError>>()?;
-    Ok(BenchmarkData {
-        benchmark,
-        stage,
-        tnom_v1,
-        intervals,
+    }
+
+    /// The entry's file name: a hash of the magic line and the key line.
+    fn entry_name(&self) -> String {
+        let mut h = Fnv::new();
+        h.write_str(MAGIC);
+        h.write_str(&self.line());
+        format!("{:016x}{ENTRY_SUFFIX}", h.finish())
+    }
+}
+
+/// Parses what `{:x}` writes: lowercase hex digits without leading zeros.
+fn parse_hex(digits: &str) -> Option<u64> {
+    let canonical = (digits == "0" || !digits.starts_with('0')) && digits.bytes().all(is_lower_hex);
+    canonical
+        .then(|| u64::from_str_radix(digits, 16).ok())
+        .flatten()
+}
+
+/// Appends `x` as exactly 16 lowercase hex digits.
+fn push_hex16(out: &mut String, x: u64) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    for shift in (0..16).rev() {
+        out.push(char::from(DIGITS[(x >> (4 * shift)) as usize & 0xf]));
+    }
+}
+
+/// Reads exactly 16 lowercase hex digits.
+fn hex16(digits: &[u8]) -> Option<u64> {
+    if digits.len() != 16 {
+        return None;
+    }
+    digits.iter().try_fold(0, |acc: u64, &b| {
+        let digit = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            _ => return None,
+        };
+        Some(acc << 4 | u64::from(digit))
     })
 }
 
-fn load_entry(path: &Path, key: &Json) -> Option<BenchmarkData> {
-    parse_entry(&std::fs::read_to_string(path).ok()?, key)
+/// Serializes one entry: the magic line, the key line, the body checksum
+/// (16 hex digits), then the body:
+///
+/// ```text
+/// <tnom_v1> <intervals>                    once
+/// <threads>                                per interval
+/// <instructions> <cpi_base> <delays>       per thread, then one line of
+/// <normalized delays, 16 digits each>      its delays without separators
+/// ```
+///
+/// Floats are their bit patterns as 16 hex digits, counts are `{:x}`.
+/// Error curves are *not* stored: they are rebuilt from the normalized
+/// delays on load ([`ErrorCurve::from_normalized_delays`] sorts the same
+/// multiset [`ErrorCurve::from_trace`] sorts), which keeps the entry
+/// small and the round-trip exact. Benchmark and stage come from the key.
+fn encode_entry(key: &CacheKey, data: &BenchmarkData) -> String {
+    let delays: usize = data
+        .intervals
+        .iter()
+        .flat_map(|iv| &iv.threads)
+        .map(|t| t.normalized_delays.len() + 3)
+        .sum();
+    let mut body = String::with_capacity(16 * delays + 64);
+    push_hex16(&mut body, data.tnom_v1.to_bits());
+    body.push_str(&format!(" {:x}\n", data.intervals.len()));
+    for iv in &data.intervals {
+        body.push_str(&format!("{:x}\n", iv.threads.len()));
+        for t in &iv.threads {
+            push_hex16(&mut body, t.instructions.to_bits());
+            body.push(' ');
+            push_hex16(&mut body, t.cpi_base.to_bits());
+            body.push_str(&format!(" {:x}\n", t.normalized_delays.len()));
+            for d in &t.normalized_delays {
+                push_hex16(&mut body, d.to_bits());
+            }
+            body.push('\n');
+        }
+    }
+    let mut text = format!("{MAGIC}\n{}\n", key.line());
+    push_hex16(&mut text, checksum(body.as_bytes()));
+    text.push('\n');
+    text.push_str(&body);
+    text
 }
 
-/// Parses and verifies one entry text (local file or remote payload).
-/// Full-key comparison: version drift, hash collisions, truncated
-/// rewrites and lying remote tiers all land here and read as a miss.
-fn parse_entry(src: &str, key: &Json) -> Option<BenchmarkData> {
-    let entry = Json::parse(src).ok()?;
-    if entry.get("key")?.render() != key.render() {
+/// Verifies and parses one entry text (local file or remote payload).
+/// The magic, then the key (compared structurally), then the body
+/// checksum are each checked before anything after them is read, so
+/// version drift, hash collisions, torn writes, flipped bytes and lying
+/// remote tiers all read as a miss without parsing a damaged body.
+fn decode_entry(text: &str, key: &CacheKey) -> Option<BenchmarkData> {
+    let mut parts = text.splitn(4, '\n');
+    if parts.next()? != MAGIC || CacheKey::parse(parts.next()?)? != *key {
         return None;
     }
-    benchmark_data_from_json(entry.get("data")?).ok()
+    let sum = hex16(parts.next()?.as_bytes())?;
+    let body = parts.next()?;
+    if checksum(body.as_bytes()) != sum {
+        return None;
+    }
+    let mut lines = body.split('\n');
+    let (tnom, n_intervals) = lines.next()?.split_once(' ')?;
+    let tnom_v1 = f64::from_bits(hex16(tnom.as_bytes())?);
+    if tnom_v1.is_nan() || tnom_v1 <= 0.0 {
+        return None;
+    }
+    let mut intervals = Vec::new();
+    for _ in 0..parse_hex(n_intervals)? {
+        let mut threads = Vec::new();
+        for _ in 0..parse_hex(lines.next()?)? {
+            let mut head = lines.next()?.split(' ');
+            let mut float = || hex16(head.next()?.as_bytes()).map(f64::from_bits);
+            let (instructions, cpi_base) = (float()?, float()?);
+            let n = parse_hex(head.next()?)?;
+            let run = lines.next()?.as_bytes();
+            if head.next().is_some() || run.len() as u64 != n.checked_mul(16)? {
+                return None;
+            }
+            let normalized_delays = run
+                .chunks_exact(16)
+                .map(|d| hex16(d).map(f64::from_bits).filter(|x| x.is_finite()))
+                .collect::<Option<Vec<f64>>>()?;
+            // Mirror `characterize_thread`: a stage-idle thread carries an
+            // empty trace and the zero-delay activity curve.
+            let curve = if normalized_delays.is_empty() {
+                ErrorCurve::from_normalized_delays(vec![0.0])
+            } else {
+                ErrorCurve::from_normalized_delays(normalized_delays.clone())
+            }
+            .ok()?;
+            threads.push(ThreadData {
+                curve,
+                normalized_delays,
+                instructions,
+                cpi_base,
+            });
+        }
+        intervals.push(IntervalData { threads });
+    }
+    // The body ends with its last line's newline, and nothing follows.
+    (lines.next() == Some("") && lines.next().is_none()).then_some(BenchmarkData {
+        benchmark: key.benchmark,
+        stage: key.stage,
+        tnom_v1,
+        intervals,
+    })
 }
 
 /// Replicates a verified remote entry into the local directory (atomic
@@ -681,57 +863,10 @@ fn write_local_copy(path: &Path, text: &str) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// Stable identity token for one cache slot — the entry file name —
-/// used both for fault-plan decisions and nothing else.
-fn entry_token(path: &Path) -> String {
-    path.file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default()
-}
-
-fn store_entry(path: &Path, text: &str, faults: Option<&FaultPlan>) {
-    // Best-effort: a read-only or full disk must never fail the run —
-    // but every store that fails to land is counted (write_errors).
-    let token = entry_token(path);
-    if let Some(plan) = faults {
-        if plan.should(site::CACHE_WRITE, &token) {
-            WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-    }
-    let Some(dir) = path.parent() else {
-        WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
-        return;
-    };
-    if std::fs::create_dir_all(dir).is_err() {
-        WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    if std::fs::write(&tmp, text).is_err() {
-        WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    if let Some(plan) = faults {
-        if plan.should(site::CACHE_RENAME, &token) {
-            // The tmp file was written but the publish step "fails":
-            // clean up like a crashed renamer would not have.
-            let _ = std::fs::remove_file(&tmp);
-            WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-    }
-    // Atomic within one filesystem: concurrent writers of the same
-    // entry race benignly (identical content).
-    if std::fs::rename(&tmp, path).is_err() {
-        WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// The process-wide per-key in-flight table behind cache coalescing:
 /// concurrent misses on the same entry block on one characterization
 /// instead of N identical gate simulations. Keys are entry file names —
-/// the same content-addressed identity the disk and remote tiers use.
+/// the same identity the disk and remote tiers use.
 struct Coalescer {
     inflight: std::sync::Mutex<std::collections::BTreeSet<String>>,
     cv: std::sync::Condvar,
@@ -774,7 +909,8 @@ impl Drop for CoalesceGuard {
     }
 }
 
-fn admit(token: &str) -> Admission {
+/// Admits the caller for `token`, counting a wait on `counters`.
+fn admit(token: &str, counters: &Counters) -> Admission {
     let c = coalescer();
     let mut inflight = c
         .inflight
@@ -785,7 +921,7 @@ fn admit(token: &str) -> Admission {
             token: token.to_string(),
         });
     }
-    COALESCED.fetch_add(1, Ordering::Relaxed);
+    counters.count(Count::Coalesced);
     while inflight.contains(token) {
         inflight =
             c.cv.wait(inflight)
@@ -794,26 +930,31 @@ fn admit(token: &str) -> Admission {
     Admission::Waited
 }
 
-/// Characterizes a workload trace on one stage through the cache: a warm
-/// entry skips gate simulation entirely; a miss recomputes on `pool`
-/// and persists the result. Concurrent misses on the same key coalesce:
-/// one thread characterizes while the rest block and then read the
-/// stored entry ([`CacheStats::coalesced`] counts the waits).
+/// Runs and characterizes a benchmark on one stage through the cache —
+/// the cached, pooled form of [`crate::experiments::characterize`].
+///
+/// The slot is named by the recipe, so a hit builds the stage netlist
+/// (for the key's library fingerprint) and reads the entry: no workload
+/// trace, no gate simulation. A miss runs the workload, characterizes it
+/// on `pool` and persists the result. Concurrent misses on the same key
+/// coalesce: one thread characterizes while the rest block and then read
+/// the stored entry ([`CacheStats::coalesced`] counts the waits). A hit
+/// never waits, not even while another thread holds the key.
 ///
 /// # Errors
 ///
 /// Propagates characterization failures; cache I/O failures are
 /// swallowed (they only cost a recompute).
-pub fn characterize_workload_cached(
-    trace: &WorkloadTrace,
+pub fn characterize_cached(
+    benchmark: Benchmark,
     stage: StageKind,
     cfg: &HarnessConfig,
     cache: &CharCache,
     pool: ThreadPool,
 ) -> Result<BenchmarkData, OptError> {
-    use crate::phase::{time_phase, Phase};
+    let run_workload = || time_phase(Phase::TraceBuild, || benchmark.run(&cfg.workload));
     if !cache.enabled {
-        return characterize_workload_pooled(trace, stage, cfg, pool);
+        return characterize_workload_pooled(&run_workload(), stage, cfg, pool);
     }
     // Build the stage once: its netlist feeds the key's library
     // fingerprint, and on a miss the same instance is characterized
@@ -822,23 +963,28 @@ pub fn characterize_workload_cached(
         circuits::build_stage(stage, cfg.workload.width)
     })
     .map_err(TimingError::from)?;
-    let entry = cache.entry(trace, stage, cfg, circuit.netlist());
+    let entry = cache.recipe_entry(benchmark, stage, cfg, circuit.netlist());
+    // An entry never changes once it is renamed into place, so a hit
+    // needs no admission: concurrent hits on one key read side by side
+    // instead of queueing behind each other. Only a miss takes the key.
+    if let Some(data) = entry.probe_local() {
+        return Ok(data);
+    }
     let token = entry.token().unwrap_or_default();
-    let mut compute_inputs = Some((circuit, pool));
+    let mut circuit = Some(circuit);
     loop {
-        match admit(&token) {
+        match admit(&token, &cache.counters) {
             Admission::Leader(_guard) => {
                 if let Some(data) = entry.load() {
                     return Ok(data);
                 }
-                let (circuit, pool) = compute_inputs
-                    .take()
-                    .expect("the leader computes at most once");
+                let circuit = circuit.take().expect("the leader computes at most once");
+                let trace = run_workload();
                 let charac = time_phase(Phase::StageBuild, || {
                     StageCharacterizer::from_stage(circuit)
                 })?;
                 let data = time_phase(Phase::GateSim, || {
-                    characterize_workload_on(&charac, trace, cfg, pool)
+                    characterize_workload_on(&charac, &trace, cfg, pool)
                 })?;
                 entry.store(&data);
                 return Ok(data);
@@ -851,25 +997,6 @@ pub fn characterize_workload_cached(
     }
 }
 
-/// Runs and characterizes a benchmark through the cache — the cached,
-/// pooled form of [`crate::experiments::characterize`]. The workload
-/// still runs (its trace is the cache key's fingerprint); only the
-/// dominant gate-simulation phase is skipped on a hit.
-///
-/// # Errors
-///
-/// As [`characterize_workload_cached`].
-pub fn characterize_cached(
-    benchmark: Benchmark,
-    stage: StageKind,
-    cfg: &HarnessConfig,
-    cache: &CharCache,
-    pool: ThreadPool,
-) -> Result<BenchmarkData, OptError> {
-    let trace = benchmark.run(&cfg.workload);
-    characterize_workload_cached(&trace, stage, cfg, cache, pool)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -880,6 +1007,13 @@ mod tests {
             std::env::temp_dir().join(format!("synts-cache-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    fn netlist_for(stage: StageKind, width: usize) -> gatelib::Netlist {
+        circuits::build_stage(stage, width)
+            .expect("stage")
+            .netlist()
+            .clone()
     }
 
     fn assert_same(a: &BenchmarkData, b: &BenchmarkData) {
@@ -901,15 +1035,47 @@ mod tests {
     }
 
     #[test]
-    fn payload_json_round_trips_bit_identically() {
+    fn entry_text_round_trips_bit_identically() {
         let cfg = HarnessConfig::quick();
         let fresh = characterize(Benchmark::Radix, StageKind::SimpleAlu, &cfg).expect("ok");
-        let back = benchmark_data_from_json(&benchmark_data_to_json(&fresh)).expect("round-trips");
-        assert_same(&fresh, &back);
-        // And through the rendered text, as on disk.
-        let text = benchmark_data_to_json(&fresh).render_pretty();
-        let reparsed = benchmark_data_from_json(&Json::parse(&text).expect("valid")).expect("ok");
-        assert_same(&fresh, &reparsed);
+        let netlist = netlist_for(StageKind::SimpleAlu, cfg.workload.width);
+        let key = CacheKey::new(Benchmark::Radix, StageKind::SimpleAlu, &cfg, &netlist);
+        assert_eq!(CacheKey::parse(&key.line()), Some(key.clone()));
+        let text = encode_entry(&key, &fresh);
+        assert!(text.is_ascii());
+        assert_same(&fresh, &decode_entry(&text, &key).expect("decodes"));
+        // The same body under another key never decodes.
+        let other = CacheKey::new(Benchmark::Fmm, StageKind::SimpleAlu, &cfg, &netlist);
+        assert!(decode_entry(&text, &other).is_none());
+    }
+
+    #[test]
+    fn key_lines_accept_only_their_canonical_spelling() {
+        let cfg = HarnessConfig::quick();
+        let netlist = netlist_for(StageKind::Decode, cfg.workload.width);
+        let line = CacheKey::new(Benchmark::LuNcontig, StageKind::Decode, &cfg, &netlist).line();
+        for (from, to) in [
+            ("benchmark=lu-ncontig", "benchmark=LU-ncontig"),
+            ("stage=decode", "stage=Decode"),
+            ("seed=c0ffee", "seed=C0FFEE"),
+            ("seed=c0ffee", "seed=0c0ffee"),
+            ("threads=4", "threads=+4"),
+            (" scale=", "  scale="),
+        ] {
+            assert!(line.contains(from), "{line} lacks {from}");
+            let spelled = line.replacen(from, to, 1);
+            assert_eq!(CacheKey::parse(&spelled), None, "{spelled}");
+        }
+        assert_eq!(CacheKey::parse(&format!("{line} extra=1")), None);
+        assert!(valid_entry_name("00112233aabbccdd.char"));
+        for bad in [
+            "00112233AABBCCDD.char",
+            "00112233aabbccdd.json",
+            "0011.char",
+            "../x.char",
+        ] {
+            assert!(!valid_entry_name(bad), "{bad}");
+        }
     }
 
     #[test]
@@ -917,28 +1083,31 @@ mod tests {
         let dir = tmp_dir("warm");
         let cache = CharCache::at_dir(&dir);
         let cfg = HarnessConfig::quick();
-        let before = CacheStats::snapshot();
-        let cold = characterize_cached(
-            Benchmark::Fmm,
-            StageKind::Decode,
-            &cfg,
-            &cache,
-            ThreadPool::sequential(),
-        )
-        .expect("cold");
-        let mid = CacheStats::snapshot().since(before);
-        assert_eq!(mid.misses, 1, "cold run misses");
-        let warm = characterize_cached(
-            Benchmark::Fmm,
-            StageKind::Decode,
-            &cfg,
-            &cache,
-            ThreadPool::sequential(),
-        )
-        .expect("warm");
-        let after = CacheStats::snapshot().since(before);
-        assert_eq!(after.hits, 1, "warm run hits");
+        let run = || {
+            characterize_cached(
+                Benchmark::Fmm,
+                StageKind::Decode,
+                &cfg,
+                &cache,
+                ThreadPool::sequential(),
+            )
+        };
+        let cold = run().expect("cold");
+        assert_eq!(cache.stats().misses, 1, "cold run misses");
+        assert_eq!(cache.stats().hits, 0);
+        let warm = run().expect("warm");
+        assert_eq!(cache.stats().hits, 1, "warm run hits");
+        assert_eq!(cache.stats().misses, 1);
         assert_same(&cold, &warm);
+        // The trace-holding form resolves the very slot that was filled.
+        let trace = Benchmark::Fmm.run(&cfg.workload);
+        let netlist = netlist_for(StageKind::Decode, cfg.workload.width);
+        let entry = cache.entry(&trace, StageKind::Decode, &cfg, &netlist);
+        let name = entry.token().expect("enabled");
+        assert!(valid_entry_name(&name));
+        assert!(dir.join(&name).is_file());
+        assert_same(&cold, &entry.load().expect("hit"));
+        assert_eq!(cache.stats().hits, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -947,82 +1116,209 @@ mod tests {
         let dir = tmp_dir("corrupt");
         let cache = CharCache::at_dir(&dir);
         let cfg = HarnessConfig::quick();
-        let cold = characterize_cached(
-            Benchmark::Radix,
-            StageKind::Decode,
-            &cfg,
-            &cache,
-            ThreadPool::sequential(),
-        )
-        .expect("cold");
-        let entry = std::fs::read_dir(&dir)
-            .expect("dir")
-            .next()
-            .expect("one entry")
-            .expect("entry")
-            .path();
-        for garbage in ["", "{", "{\"key\": 1, \"data\": 2}", "not json at all"] {
-            std::fs::write(&entry, garbage).expect("write");
-            let again = characterize_cached(
+        let run = || {
+            characterize_cached(
                 Benchmark::Radix,
                 StageKind::Decode,
                 &cfg,
                 &cache,
                 ThreadPool::sequential(),
             )
-            .unwrap_or_else(|e| panic!("garbage {garbage:?} must recompute, got {e}"));
+        };
+        let cold = run().expect("cold");
+        let entry = std::fs::read_dir(&dir)
+            .expect("dir")
+            .next()
+            .expect("one entry")
+            .expect("entry")
+            .path();
+        let full = std::fs::read_to_string(&entry).expect("read");
+        let mut cases = vec![
+            String::new(),
+            "{".to_string(),
+            "not an entry at all".to_string(),
+            MAGIC.to_string(),
+            full[..full.len() / 2].to_string(),
+            format!("{full}0"),
+        ];
+        // A body whose checksum was recomputed but whose counts lie.
+        let (header, body) = full.split_at(full.find("\n").expect("magic line") + 1);
+        let (key_line, rest) = body.split_at(body.find("\n").expect("key line") + 1);
+        let lying_body = rest[17..].replacen(" 3\n", " 2\n", 1);
+        let mut lying = format!("{header}{key_line}");
+        push_hex16(&mut lying, checksum(lying_body.as_bytes()));
+        lying.push('\n');
+        lying.push_str(&lying_body);
+        cases.push(lying);
+        for (i, garbage) in cases.iter().enumerate() {
+            std::fs::write(&entry, garbage).expect("write");
+            let before = cache.stats();
+            let again = run().unwrap_or_else(|e| panic!("case {i} must recompute, got {e}"));
+            assert_eq!(cache.stats().since(before).misses, 1, "case {i} must miss");
             assert_same(&cold, &again);
         }
-        // A truncated valid entry (half the bytes) also recomputes.
-        let full = std::fs::read_to_string(&entry).expect("read");
-        std::fs::write(&entry, &full[..full.len() / 2]).expect("write");
-        let again = characterize_cached(
-            Benchmark::Radix,
-            StageKind::Decode,
-            &cfg,
-            &cache,
-            ThreadPool::sequential(),
-        )
-        .expect("truncated entry recomputes");
-        assert_same(&cold, &again);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn key_separates_configs_and_disabled_cache_touches_nothing() {
         let cfg = HarnessConfig::quick();
-        let trace = Benchmark::Radix.run(&cfg.workload);
-        let netlist_for = |stage: StageKind| {
-            circuits::build_stage(stage, cfg.workload.width)
-                .expect("stage")
-                .netlist()
-                .clone()
+        let decode = netlist_for(StageKind::Decode, cfg.workload.width);
+        let alu = netlist_for(StageKind::SimpleAlu, cfg.workload.width);
+        let key =
+            |c: &HarnessConfig| CacheKey::new(Benchmark::Radix, StageKind::Decode, c, &decode);
+        let base = key(&cfg);
+        let mut variants = vec![
+            (
+                "benchmark",
+                CacheKey::new(Benchmark::Fmm, StageKind::Decode, &cfg, &decode),
+            ),
+            (
+                "stage",
+                CacheKey::new(Benchmark::Radix, StageKind::SimpleAlu, &cfg, &decode),
+            ),
+            (
+                "library",
+                CacheKey::new(Benchmark::Radix, StageKind::Decode, &cfg, &alu),
+            ),
+        ];
+        type Knob = (&'static str, fn(&mut HarnessConfig));
+        let knobs: [Knob; 13] = [
+            ("threads", |c| c.workload.threads += 1),
+            ("scale", |c| c.workload.scale += 1),
+            ("intervals", |c| c.workload.intervals += 1),
+            ("width", |c| c.workload.width += 1),
+            ("seed", |c| c.workload.seed += 1),
+            ("max_samples", |c| c.max_samples += 1),
+            ("sets", |c| c.cpi_model.cache.sets *= 2),
+            ("ways", |c| c.cpi_model.cache.ways += 1),
+            ("line_bytes", |c| c.cpi_model.cache.line_bytes *= 2),
+            ("miss_penalty", |c| c.cpi_model.cache.miss_penalty += 1),
+            ("mul_extra", |c| c.cpi_model.mul_extra += 1),
+            ("taken_rate", |c| {
+                c.cpi_model.taken_rate = c.cpi_model.taken_rate.next_up()
+            }),
+            ("redirect_penalty", |c| c.cpi_model.redirect_penalty += 1),
+        ];
+        for (field, turn) in knobs {
+            let mut other = cfg.clone();
+            turn(&mut other);
+            variants.push((field, key(&other)));
+        }
+        let mut names = std::collections::BTreeSet::from([base.entry_name()]);
+        for (field, variant) in &variants {
+            assert_ne!(&base, variant, "{field} is part of the key");
+            assert!(
+                names.insert(variant.entry_name()),
+                "{field} moves the entry name"
+            );
+            assert_eq!(CacheKey::parse(&variant.line()).as_ref(), Some(variant));
+        }
+        // Seeds are held exactly: 2^53 and 2^53 + 1 are the same f64 but
+        // two different workloads.
+        let seed = |seed: u64| {
+            let mut other = cfg.clone();
+            other.workload.seed = seed;
+            key(&other)
         };
-        let decode = netlist_for(StageKind::Decode);
-        let k1 = cache_key(&trace, StageKind::Decode, &cfg, &decode).render();
-        let k2 = cache_key(
-            &trace,
-            StageKind::SimpleAlu,
-            &cfg,
-            &netlist_for(StageKind::SimpleAlu),
-        )
-        .render();
-        assert_ne!(k1, k2, "stage is part of the key");
-        let mut other = cfg.clone();
-        other.max_samples += 1;
-        let k3 = cache_key(&trace, StageKind::Decode, &other, &decode).render();
-        assert_ne!(k1, k3, "harness knobs are part of the key");
+        let (a, b) = (seed(1 << 53), seed((1 << 53) + 1));
+        assert_ne!(a, b);
+        assert_ne!(a.entry_name(), b.entry_name());
+        assert_ne!(seed(u64::MAX), seed(u64::MAX - 1));
 
-        let before = CacheStats::snapshot();
+        let disabled = CharCache::disabled();
         let _ = characterize_cached(
             Benchmark::Radix,
             StageKind::Decode,
             &cfg,
-            &CharCache::disabled(),
+            &disabled,
             ThreadPool::sequential(),
         )
         .expect("ok");
-        let after = CacheStats::snapshot().since(before);
-        assert_eq!(after.lookups(), 0, "disabled cache never counts");
+        assert_eq!(disabled.stats().lookups(), 0, "disabled cache never counts");
+        let probe = disabled.recipe_entry(Benchmark::Radix, StageKind::Decode, &cfg, &decode);
+        assert_eq!(probe.token(), None);
+    }
+
+    #[test]
+    fn handles_count_their_own_lookups_and_the_process_counts_all() {
+        let (dir_a, dir_b) = (tmp_dir("handle-a"), tmp_dir("handle-b"));
+        let a = CharCache::at_dir(&dir_a);
+        let a_clone = a.clone().with_faults(None);
+        let b = CharCache::at_dir(&dir_b);
+        let cfg = HarnessConfig::quick();
+        let before = CacheStats::snapshot();
+        for cache in [&a, &a_clone, &b] {
+            characterize_cached(
+                Benchmark::Fft,
+                StageKind::SimpleAlu,
+                &cfg,
+                cache,
+                ThreadPool::sequential(),
+            )
+            .expect("ok");
+        }
+        assert_eq!(
+            (a.stats().misses, a.stats().hits),
+            (1, 1),
+            "clones share counters"
+        );
+        assert_eq!((b.stats().misses, b.stats().hits), (1, 0));
+        let process = CacheStats::snapshot().since(before);
+        assert!(
+            process.lookups() >= 3,
+            "the process total counts every handle"
+        );
+        let _ = std::fs::remove_dir_all(&dir_a);
+        let _ = std::fs::remove_dir_all(&dir_b);
+    }
+
+    #[test]
+    fn a_hit_does_not_wait_while_another_thread_holds_the_key() {
+        let dir = tmp_dir("hit-no-wait");
+        let cache = CharCache::at_dir(&dir);
+        let cfg = HarnessConfig::quick();
+        let cold = characterize_cached(
+            Benchmark::Ocean,
+            StageKind::Decode,
+            &cfg,
+            &cache,
+            ThreadPool::sequential(),
+        )
+        .expect("cold");
+        let netlist = netlist_for(StageKind::Decode, cfg.workload.width);
+        let token = cache
+            .recipe_entry(Benchmark::Ocean, StageKind::Decode, &cfg, &netlist)
+            .token()
+            .expect("enabled");
+        // Hold the key as an in-flight characterization would.
+        let Admission::Leader(guard) = admit(&token, &Counters::default()) else {
+            panic!("nothing else holds the key");
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = cache.clone();
+        let cfg_reader = cfg.clone();
+        let handle = std::thread::spawn(move || {
+            let data = characterize_cached(
+                Benchmark::Ocean,
+                StageKind::Decode,
+                &cfg_reader,
+                &reader,
+                ThreadPool::sequential(),
+            );
+            let _ = tx.send(data);
+        });
+        let warm = rx.recv_timeout(std::time::Duration::from_secs(20));
+        drop(guard);
+        handle.join().expect("reader");
+        assert_same(
+            &cold,
+            &warm
+                .expect("the hit returned while the key was held")
+                .expect("ok"),
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits, stats.coalesced), (1, 1, 0));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,7 +5,7 @@
 //! The θ axis is embarrassingly parallel *across machines*, not just
 //! across threads: every θ point is one `solve_batch` entry against the
 //! same characterized data, and characterization itself is served from
-//! the shared content-addressed cache (`SYNTS_CACHE_DIR`). [`ShardPlan`]
+//! the shared recipe-keyed cache (`SYNTS_CACHE_DIR`). [`ShardPlan`]
 //! splits the resolved θ grid into contiguous chunks — each [`Shard`] is
 //! a complete, self-describing [`ScenarioSpec`] with an explicit
 //! [`ThetaSpec::Grid`] — and [`Report::merge`] reassembles the partial

@@ -319,13 +319,10 @@ pub enum CacheFetchOutcome {
     Disabled,
 }
 
-/// Entry names are content-addressed `<16 hex>.json`; anything else is
-/// rejected before it can touch the filesystem.
-#[must_use]
-pub fn valid_entry_name(name: &str) -> bool {
-    name.strip_suffix(".json")
-        .is_some_and(|stem| stem.len() == 16 && stem.chars().all(|c| c.is_ascii_hexdigit()))
-}
+/// The cache routes accept exactly the names the cache writes
+/// (`<16 hex>.char`); anything else is rejected before it can touch the
+/// filesystem.
+pub use synts_core::cache::valid_entry_name;
 
 /// Charges one attempt to a leased (Running) shard whose executor lost
 /// it — lease expiry, a dispatch lost in flight, or a failure report.

@@ -482,7 +482,7 @@ fn route(req: &Request, inner: &Inner) -> Response {
         ("GET", ["v1", "cache", name]) => cache_fetch_route(req, service, name),
         ("PUT", ["v1", "cache", name]) => {
             if !crate::fleet::valid_entry_name(name) {
-                return error_response(400, "cache keys are <16 hex>.json");
+                return error_response(400, "cache entry names are <16 hex>.char");
             }
             match service.cache_publish(name, &req.body) {
                 Ok(()) => json_response(200, &Json::obj().field("ok", Json::Bool(true))),
@@ -609,13 +609,13 @@ fn fleet_complete_route(req: &Request, service: &Arc<Service>) -> Response {
 
 fn cache_fetch_route(req: &Request, service: &Arc<Service>, name: &str) -> Response {
     if !crate::fleet::valid_entry_name(name) {
-        return error_response(400, "cache keys are <16 hex>.json");
+        return error_response(400, "cache entry names are <16 hex>.char");
     }
     let claimant = query_value(req.query.as_deref(), "claim");
     match service.cache_fetch(name, claimant) {
         crate::fleet::CacheFetchOutcome::Hit(text) => Response {
             status: 200,
-            content_type: "application/json",
+            content_type: "text/plain",
             body: text,
         },
         crate::fleet::CacheFetchOutcome::MissClaimGranted => json_response(

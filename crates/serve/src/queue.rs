@@ -206,7 +206,8 @@ pub struct ServiceStats {
     pub in_flight: usize,
     /// Shard retry attempts consumed since start.
     pub shard_retries: u64,
-    /// Process-wide characterization cache counters.
+    /// The service's own characterization cache counters (every plan
+    /// and shard lookup it made).
     pub cache: CacheStats,
     /// Fleet coordinator counters (all zero when no executor ever
     /// registered).
@@ -668,7 +669,7 @@ impl Service {
             queue_depth: store.queue.len(),
             in_flight: store.in_flight,
             shard_retries: store.shard_retries,
-            cache: CacheStats::snapshot(),
+            cache: self.state.cache.stats(),
             fleet: store.fleet.snapshot(self.state.local_shards),
         }
     }

@@ -1,25 +1,19 @@
 //! Shared characterization tier: request coalescing and the remote
 //! read-through path.
 //!
-//! The process-wide [`CacheStats`] counters back every assertion, so
-//! the tests in this binary serialize on one mutex and measure deltas.
+//! Every assertion reads the counters of the test's own cache handles
+//! ([`CharCache::stats`]), so the tests run concurrently; each uses its
+//! own (benchmark, stage) key so coalescing stays within one test.
 
 use std::path::PathBuf;
-use std::sync::{Arc, Barrier, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Barrier, Mutex, PoisonError};
 use std::time::Duration;
 
 use circuits::StageKind;
-use synts_core::cache::{characterize_cached, CacheStats, CharCache, RemoteCacheTier, RemoteFetch};
-use synts_core::experiments::HarnessConfig;
+use synts_core::cache::{characterize_cached, CharCache, RemoteCacheTier, RemoteFetch};
+use synts_core::experiments::{characterize, BenchmarkData, HarnessConfig};
 use synts_core::{FaultPlan, ThreadPool};
 use workloads::Benchmark;
-
-fn stats_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("synts-coalesce-{tag}-{}", std::process::id()));
@@ -86,7 +80,6 @@ impl RemoteCacheTier for MapTier {
 /// it and then reads the stored entry as a hit.
 #[test]
 fn concurrent_cold_misses_coalesce_to_one_characterization() {
-    let _guard = stats_lock();
     const THREADS: usize = 4;
     let dir = tmp_dir("herd");
     // The slow remote probe runs inside the leader's admission, holding
@@ -97,7 +90,6 @@ fn concurrent_cold_misses_coalesce_to_one_characterization() {
         ..MapTier::default()
     });
     let cache = CharCache::at_dir(&dir).with_remote(Some(tier.clone() as Arc<dyn RemoteCacheTier>));
-    let before = CacheStats::snapshot();
     let barrier = Arc::new(Barrier::new(THREADS));
     let handles: Vec<_> = (0..THREADS)
         .map(|_| {
@@ -120,7 +112,7 @@ fn concurrent_cold_misses_coalesce_to_one_characterization() {
     for h in handles {
         h.join().expect("thread");
     }
-    let delta = CacheStats::snapshot().since(before);
+    let delta = cache.stats();
     assert_eq!(
         delta.misses, 1,
         "exactly one characterization may run: {delta:?}"
@@ -145,7 +137,6 @@ fn concurrent_cold_misses_coalesce_to_one_characterization() {
 /// plain local hit.
 #[test]
 fn remote_tier_turns_cold_local_misses_into_remote_hits() {
-    let _guard = stats_lock();
     let tier = Arc::new(MapTier::default());
     let cfg = HarnessConfig::quick();
 
@@ -153,7 +144,6 @@ fn remote_tier_turns_cold_local_misses_into_remote_hits() {
     let dir_a = tmp_dir("node-a");
     let cache_a =
         CharCache::at_dir(&dir_a).with_remote(Some(tier.clone() as Arc<dyn RemoteCacheTier>));
-    let before = CacheStats::snapshot();
     let data_a = characterize_cached(
         Benchmark::Radix,
         StageKind::Decode,
@@ -162,15 +152,13 @@ fn remote_tier_turns_cold_local_misses_into_remote_hits() {
         ThreadPool::sequential(),
     )
     .expect("node A characterizes");
-    let delta = CacheStats::snapshot().since(before);
-    assert_eq!(delta.misses, 1);
+    assert_eq!(cache_a.stats().misses, 1);
     assert_eq!(tier.publishes(), 1, "A must publish to the shared tier");
 
     // Node B, cold local dir: remote hit, zero characterizations.
     let dir_b = tmp_dir("node-b");
     let cache_b =
         CharCache::at_dir(&dir_b).with_remote(Some(tier.clone() as Arc<dyn RemoteCacheTier>));
-    let before = CacheStats::snapshot();
     let data_b = characterize_cached(
         Benchmark::Radix,
         StageKind::Decode,
@@ -179,7 +167,7 @@ fn remote_tier_turns_cold_local_misses_into_remote_hits() {
         ThreadPool::sequential(),
     )
     .expect("node B reads through");
-    let delta = CacheStats::snapshot().since(before);
+    let delta = cache_b.stats();
     assert_eq!(delta.remote_hits, 1, "B resolves remotely: {delta:?}");
     assert_eq!(delta.misses, 0, "B must not recompute: {delta:?}");
     assert_eq!(
@@ -190,7 +178,7 @@ fn remote_tier_turns_cold_local_misses_into_remote_hits() {
 
     // B's local copy landed: the next probe never leaves the node.
     let fetches_before = tier.fetches();
-    let before = CacheStats::snapshot();
+    let before = cache_b.stats();
     characterize_cached(
         Benchmark::Radix,
         StageKind::Decode,
@@ -199,7 +187,7 @@ fn remote_tier_turns_cold_local_misses_into_remote_hits() {
         ThreadPool::sequential(),
     )
     .expect("node B warm");
-    let delta = CacheStats::snapshot().since(before);
+    let delta = cache_b.stats().since(before);
     assert_eq!(delta.hits, 1, "warm probe is a local hit: {delta:?}");
     assert_eq!(tier.fetches(), fetches_before, "no remote round trip");
     let _ = std::fs::remove_dir_all(&dir_a);
@@ -211,7 +199,6 @@ fn remote_tier_turns_cold_local_misses_into_remote_hits() {
 /// the publish is dropped.
 #[test]
 fn remote_faults_degrade_to_local_computation() {
-    let _guard = stats_lock();
     let tier = Arc::new(MapTier::default());
     // Seed the tier via an unfaulted node so a hit WOULD be available.
     let cfg = HarnessConfig::quick();
@@ -235,7 +222,6 @@ fn remote_faults_degrade_to_local_computation() {
         .with_faults(Some(Arc::clone(&plan)))
         .with_remote(Some(tier.clone() as Arc<dyn RemoteCacheTier>));
     let fetches_before = tier.fetches();
-    let before = CacheStats::snapshot();
     characterize_cached(
         Benchmark::Fft,
         StageKind::Decode,
@@ -244,7 +230,7 @@ fn remote_faults_degrade_to_local_computation() {
         ThreadPool::sequential(),
     )
     .expect("severed node still computes");
-    let delta = CacheStats::snapshot().since(before);
+    let delta = cache_cut.stats();
     assert_eq!(delta.misses, 1, "severed node recomputes: {delta:?}");
     assert_eq!(delta.remote_hits, 0, "no remote traffic: {delta:?}");
     assert_eq!(
@@ -263,4 +249,76 @@ fn remote_faults_degrade_to_local_computation() {
     );
     let _ = std::fs::remove_dir_all(&dir_seed);
     let _ = std::fs::remove_dir_all(&dir_cut);
+}
+
+/// A tier that serves an entry with one byte flipped — a torn transfer or
+/// a damaged coordinator disk — is a local miss: the node recomputes the
+/// right data instead of trusting the payload, and counts no remote hit.
+#[test]
+fn a_corrupt_remote_payload_reads_as_a_local_miss() {
+    let tier = Arc::new(MapTier::default());
+    let cfg = HarnessConfig::quick();
+    let dir_seed = tmp_dir("flip-seed");
+    let seed_cache =
+        CharCache::at_dir(&dir_seed).with_remote(Some(tier.clone() as Arc<dyn RemoteCacheTier>));
+    let run = |cache: &CharCache| {
+        characterize_cached(
+            Benchmark::Cholesky,
+            StageKind::Decode,
+            &cfg,
+            cache,
+            ThreadPool::sequential(),
+        )
+        .expect("characterization")
+    };
+    run(&seed_cache);
+    {
+        let mut entries = tier.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        assert_eq!(entries.len(), 1, "the seed node published one entry");
+        for text in entries.values_mut() {
+            // Flip one digit in the middle of the body.
+            let mut bytes = std::mem::take(text).into_bytes();
+            let at = bytes.len() / 2;
+            bytes[at] = if bytes[at] == b'0' { b'1' } else { b'0' };
+            *text = String::from_utf8(bytes).expect("ascii");
+        }
+    }
+    let fetches_before = tier.fetches();
+    let dir = tmp_dir("flip-node");
+    let cache = CharCache::at_dir(&dir).with_remote(Some(tier.clone() as Arc<dyn RemoteCacheTier>));
+    let data = run(&cache);
+    let stats = cache.stats();
+    assert_eq!(
+        stats.remote_hits, 0,
+        "the damaged payload was served: {stats:?}"
+    );
+    assert_eq!(stats.misses, 1, "the node recomputes: {stats:?}");
+    assert_eq!(
+        tier.fetches(),
+        fetches_before + 1,
+        "the node asked the tier"
+    );
+    assert_same(
+        &data,
+        &characterize(Benchmark::Cholesky, StageKind::Decode, &cfg).expect("fresh"),
+    );
+    let _ = std::fs::remove_dir_all(&dir_seed);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn assert_same(a: &BenchmarkData, b: &BenchmarkData) {
+    assert_eq!((a.benchmark, a.stage), (b.benchmark, b.stage));
+    assert_eq!(a.tnom_v1.to_bits(), b.tnom_v1.to_bits());
+    let bits = |d: &BenchmarkData| -> Vec<Vec<u64>> {
+        d.intervals
+            .iter()
+            .flat_map(|iv| &iv.threads)
+            .map(|t| {
+                let mut v: Vec<u64> = t.normalized_delays.iter().map(|x| x.to_bits()).collect();
+                v.extend([t.instructions.to_bits(), t.cpi_base.to_bits()]);
+                v
+            })
+            .collect()
+    };
+    assert_eq!(bits(a), bits(b), "characterizations differ");
 }

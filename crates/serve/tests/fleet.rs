@@ -369,10 +369,14 @@ fn fleet_protocol_round_trips_over_http() {
     // Cache tier: bad names rejected, misses grant claims, a second
     // claimant is held off, a publish lands and releases the claim.
     let reply = client
-        .request("GET", "/v1/cache/not-hex.json", None)
+        .request("GET", "/v1/cache/not-hex.char", None)
         .expect("bad name");
     assert_eq!(reply.status, 400);
-    let key = "00112233aabbccdd.json";
+    let reply = client
+        .request("GET", "/v1/cache/00112233aabbccdd.json", None)
+        .expect("old-format name");
+    assert_eq!(reply.status, 400, "v1 entry names are not served");
+    let key = "00112233aabbccdd.char";
     let reply = client
         .request("GET", &format!("/v1/cache/{key}?claim=exec-1"), None)
         .expect("miss+claim");

@@ -34,3 +34,12 @@ mod types;
 
 pub use recorder::{MemRef, Recorder, ThreadWork};
 pub use types::{BarrierInterval, Benchmark, WorkloadConfig, WorkloadTrace};
+
+/// Version of the trace generators: `Benchmark::run` is a pure function
+/// of `(benchmark, WorkloadConfig, GENERATOR_VERSION)`. Persistent
+/// caches key derived data on that recipe instead of hashing traces, so
+/// bump this whenever a kernel's recorded events, memory references or
+/// branch counts change for some configuration. A test pins every
+/// benchmark's trace fingerprint and fails when one moves: bump this
+/// constant, then re-pin.
+pub const GENERATOR_VERSION: u32 = 1;

@@ -17,7 +17,7 @@ pub struct MemRef {
 }
 
 /// Everything one thread did in one barrier interval.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ThreadWork {
     /// ALU operations with operand values, in program order.
     pub events: Vec<AluEvent>,

@@ -174,7 +174,7 @@ impl WorkloadConfig {
 
 /// One barrier interval: the work each thread performed between two
 /// consecutive barriers.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BarrierInterval {
     work: Vec<ThreadWork>,
 }
@@ -217,7 +217,7 @@ impl<'a> IntoIterator for &'a BarrierInterval {
 }
 
 /// A full instrumented run: the benchmark and its barrier intervals.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadTrace {
     /// Which benchmark produced this trace.
     pub benchmark: Benchmark,

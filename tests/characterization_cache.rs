@@ -3,7 +3,11 @@
 //! * a [`BenchmarkData`] served from the on-disk cache is **bit-identical**
 //!   to a freshly simulated one (delays, curves, CPI, instruction counts);
 //! * a parallel corpus build at 1/2/8 workers equals the sequential one;
-//! * corrupted, truncated or garbage cache entries silently recompute;
+//! * a truncated entry, or one with any single byte flipped (header or
+//!   body), silently recomputes instead of being served;
+//! * the trace generators still produce their pinned traces (cache keys
+//!   name a trace by its recipe, so a generator change must bump
+//!   `workloads::GENERATOR_VERSION`);
 //! * the zero-alloc batched `delay_trace_into` entry point reproduces
 //!   `delay_trace_sampled` exactly, including across buffer reuse;
 //! * `guard_band` is worker-count-invariant.
@@ -90,41 +94,136 @@ proptest! {
         }
     }
 
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
     /// Any byte-level damage to a cache entry reads as a miss: the
-    /// characterization recomputes bit-identically instead of erroring.
+    /// characterization recomputes bit-identically instead of erroring
+    /// or serving a wrong value. One byte is damaged at a generated
+    /// offset, in the header (magic, key, checksum lines) half the time
+    /// and anywhere in the entry otherwise.
     #[test]
-    fn damaged_cache_entries_recompute(cut in 1..64usize) {
+    fn damaged_cache_entries_recompute(
+        cut in 1..64usize,
+        in_header in 0..2u32,
+        at in 0.0..1.0f64,
+        mask in 1..256u32,
+    ) {
         let cfg = HarnessConfig::quick();
         let dir = tmp_cache(&format!("damage-{cut}"));
         let cache = CharCache::at_dir(&dir);
         let pool = ThreadPool::sequential();
-        let cold = characterize_cached(Benchmark::Radix, StageKind::Decode, &cfg, &cache, pool)
-            .expect("cold");
+        let run = || characterize_cached(Benchmark::Radix, StageKind::Decode, &cfg, &cache, pool);
+        let cold = run().expect("cold");
         let entry = std::fs::read_dir(&dir)
             .expect("cache dir")
             .filter_map(Result::ok)
             .map(|e| e.path())
-            .find(|p| p.extension().is_some_and(|e| e == "json"))
+            .find(|p| p.extension().is_some_and(|e| e == "char"))
             .expect("one entry");
         let full = std::fs::read(&entry).expect("entry bytes");
         // Truncate at a generated fraction of the file.
         let keep = full.len() * cut / 64;
         std::fs::write(&entry, &full[..keep]).expect("truncate");
-        let truncated =
-            characterize_cached(Benchmark::Radix, StageKind::Decode, &cfg, &cache, pool)
-                .expect("truncated entry must recompute");
+        let before = cache.stats();
+        let truncated = run().expect("truncated entry must recompute");
+        prop_assert_eq!(cache.stats().since(before).misses, 1);
         assert_bit_identical(&cold, &truncated);
-        // Flip a byte in the middle of the (rewritten) entry.
+        // The miss rewrote the entry: flip one of its bytes.
         let mut bytes = std::fs::read(&entry).expect("entry bytes");
-        let mid = bytes.len() / 2;
-        bytes[mid] = bytes[mid].wrapping_add(1 + (cut as u8 % 7));
+        prop_assert_eq!(&bytes, &full);
+        let header = bytes
+            .iter()
+            .enumerate()
+            .filter(|&(_, &b)| b == b'\n')
+            .nth(2)
+            .map_or(bytes.len(), |(i, _)| i + 1);
+        let span = if in_header == 1 { header } else { bytes.len() };
+        let offset = ((at * span as f64) as usize).min(span - 1);
+        // A digit becomes another digit (damage no parser can see); any
+        // other byte is XORed with the mask.
+        bytes[offset] = if bytes[offset].is_ascii_digit() {
+            b'0' + (bytes[offset] - b'0' + 1 + (mask % 9) as u8) % 10
+        } else {
+            bytes[offset] ^ mask as u8
+        };
         std::fs::write(&entry, &bytes).expect("corrupt");
-        let corrupted =
-            characterize_cached(Benchmark::Radix, StageKind::Decode, &cfg, &cache, pool)
-                .expect("corrupted entry must recompute");
+        let before = cache.stats();
+        let corrupted = run().expect("corrupted entry must recompute");
+        let delta = cache.stats().since(before);
+        prop_assert_eq!(
+            (delta.hits, delta.misses),
+            (0, 1),
+            "a flip at byte {} of {} was served",
+            offset,
+            bytes.len()
+        );
         assert_bit_identical(&cold, &corrupted);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Cache slots are named by a trace's recipe, not by hashing the trace,
+/// so every generator must keep producing exactly the trace it did when
+/// `workloads::GENERATOR_VERSION` was last bumped. This pins a
+/// fingerprint of each benchmark's quick-config trace.
+#[test]
+fn trace_generators_match_their_pinned_fingerprints() {
+    const PINNED: [(Benchmark, u64); 10] = [
+        (Benchmark::Fmm, 0x9c5e_352c_acee_8ffd),
+        (Benchmark::Radix, 0x97bf_ca9f_1db6_1f1a),
+        (Benchmark::LuContig, 0xba90_063e_b9b0_3eed),
+        (Benchmark::LuNcontig, 0x18cd_8d7b_c863_66a6),
+        (Benchmark::Fft, 0x7ee2_980b_5a44_36f4),
+        (Benchmark::WaterSp, 0xcdff_5887_f8ae_5c56),
+        (Benchmark::Barnes, 0x3fa8_475d_4b6c_1d48),
+        (Benchmark::Raytrace, 0xe1c3_86f4_67f8_a49d),
+        (Benchmark::Cholesky, 0x1550_369f_d36f_dbd2),
+        (Benchmark::Ocean, 0x41b1_63af_332c_58b8),
+    ];
+    assert_eq!(PINNED.map(|(b, _)| b), Benchmark::ALL);
+    let workload = HarnessConfig::quick().workload;
+    let got: Vec<(Benchmark, u64)> = PINNED
+        .iter()
+        .map(|&(b, _)| (b, trace_fingerprint(&b.run(&workload))))
+        .collect();
+    assert_eq!(
+        got,
+        PINNED.to_vec(),
+        "a trace generator changed its output: bump `workloads::GENERATOR_VERSION` and re-pin"
+    );
+}
+
+/// 64-bit FNV-1a over every event, memory reference and branch count of
+/// every thread in every interval.
+fn trace_fingerprint(trace: &synts::workloads::WorkloadTrace) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut write = |x: u64| {
+        for b in x.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    write(trace.intervals.len() as u64);
+    for interval in &trace.intervals {
+        write(interval.threads() as u64);
+        for work in interval {
+            write(work.events.len() as u64);
+            for ev in &work.events {
+                write(ev.op.index() as u64);
+                write(ev.a);
+                write(ev.b);
+            }
+            write(work.mem_refs.len() as u64);
+            for m in &work.mem_refs {
+                write(m.addr);
+                write(u64::from(m.is_store));
+            }
+            write(work.branches);
+        }
+    }
+    h
 }
 
 /// The streaming batch entry point reproduces `delay_trace_sampled`
