@@ -11,9 +11,9 @@
 //!   power cap, thrifty barrier, `N_i` prediction);
 //! * [`render`] — plain-text tables and CSV emission.
 //!
-//! The `repro` binary dispatches to these; Criterion benches (solver
-//! scaling, gate-sim throughput, characterization cost, online-controller
-//! cost, adder ablation) live under `benches/`.
+//! The `repro` binary dispatches to these, and `synts-cli` runs scenario
+//! specs from disk. Performance is measured by the benchmark of record in
+//! `perfbench/`, not here.
 #![forbid(unsafe_code)]
 
 pub mod corpus;

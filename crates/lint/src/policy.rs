@@ -40,12 +40,11 @@ pub fn policy_for(rel: &str) -> Option<Vec<Rule>> {
     if !rel.ends_with(".rs") || SKIP_PREFIXES.iter().any(|p| rel.starts_with(p)) {
         return None;
     }
-    // Integration tests, benches and examples may use whatever the test
-    // needs (temp dirs, timing harnesses); only memory-safety rules hold.
+    // Integration tests and examples may use whatever the test needs
+    // (temp dirs, timers); only memory-safety rules hold.
     let in_test_tree = rel.starts_with("tests/")
         || rel.starts_with("examples/")
         || rel.contains("/tests/")
-        || rel.contains("/benches/")
         || rel.contains("/examples/");
     if in_test_tree {
         return Some(BASE.to_vec());
@@ -71,16 +70,20 @@ pub fn policy_for(rel: &str) -> Option<Vec<Rule>> {
         // function of the policy, so determinism is unaffected).
         "crates/serve/src/client.rs" => with(&[Rule::HashCollections]),
         _ => {
-            if rel.starts_with("crates/serve/src/bin/") {
+            if rel.starts_with("crates/serve/src/bin/") || rel.starts_with("crates/bench/src/bin/")
+            {
                 // Binaries parse std::env::args by nature.
                 with(&[Rule::HashCollections, Rule::WallClock])
             } else if rel.starts_with("crates/serve/") {
                 with(&[Rule::HashCollections, Rule::WallClock, Rule::EnvRead])
-            } else if rel.starts_with("crates/bench/") || rel.starts_with("crates/lint/") {
-                // bench is the sanctioned measurement crate; the lint's
-                // own CLI reads args. Ordered output still matters.
+            } else if rel.starts_with("crates/lint/") {
+                // The lint's own CLI reads args. Ordered output still
+                // matters.
                 with(&[Rule::HashCollections])
-            } else if ENGINE_CRATES.iter().any(|p| rel.starts_with(p)) || rel.starts_with("src/") {
+            } else if ENGINE_CRATES.iter().any(|p| rel.starts_with(p))
+                || rel.starts_with("crates/bench/")
+                || rel.starts_with("src/")
+            {
                 with(&[Rule::HashCollections, Rule::WallClock, Rule::EnvRead])
             } else {
                 BASE.to_vec()
@@ -106,17 +109,19 @@ mod tests {
 
     #[test]
     fn engine_src_gets_the_full_determinism_set() {
-        let rules = policy_for("crates/core/src/solver.rs").unwrap();
-        for r in [
-            Rule::HashCollections,
-            Rule::WallClock,
-            Rule::EnvRead,
-            Rule::StaticMut,
-            Rule::NoUnsafe,
-        ] {
-            assert!(rules.contains(&r), "missing {r:?}");
+        for f in ["crates/core/src/solver.rs", "crates/bench/src/figures.rs"] {
+            let rules = policy_for(f).unwrap();
+            for r in [
+                Rule::HashCollections,
+                Rule::WallClock,
+                Rule::EnvRead,
+                Rule::StaticMut,
+                Rule::NoUnsafe,
+            ] {
+                assert!(rules.contains(&r), "{f}: missing {r:?}");
+            }
+            assert!(!rules.contains(&Rule::PanicPath), "{f}");
         }
-        assert!(!rules.contains(&Rule::PanicPath));
     }
 
     #[test]
@@ -156,8 +161,9 @@ mod tests {
         assert!(phase.contains(&Rule::HashCollections));
         let client = policy_for("crates/serve/src/client.rs").unwrap();
         assert!(!client.contains(&Rule::WallClock));
-        let bench = policy_for("crates/bench/src/figures.rs").unwrap();
-        assert!(!bench.contains(&Rule::WallClock));
+        let cli = policy_for("crates/bench/src/bin/synts-cli.rs").unwrap();
+        assert!(!cli.contains(&Rule::EnvRead));
+        assert!(cli.contains(&Rule::WallClock));
     }
 
     #[test]
@@ -165,7 +171,7 @@ mod tests {
         for f in [
             "tests/pipeline.rs",
             "crates/gatelib/tests/properties.rs",
-            "crates/bench/benches/solver.rs",
+            "crates/bench/tests/corpus_scaling.rs",
         ] {
             let rules = policy_for(f).unwrap();
             assert_eq!(rules, vec![Rule::StaticMut, Rule::NoUnsafe], "{f}");

@@ -13,8 +13,8 @@
 //!
 //! * [`queue`] — the job model, FIFO task queue and executor pool
 //!   ([`Service`]): submission, per-shard bounded retries, cancellation,
-//!   and drain-on-shutdown. Usable fully in-process (the tests and
-//!   `synts-cli bench` do).
+//!   and drain-on-shutdown. Usable fully in-process (the tests and the
+//!   `perfbench` benchmark do).
 //! * [`journal`] — the durable job journal ([`Journal`]): append-only
 //!   canonical-JSON records with content-addressed shard payloads, so a
 //!   service killed mid-job replays the journal on restart and resumes

@@ -403,7 +403,7 @@ pub(crate) struct SvcState {
 
 /// The scenario service: a [`ServiceConfig`]-sized executor pool over an
 /// in-process job store. Protocol front ends ([`crate::http`]) and
-/// in-process callers (tests, `synts-cli bench`) share this one API.
+/// in-process callers (tests, `perfbench`) share this one API.
 pub struct Service {
     pub(crate) state: Arc<SvcState>,
     workers: Mutex<Vec<JoinHandle<()>>>,

