@@ -6,9 +6,10 @@
 //! guesses: every phase of a corpus build — workload trace generation,
 //! stage construction + STA, the gate-sim inner loop, cache probe and
 //! store I/O, and final result collection — accumulates its wall-clock
-//! into a process-wide atomic counter, and CLIs surface the breakdown
-//! next to the timing numbers (`synts-cli bench` writes it into
-//! `BENCH_PR7.json`).
+//! into a process-wide atomic counter. The benchmark of record
+//! (`perfbench/`) reads it with `--trace 1`: it cross-checks its per-layer
+//! spans (`core.cache.*`) against these counters, and on serve-jobs it
+//! reports `timing.gate_sim_s` from them.
 //!
 //! The counters follow the same monotonic snapshot/delta pattern as
 //! [`crate::cache::CacheStats`]: take a [`PhaseStats::snapshot`] before a

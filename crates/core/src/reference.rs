@@ -11,10 +11,11 @@
 //!   dominance-pruned exhaustive search and warm-started MILP are
 //!   assignment-cost-identical to these paths across random instances
 //!   and θ grids.
-//! * **Measurement** — `synts-cli bench` times a θ sweep through
-//!   [`poly_sweep_naive`]/[`milp_sweep_naive`] (the pre-engine
-//!   `solve_batch`: tables hoisted, naive inner loops) against the
-//!   engine, producing the `BENCH_PR5.json` speedup record.
+//! * **Baseline** — [`poly_sweep_naive`]/[`milp_sweep_naive`] are the
+//!   pre-engine `solve_batch` (tables hoisted, naive inner loops) that
+//!   the frozen `BENCH_PR5.json` speedup record timed the engine against.
+//!   The engine's own solve time is now measured by the benchmark of
+//!   record (`perfbench/`) as its `--trace 1` layers `core.solver.*`.
 //!
 //! Nothing here is reachable from the [`crate::SolverRegistry`]; use the
 //! registered solvers for real work.

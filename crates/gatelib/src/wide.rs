@@ -8,8 +8,14 @@
 //! all the event-driven bookkeeping — dirty-set maintenance, fanout
 //! marking, topological cell visits, pin gathering — is paid once per cell
 //! instead of once per cell *per lane*. Only the floating-point arrival
-//! arithmetic remains per-lane, and it runs only for lanes whose nets
-//! actually toggled.
+//! arithmetic remains per-lane: each toggled cell reads its inputs'
+//! toggle masks once, and each input that toggled then folds its arrival
+//! into only the lanes in which it and the output both toggled.
+//!
+//! A batch whose delays nobody reads — the seed vector that sets up the
+//! state a recorded transition starts from — can be applied with
+//! [`WideTimingSim::settle`] instead of [`WideTimingSim::step`]: one full
+//! logic sweep, with no arrival arithmetic at all.
 //!
 //! Lanes are perfectly isolated: under the settled single-transition delay
 //! model the circuit state after a vector is a pure function of that
@@ -154,16 +160,27 @@ impl<'n> WideTimingSim<'n> {
         self.voltage
     }
 
-    /// Cumulative net toggles of one lane since construction.
+    /// Cumulative net toggles of one lane over its [`Self::step`]s since
+    /// construction ([`Self::settle`] adds nothing).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= LANES`.
     #[must_use]
     pub fn total_toggles(&self, lane: usize) -> u64 {
+        check_lane(lane);
         self.total_toggles[lane]
     }
 
-    /// Cumulative normalized switching energy of one lane since
-    /// construction.
+    /// Cumulative normalized switching energy of one lane over its
+    /// [`Self::step`]s since construction ([`Self::settle`] adds nothing).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= LANES`.
     #[must_use]
     pub fn total_switch_energy(&self, lane: usize) -> f64 {
+        check_lane(lane);
         self.total_switch_energy[lane]
     }
 
@@ -173,8 +190,13 @@ impl<'n> WideTimingSim<'n> {
     }
 
     /// One lane's current primary output values, in declaration order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= LANES`.
     #[must_use]
     pub fn outputs_lane(&self, lane: usize) -> Vec<bool> {
+        check_lane(lane);
         self.netlist
             .primary_outputs()
             .iter()
@@ -184,8 +206,13 @@ impl<'n> WideTimingSim<'n> {
 
     /// Packs up to 64 primary outputs of one lane into a word, output 0 in
     /// bit 0 — the per-lane form of [`crate::TimingSim::output_word`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= LANES`.
     #[must_use]
     pub fn output_word(&self, lane: usize) -> u64 {
+        check_lane(lane);
         self.netlist
             .primary_outputs()
             .iter()
@@ -196,30 +223,48 @@ impl<'n> WideTimingSim<'n> {
             })
     }
 
+    /// Applies one input batch for its logic values only: every lane's
+    /// nets settle to the values `inputs` (laid out as for [`Self::step`])
+    /// drive, exactly as after a `step` of the same batch, but no delay is
+    /// computed. It adds nothing to the per-lane toggle and energy totals
+    /// ([`Self::total_toggles`], [`Self::total_switch_energy`]).
+    ///
+    /// The delay [`Self::step`] reports for a transition depends only on
+    /// the vector it starts from and the one it applies, so a batch whose
+    /// delays would be thrown away can settle instead, and the next `step`
+    /// reports exactly what it would have after stepping that batch.
+    /// Settling costs one full logic sweep, like the first `step`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::InputWidthMismatch`] if `inputs` does not
+    /// supply one word per primary input.
+    pub fn settle(&mut self, inputs: &[u64]) -> Result<(), NetlistError> {
+        self.check_width(inputs)?;
+        self.settle_words(inputs);
+        Ok(())
+    }
+
     /// Applies one input batch: `inputs[i]` carries primary input `i`'s
     /// value for all 64 lanes (bit `l` = lane `l`). The first call
-    /// initializes every lane's electrical state and reports zero delay
-    /// and zero toggles, like [`crate::TimingSim::step`]'s first call.
+    /// initializes every lane's electrical state (as [`Self::settle`]
+    /// does) and reports zero delay and zero toggles, like
+    /// [`crate::TimingSim::step`]'s first call.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::InputWidthMismatch`] if `inputs` does not
     /// supply one word per primary input.
     pub fn step(&mut self, inputs: &[u64]) -> Result<WideStep, NetlistError> {
-        let n_pi = self.netlist.primary_inputs().len();
-        if inputs.len() != n_pi {
-            return Err(NetlistError::InputWidthMismatch {
-                expected: n_pi,
-                got: inputs.len(),
-            });
-        }
+        self.check_width(inputs)?;
         if !self.initialized {
-            self.initialize(inputs);
+            self.settle_words(inputs);
             return Ok(WideStep {
                 delays: [0.0; LANES],
                 toggles: [0; LANES],
             });
         }
+        let n_pi = inputs.len();
 
         self.cycle += 1;
         let cycle = self.cycle;
@@ -236,10 +281,7 @@ impl<'n> WideTimingSim<'n> {
                 self.values[pi] = inputs[i];
                 self.changed[pi] = diff;
                 self.net_stamp[pi] = cycle;
-                let mut lanes = diff;
-                while lanes != 0 {
-                    let lane = lanes.trailing_zeros() as usize;
-                    lanes &= lanes - 1;
+                for lane in lanes_of(diff) {
                     self.arrival[pi * LANES + lane] = 0.0;
                     toggles[lane] += 1;
                 }
@@ -267,26 +309,42 @@ impl<'n> WideTimingSim<'n> {
                     if diff != 0 {
                         let switch_energy = cell.kind().params().switch_energy * energy_scale;
                         let cell_delay = self.delay[idx];
+                        // The inputs that toggled this cycle in a lane where
+                        // the output toggles too, as (offset of the input's
+                        // lane arrivals, those lanes): read once per cell.
+                        let mut sources: [(usize, u64); 3] = [(0, 0); 3];
+                        let mut n_sources = 0;
+                        for n in cell.inputs() {
+                            let net = n.index();
+                            let mask = if self.net_stamp[net] == cycle {
+                                self.changed[net] & diff
+                            } else {
+                                0
+                            };
+                            if mask != 0 {
+                                sources[n_sources] = (net * LANES, mask);
+                                n_sources += 1;
+                            }
+                        }
                         self.values[out] = new_word;
                         self.changed[out] = diff;
                         self.net_stamp[out] = cycle;
-                        let mut lanes = diff;
-                        while lanes != 0 {
-                            let lane = lanes.trailing_zeros() as usize;
-                            lanes &= lanes - 1;
-                            // Arrival = gate delay + latest *changed* input
-                            // of this lane — same fold order and identity
-                            // element as the scalar sweep.
-                            let worst_in = cell
-                                .inputs()
-                                .iter()
-                                .filter(|n| {
-                                    self.net_stamp[n.index()] == cycle
-                                        && (self.changed[n.index()] >> lane) & 1 == 1
-                                })
-                                .map(|n| self.arrival[n.index() * LANES + lane])
-                                .fold(0.0f64, f64::max);
-                            self.arrival[out * LANES + lane] = worst_in + cell_delay;
+                        // Arrival = gate delay + latest *changed* input of
+                        // the lane, folded from 0.0 in input order like the
+                        // scalar sweep, each input visiting only its lanes.
+                        let out_base = out * LANES;
+                        for lane in lanes_of(diff) {
+                            self.arrival[out_base + lane] = 0.0;
+                        }
+                        for &(base, mask) in &sources[..n_sources] {
+                            for lane in lanes_of(mask) {
+                                let arrival = self.arrival[base + lane];
+                                let worst_in = &mut self.arrival[out_base + lane];
+                                *worst_in = worst_in.max(arrival);
+                            }
+                        }
+                        for lane in lanes_of(diff) {
+                            self.arrival[out_base + lane] += cell_delay;
                             toggles[lane] += 1;
                             self.total_switch_energy[lane] += switch_energy;
                         }
@@ -308,10 +366,7 @@ impl<'n> WideTimingSim<'n> {
             if self.net_stamp[net] != cycle {
                 continue;
             }
-            let mut lanes = self.changed[net];
-            while lanes != 0 {
-                let lane = lanes.trailing_zeros() as usize;
-                lanes &= lanes - 1;
+            for lane in lanes_of(self.changed[net]) {
                 delays[lane] = delays[lane].max(self.arrival[net * LANES + lane]);
             }
         }
@@ -331,10 +386,23 @@ impl<'n> WideTimingSim<'n> {
         }
     }
 
-    fn initialize(&mut self, inputs: &[u64]) {
-        for (i, &word) in inputs.iter().enumerate() {
-            let pi = self.netlist.primary_inputs()[i].index();
-            self.values[pi] = word;
+    fn check_width(&self, inputs: &[u64]) -> Result<(), NetlistError> {
+        let n_pi = self.netlist.primary_inputs().len();
+        if inputs.len() == n_pi {
+            Ok(())
+        } else {
+            Err(NetlistError::InputWidthMismatch {
+                expected: n_pi,
+                got: inputs.len(),
+            })
+        }
+    }
+
+    /// Drives the primary inputs and re-evaluates every cell in id (a
+    /// topological) order: values only, no arrivals, stamps or totals.
+    fn settle_words(&mut self, inputs: &[u64]) {
+        for (pi, &word) in self.netlist.primary_inputs().iter().zip(inputs) {
+            self.values[pi.index()] = word;
         }
         let mut pins: [u64; 3] = [0; 3];
         for idx in 0..self.netlist.cell_count() {
@@ -347,6 +415,28 @@ impl<'n> WideTimingSim<'n> {
         }
         self.initialized = true;
     }
+}
+
+/// The lanes whose bits are set in `mask`, lowest first.
+#[inline]
+fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
+/// Rejects a lane index past the word, which a shift would otherwise
+/// silently wrap to a low lane.
+#[track_caller]
+fn check_lane(lane: usize) {
+    assert!(
+        lane < LANES,
+        "lane {lane} is out of range: a WideTimingSim has {LANES} lanes"
+    );
 }
 
 #[cfg(test)]
@@ -470,6 +560,52 @@ mod tests {
             wide.step(&[0u64, 1]).expect_err("short"),
             NetlistError::InputWidthMismatch { .. }
         ));
+    }
+
+    #[test]
+    fn settle_width_mismatch_rejected() {
+        let n = ripple_adder(4);
+        let mut wide = WideTimingSim::new(&n, Voltage::NOMINAL).expect("wide");
+        assert!(matches!(
+            wide.settle(&[0u64, 1]).expect_err("short"),
+            NetlistError::InputWidthMismatch { .. }
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 64 is out of range")]
+    fn output_word_rejects_lane_past_the_word() {
+        let n = ripple_adder(4);
+        let _ = WideTimingSim::new(&n, Voltage::NOMINAL)
+            .expect("wide")
+            .output_word(LANES);
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 64 is out of range")]
+    fn outputs_lane_rejects_lane_past_the_word() {
+        let n = ripple_adder(4);
+        let _ = WideTimingSim::new(&n, Voltage::NOMINAL)
+            .expect("wide")
+            .outputs_lane(LANES);
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 64 is out of range")]
+    fn total_toggles_rejects_lane_past_the_word() {
+        let n = ripple_adder(4);
+        let _ = WideTimingSim::new(&n, Voltage::NOMINAL)
+            .expect("wide")
+            .total_toggles(LANES);
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 64 is out of range")]
+    fn total_switch_energy_rejects_lane_past_the_word() {
+        let n = ripple_adder(4);
+        let _ = WideTimingSim::new(&n, Voltage::NOMINAL)
+            .expect("wide")
+            .total_switch_energy(LANES);
     }
 
     #[test]

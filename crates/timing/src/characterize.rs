@@ -166,6 +166,12 @@ impl StageCharacterizer {
     /// against it in `tests/bitparallel_sim.rs`), at roughly the cost of
     /// one lane.
     ///
+    /// A seed vector only has to set that state, so a batch in which every
+    /// lane with work is seeding is applied with
+    /// [`WideTimingSim::settle`] (logic values only) rather than a timed
+    /// step. With a stride above 1 that is every other batch, each seed
+    /// jumping to an unrelated event; with stride 1 it is only the first.
+    ///
     /// [`Self::delay_trace_sampled`] is this plus a [`DelayTrace`]
     /// wrapper; the recorded delays are bit-identical.
     ///
@@ -248,6 +254,13 @@ impl StageCharacterizer {
                 for (w, &bit) in words.iter_mut().zip(&buf) {
                     *w = (*w & mask) | (u64::from(bit) << lane);
                 }
+            }
+            let seeding = ops
+                .iter()
+                .all(|lane_ops| lane_ops.get(t).is_none_or(|&(_, slot)| slot == NO_SLOT));
+            if seeding {
+                sim.settle(&words)?;
+                continue;
             }
             let step = sim.step(&words)?;
             for (lane, lane_ops) in ops.iter().enumerate() {

@@ -9,6 +9,10 @@
 //!   [`gatelib::TimingSim`] runs — delays, toggle counts, outputs and
 //!   cumulative energy, including *ragged* batches that drive fewer than
 //!   64 lanes and leave the rest idle;
+//! * [`gatelib::WideTimingSim::settle`] interleaved with `step` against
+//!   scalar runs that always step: a settle leaves the logic state a step
+//!   would, so the next step's delays do not change, and it adds nothing
+//!   to the toggle and energy totals;
 //! * [`timing::StageCharacterizer::delay_trace_into`] (the lane-batched
 //!   entry point) against `delay_trace_into_scalar` (the sequential
 //!   reference) across random event streams, stage kinds and sampling
@@ -169,6 +173,96 @@ proptest! {
                     "toggles diverge: lane {} step {}", lane, t
                 );
             }
+        }
+    }
+
+    /// A random mix of settle and step batches on one wide sim tracks
+    /// per-lane scalar sims that step every batch: after a settle each
+    /// active lane's outputs match, after a step its delay, toggles and
+    /// outputs do, and only the step batches count toward the totals.
+    #[test]
+    fn settle_leaves_the_state_a_step_would_and_counts_nothing(
+        stage_choice in 0usize..3,
+        active in 1usize..65,
+        steps in 2usize..30,
+        settles in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let stage = build_stage(stage_for(stage_choice), 8).expect("stage");
+        let netlist = stage.netlist();
+        let n_pi = netlist.primary_inputs().len();
+        let mut wide = WideTimingSim::new(netlist, Voltage::NOMINAL).expect("wide");
+        let mut scalars: Vec<TimingSim> = (0..active)
+            .map(|_| TimingSim::new(netlist, Voltage::NOMINAL).expect("scalar"))
+            .collect();
+        let mut rngs: Vec<Lcg> = (0..active)
+            .map(|lane| Lcg(seed ^ (lane as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03)))
+            .collect();
+        let mut words = vec![0u64; n_pi];
+        let mut vector = vec![false; n_pi];
+        let mut step_toggles = vec![0u64; active];
+        for t in 0..steps {
+            let mut expected = Vec::with_capacity(active);
+            for lane in 0..active {
+                for (i, slot) in vector.iter_mut().enumerate() {
+                    *slot = rngs[lane].next_bool();
+                    let mask = !(1u64 << lane);
+                    words[i] = (words[i] & mask) | (u64::from(*slot) << lane);
+                }
+                expected.push(scalars[lane].step(&vector).expect("scalar"));
+            }
+            if (settles >> t) & 1 == 1 {
+                let toggles: Vec<u64> = (0..LANES).map(|l| wide.total_toggles(l)).collect();
+                let energy: Vec<u64> =
+                    (0..LANES).map(|l| wide.total_switch_energy(l).to_bits()).collect();
+                wide.settle(&words).expect("settle");
+                for (lane, scalar) in scalars.iter().enumerate() {
+                    prop_assert_eq!(
+                        wide.output_word(lane),
+                        scalar.output_word(),
+                        "outputs diverge after a settle: lane {} batch {}", lane, t
+                    );
+                }
+                prop_assert_eq!(
+                    (0..LANES).map(|l| wide.total_toggles(l)).collect::<Vec<_>>(),
+                    toggles,
+                    "a settle counted toggles at batch {}", t
+                );
+                prop_assert_eq!(
+                    (0..LANES)
+                        .map(|l| wide.total_switch_energy(l).to_bits())
+                        .collect::<Vec<_>>(),
+                    energy,
+                    "a settle counted energy at batch {}", t
+                );
+                continue;
+            }
+            let ws = wide.step(&words).expect("wide");
+            for (lane, exp) in expected.iter().enumerate() {
+                prop_assert_eq!(
+                    ws.delays[lane].to_bits(),
+                    exp.delay.to_bits(),
+                    "delay diverges: lane {} batch {}", lane, t
+                );
+                prop_assert_eq!(
+                    ws.toggles[lane],
+                    exp.toggles,
+                    "toggles diverge: lane {} batch {}", lane, t
+                );
+                prop_assert_eq!(
+                    wide.output_word(lane),
+                    scalars[lane].output_word(),
+                    "outputs diverge: lane {} batch {}", lane, t
+                );
+                step_toggles[lane] += u64::from(exp.toggles);
+            }
+        }
+        for (lane, &total) in step_toggles.iter().enumerate() {
+            prop_assert_eq!(
+                wide.total_toggles(lane),
+                total,
+                "toggle total is not the step batches' sum: lane {}", lane
+            );
         }
     }
 
