@@ -15,7 +15,8 @@
 //! A batch whose delays nobody reads — the seed vector that sets up the
 //! state a recorded transition starts from — can be applied with
 //! [`WideTimingSim::settle`] instead of [`WideTimingSim::step`]: one full
-//! logic sweep, with no arrival arithmetic at all.
+//! logic sweep, with no arrival arithmetic at all and nothing added to the
+//! lanes' toggle and energy totals.
 //!
 //! Lanes are perfectly isolated: under the settled single-transition delay
 //! model the circuit state after a vector is a pure function of that
