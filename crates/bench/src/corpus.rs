@@ -1,42 +1,20 @@
 //! The characterized benchmark × stage corpus, built once per process —
 //! and, through the persistent characterization cache, once per machine.
 //!
-//! ## Why the task graph is fine-grained
-//!
-//! The PR 4 build fanned out at (benchmark × stage) granularity behind a
-//! barrier: all workload traces first, then 9 coarse characterization
-//! tasks. `BENCH_PR5.json` recorded the consequence — ~1× parallel
-//! speedup. Two structural causes (confirmed with the [`PhaseStats`]
-//! breakdown, not guessed):
-//!
-//! 1. **quantization**: 9 multi-second tasks on 4 workers run as
-//!    ⌈9/4⌉ = 3 sequential rounds, capping speedup at 2.6× before any
-//!    other loss, and the barrier serializes all trace building in front;
-//! 2. **repeated setup**: each coarse task rebuilt its stage netlist and
-//!    re-ran STA (9 builds for 3 distinct stages).
-//!
-//! [`Corpus::build_subset_with`] therefore schedules the *unit* task —
-//! one (benchmark, stage, interval, thread) gate simulation, 108 units
-//! for the quick 3-benchmark corpus — on one flat pool pass. Shared
-//! preludes hang off `OnceLock`s initialized by whichever worker needs
-//! them first: workload traces (so trace building overlaps
-//! characterization of already-traced benchmarks instead of gating
-//! everything), and one cache probe per pair. Probes are keyed on the
-//! workload recipe, so a trace is built only for a pair that misses and a
-//! warm build runs no workload at all. Stage characterizers are
-//! built once per *stage*, up front, on the pool. Results are collected
-//! in deterministic unit order, so the corpus stays bit-identical to a
-//! sequential build at any worker count, cache warm or cold.
+//! A build is one call of [`synts_core::characterize_pairs`], the one
+//! characterization scheduler: it probes the cache for every pair,
+//! coalesces misses with concurrent characterizations of the same keys,
+//! and fans the rest out as (pair × interval × thread) unit tasks on one
+//! pool pass (its docs say why the tasks are that small). The corpus is
+//! bit-identical to a sequential build at any worker count, cache warm or
+//! cold.
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 use circuits::StageKind;
-use synts_core::experiments::{characterize_thread, BenchmarkData, HarnessConfig, IntervalData};
-use synts_core::phase::{time_phase, Phase};
-use synts_core::{CharCache, OptError, ThreadPool};
-use timing::StageCharacterizer;
-use workloads::{Benchmark, WorkloadTrace};
+use synts_core::experiments::{BenchmarkData, HarnessConfig};
+use synts_core::{characterize_pairs, CharCache, OptError, ThreadPool};
+use workloads::Benchmark;
 
 /// How much work the reproduction run does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,10 +80,8 @@ impl Corpus {
     /// (`Synts::builder().workers(n)` callers pass `synts.pool()`).
     ///
     /// Work fans out at (benchmark × stage × interval × thread)
-    /// granularity — see the [module docs](self) for why — and per-phase
-    /// wall-clock lands in [`PhaseStats`]. Results are collected in unit
-    /// order, so the corpus is bit-identical to a sequential build at any
-    /// worker count, cache warm or cold.
+    /// granularity, and per-phase wall-clock lands in
+    /// [`PhaseStats`](synts_core::PhaseStats).
     ///
     /// # Errors
     ///
@@ -118,127 +94,16 @@ impl Corpus {
         cache: &CharCache,
         pool: ThreadPool,
     ) -> Result<Corpus, OptError> {
-        let cfg = effort.harness();
-        if benchmarks.is_empty() || stages.is_empty() {
-            return Ok(Corpus {
-                effort,
-                data: BTreeMap::new(),
-            });
-        }
-
-        // One characterizer per distinct *stage* (netlist build + STA),
-        // shared by every benchmark — the old per-pair builds did this
-        // |benchmarks| times over.
-        let characterizers: Vec<StageCharacterizer> = pool.try_map(stages, |_, &stage| {
-            time_phase(Phase::StageBuild, || {
-                StageCharacterizer::new(stage, cfg.workload.width)
-            })
-        })?;
-
-        // Pairs ordered benchmark-fastest so consecutive units touch
-        // different benchmarks: the first claims fan out across distinct
-        // traces instead of piling onto one trace's OnceLock.
-        let pairs: Vec<(usize, usize)> = (0..stages.len())
-            .flat_map(|s| (0..benchmarks.len()).map(move |b| (b, s)))
+        // Benchmark-fastest, so the first units touch distinct traces.
+        let pairs: Vec<(Benchmark, StageKind)> = stages
+            .iter()
+            .flat_map(|&stage| benchmarks.iter().map(move |&benchmark| (benchmark, stage)))
             .collect();
-
-        // Lazily-built shared state, initialized by whichever worker
-        // needs it first (`OnceLock::get_or_init` blocks only the
-        // co-claimants of the same slot, so trace building overlaps
-        // characterization of other benchmarks).
-        let traces: Vec<OnceLock<WorkloadTrace>> =
-            benchmarks.iter().map(|_| OnceLock::new()).collect();
-        let trace_of = |b: usize| -> &WorkloadTrace {
-            traces[b]
-                .get_or_init(|| time_phase(Phase::TraceBuild, || benchmarks[b].run(&cfg.workload)))
-        };
-        // One cache probe per pair, by recipe: `Some(data)` is a verified
-        // hit whose units all short-circuit (its trace is never built);
-        // `None` is a miss to be computed.
-        let entry_of = |b: usize, s: usize| {
-            cache.recipe_entry(
-                benchmarks[b],
-                stages[s],
-                &cfg,
-                characterizers[s].stage().netlist(),
-            )
-        };
-        let probes: Vec<OnceLock<Option<BenchmarkData>>> =
-            pairs.iter().map(|_| OnceLock::new()).collect();
-        let probe_of = |p: usize| -> &Option<BenchmarkData> {
-            probes[p].get_or_init(|| {
-                let (b, s) = pairs[p];
-                entry_of(b, s).load()
-            })
-        };
-
-        // The unit list: interval-major, thread-middle, pair-minor, so
-        // the first |pairs| claims cover every pair. Shape comes from the
-        // config; traces of a different shape (none today) fall back to
-        // inline characterization during assembly.
-        let (n_iv, n_th) = (cfg.workload.intervals, cfg.workload.threads);
-        let units: Vec<(usize, usize, usize)> = (0..n_iv)
-            .flat_map(|i| {
-                let pairs_len = pairs.len();
-                (0..n_th).flat_map(move |t| (0..pairs_len).map(move |p| (p, i, t)))
-            })
-            .collect();
-        let mut results: Vec<Option<synts_core::experiments::ThreadData>> =
-            pool.try_map(&units, |_, &(p, i, t)| {
-                if probe_of(p).is_some() {
-                    return Ok(None);
-                }
-                let (b, s) = pairs[p];
-                let trace = trace_of(b);
-                let Some(interval) = trace.intervals.get(i) else {
-                    return Ok(None);
-                };
-                if t >= interval.threads() {
-                    return Ok(None);
-                }
-                time_phase(Phase::GateSim, || {
-                    characterize_thread(&characterizers[s], interval.thread(t), &cfg).map(Some)
-                })
-            })?;
-
-        // Deterministic assembly in pair order; computed units are moved
-        // (not cloned) out of the flat result vector.
-        let unit_index = |p: usize, i: usize, t: usize| (i * n_th + t) * pairs.len() + p;
-        let mut data = BTreeMap::new();
-        for (p, &(b, s)) in pairs.iter().enumerate() {
-            let (benchmark, stage) = (benchmarks[b], stages[s]);
-            if let Some(cached) = probe_of(p) {
-                data.insert((benchmark, stage), cached.clone());
-                continue;
-            }
-            let charac = &characterizers[s];
-            let trace = trace_of(b);
-            let assembled = time_phase(Phase::Collect, || -> Result<BenchmarkData, OptError> {
-                let mut intervals = Vec::with_capacity(trace.intervals.len());
-                for (i, interval) in trace.intervals.iter().enumerate() {
-                    let mut threads = Vec::with_capacity(interval.threads());
-                    for t in 0..interval.threads() {
-                        let precomputed = (i < n_iv && t < n_th)
-                            .then(|| results[unit_index(p, i, t)].take())
-                            .flatten();
-                        threads.push(match precomputed {
-                            Some(td) => td,
-                            None => characterize_thread(charac, interval.thread(t), &cfg)?,
-                        });
-                    }
-                    intervals.push(IntervalData { threads });
-                }
-                Ok(BenchmarkData {
-                    benchmark,
-                    stage,
-                    tnom_v1: charac.tnom_v1(),
-                    intervals,
-                })
-            })?;
-            entry_of(b, s).store(&assembled);
-            data.insert((benchmark, stage), assembled);
-        }
-        Ok(Corpus { effort, data })
+        let data = characterize_pairs(&pairs, &effort.harness(), cache, pool)?;
+        Ok(Corpus {
+            effort,
+            data: pairs.into_iter().zip(data).collect(),
+        })
     }
 
     /// The effort level this corpus was built at.
@@ -262,8 +127,9 @@ impl Corpus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synts_core::experiments::characterize_workload_pooled;
+    use synts_core::experiments::characterize_workload_on;
     use synts_core::PhaseStats;
+    use timing::StageCharacterizer;
 
     #[test]
     fn subset_build_and_lookup() {
@@ -303,9 +169,10 @@ mod tests {
         let mut reference: Vec<BenchmarkData> = Vec::new();
         for &s in &stages {
             for &bench in &benchmarks {
+                let charac = StageCharacterizer::new(s, cfg.workload.width).expect("stage");
                 let trace = bench.run(&cfg.workload);
                 reference.push(
-                    characterize_workload_pooled(&trace, s, &cfg, ThreadPool::sequential())
+                    characterize_workload_on(&charac, &trace, &cfg, ThreadPool::sequential())
                         .expect("reference"),
                 );
             }

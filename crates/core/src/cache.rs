@@ -21,8 +21,8 @@
 //!   key that differs structurally (a hash collision) or a body that
 //!   fails its checksum reads as a miss, so a damaged local file or a
 //!   corrupt remote payload recomputes instead of being served;
-//! * writes go through a temp file + rename, and any I/O failure only
-//!   costs a recompute (never an error);
+//! * writes go through a temp file + rename ([`write_via_temp`]), and any
+//!   I/O failure only costs a recompute (never an error);
 //! * every [`CharCache`] counts its own lookups ([`CharCache::stats`],
 //!   shared by its clones); [`CacheStats::snapshot`] is the process total
 //!   over every handle.
@@ -31,17 +31,18 @@
 //! to `target/synts-cache/`. Disable it with [`CharCache::disabled`] (the
 //! `synts-cli --no-cache` flag).
 
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
-use circuits::StageKind;
+use circuits::{PipeStage, StageKind};
 use workloads::{Benchmark, WorkloadTrace};
 
 use crate::error::OptError;
 use crate::experiments::{
-    characterize_workload_on, characterize_workload_pooled, BenchmarkData, HarnessConfig,
-    IntervalData, ThreadData,
+    characterize_thread, BenchmarkData, HarnessConfig, IntervalData, ThreadData,
 };
 use crate::faults::{site, FaultPlan};
 use crate::parallel::ThreadPool;
@@ -115,8 +116,8 @@ pub struct CacheStats {
     /// Characterizations served by the remote tier after a local miss
     /// (the entry is then replicated locally).
     pub remote_hits: u64,
-    /// Lookups that blocked on another thread's in-flight
-    /// characterization of the same key instead of recomputing.
+    /// Lookups that found another thread characterizing the same key
+    /// and, instead of recomputing, waited for it and probed again.
     pub coalesced: u64,
 }
 
@@ -308,10 +309,10 @@ impl CharCache {
     /// Resolves the cache slot for characterizing `benchmark`'s workload
     /// on `stage` — the key and on-disk path are fixed here;
     /// [`CacheEntry::load`] and [`CacheEntry::store`] then move data
-    /// through it. This is the split-phase form of [`characterize_cached`]
-    /// (and resolves the same slot) for callers, like the corpus build,
-    /// that probe many entries up front and compute the misses on their
-    /// own schedule. No trace is needed: the slot is named by the recipe.
+    /// through it. [`characterize_pairs`] resolves every pair's slot
+    /// here; callers that drive the split phases themselves, like the
+    /// benchmark's traced op, resolve the same slot. No trace is needed:
+    /// the slot is named by the recipe.
     #[must_use]
     pub fn recipe_entry(
         &self,
@@ -430,7 +431,7 @@ impl CacheEntry {
                         self.counters.count(Count::RemoteHit);
                         // Replicate locally (best-effort) so the next
                         // probe on this machine is a plain local hit.
-                        if write_local_copy(&slot.path, &text).is_err() {
+                        if write_via_temp(&slot.path, &text).is_err() {
                             self.counters.count(Count::WriteError);
                         }
                         return Some(data);
@@ -487,30 +488,11 @@ impl CacheEntry {
     /// read-only or full disk must never fail the run, and injected
     /// `cache.write` / `cache.rename` faults drop the matching step).
     fn store_local(&self, slot: &Slot, text: &str) -> bool {
-        if self.faulted(site::CACHE_WRITE, &slot.name) {
-            return false;
-        }
-        let Some(dir) = slot.path.parent() else {
-            return false;
-        };
-        let tmp = slot
-            .path
-            .with_extension(format!("tmp.{}", std::process::id()));
-        if std::fs::create_dir_all(dir)
-            .and_then(|()| std::fs::write(&tmp, text))
-            .is_err()
-        {
-            return false;
-        }
-        if self.faulted(site::CACHE_RENAME, &slot.name) {
-            // The tmp file was written but the publish step "fails":
-            // clean up like a crashed renamer would not have.
-            let _ = std::fs::remove_file(&tmp);
-            return false;
-        }
-        // Atomic within one filesystem: concurrent writers of the same
-        // entry race benignly (identical content).
-        std::fs::rename(&tmp, &slot.path).is_ok()
+        !self.faulted(site::CACHE_WRITE, &slot.name)
+            && write_then_rename_if(&slot.path, text, || {
+                !self.faulted(site::CACHE_RENAME, &slot.name)
+            })
+            .is_ok()
     }
 }
 
@@ -853,42 +835,62 @@ fn decode_entry(text: &str, key: &CacheKey) -> Option<BenchmarkData> {
     })
 }
 
-/// Replicates a verified remote entry into the local directory (atomic
-/// tmp → rename, like any store; failures only cost a future re-fetch).
-fn write_local_copy(path: &Path, text: &str) -> std::io::Result<()> {
+/// Writes a cache entry file the way every cache writer does: into a
+/// temp file beside `path`, then renamed over it, so a reader sees the
+/// old file or the new one and never a torn one. Concurrent writers of
+/// one entry race benignly, since entries are immutable. The temp name
+/// carries the pid and a process-wide counter, so two threads never
+/// share one, and the temp file is removed on any failure. Cache writes
+/// are best-effort, so unlike the service journal's nothing is synced.
+///
+/// # Errors
+///
+/// The first I/O error (creating the directory, writing or renaming).
+pub fn write_via_temp(path: &Path, text: &str) -> std::io::Result<()> {
+    write_then_rename_if(path, text, || true)
+}
+
+/// [`write_via_temp`], asking `rename` between the write and the rename:
+/// `false` fails the write there (the injected `cache.rename` fault).
+fn write_then_rename_if(
+    path: &Path,
+    text: &str,
+    rename: impl FnOnce() -> bool,
+) -> std::io::Result<()> {
+    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = path.parent().ok_or(std::io::ErrorKind::InvalidInput)?;
     std::fs::create_dir_all(dir)?;
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
+    let unique = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("tmp.{}.{unique}", std::process::id()));
+    let landed = std::fs::write(&tmp, text).and_then(|()| {
+        if rename() {
+            std::fs::rename(&tmp, path)
+        } else {
+            Err(std::io::Error::other("cache.rename fault injected"))
+        }
+    });
+    if landed.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    landed
 }
 
 /// The process-wide per-key in-flight table behind cache coalescing:
-/// concurrent misses on the same entry block on one characterization
-/// instead of N identical gate simulations. Keys are entry file names —
-/// the same identity the disk and remote tiers use.
+/// concurrent misses on the same entry wait for one characterization
+/// instead of running N identical gate simulations. Keys are entry file
+/// names — the same identity the disk and remote tiers use.
 struct Coalescer {
-    inflight: std::sync::Mutex<std::collections::BTreeSet<String>>,
-    cv: std::sync::Condvar,
+    inflight: Mutex<BTreeSet<String>>,
+    cv: Condvar,
 }
 
-static COALESCER: std::sync::OnceLock<Coalescer> = std::sync::OnceLock::new();
+static COALESCER: OnceLock<Coalescer> = OnceLock::new();
 
 fn coalescer() -> &'static Coalescer {
     COALESCER.get_or_init(|| Coalescer {
-        inflight: std::sync::Mutex::new(std::collections::BTreeSet::new()),
-        cv: std::sync::Condvar::new(),
+        inflight: Mutex::new(BTreeSet::new()),
+        cv: Condvar::new(),
     })
-}
-
-/// Outcome of asking the coalescer for a key.
-enum Admission {
-    /// This thread owns the key until the guard drops: probe, compute
-    /// on a miss, store.
-    Leader(CoalesceGuard),
-    /// Another thread was characterizing this key; it has now finished
-    /// (successfully or not) — re-probe the cache.
-    Waited,
 }
 
 /// Ownership of one in-flight key; dropping it (normally or by unwind)
@@ -900,46 +902,237 @@ struct CoalesceGuard {
 impl Drop for CoalesceGuard {
     fn drop(&mut self) {
         let c = coalescer();
-        let mut inflight = c
-            .inflight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut inflight = c.inflight.lock().unwrap_or_else(PoisonError::into_inner);
         inflight.remove(&self.token);
         c.cv.notify_all();
     }
 }
 
-/// Admits the caller for `token`, counting a wait on `counters`.
-fn admit(token: &str, counters: &Counters) -> Admission {
-    let c = coalescer();
-    let mut inflight = c
+/// Takes `token`'s key without blocking: `None` while another thread (or
+/// another pair of the same call) holds it.
+fn claim(token: &str) -> Option<CoalesceGuard> {
+    let mut inflight = coalescer()
         .inflight
         .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if inflight.insert(token.to_string()) {
-        return Admission::Leader(CoalesceGuard {
-            token: token.to_string(),
-        });
-    }
-    counters.count(Count::Coalesced);
-    while inflight.contains(token) {
-        inflight =
-            c.cv.wait(inflight)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-    }
-    Admission::Waited
+        .unwrap_or_else(PoisonError::into_inner);
+    inflight.insert(token.to_string()).then(|| CoalesceGuard {
+        token: token.to_string(),
+    })
 }
 
-/// Runs and characterizes a benchmark on one stage through the cache —
-/// the cached, pooled form of [`crate::experiments::characterize`].
+/// Blocks until no thread holds `token`'s key.
+fn wait_released(token: &str) {
+    let c = coalescer();
+    let inflight = c.inflight.lock().unwrap_or_else(PoisonError::into_inner);
+    drop(
+        c.cv.wait_while(inflight, |inflight| inflight.contains(token))
+            .unwrap_or_else(PoisonError::into_inner),
+    );
+}
+
+/// What probing one pair's slot found.
+enum Probe {
+    /// A verified entry, local or remote.
+    Hit(BenchmarkData),
+    /// Another thread holds the key: wait for it, then probe again.
+    Held(String),
+    /// A miss to compute and store, holding the key until then (no key
+    /// with a disabled cache).
+    Miss(CacheEntry, Option<CoalesceGuard>),
+}
+
+/// Probes one slot without blocking on another thread. A verified local
+/// entry is a hit even while another thread holds the key: an entry never
+/// changes once it is renamed into place. Otherwise the key is taken if
+/// free, and the leader probes again with [`CacheEntry::load`] (local,
+/// then the remote tier) before it computes.
+fn probe(entry: CacheEntry) -> Probe {
+    if let Some(data) = entry.probe_local() {
+        return Probe::Hit(data);
+    }
+    let guard = match entry.token() {
+        Some(token) => match claim(&token) {
+            Some(guard) => Some(guard),
+            None => {
+                entry.counters.count(Count::Coalesced);
+                return Probe::Held(token);
+            }
+        },
+        None => None,
+    };
+    match entry.load() {
+        Some(data) => Probe::Hit(data),
+        None => Probe::Miss(entry, guard),
+    }
+}
+
+/// Characterizes every (benchmark, stage) pair through the cache and
+/// returns the data in pair order: the one characterization scheduler.
+/// [`characterize_cached`] is its one-pair call, the corpus build one call
+/// over all its pairs, and an uncached run passes [`CharCache::disabled`],
+/// which takes the same path with no slot (no probe, key, store or count).
 ///
-/// The slot is named by the recipe, so a hit builds the stage netlist
-/// (for the key's library fingerprint) and reads the entry: no workload
-/// trace, no gate simulation. A miss runs the workload, characterizes it
-/// on `pool` and persists the result. Concurrent misses on the same key
-/// coalesce: one thread characterizes while the rest block and then read
-/// the stored entry ([`CacheStats::coalesced`] counts the waits). A hit
-/// never waits, not even while another thread holds the key.
+/// Each distinct stage is built once; its netlist names the keys. One
+/// pass over the pairs, on `pool`, probes every slot. The slot is named by
+/// the recipe, so a hit builds no workload trace and runs no STA or gate
+/// simulation. Hits never wait, while a miss takes its key without
+/// blocking; if another thread holds the key, the pair is deferred (counted
+/// in [`CacheStats::coalesced`]). The misses are then characterized on one
+/// pool pass and stored, each releasing its key as it lands. Only then,
+/// holding no key, does the call wait for the keys of its deferred pairs
+/// and probe them again. So two calls over overlapping pairs, in any
+/// order, cannot deadlock, and each key is computed once.
+///
+/// The misses fan out as *unit* tasks, one (pair, interval, thread) gate
+/// simulation each, rather than one task per pair, for two reasons:
+///
+/// 1. **quantization**: 9 multi-second pairs on 4 workers run as
+///    ⌈9/4⌉ = 3 sequential rounds, capping the speed-up at 2.6× before any
+///    other loss; the quick 3-benchmark corpus has 108 units;
+/// 2. **shared set-up**: each benchmark's trace is built once, by the
+///    first unit that needs it, so trace building overlaps the gate
+///    simulation of traces already built; STA runs once per stage with a
+///    miss, not once per pair.
+///
+/// Units are ordered interval-major, thread-middle, pair-minor, so the
+/// first claims cover every pair. Results are collected in unit order, so
+/// the output is bit-identical to a sequential run at any worker count,
+/// cache warm, cold or disabled.
+///
+/// # Errors
+///
+/// Propagates characterization failures, the lowest-unit failure at any
+/// worker count; cache I/O failures are swallowed (they only cost a
+/// recompute).
+pub fn characterize_pairs(
+    pairs: &[(Benchmark, StageKind)],
+    cfg: &HarnessConfig,
+    cache: &CharCache,
+    pool: ThreadPool,
+) -> Result<Vec<BenchmarkData>, OptError> {
+    let mut done: Vec<Option<BenchmarkData>> = vec![None; pairs.len()];
+    let mut todo: Vec<usize> = (0..pairs.len()).collect();
+    while !todo.is_empty() {
+        let mut built = BTreeMap::new();
+        for &p in &todo {
+            let stage = pairs[p].1;
+            if let Entry::Vacant(slot) = built.entry(stage) {
+                let circuit = time_phase(Phase::StageBuild, || {
+                    circuits::build_stage(stage, cfg.workload.width)
+                })
+                .map_err(TimingError::from)?;
+                slot.insert(circuit);
+            }
+        }
+        let probes = pool.map(&todo, |_, &p| {
+            let (benchmark, stage) = pairs[p];
+            probe(cache.recipe_entry(benchmark, stage, cfg, built[&stage].netlist()))
+        });
+        let (mut misses, mut held) = (Vec::new(), Vec::new());
+        for (&p, probe) in todo.iter().zip(probes) {
+            match probe {
+                Probe::Hit(data) => done[p] = Some(data),
+                Probe::Held(token) => held.push((p, token)),
+                Probe::Miss(entry, guard) => misses.push((p, entry, guard)),
+            }
+        }
+        let computed = characterize_misses(
+            &misses.iter().map(|&(p, ..)| pairs[p]).collect::<Vec<_>>(),
+            built,
+            cfg,
+            pool,
+        )?;
+        for ((p, entry, _key), data) in misses.into_iter().zip(computed) {
+            entry.store(&data);
+            done[p] = Some(data);
+        }
+        for (_, token) in &held {
+            wait_released(token);
+        }
+        todo = held.into_iter().map(|(p, _)| p).collect();
+    }
+    Ok(done
+        .into_iter()
+        .map(|data| data.expect("every pair is a hit or computed once its key is free"))
+        .collect())
+}
+
+/// Characterizes `pairs` on one pool pass of (pair × interval × thread)
+/// unit tasks (see [`characterize_pairs`]). `built` holds the circuit of
+/// every stage probed; STA runs only on those of `pairs`.
+fn characterize_misses(
+    pairs: &[(Benchmark, StageKind)],
+    built: BTreeMap<StageKind, Box<dyn PipeStage>>,
+    cfg: &HarnessConfig,
+    pool: ThreadPool,
+) -> Result<Vec<BenchmarkData>, OptError> {
+    let mut characs = BTreeMap::new();
+    for (stage, circuit) in built {
+        if pairs.iter().any(|&(_, s)| s == stage) {
+            let charac = time_phase(Phase::StageBuild, || {
+                StageCharacterizer::from_stage(circuit)
+            })?;
+            characs.insert(stage, charac);
+        }
+    }
+    let traces: BTreeMap<Benchmark, OnceLock<WorkloadTrace>> =
+        pairs.iter().map(|&(b, _)| (b, OnceLock::new())).collect();
+    let trace_of = |benchmark: Benchmark| -> &WorkloadTrace {
+        traces[&benchmark]
+            .get_or_init(|| time_phase(Phase::TraceBuild, || benchmark.run(&cfg.workload)))
+    };
+    // The unit list comes from the configured shape; a trace of another
+    // shape (none today) finishes its remaining threads during assembly.
+    let (n_iv, n_th, n_pairs) = (cfg.workload.intervals, cfg.workload.threads, pairs.len());
+    let units: Vec<(usize, usize, usize)> = (0..n_iv)
+        .flat_map(|i| (0..n_th).flat_map(move |t| (0..n_pairs).map(move |p| (p, i, t))))
+        .collect();
+    let mut computed: Vec<Option<ThreadData>> = pool.try_map(&units, |_, &(p, i, t)| {
+        let (benchmark, stage) = pairs[p];
+        let Some(interval) = trace_of(benchmark).intervals.get(i) else {
+            return Ok(None);
+        };
+        if t >= interval.threads() {
+            return Ok(None);
+        }
+        time_phase(Phase::GateSim, || {
+            characterize_thread(&characs[&stage], interval.thread(t), cfg).map(Some)
+        })
+    })?;
+    let mut out = Vec::with_capacity(n_pairs);
+    for (p, &(benchmark, stage)) in pairs.iter().enumerate() {
+        let charac = &characs[&stage];
+        let trace = trace_of(benchmark);
+        let mut intervals = Vec::with_capacity(trace.intervals.len());
+        for (i, interval) in trace.intervals.iter().enumerate() {
+            let mut threads = Vec::with_capacity(interval.threads());
+            for t in 0..interval.threads() {
+                let unit = (i < n_iv && t < n_th)
+                    .then(|| computed[(i * n_th + t) * n_pairs + p].take())
+                    .flatten();
+                threads.push(match unit {
+                    Some(thread) => thread,
+                    None => time_phase(Phase::GateSim, || {
+                        characterize_thread(charac, interval.thread(t), cfg)
+                    })?,
+                });
+            }
+            intervals.push(IntervalData { threads });
+        }
+        out.push(BenchmarkData {
+            benchmark,
+            stage,
+            tnom_v1: charac.tnom_v1(),
+            intervals,
+        });
+    }
+    Ok(out)
+}
+
+/// Runs and characterizes a benchmark on one stage through the cache:
+/// [`characterize_pairs`] for one pair. A hit builds the stage netlist
+/// (for the key's library fingerprint) and reads the entry; a miss runs
+/// the workload, characterizes it on `pool` and persists the result.
 ///
 /// # Errors
 ///
@@ -952,49 +1145,8 @@ pub fn characterize_cached(
     cache: &CharCache,
     pool: ThreadPool,
 ) -> Result<BenchmarkData, OptError> {
-    let run_workload = || time_phase(Phase::TraceBuild, || benchmark.run(&cfg.workload));
-    if !cache.enabled {
-        return characterize_workload_pooled(&run_workload(), stage, cfg, pool);
-    }
-    // Build the stage once: its netlist feeds the key's library
-    // fingerprint, and on a miss the same instance is characterized
-    // (no STA runs on the hit path).
-    let circuit = time_phase(Phase::StageBuild, || {
-        circuits::build_stage(stage, cfg.workload.width)
-    })
-    .map_err(TimingError::from)?;
-    let entry = cache.recipe_entry(benchmark, stage, cfg, circuit.netlist());
-    // An entry never changes once it is renamed into place, so a hit
-    // needs no admission: concurrent hits on one key read side by side
-    // instead of queueing behind each other. Only a miss takes the key.
-    if let Some(data) = entry.probe_local() {
-        return Ok(data);
-    }
-    let token = entry.token().unwrap_or_default();
-    let mut circuit = Some(circuit);
-    loop {
-        match admit(&token, &cache.counters) {
-            Admission::Leader(_guard) => {
-                if let Some(data) = entry.load() {
-                    return Ok(data);
-                }
-                let circuit = circuit.take().expect("the leader computes at most once");
-                let trace = run_workload();
-                let charac = time_phase(Phase::StageBuild, || {
-                    StageCharacterizer::from_stage(circuit)
-                })?;
-                let data = time_phase(Phase::GateSim, || {
-                    characterize_workload_on(&charac, &trace, cfg, pool)
-                })?;
-                entry.store(&data);
-                return Ok(data);
-            }
-            // The leader finished while we waited. Loop: the next probe
-            // (as leader) hits the entry it stored — unless the store
-            // failed, in which case this thread recomputes.
-            Admission::Waited => {}
-        }
-    }
+    let mut data = characterize_pairs(&[(benchmark, stage)], cfg, cache, pool)?;
+    Ok(data.pop().expect("one pair in, one characterization out"))
 }
 
 #[cfg(test)]
@@ -1292,9 +1444,7 @@ mod tests {
             .token()
             .expect("enabled");
         // Hold the key as an in-flight characterization would.
-        let Admission::Leader(guard) = admit(&token, &Counters::default()) else {
-            panic!("nothing else holds the key");
-        };
+        let guard = claim(&token).expect("nothing else holds the key");
         let (tx, rx) = std::sync::mpsc::channel();
         let reader = cache.clone();
         let cfg_reader = cfg.clone();

@@ -139,16 +139,16 @@ impl BenchmarkData {
 /// Characterizes one thread's work for one barrier interval on an
 /// already-built stage — the unit task of the characterization pipeline.
 /// [`characterize_workload_on`] maps this over every (interval, thread)
-/// pair; the corpus build fans the same units out at (benchmark × stage ×
-/// interval × thread) granularity, so exposing the unit keeps the two
-/// paths bit-identical by construction.
+/// pair, and [`crate::cache::characterize_pairs`] fans the same units out
+/// at (pair × interval × thread) granularity, so the two stay
+/// bit-identical by construction.
 ///
 /// # Errors
 ///
 /// Propagates characterization failures ([`OptError::Timing`]). A thread
 /// whose instructions never reach the stage is *not* an error — it yields
 /// the zero-delay activity profile.
-pub fn characterize_thread(
+pub(crate) fn characterize_thread(
     charac: &StageCharacterizer,
     work: &ThreadWork,
     cfg: &HarnessConfig,
@@ -182,52 +182,21 @@ pub fn characterize_thread(
     })
 }
 
-/// Characterizes an already-generated workload trace on one stage,
-/// sequentially on the calling thread.
+/// Characterizes an already-generated workload trace on an already-built
+/// stage, with the (interval × thread) gate simulations fanned out across
+/// `pool`.
 ///
-/// Every (interval, thread) pair is characterized through its own
-/// simulator, so [`characterize_workload_pooled`] produces bit-identical
-/// output at any worker count — use it when cores are available.
-///
-/// # Errors
-///
-/// Propagates characterization failures ([`OptError::Timing`]).
-pub fn characterize_workload(
-    trace: &WorkloadTrace,
-    stage: StageKind,
-    cfg: &HarnessConfig,
-) -> Result<BenchmarkData, OptError> {
-    characterize_workload_pooled(trace, stage, cfg, crate::parallel::ThreadPool::sequential())
-}
-
-/// Characterizes a workload trace on one stage with the (interval ×
-/// thread) gate simulations fanned out across `pool`.
-///
-/// Each pair drives an independent [`gatelib::TimingSim`] and results are
-/// collected in index order, so the output is bit-identical to the
-/// sequential loop at any worker count.
+/// Each pair drives an independent simulator and results are collected in
+/// index order, so the output is bit-identical to the sequential loop at
+/// any worker count. It shares only the unit task with
+/// [`crate::cache::characterize_pairs`], the scheduler every other
+/// characterization goes through, which makes it the reference that
+/// scheduler is tested against.
 ///
 /// # Errors
 ///
 /// Propagates characterization failures ([`OptError::Timing`]),
 /// surfacing the lowest-index failure like a sequential loop would.
-pub fn characterize_workload_pooled(
-    trace: &WorkloadTrace,
-    stage: StageKind,
-    cfg: &HarnessConfig,
-    pool: crate::parallel::ThreadPool,
-) -> Result<BenchmarkData, OptError> {
-    let charac = StageCharacterizer::new(stage, cfg.workload.width)?;
-    characterize_workload_on(&charac, trace, cfg, pool)
-}
-
-/// [`characterize_workload_pooled`] over an already-built characterizer —
-/// callers that have the stage in hand (e.g. the cache, which fingerprints
-/// the netlist first) avoid rebuilding it.
-///
-/// # Errors
-///
-/// As [`characterize_workload_pooled`].
 pub fn characterize_workload_on(
     charac: &StageCharacterizer,
     trace: &WorkloadTrace,
@@ -258,7 +227,9 @@ pub fn characterize_workload_on(
     })
 }
 
-/// Runs and characterizes a benchmark on one stage.
+/// Runs and characterizes a benchmark on one stage, sequentially and
+/// without the cache: [`crate::cache::characterize_cached`] with
+/// [`crate::cache::CharCache::disabled`] on the sequential pool.
 ///
 /// # Errors
 ///
@@ -268,8 +239,13 @@ pub fn characterize(
     stage: StageKind,
     cfg: &HarnessConfig,
 ) -> Result<BenchmarkData, OptError> {
-    let trace = benchmark.run(&cfg.workload);
-    characterize_workload(&trace, stage, cfg)
+    crate::cache::characterize_cached(
+        benchmark,
+        stage,
+        cfg,
+        &crate::cache::CharCache::disabled(),
+        crate::parallel::ThreadPool::sequential(),
+    )
 }
 
 #[cfg(test)]

@@ -73,7 +73,8 @@
 //!   deterministic index-ordered collection;
 //! * [`cache`] — the persistent, recipe-keyed characterization cache
 //!   (`SYNTS_CACHE_DIR`): a warm run skips trace generation and gate
-//!   simulation entirely, bit-identically;
+//!   simulation entirely, bit-identically. [`characterize_pairs`], the one
+//!   characterization scheduler, runs every characterization through it;
 //! * [`phase`] — process-wide per-phase wall-clock counters
 //!   ([`PhaseStats`]) instrumenting the characterization pipeline, the
 //!   evidence trail for parallel-scaling work;
@@ -111,7 +112,9 @@ pub mod solver;
 pub mod thrifty;
 
 pub use baselines::{no_ts, nominal, per_core_ts};
-pub use cache::{characterize_cached, CacheEntry, CacheStats, CharCache, CACHE_DIR_ENV};
+pub use cache::{
+    characterize_cached, characterize_pairs, CacheEntry, CacheStats, CharCache, CACHE_DIR_ENV,
+};
 pub use error::{closest_match, levenshtein, OptError};
 pub use exhaustive::{pruning_stats, synts_exhaustive, PruningStats, EXHAUSTIVE_LIMIT};
 pub use faults::{FaultPlan, FAULTS_ENV};

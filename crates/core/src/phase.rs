@@ -3,13 +3,14 @@
 //! The PR 5 bench recorded ~1× parallel "speedup" for the pooled corpus
 //! build, and nothing in the code said where the time went. This module is
 //! the instrument that settles such questions with data instead of
-//! guesses: every phase of a corpus build — workload trace generation,
-//! stage construction + STA, the gate-sim inner loop, cache probe and
-//! store I/O, and final result collection — accumulates its wall-clock
-//! into a process-wide atomic counter. The benchmark of record
-//! (`perfbench/`) reads it with `--trace 1`: it cross-checks its per-layer
-//! spans (`core.cache.*`) against these counters, and on serve-jobs it
-//! reports `timing.gate_sim_s` from them.
+//! guesses: every phase of the characterization scheduler
+//! ([`crate::cache::characterize_pairs`]) — workload trace generation,
+//! stage construction + STA, each gate-sim unit task, cache probe and
+//! store I/O — accumulates its wall-clock into a process-wide atomic
+//! counter. The benchmark of record (`perfbench/`) reads it with
+//! `--trace 1`: it cross-checks its per-layer spans (`core.cache.*`)
+//! against these counters, and on serve-jobs it reports
+//! `timing.gate_sim_s` from them.
 //!
 //! The counters follow the same monotonic snapshot/delta pattern as
 //! [`crate::cache::CacheStats`]: take a [`PhaseStats::snapshot`] before a
@@ -34,8 +35,6 @@ pub enum Phase {
     CacheLookup,
     /// Serializing and persisting a computed entry.
     CacheStore,
-    /// Assembling per-task results into corpus/benchmark data.
-    Collect,
 }
 
 static TRACE_BUILD_NS: AtomicU64 = AtomicU64::new(0);
@@ -43,7 +42,6 @@ static STAGE_BUILD_NS: AtomicU64 = AtomicU64::new(0);
 static GATE_SIM_NS: AtomicU64 = AtomicU64::new(0);
 static CACHE_LOOKUP_NS: AtomicU64 = AtomicU64::new(0);
 static CACHE_STORE_NS: AtomicU64 = AtomicU64::new(0);
-static COLLECT_NS: AtomicU64 = AtomicU64::new(0);
 
 fn counter(phase: Phase) -> &'static AtomicU64 {
     match phase {
@@ -52,7 +50,6 @@ fn counter(phase: Phase) -> &'static AtomicU64 {
         Phase::GateSim => &GATE_SIM_NS,
         Phase::CacheLookup => &CACHE_LOOKUP_NS,
         Phase::CacheStore => &CACHE_STORE_NS,
-        Phase::Collect => &COLLECT_NS,
     }
 }
 
@@ -85,8 +82,6 @@ pub struct PhaseStats {
     pub cache_lookup_ns: u64,
     /// Cache entry serialization and writes.
     pub cache_store_ns: u64,
-    /// Result assembly/collection.
-    pub collect_ns: u64,
 }
 
 impl PhaseStats {
@@ -99,7 +94,6 @@ impl PhaseStats {
             gate_sim_ns: GATE_SIM_NS.load(Ordering::Relaxed),
             cache_lookup_ns: CACHE_LOOKUP_NS.load(Ordering::Relaxed),
             cache_store_ns: CACHE_STORE_NS.load(Ordering::Relaxed),
-            collect_ns: COLLECT_NS.load(Ordering::Relaxed),
         }
     }
 
@@ -112,7 +106,6 @@ impl PhaseStats {
             gate_sim_ns: self.gate_sim_ns.saturating_sub(earlier.gate_sim_ns),
             cache_lookup_ns: self.cache_lookup_ns.saturating_sub(earlier.cache_lookup_ns),
             cache_store_ns: self.cache_store_ns.saturating_sub(earlier.cache_store_ns),
-            collect_ns: self.collect_ns.saturating_sub(earlier.collect_ns),
         }
     }
 
@@ -124,19 +117,17 @@ impl PhaseStats {
             + self.gate_sim_ns
             + self.cache_lookup_ns
             + self.cache_store_ns
-            + self.collect_ns
     }
 
     /// `(name, nanoseconds)` rows in a stable reporting order.
     #[must_use]
-    pub fn rows(&self) -> [(&'static str, u64); 6] {
+    pub fn rows(&self) -> [(&'static str, u64); 5] {
         [
             ("trace_build", self.trace_build_ns),
             ("stage_build", self.stage_build_ns),
             ("gate_sim", self.gate_sim_ns),
             ("cache_lookup", self.cache_lookup_ns),
             ("cache_store", self.cache_store_ns),
-            ("collect", self.collect_ns),
         ]
     }
 }

@@ -54,7 +54,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::Duration;
 
-use synts_core::cache::{RemoteCacheTier, RemoteFetch};
+use synts_core::cache::{write_via_temp, RemoteCacheTier, RemoteFetch};
 use synts_core::faults::{site, FaultPlan};
 use synts_core::scenario::{Experiment, Json, Report, ScenarioSpec};
 use synts_core::{CharCache, OptError};
@@ -733,12 +733,7 @@ impl Service {
         if !self.state.cache.is_enabled() {
             return Err("cache disabled on this coordinator".to_string());
         }
-        let dir = self.state.cache.dir();
-        std::fs::create_dir_all(dir).map_err(|e| format!("cache dir: {e}"))?;
-        let path = dir.join(name);
-        let tmp = path.with_extension(format!("tmp.put.{}", std::process::id()));
-        std::fs::write(&tmp, entry)
-            .and_then(|()| std::fs::rename(&tmp, &path))
+        write_via_temp(&self.state.cache.dir().join(name), entry)
             .map_err(|e| format!("cache write: {e}"))?;
         self.state.locked().fleet.claims.remove(name);
         Ok(())

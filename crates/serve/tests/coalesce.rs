@@ -5,14 +5,17 @@
 //! ([`CharCache::stats`]), so the tests run concurrently; each uses its
 //! own (benchmark, stage) key so coalescing stays within one test.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Barrier, Mutex, PoisonError};
 use std::time::Duration;
 
 use circuits::StageKind;
-use synts_core::cache::{characterize_cached, CharCache, RemoteCacheTier, RemoteFetch};
+use synts_core::cache::{
+    characterize_cached, characterize_pairs, CharCache, RemoteCacheTier, RemoteFetch,
+};
 use synts_core::experiments::{characterize, BenchmarkData, HarnessConfig};
 use synts_core::{FaultPlan, ThreadPool};
+use synts_serve::{Service, ServiceConfig, Shutdown};
 use workloads::Benchmark;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -129,6 +132,147 @@ fn concurrent_cold_misses_coalesce_to_one_characterization() {
     assert_eq!(tier.fetches(), 1, "only the leader consults the tier");
     assert_eq!(tier.publishes(), 1, "the leader publishes its result");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two threads run the scheduler over the same two pairs in opposite
+/// orders. Each takes the key of its first pair, finds the other's first
+/// key held and defers that pair, computes and stores its own, releases
+/// its key and only then waits for the other's. Both return (no deadlock)
+/// with identical data, and each key is characterized once.
+#[test]
+fn overlapping_multi_pair_calls_coalesce_without_deadlock() {
+    let dir = tmp_dir("multi-key");
+    // The slow remote probe holds each leader's key open until the other
+    // thread has probed it.
+    let tier = Arc::new(MapTier {
+        fetch_delay: Some(Duration::from_millis(300)),
+        ..MapTier::default()
+    });
+    let cache = CharCache::at_dir(&dir).with_remote(Some(tier as Arc<dyn RemoteCacheTier>));
+    let pairs = [
+        (Benchmark::Barnes, StageKind::SimpleAlu),
+        (Benchmark::WaterSp, StageKind::SimpleAlu),
+    ];
+    let barrier = Arc::new(Barrier::new(2));
+    let (tx, rx) = std::sync::mpsc::channel();
+    let handles: Vec<_> = [pairs, [pairs[1], pairs[0]]]
+        .into_iter()
+        .map(|order| {
+            let (cache, barrier, tx) = (cache.clone(), Arc::clone(&barrier), tx.clone());
+            std::thread::spawn(move || {
+                let cfg = HarnessConfig::quick();
+                barrier.wait();
+                let data = characterize_pairs(&order, &cfg, &cache, ThreadPool::sequential());
+                let _ = tx.send((order, data.expect("characterization")));
+            })
+        })
+        .collect();
+    let results: Vec<_> = (0..2)
+        .map(|_| {
+            rx.recv_timeout(Duration::from_secs(120))
+                .expect("both calls return: overlapping keys must not deadlock")
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("thread");
+    }
+    let data_of = |k: usize, pair: (Benchmark, StageKind)| {
+        let (order, data) = &results[k];
+        &data[order.iter().position(|&p| p == pair).expect("pair")]
+    };
+    for pair in pairs {
+        let (a, b) = (data_of(0, pair), data_of(1, pair));
+        assert_eq!(
+            (a.benchmark, a.stage),
+            pair,
+            "results come back in pair order"
+        );
+        assert_same(a, b);
+    }
+    let stats = cache.stats();
+    assert_eq!(
+        (stats.misses, stats.hits, stats.coalesced),
+        (2, 2, 2),
+        "each key is computed once and read once by the other call: {stats:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every cache writer lands its entry through a temp file and a rename.
+/// With a directory squatting on the entry's path the rename fails, and
+/// the writer must remove its temp file rather than leave it behind.
+#[test]
+fn failed_cache_writes_leave_no_temp_file() {
+    let cfg = HarnessConfig::quick();
+    let (benchmark, stage) = (Benchmark::LuContig, StageKind::Decode);
+    let circuit = circuits::build_stage(stage, cfg.workload.width).expect("stage");
+    let tier = Arc::new(MapTier::default());
+    let remote = || Some(tier.clone() as Arc<dyn RemoteCacheTier>);
+    let dir_seed = tmp_dir("squat-seed");
+    let seed = CharCache::at_dir(&dir_seed).with_remote(remote());
+    let data = characterize_cached(benchmark, stage, &cfg, &seed, ThreadPool::sequential())
+        .expect("seed characterization");
+    let name = seed
+        .recipe_entry(benchmark, stage, &cfg, circuit.netlist())
+        .token()
+        .expect("enabled");
+    let text = tier.entries.lock().unwrap_or_else(PoisonError::into_inner)[&name].clone();
+    let squatted = |tag: &str| {
+        let dir = tmp_dir(tag);
+        std::fs::create_dir_all(dir.join(&name)).expect("squat on the entry path");
+        dir
+    };
+    let temp_files = |dir: &Path| -> Vec<String> {
+        std::fs::read_dir(dir)
+            .expect("cache dir")
+            .filter_map(Result::ok)
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|file| file.contains(".tmp"))
+            .collect()
+    };
+    let mut left = Vec::new();
+
+    // A store of freshly computed data.
+    let dir_store = squatted("squat-store");
+    let store = CharCache::at_dir(&dir_store);
+    store
+        .recipe_entry(benchmark, stage, &cfg, circuit.netlist())
+        .store(&data);
+    assert_eq!(store.stats().write_errors, 1, "the store failed");
+    left.push(("CacheEntry::store", temp_files(&dir_store)));
+
+    // The local copy of a remote hit.
+    let dir_copy = squatted("squat-copy");
+    let copy = CharCache::at_dir(&dir_copy).with_remote(remote());
+    let served = copy
+        .recipe_entry(benchmark, stage, &cfg, circuit.netlist())
+        .load()
+        .expect("the tier serves the entry");
+    assert_same(&data, &served);
+    assert_eq!(
+        (copy.stats().remote_hits, copy.stats().write_errors),
+        (1, 1)
+    );
+    left.push(("remote-hit copy", temp_files(&dir_copy)));
+
+    // The coordinator's PUT of a published entry.
+    let dir_put = squatted("squat-put");
+    let service = Service::start(ServiceConfig {
+        cache: CharCache::at_dir(&dir_put),
+        ..ServiceConfig::default()
+    });
+    let put = service.cache_publish(&name, &text);
+    service.shutdown(Shutdown::Now);
+    assert!(put.is_err(), "a PUT onto a directory fails: {put:?}");
+    left.push(("Service::cache_publish", temp_files(&dir_put)));
+
+    assert!(
+        left.iter().all(|(_, files)| files.is_empty()),
+        "temp files left behind: {left:?}"
+    );
+    for dir in [dir_seed, dir_store, dir_copy, dir_put] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 /// The read-through path: a second node (cold local dir, same tier)

@@ -89,15 +89,15 @@ pub use synts_core::reference;
 
 // The optimization API, flattened to the facade root.
 pub use synts_core::{
-    characterize_cached, default_theta_sweep, evaluate, log_theta_grid, no_ts, nominal,
-    pareto_sweep, pareto_sweep_pooled, per_core_ts, pruning_stats, run_interval, run_interval_full,
-    run_interval_offline, run_interval_with, run_intervals_batched, synts_exhaustive, synts_milp,
-    synts_milp_with, synts_poly, theta_equal_weight, thread_energy, thread_time, weighted_cost,
-    worker_count, Assignment, CacheStats, Capabilities, CharCache, Dataset, Experiment, FaultPlan,
-    IntervalOutcome, IntervalSelection, MilpTuning, Objective, OperatingPoint, OptError,
-    PruningStats, Quality, Record, Report, ReportCheck, SamplingPlan, ScenarioSpec, SolveRequest,
-    Solver, SolverRegistry, SweepPoint, SyntsBuilder, SystemConfig, ThetaSpec, ThreadPool,
-    ThreadProfile, ThreadTrace, CACHE_DIR_ENV, FAULTS_ENV, THREADS_ENV,
+    characterize_cached, characterize_pairs, default_theta_sweep, evaluate, log_theta_grid, no_ts,
+    nominal, pareto_sweep, pareto_sweep_pooled, per_core_ts, pruning_stats, run_interval,
+    run_interval_full, run_interval_offline, run_interval_with, run_intervals_batched,
+    synts_exhaustive, synts_milp, synts_milp_with, synts_poly, theta_equal_weight, thread_energy,
+    thread_time, weighted_cost, worker_count, Assignment, CacheStats, Capabilities, CharCache,
+    Dataset, Experiment, FaultPlan, IntervalOutcome, IntervalSelection, MilpTuning, Objective,
+    OperatingPoint, OptError, PruningStats, Quality, Record, Report, ReportCheck, SamplingPlan,
+    ScenarioSpec, SolveRequest, Solver, SolverRegistry, SweepPoint, SyntsBuilder, SystemConfig,
+    ThetaSpec, ThreadPool, ThreadProfile, ThreadTrace, CACHE_DIR_ENV, FAULTS_ENV, THREADS_ENV,
 };
 
 // Keep the builder's name free at the root for the facade struct itself.
@@ -108,8 +108,7 @@ pub use synts_core::Synts;
 /// it produces and consumes.
 pub mod prelude {
     pub use synts_core::experiments::{
-        characterize, characterize_workload, characterize_workload_pooled, BenchmarkData,
-        HarnessConfig, IntervalData, ThreadData,
+        characterize, BenchmarkData, HarnessConfig, IntervalData, ThreadData,
     };
     pub use synts_core::leakage::{
         evaluate_with_leakage, synts_poly_leakage, weighted_cost_with_leakage, LeakageModel,
@@ -119,12 +118,12 @@ pub mod prelude {
     pub use synts_core::scenario::Json;
     pub use synts_core::thrifty::{thrifty_barrier, ThriftyConfig};
     pub use synts_core::{
-        characterize_cached, default_theta_sweep, evaluate, log_theta_grid, no_ts, nominal,
-        pareto_sweep, pareto_sweep_pooled, per_core_ts, pruning_stats, run_interval,
-        run_interval_full, run_interval_offline, run_interval_with, run_intervals_batched,
-        synts_exhaustive, synts_milp, synts_milp_with, synts_poly, theta_equal_weight,
-        thread_energy, thread_time, weighted_cost, worker_count, Assignment, CacheStats,
-        Capabilities, CharCache, Dataset, Experiment, FaultPlan, IntervalOutcome,
+        characterize_cached, characterize_pairs, default_theta_sweep, evaluate, log_theta_grid,
+        no_ts, nominal, pareto_sweep, pareto_sweep_pooled, per_core_ts, pruning_stats,
+        run_interval, run_interval_full, run_interval_offline, run_interval_with,
+        run_intervals_batched, synts_exhaustive, synts_milp, synts_milp_with, synts_poly,
+        theta_equal_weight, thread_energy, thread_time, weighted_cost, worker_count, Assignment,
+        CacheStats, Capabilities, CharCache, Dataset, Experiment, FaultPlan, IntervalOutcome,
         IntervalSelection, MilpTuning, Objective, OperatingPoint, OptError, PruningStats, Quality,
         Record, Report, ReportCheck, SamplingPlan, ScenarioSpec, Shard, ShardPlan, SolveRequest,
         Solver, SolverRegistry, SweepPoint, Synts, SyntsBuilder, SystemConfig, ThetaSpec,

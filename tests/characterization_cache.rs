@@ -59,7 +59,12 @@ proptest! {
         let dir = tmp_cache(&format!("roundtrip-{bench}"));
         let cache = CharCache::at_dir(&dir);
         for stage in StageKind::ALL {
-            let fresh = characterize(bench, stage, &cfg).expect("fresh");
+            let charac = synts::timing::StageCharacterizer::new(stage, cfg.workload.width)
+                .expect("stage");
+            let fresh = synts::core_api::experiments::characterize_workload_on(
+                &charac, &bench.run(&cfg.workload), &cfg, ThreadPool::sequential(),
+            )
+            .expect("fresh");
             let cold = characterize_cached(bench, stage, &cfg, &cache, ThreadPool::new(2))
                 .expect("cold");
             let warm = characterize_cached(bench, stage, &cfg, &cache, ThreadPool::new(2))
