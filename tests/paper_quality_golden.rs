@@ -2,6 +2,10 @@
 //! committed DAC'16 figure spec (Figs 6.11–6.16) is run at paper quality
 //! from an empty cache, and both its canonical JSON report and the body
 //! of the `.char` entry the run stores must match what is committed.
+//! The same spec is then rerun on the now-warm cache with the exact
+//! solvers (`synts_milp`, `synts_exhaustive`) added and assignments
+//! recorded, and that report's digest is pinned too, so a change to
+//! either exact solver that moves a chosen operating point shows here.
 //!
 //! The other golden fixtures are quick-quality or corpus-free; this is
 //! the one that holds the seeded-pair sampling regime (stride > 1) of
@@ -17,15 +21,19 @@ use std::path::{Path, PathBuf};
 
 use synts::prelude::*;
 
-/// `(spec name, 64-bit FNV-1a of its `.char` entry body)`.
-const PINNED: [(&str, u64); 6] = [
-    ("fig-6-11", 0xce94_097f_5a76_07de),
-    ("fig-6-12", 0xfdd2_358b_b0cc_ea0e),
-    ("fig-6-13", 0x293c_543e_8ba0_32e9),
-    ("fig-6-14", 0x9975_1a5a_c132_2b40),
-    ("fig-6-15", 0x1296_869c_e142_6320),
-    ("fig-6-16", 0x16c3_2b85_1555_4e21),
+/// `(spec name, 64-bit FNV-1a of its `.char` entry body, 64-bit FNV-1a
+/// of its exact-solver report)`.
+const PINNED: [(&str, u64, u64); 6] = [
+    ("fig-6-11", 0xce94_097f_5a76_07de, 0x9c02_d7b2_8469_c681),
+    ("fig-6-12", 0xfdd2_358b_b0cc_ea0e, 0xf189_c4e6_398c_c58c),
+    ("fig-6-13", 0x293c_543e_8ba0_32e9, 0x1e7e_344d_f508_b11d),
+    ("fig-6-14", 0x9975_1a5a_c132_2b40, 0x11c6_8dc4_70a0_a212),
+    ("fig-6-15", 0x1296_869c_e142_6320, 0xfba7_5b31_9fd9_6e8f),
+    ("fig-6-16", 0x16c3_2b85_1555_4e21, 0x7ba7_b515_9f7b_b322),
 ];
+
+/// The solvers the exact-solver rerun appends to a spec's schemes.
+const EXACT_SOLVERS: [&str; 2] = ["synts_milp", "synts_exhaustive"];
 
 fn repo_path(rel: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(rel)
@@ -59,9 +67,20 @@ fn entry_body_digest(dir: &Path) -> u64 {
     fnv1a(&bytes[header..])
 }
 
-/// Runs one committed spec at paper quality into a fresh cache dir and
-/// returns its report bytes and entry-body digest.
-fn run_cold(name: &str) -> (String, u64) {
+/// What one spec's runs produce.
+struct Run {
+    /// The cold run's canonical JSON report.
+    report: String,
+    /// FNV-1a of the `.char` entry body the cold run stored.
+    entry_digest: u64,
+    /// FNV-1a of the warm exact-solver rerun's canonical JSON report.
+    exact_digest: u64,
+}
+
+/// Runs one committed spec at paper quality into a fresh cache dir, then
+/// reruns it on the warm cache with [`EXACT_SOLVERS`] appended and
+/// assignments recorded.
+fn run_cold_then_exact(name: &str) -> Run {
     let src = fs::read_to_string(repo_path(&format!("crates/bench/specs/{name}.json")))
         .expect("committed spec");
     let spec = ScenarioSpec::from_json_str(&src).expect("spec parses");
@@ -74,38 +93,67 @@ fn run_cold(name: &str) -> (String, u64) {
         std::env::temp_dir().join(format!("synts-paper-golden-{name}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     let cache = CharCache::at_dir(&dir);
-    let report = Experiment::new(spec)
+    let report = Experiment::new(spec.clone())
         .with_cache(cache.clone())
         .run()
         .expect("runs");
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses), (0, 1), "{name} ran cold");
     assert!(report.all_checks_pass(), "{name}: {:?}", report.checks);
-    let digest = entry_body_digest(&dir);
+    let entry_digest = entry_body_digest(&dir);
+
+    let mut exact = spec;
+    exact.schemes.extend(EXACT_SOLVERS.map(String::from));
+    exact.record_assignments = true;
+    let exact_report = Experiment::new(exact)
+        .with_cache(cache.clone())
+        .run()
+        .expect("exact rerun runs");
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.misses), (1, 1), "{name} reran warm");
+    assert!(
+        exact_report.all_checks_pass(),
+        "{name} with exact solvers: {:?}",
+        exact_report.checks
+    );
     let _ = fs::remove_dir_all(&dir);
-    (report.to_json_string(), digest)
+    Run {
+        report: report.to_json_string(),
+        entry_digest,
+        exact_digest: fnv1a(exact_report.to_json_string().as_bytes()),
+    }
 }
 
 #[test]
 fn paper_quality_reports_and_entries_match_their_pins() {
     let regen = std::env::var("SYNTS_REGEN_FIXTURES").is_ok();
     let mut drift = Vec::new();
-    for (name, pinned) in PINNED {
-        let (rendered, digest) = run_cold(name);
+    for (name, pinned_entry, pinned_exact) in PINNED {
+        let run = run_cold_then_exact(name);
         let path = repo_path(&format!("tests/fixtures/{name}-paper.report.golden.json"));
         if regen {
-            fs::write(&path, &rendered).expect("write fixture");
-            eprintln!("    (\"{name}\", {digest:#018x}),");
+            fs::write(&path, &run.report).expect("write fixture");
+            eprintln!(
+                "    (\"{name}\", {:#018x}, {:#018x}),",
+                run.entry_digest, run.exact_digest
+            );
             continue;
         }
         let golden = fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("missing golden fixture {} ({e})", path.display()));
-        if golden != rendered {
+        if golden != run.report {
             drift.push(format!("{name}: report differs from {}", path.display()));
         }
-        if digest != pinned {
+        if run.entry_digest != pinned_entry {
             drift.push(format!(
-                "{name}: entry body digest {digest:#018x}, pinned {pinned:#018x}"
+                "{name}: entry body digest {:#018x}, pinned {pinned_entry:#018x}",
+                run.entry_digest
+            ));
+        }
+        if run.exact_digest != pinned_exact {
+            drift.push(format!(
+                "{name}: exact-solver report digest {:#018x}, pinned {pinned_exact:#018x}",
+                run.exact_digest
             ));
         }
     }
