@@ -25,7 +25,7 @@ use crate::poly::{self, PreparedTables, Tables};
 /// that asymmetry is the paper's point.
 ///
 /// Since PR 5 the branch-and-bound is *warm-started*: Algorithm 1 on the
-/// shared θ-independent [`PreparedTables`] supplies an optimal incumbent
+/// shared θ-independent `PreparedTables` supplies an optimal incumbent
 /// in `O(M²·QS·log QS)`, whose objective bound prunes most of the MILP
 /// tree immediately (best-first node order). The oracle property is
 /// preserved — if the seed were ever suboptimal the tree search would
@@ -157,8 +157,9 @@ pub(crate) fn solve_on_tables(t: &Tables, theta: f64) -> Result<Assignment, OptE
 /// space: one binary per *surviving* point instead of per `(i, j, k)`.
 /// A dominated point can always be swapped for its dominator without
 /// raising `t_exec` or any energy term, so the pruned MILP has exactly
-/// the full problem's optimal cost — with a tableau (and branch set)
-/// several times smaller.
+/// the full problem's optimal cost with fewer columns and a smaller
+/// branch set. Either lowering has 2M rows (Eq 4.6 and Eq 4.10 per
+/// thread); the binaries' `x ≤ 1` are bounds, not rows.
 struct PrunedLowering {
     problem: Problem,
     /// `offsets[i]`: first variable of thread `i`'s candidate block.

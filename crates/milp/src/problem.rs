@@ -130,6 +130,8 @@ pub struct Problem {
     pub(crate) objective: Vec<f64>,
     pub(crate) constraints: Vec<Constraint>,
     pub(crate) integer: Vec<bool>,
+    /// Upper bound of each variable: 1 for a binary, otherwise unbounded.
+    pub(crate) upper: Vec<f64>,
 }
 
 impl Problem {
@@ -142,6 +144,7 @@ impl Problem {
             objective: vec![0.0; n],
             constraints: Vec::new(),
             integer: vec![false; n],
+            upper: vec![f64::INFINITY; n],
         }
     }
 
@@ -151,7 +154,8 @@ impl Problem {
         self.n
     }
 
-    /// Number of constraints added so far.
+    /// Number of constraint rows added so far with
+    /// [`Problem::constraint`]. A binary's bound is not a row.
     #[must_use]
     pub fn num_constraints(&self) -> usize {
         self.constraints.len()
@@ -195,28 +199,27 @@ impl Problem {
         self.integer[var] = true;
     }
 
-    /// Declares variable `var` binary: integer with `var ≤ 1`.
+    /// Declares variable `var` binary: integer with `0 ≤ var ≤ 1`. The
+    /// upper bound is kept as a bound, not a constraint row, so it adds
+    /// nothing to [`Problem::num_constraints`] or to the simplex tableau.
     ///
     /// # Panics
     ///
     /// Panics if `var` is out of range.
     pub fn set_binary(&mut self, var: usize) {
         self.set_integer(var);
-        self.constraints.push(Constraint {
-            coeffs: vec![(var, 1.0)],
-            rel: Relation::Le,
-            rhs: 1.0,
-        });
+        self.upper[var] = 1.0;
     }
 
-    /// Solves the continuous relaxation with two-phase simplex.
+    /// Solves the continuous relaxation (binaries within `[0, 1]`) with
+    /// the bounded-variable simplex.
     ///
     /// # Errors
     ///
     /// [`SolveError::Infeasible`], [`SolveError::Unbounded`] or
-    /// [`SolveError::IterationLimit`].
+    /// [`SolveError::PivotLimit`].
     pub fn solve_lp(&self) -> Result<Solution, SolveError> {
-        crate::simplex::solve(self)
+        crate::simplex::solve(self, &vec![0.0; self.n], &self.upper)
     }
 
     /// Solves the problem respecting integrality via branch-and-bound.
@@ -224,8 +227,10 @@ impl Problem {
     /// # Errors
     ///
     /// [`SolveError::Infeasible`] if no integral feasible point exists,
-    /// [`SolveError::Unbounded`] if the relaxation is unbounded, or
-    /// [`SolveError::IterationLimit`] if the node budget is exhausted.
+    /// [`SolveError::Unbounded`] if the relaxation is unbounded,
+    /// [`SolveError::IterationLimit`] if the node budget is exhausted, or
+    /// [`SolveError::PivotLimit`] if one node's LP exhausts its pivot
+    /// budget.
     pub fn solve_milp(&self) -> Result<Solution, SolveError> {
         crate::bb::solve(self)
     }
@@ -261,8 +266,9 @@ mod tests {
     fn counts() {
         let mut p = Problem::minimize(3);
         p.constraint(&[(0, 1.0)], Relation::Le, 1.0);
+        p.set_binary(2);
         assert_eq!(p.num_vars(), 3);
-        assert_eq!(p.num_constraints(), 1);
+        assert_eq!(p.num_constraints(), 1, "a binary's bound is not a row");
     }
 
     #[test]
