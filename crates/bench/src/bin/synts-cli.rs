@@ -208,7 +208,8 @@ fn parse_check_args(args: &[String]) -> Option<CheckArgs> {
 /// minutes into a run (or on a service worker): unknown scheme keys
 /// (with "did you mean" from the registry), a degenerate θ grid, an
 /// invalid worker count — and previews how the service would shard the
-/// θ grid ([`ShardPlan`]'s partition, computed from the grid size alone).
+/// θ grid ([`ShardPlan`](synts_core::ShardPlan)'s partition, computed from the
+/// grid size alone).
 fn check(args: &CheckArgs) -> ExitCode {
     let run_args = RunArgs {
         spec_path: args.spec_path.clone(),

@@ -302,7 +302,7 @@ impl<M: ErrorModel> Solver<M> for Poly {
 /// branch-and-bound solver. Same optima as [`Poly`]; exponential worst
 /// case — kept as an independent correctness oracle. The search is
 /// warm-started from Algorithm 1's optimum on the shared θ-independent
-/// tables (see [`crate::milp_formulation`]), so the branch-and-bound
+/// tables (see [`crate::synts_milp`]), so the branch-and-bound
 /// mostly just *certifies* the incumbent — which is exactly what an
 /// oracle is for.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -365,7 +365,7 @@ impl<M: ErrorModel> Solver<M> for Milp {
 /// Brute-force enumeration over the dominance-pruned per-thread
 /// candidate grid; refuses instances whose pruned product exceeds
 /// [`crate::EXHAUSTIVE_LIMIT`]. Certification only — but note it now
-/// shares [`crate::poly`]'s pruning with the solvers it certifies, so
+/// shares SynTS-Poly's pruning with the solvers it certifies, so
 /// a pruning bug would be common-mode across all three; *fully*
 /// independent certification is [`crate::reference::synts_exhaustive_naive`]
 /// (the unpruned odometer), which the engine is property-tested

@@ -52,8 +52,9 @@ pub struct WideStep {
 }
 
 /// Event-driven timing simulator evaluating 64 independent trace vectors
-/// per machine word. See the [module docs](self) for the layout and the
-/// lane-isolation guarantee.
+/// per machine word: one `u64` per net, one bit per lane. Lane `l` is
+/// bit-identical to a scalar [`crate::TimingSim`] stepped through lane
+/// `l`'s vectors alone.
 #[derive(Debug)]
 pub struct WideTimingSim<'n> {
     netlist: &'n Netlist,

@@ -21,7 +21,7 @@
 //! Every dispatched shard carries a **lease** measured in logical ticks,
 //! not wall-clock: [`Service::fleet_tick`] advances the clock, and a
 //! lease (or executor registration) not renewed within
-//! [`ServiceConfig::lease_ticks`] ticks expires. Polls, heartbeats and
+//! [`ServiceConfig::lease_ticks`](crate::ServiceConfig::lease_ticks) ticks expires. Polls, heartbeats and
 //! completions renew. The `synts-serve` binary drives ticks from a
 //! wall-clock reaper thread (`--tick-ms`); tests drive them directly,
 //! which is what makes lease expiry and shard reassignment fully
