@@ -184,12 +184,7 @@ impl Tableau {
         let mut degenerate = 0usize;
         loop {
             let bland = degenerate >= DEGENERATE_RUN;
-            let Some((q, dir)) = self.entering(bland).or_else(|| {
-                // Optimal on the updated row; confirm on a fresh one so
-                // rounding drift cannot stop the search early.
-                self.price(cost);
-                self.entering(bland)
-            }) else {
+            let Some((q, dir)) = self.entering(bland) else {
                 return Ok(());
             };
             if self.iters == MAX_ITERS {
