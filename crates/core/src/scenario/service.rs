@@ -10,7 +10,8 @@
 //! a complete, self-describing [`ScenarioSpec`] with an explicit
 //! [`ThetaSpec::Grid`] — and [`Report::merge`] reassembles the partial
 //! reports into one that is **bit-identical** (canonical JSON and all)
-//! to a monolithic [`Experiment::run`](crate::Experiment::run) on the original spec:
+//! to a monolithic [`Experiment::run`](crate::Experiment::run) on the
+//! original spec:
 //!
 //! * the θ grid is resolved *once*, by the planner, through the same
 //!   `equal_weight_center` the runner uses, so shard grids concatenate

@@ -21,11 +21,12 @@
 //! Every dispatched shard carries a **lease** measured in logical ticks,
 //! not wall-clock: [`Service::fleet_tick`] advances the clock, and a
 //! lease (or executor registration) not renewed within
-//! [`ServiceConfig::lease_ticks`](crate::ServiceConfig::lease_ticks) ticks expires. Polls, heartbeats and
-//! completions renew. The `synts-serve` binary drives ticks from a
-//! wall-clock reaper thread (`--tick-ms`); tests drive them directly,
-//! which is what makes lease expiry and shard reassignment fully
-//! deterministic — no decision in this module ever reads a clock.
+//! [`ServiceConfig::lease_ticks`](crate::ServiceConfig::lease_ticks)
+//! ticks expires. Polls, heartbeats and completions renew. The
+//! `synts-serve` binary drives ticks from a wall-clock reaper thread
+//! (`--tick-ms`); tests drive them directly, which is what makes lease
+//! expiry and shard reassignment fully deterministic — no decision in
+//! this module ever reads a clock.
 //!
 //! An expired lease charges the shard one attempt and requeues it, so a
 //! killed executor's work is reassigned with the same bounded-attempt
