@@ -64,13 +64,15 @@ pub fn no_ts<M: ErrorModel>(
 ///
 /// # Errors
 ///
-/// [`OptError::BadConfig`] / [`OptError::NoThreads`] for malformed input.
+/// [`OptError::BadConfig`] / [`OptError::NoThreads`] for malformed input,
+/// including a θ outside Eq 4.4's domain (as for [`crate::synts_poly`]).
 pub fn per_core_ts<M: ErrorModel>(
     cfg: &SystemConfig,
     profiles: &[ThreadProfile<M>],
     theta: f64,
 ) -> Result<Assignment, OptError> {
     cfg.validate()?;
+    crate::poly::validate_theta(theta)?;
     if profiles.is_empty() {
         return Err(OptError::NoThreads);
     }

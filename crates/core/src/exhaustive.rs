@@ -3,25 +3,32 @@
 //!
 //! Exists purely to certify the optimality of [`crate::synts_poly`] and
 //! [`crate::synts_milp`] on small instances (Lemma 4.2.1's empirical
-//! counterpart). Since PR 5 the odometer runs over each thread's
-//! [`SortedTables`] candidate list instead of the full `(Q·S)^M` grid: a
+//! counterpart). The odometer runs over each thread's [`SortedTables`]
+//! candidate list instead of the full `(Q·S)^M` grid: a
 //! point that is no faster and no cheaper than another can never improve
 //! any assignment (replace it with its dominator — `t_exec` and every
 //! energy term weakly drop), so pruning provably preserves the optimum
 //! while collapsing the search space by orders of magnitude. The
-//! [`EXHAUSTIVE_LIMIT`] cap therefore now bounds the *pruned* candidate
+//! [`EXHAUSTIVE_LIMIT`] cap therefore bounds the *pruned* candidate
 //! product. Because the candidate lists come from the same
 //! [`SortedTables`] the poly and MILP solvers use, this solver is no
 //! longer a *fully* independent oracle against a pruning bug — that
 //! role belongs to [`crate::reference::synts_exhaustive_naive`], the
 //! pre-pruning enumeration, which the engine's property tests compare
 //! against.
+//!
+//! One walk serves a whole θ batch. A combination's energy and `t_exec`
+//! do not depend on θ, so the odometer computes them once per
+//! combination, then updates every θ's own incumbent with the same
+//! `energy + θ·t_exec` and strict `<` test a single-θ walk makes. Each θ
+//! gets exactly the assignment a walk of its own would return, ties
+//! included, and a 9-point sweep costs one walk instead of nine.
 
 use timing::ErrorModel;
 
 use crate::error::OptError;
 use crate::model::{Assignment, SystemConfig, ThreadProfile};
-use crate::poly::{SortedTables, Tables};
+use crate::poly::{PreparedTables, SortedTables, Tables};
 
 /// Hard cap on the number of enumerated assignments (after per-thread
 /// dominance pruning).
@@ -45,9 +52,8 @@ pub fn synts_exhaustive<M: ErrorModel>(
     if profiles.is_empty() {
         return Err(OptError::NoThreads);
     }
-    let t = Tables::build(cfg, profiles);
-    let st = SortedTables::build(&t);
-    solve_pruned(&t, &st, theta)
+    let mut best = solve_pruned(&PreparedTables::build(cfg, profiles), &[theta])?;
+    Ok(best.pop().expect("one assignment per θ"))
 }
 
 /// How much per-thread dominance pruning shrinks an instance: total and
@@ -93,12 +99,14 @@ pub struct PruningStats {
     pub pruned_combinations: u128,
 }
 
-/// The pruned odometer over prebuilt tables — shared with the batch path.
+/// The pruned odometer over prebuilt tables, one walk for every θ in
+/// `thetas` (distinct, validated); returns one assignment per θ, in
+/// order. Shared with the batch path.
 pub(crate) fn solve_pruned(
-    t: &Tables,
-    st: &SortedTables,
-    theta: f64,
-) -> Result<Assignment, OptError> {
+    prepared: &PreparedTables,
+    thetas: &[f64],
+) -> Result<Vec<Assignment>, OptError> {
+    let (t, st) = (&prepared.tables, &prepared.sorted);
     let m = t.m;
     let candidates = st.pruned_combinations();
     if candidates > EXHAUSTIVE_LIMIT {
@@ -108,38 +116,55 @@ pub(crate) fn solve_pruned(
         });
     }
 
-    let mut best_cost = f64::INFINITY;
-    let mut best_combo = vec![0usize; m];
+    // Each thread's candidates as (energy, time), in candidate order.
+    let cands: Vec<Vec<(f64, f64)>> = (0..m)
+        .map(|i| {
+            st.candidates(i)
+                .iter()
+                .map(|&idx| (t.energy[i][idx as usize], t.time[i][idx as usize]))
+                .collect()
+        })
+        .collect();
+    // Each θ's incumbent: its cost and the combination that reached it.
+    let mut best_cost = vec![f64::INFINITY; thetas.len()];
+    let mut best_combo = vec![vec![0usize; m]; thetas.len()];
     let mut combo = vec![0usize; m];
     loop {
-        // Evaluate this combination (combo holds positions into each
-        // thread's ascending candidate list, so combinations are visited
-        // in the same relative order as the unpruned odometer).
+        // Evaluate this combination once for every θ (combo holds
+        // positions into each thread's ascending candidate list, so
+        // combinations are visited in the same relative order as the
+        // unpruned odometer).
         let mut energy = 0.0;
         let mut texec = 0.0f64;
-        for (i, &pos) in combo.iter().enumerate() {
-            let idx = st.candidates(i)[pos] as usize;
-            energy += t.energy[i][idx];
-            texec = texec.max(t.time[i][idx]);
+        for (thread, &pos) in cands.iter().zip(&combo) {
+            let (e, time) = thread[pos];
+            energy += e;
+            texec = texec.max(time);
         }
-        let cost = energy + theta * texec;
-        if cost < best_cost {
-            best_cost = cost;
-            best_combo.copy_from_slice(&combo);
+        for ((&theta, cost_k), combo_k) in thetas.iter().zip(&mut best_cost).zip(&mut best_combo) {
+            let cost = energy + theta * texec;
+            if cost < *cost_k {
+                *cost_k = cost;
+                combo_k.copy_from_slice(&combo);
+            }
         }
         // Odometer increment.
         let mut pos = 0;
         loop {
             if pos == m {
-                let points = best_combo
+                return Ok(best_combo
                     .iter()
-                    .enumerate()
-                    .map(|(i, &p)| t.point(st.candidates(i)[p] as usize))
-                    .collect();
-                return Ok(Assignment { points });
+                    .map(|combo| Assignment {
+                        points: combo
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &p)| t.point(st.candidates(i)[p] as usize))
+                            .collect(),
+                    })
+                    .collect());
             }
             combo[pos] += 1;
-            if combo[pos] < st.candidates(pos).len() {
+            if combo[pos] < cands[pos].len() {
                 break;
             }
             combo[pos] = 0;

@@ -115,13 +115,13 @@ fn deadline(texec: f64) -> f64 {
 /// Rejects weights outside Eq 4.4's domain. θ < 0 rewards a *larger*
 /// barrier time, where dominance pruning no longer preserves the
 /// optimum (a slower-and-costlier point can win); the engine refuses
-/// loudly instead of answering wrong. `!(θ ≥ 0)` also catches NaN.
-// `!(θ ≥ 0)` rather than `θ < 0`: must also reject NaN.
-#[allow(clippy::neg_cmp_op_on_partial_ord)]
+/// loudly instead of answering wrong. NaN and +∞ are refused too: at
+/// θ = +∞ every objective value is infinite, so no solver can rank two
+/// assignments.
 pub(crate) fn validate_theta(theta: f64) -> Result<(), OptError> {
-    if !(theta >= 0.0) {
+    if !theta.is_finite() || theta < 0.0 {
         return Err(OptError::BadConfig(
-            "theta must be non-negative (Eq 4.4 weights execution time)",
+            "theta must be finite and non-negative (Eq 4.4 weights execution time)",
         ));
     }
     Ok(())
@@ -300,7 +300,7 @@ impl PreparedTables {
 /// # Errors
 ///
 /// * [`OptError::BadConfig`] if `cfg` is malformed or `theta` is
-///   negative/NaN (Eq 4.4's weight domain).
+///   negative, NaN or infinite (Eq 4.4's weight domain).
 /// * [`OptError::NoThreads`] if `profiles` is empty.
 /// * [`OptError::Infeasible`] cannot occur for a valid config (the all-
 ///   nominal assignment is always feasible) but is kept for robustness.

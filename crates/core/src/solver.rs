@@ -199,10 +199,11 @@ pub trait Solver<M: ErrorModel>: Send + Sync {
     /// be observationally identical to it (the batch-equivalence property
     /// tests enforce this for all registered solvers). Overrides exist to
     /// amortize per-instance setup: the table-driven solvers
-    /// ([`Poly`], [`Milp`]) build their `(thread, voltage, TSR)`
-    /// time/energy tables once per run of requests sharing the same
-    /// `cfg`/`profiles` borrows, which is what a θ sweep or a
-    /// per-interval re-optimization batch looks like.
+    /// ([`Poly`], [`Milp`], [`Exhaustive`]) build their
+    /// `(thread, voltage, TSR)` time/energy tables once per run of
+    /// requests sharing the same `cfg`/`profiles` borrows, which is what
+    /// a θ sweep or a per-interval re-optimization batch looks like, and
+    /// [`Exhaustive`] also walks its odometer once for the whole run.
     fn solve_batch(&self, requests: &[SolveRequest<'_, M>]) -> Vec<Result<Assignment, OptError>> {
         requests
             .iter()
@@ -220,47 +221,58 @@ impl<M: ErrorModel> std::fmt::Debug for dyn Solver<M> + '_ {
     }
 }
 
-/// Shared batch driver for table-based solvers: validates each request,
-/// rebuilds the θ-independent [`PreparedTables`] (time/energy tables plus
-/// their sorted/dominance-pruned companion) only when the instance
-/// changes (by pointer identity), dedupes repeated θ values within an
-/// instance, and runs `solve_prepared` per distinct θ.
+/// Shared batch driver for table-based solvers. It splits `requests`
+/// into runs of consecutive requests posing the same instance (by
+/// pointer identity), validates each request, builds the run's
+/// θ-independent [`PreparedTables`] (time/energy tables plus their
+/// sorted/dominance-pruned companion) once, and hands `solve_prepared`
+/// the run's distinct valid θ values in one call, which answers with
+/// one result per θ. Results are scattered back to the requests.
 ///
 /// The θ-dedup matters in practice: log-spaced grids round-trip
 /// duplicate values (a one-point grid, spec files with repeated entries),
-/// and the solvers are deterministic, so a repeated θ must — and now
-/// does — reuse the already-solved assignment instead of solving again.
-fn batch_with_tables<'a, M: ErrorModel>(
-    requests: &[SolveRequest<'a, M>],
-    solve_prepared: impl Fn(&PreparedTables, f64) -> Result<Assignment, OptError>,
+/// and the solvers are deterministic, so a repeated θ reuses the solved
+/// assignment instead of solving again.
+fn batch_with_tables<M: ErrorModel>(
+    requests: &[SolveRequest<'_, M>],
+    solve_prepared: impl Fn(&PreparedTables, &[f64]) -> Vec<Result<Assignment, OptError>>,
 ) -> Vec<Result<Assignment, OptError>> {
-    let mut cached: Option<(SolveRequest<'a, M>, PreparedTables)> = None;
-    // (θ bits → result) for the *current* instance; grids are small, so a
-    // linear scan beats hashing and keeps iteration deterministic.
-    let mut solved: Vec<(u64, Result<Assignment, OptError>)> = Vec::new();
-    requests
-        .iter()
-        .map(|req| {
-            req.cfg.validate()?;
-            poly::validate_theta(req.theta)?;
-            if req.profiles.is_empty() {
-                return Err(OptError::NoThreads);
-            }
-            let rebuild = !matches!(&cached, Some((prev, _)) if prev.same_instance(req));
-            if rebuild {
-                cached = Some((*req, PreparedTables::build(req.cfg, req.profiles)));
-                solved.clear();
-            }
-            let bits = req.theta.to_bits();
-            if let Some((_, result)) = solved.iter().find(|(b, _)| *b == bits) {
-                return result.clone();
-            }
-            let (_, prepared) = cached.as_ref().expect("cache was just filled");
-            let result = solve_prepared(prepared, req.theta);
-            solved.push((bits, result.clone()));
-            result
-        })
-        .collect()
+    let mut results = Vec::with_capacity(requests.len());
+    for run in requests.chunk_by(|a, b| a.same_instance(b)) {
+        // Distinct valid θ values by bits, and each request's index into
+        // them (or its validation error). Grids are small, so a linear
+        // scan beats hashing and keeps the order deterministic.
+        let mut thetas: Vec<f64> = Vec::new();
+        let slots: Vec<Result<usize, OptError>> = run
+            .iter()
+            .map(|req| {
+                req.cfg.validate()?;
+                poly::validate_theta(req.theta)?;
+                if req.profiles.is_empty() {
+                    return Err(OptError::NoThreads);
+                }
+                let bits = req.theta.to_bits();
+                Ok(match thetas.iter().position(|t| t.to_bits() == bits) {
+                    Some(k) => k,
+                    None => {
+                        thetas.push(req.theta);
+                        thetas.len() - 1
+                    }
+                })
+            })
+            .collect();
+        let solved = if thetas.is_empty() {
+            Vec::new()
+        } else {
+            solve_prepared(&PreparedTables::build(run[0].cfg, run[0].profiles), &thetas)
+        };
+        results.extend(
+            slots
+                .into_iter()
+                .map(|slot| slot.and_then(|k| solved[k].clone())),
+        );
+    }
+    results
 }
 
 /// Algorithm 1 — the exact polynomial-time SynTS solver (the scheme the
@@ -294,7 +306,12 @@ impl<M: ErrorModel> Solver<M> for Poly {
     }
 
     fn solve_batch(&self, requests: &[SolveRequest<'_, M>]) -> Vec<Result<Assignment, OptError>> {
-        batch_with_tables(requests, poly::solve_prepared)
+        batch_with_tables(requests, |prepared, thetas| {
+            thetas
+                .iter()
+                .map(|&theta| poly::solve_prepared(prepared, theta))
+                .collect()
+        })
     }
 }
 
@@ -356,8 +373,11 @@ impl<M: ErrorModel> Solver<M> for Milp {
 
     fn solve_batch(&self, requests: &[SolveRequest<'_, M>]) -> Vec<Result<Assignment, OptError>> {
         let tuning = self.tuning();
-        batch_with_tables(requests, |prepared, theta| {
-            milp_formulation::solve_prepared(prepared, theta, &tuning)
+        batch_with_tables(requests, |prepared, thetas| {
+            thetas
+                .iter()
+                .map(|&theta| milp_formulation::solve_prepared(prepared, theta, &tuning))
+                .collect()
         })
     }
 }
@@ -370,6 +390,11 @@ impl<M: ErrorModel> Solver<M> for Milp {
 /// independent certification is [`crate::reference::synts_exhaustive_naive`]
 /// (the unpruned odometer), which the engine is property-tested
 /// against.
+///
+/// [`Solver::solve_batch`] walks the odometer once per run of
+/// same-instance requests, scoring every distinct θ of the run on each
+/// combination it visits; each θ gets the assignment its own
+/// [`Solver::solve`] returns, bit for bit.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Exhaustive;
 
@@ -399,8 +424,11 @@ impl<M: ErrorModel> Solver<M> for Exhaustive {
     }
 
     fn solve_batch(&self, requests: &[SolveRequest<'_, M>]) -> Vec<Result<Assignment, OptError>> {
-        batch_with_tables(requests, |prepared, theta| {
-            exhaustive::solve_pruned(&prepared.tables, &prepared.sorted, theta)
+        batch_with_tables(requests, |prepared, thetas| match exhaustive::solve_pruned(
+            prepared, thetas,
+        ) {
+            Ok(assignments) => assignments.into_iter().map(Ok).collect(),
+            Err(e) => vec![Err(e); thetas.len()],
         })
     }
 }

@@ -219,3 +219,29 @@ fn report_json_embeds_a_recoverable_spec() {
     assert_eq!(header[0], "scheme");
     assert!(rows.iter().all(|r| r.len() == header.len()));
 }
+
+/// A log grid wide enough to overflow reaches θ = +∞: `decades: 400`
+/// parses and passes the static checks. The run must refuse it with the
+/// θ-domain message whichever exact solver sweeps it, not answer with
+/// an arbitrary assignment or a spurious "no feasible assignment".
+#[test]
+fn overflowing_log_grid_fails_cleanly_with_the_theta_message() {
+    let data = quick_data(Benchmark::Radix, StageKind::SimpleAlu);
+    for scheme in ["synts_exhaustive", "synts_poly"] {
+        let src = format!(
+            r#"{{"name": "wide", "benchmark": "radix", "stage": "simple-alu",
+                "schemes": ["{scheme}"], "intervals": {{"index": 1}}, "quality": "quick",
+                "thetas": {{"log_around_equal_weight": {{"points": 9, "decades": 400}}}}}}"#
+        );
+        let spec = ScenarioSpec::from_json_str(&src).expect("parses");
+        assert_eq!(spec.thetas.resolve(1.0).last(), Some(&f64::INFINITY));
+        let err = Experiment::new(spec)
+            .run_on(&data)
+            .expect_err("θ = +∞ is outside Eq 4.4's domain");
+        assert!(matches!(err, OptError::BadConfig(_)), "{scheme}: {err}");
+        assert!(
+            err.to_string().contains("theta must be finite"),
+            "{scheme}: {err}"
+        );
+    }
+}

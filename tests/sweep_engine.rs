@@ -97,6 +97,16 @@ proptest! {
                 "synts_milp",
                 reference::milp_sweep_naive(&inst.cfg, &inst.profiles, &thetas).expect("milp"),
             ),
+            (
+                "synts_exhaustive",
+                thetas
+                    .iter()
+                    .map(|&theta| {
+                        reference::synts_exhaustive_naive(&inst.cfg, &inst.profiles, theta)
+                    })
+                    .collect::<Result<Vec<_>, _>>()
+                    .expect("exhaustive"),
+            ),
         ] {
             let solver = registry.get(name).expect("registered");
             let batch = solver.solve_batch(&requests);
@@ -178,10 +188,141 @@ fn pruned_to_one_point_thread_still_solves() {
     }
 }
 
+/// Exact ties go to the first combination in odometer order, at every θ
+/// of a batch's one shared walk. Three identical threads on one voltage
+/// with TSR levels {0.5, 1.0} have two operating points each, with
+/// dyadic times and energies: A (r = 0.5) takes 0.75 time units for 1.5
+/// energy units and B (r = 1) takes 1 for 1, so every permutation of a
+/// mixed combination ties, and all-A and all-B tie exactly at θ = 6. There
+/// all-A, the first combination visited, must win; below it all-B wins
+/// and above it all-A.
+#[test]
+fn exhaustive_ties_go_to_the_first_combination_in_odometer_order() {
+    let mut cfg = SystemConfig::paper_default(1.0);
+    cfg.voltages = VoltageTable::from_volts([1.0]).expect("ok");
+    cfg.tsr_levels = vec![0.5, 1.0];
+    cfg.c_penalty = 2.0;
+    // One delay in four exceeds r = 0.5 and none exceeds r = 1.
+    let curve = ErrorCurve::from_normalized_delays(vec![0.1, 0.2, 0.3, 0.8]).expect("non-empty");
+    let profiles = vec![ThreadProfile::new(1.0, 1.0, curve); 3];
+    let uniform = |tsr_idx| {
+        Assignment::uniform(
+            3,
+            OperatingPoint {
+                voltage_idx: 0,
+                tsr_idx,
+            },
+        )
+    };
+    let (all_a, all_b) = (uniform(0), uniform(1));
+    assert_eq!(
+        weighted_cost(&cfg, &profiles, &all_a, 6.0).to_bits(),
+        weighted_cost(&cfg, &profiles, &all_b, 6.0).to_bits(),
+        "the instance must tie exactly at θ = 6"
+    );
+
+    let thetas = [5.0, 6.0, 7.0, 6.0, 0.0];
+    let expected = [&all_b, &all_a, &all_a, &all_a, &all_b];
+    let solver = SolverRegistry::with_defaults()
+        .get("synts_exhaustive")
+        .expect("registered");
+    let requests: Vec<SolveRequest<'_, ErrorCurve>> = thetas
+        .iter()
+        .map(|&theta| SolveRequest::new(&cfg, &profiles, theta))
+        .collect();
+    let batch = solver.solve_batch(&requests);
+    for ((&theta, want), got) in thetas.iter().zip(expected).zip(&batch) {
+        let solved = solver.solve(&cfg, &profiles, theta).expect("solves");
+        assert_eq!(&solved, want, "solve at θ = {theta}");
+        assert_eq!(
+            got.as_ref().expect("solves"),
+            want,
+            "solve_batch at θ = {theta}"
+        );
+        let naive = reference::synts_exhaustive_naive(&cfg, &profiles, theta).expect("naive");
+        assert_eq!(&naive, want, "unpruned oracle at θ = {theta}");
+    }
+}
+
+/// The batch path groups same-instance runs and walks each once, so its
+/// scattering of results back to requests must be invisible: a batch
+/// mixing instance A (with duplicate θs and a NaN in the middle), then
+/// instance B, then A again, then an instance too large to enumerate
+/// equals the element-wise `solve` loop result for result and error for
+/// error, with `TooLarge` for every request of the oversized instance.
+#[test]
+fn exhaustive_batch_scatters_results_and_errors_like_the_elementwise_loop() {
+    let mut cfg = SystemConfig::paper_default(10.0);
+    cfg.voltages = VoltageTable::from_volts([1.0, 0.86, 0.72]).expect("ok");
+    cfg.tsr_levels = vec![0.7, 0.85, 1.0];
+    let curve = |lo: f64| {
+        ErrorCurve::from_normalized_delays((0..32).map(|i| lo + 0.012 * f64::from(i)).collect())
+            .expect("non-empty")
+    };
+    let a = vec![
+        ThreadProfile::new(5_000.0, 1.0, curve(0.45)),
+        ThreadProfile::new(6_000.0, 1.2, curve(0.5)),
+    ];
+    let b = vec![
+        ThreadProfile::new(8_000.0, 1.1, curve(0.4)),
+        ThreadProfile::new(4_000.0, 1.0, curve(0.55)),
+        ThreadProfile::new(7_000.0, 1.3, curve(0.6)),
+    ];
+    // Pruned to the 7-point voltage frontier per thread, 7^12 ≈ 1.4e10
+    // combinations dwarf the cap.
+    let big_cfg = SystemConfig::paper_default(10.0);
+    let big = vec![
+        ThreadProfile::new(
+            10.0,
+            1.0,
+            ErrorCurve::from_normalized_delays(vec![0.5; 4]).expect("non-empty")
+        );
+        12
+    ];
+    let stats = pruning_stats(&big_cfg, &big).expect("stats");
+    assert!(stats.pruned_combinations > synts::core_api::EXHAUSTIVE_LIMIT);
+
+    let mut requests = Vec::new();
+    for theta in [1.0, 0.5, 1.0, f64::NAN, 2.0, 0.5] {
+        requests.push(SolveRequest::new(&cfg, &a, theta));
+    }
+    for theta in [0.5, 3.0, 0.5] {
+        requests.push(SolveRequest::new(&cfg, &b, theta));
+    }
+    for theta in [2.0, 0.0, 1.0] {
+        requests.push(SolveRequest::new(&cfg, &a, theta));
+    }
+    for theta in [1.0, 2.0, 1.0] {
+        requests.push(SolveRequest::new(&big_cfg, &big, theta));
+    }
+    let solver = SolverRegistry::with_defaults()
+        .get("synts_exhaustive")
+        .expect("registered");
+    let elementwise: Vec<Result<Assignment, OptError>> = requests
+        .iter()
+        .map(|r| solver.solve(r.cfg, r.profiles, r.theta))
+        .collect();
+    assert_eq!(solver.solve_batch(&requests), elementwise);
+    assert!(matches!(elementwise[3], Err(OptError::BadConfig(_))));
+    assert_eq!(
+        elementwise.iter().filter(|r| r.is_err()).count(),
+        4,
+        "only the NaN and the oversized instance fail"
+    );
+    for result in &elementwise[12..] {
+        assert!(
+            matches!(result, Err(OptError::TooLarge { .. })),
+            "{result:?}"
+        );
+    }
+}
+
 /// θ < 0 rewards a *larger* barrier time, where dominance pruning no
 /// longer preserves the optimum — the engine solvers refuse loudly
 /// (solve and batch alike) instead of silently answering wrong, while
-/// the naive references keep the old exact-at-any-θ behavior.
+/// the naive references keep the old exact-at-any-θ behavior. NaN and
+/// +∞ are refused too: at θ = +∞ every cost is infinite, so no solver
+/// can rank two assignments.
 #[test]
 fn negative_theta_is_rejected_not_silently_suboptimal() {
     let mut cfg = SystemConfig::paper_default(10.0);
@@ -195,8 +336,13 @@ fn negative_theta_is_rejected_not_silently_suboptimal() {
         ThreadProfile::new(6_000.0, 1.2, curve),
     ];
     let registry = SolverRegistry::with_defaults();
-    for theta in [-5.0, -1e-9, f64::NAN] {
-        for name in ["synts_poly", "synts_milp", "synts_exhaustive"] {
+    for theta in [-5.0, -1e-9, f64::NAN, f64::INFINITY] {
+        for name in [
+            "synts_poly",
+            "synts_milp",
+            "synts_exhaustive",
+            "per_core_ts",
+        ] {
             let solver = registry.get(name).expect("registered");
             let err = solver
                 .solve(&cfg, &profiles, theta)
