@@ -290,17 +290,9 @@ fn check(args: &CheckArgs) -> ExitCode {
             println!("[check] θ grid: {} explicit point(s)", values.len());
             values.len()
         }
+        // The parser already bounds both fields (points >= 1, decades in
+        // 0..=100), so every grid point is finite and > 0.
         ThetaSpec::LogAroundEqualWeight { points, decades } => {
-            if *points == 0 {
-                errors += 1;
-                fail("thetas: log sweep needs at least 1 point".to_string());
-            }
-            if !decades.is_finite() || *decades <= 0.0 {
-                errors += 1;
-                fail(format!(
-                    "thetas: log sweep half-width must be finite and > 0, got {decades}"
-                ));
-            }
             println!(
                 "[check] θ grid: {points} log-spaced point(s), ±{decades} decades \
                  around the equal-weight θ"

@@ -65,8 +65,11 @@ pub mod site {
     pub const NET_TORN: &str = "net.torn";
     /// Server: the response body is cut mid-stream and the socket dropped.
     pub const NET_DISCONNECT: &str = "net.disconnect";
-    /// Executor: a due heartbeat is silently dropped instead of sent, so
-    /// the coordinator-side lease runs down and the shard is reassigned.
+    /// A due lease renewal is silently dropped, so the lease runs down
+    /// and the shard is reassigned: a remote executor's heartbeat (token
+    /// `<lease>#h<beat>@<executor>`), or a tick's renewal of an
+    /// in-process executor's lease (token `<shard-spec-name>#a<attempt>`,
+    /// the same as the `exec.*` sites).
     pub const FLEET_HEARTBEAT: &str = "fleet.heartbeat";
     /// Coordinator: a granted dispatch is lost in flight — the lease is
     /// charged an attempt and the shard goes back on the queue.

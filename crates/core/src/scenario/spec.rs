@@ -67,10 +67,15 @@ pub enum ThetaSpec {
     LogAroundEqualWeight {
         /// Number of grid points.
         points: usize,
-        /// Half-width of the sweep in decades.
+        /// Half-width of the sweep in decades (at most 100 in a spec
+        /// parsed from JSON, see [`ScenarioSpec::from_json`]).
         decades: f64,
     },
 }
+
+/// The widest log θ sweep a JSON spec may ask for, in decades on each
+/// side of the equal-weight θ (see [`ScenarioSpec::from_json`]).
+const MAX_THETA_DECADES: f64 = 100.0;
 
 impl ThetaSpec {
     /// Resolves the spec into concrete θ values given the scenario's
@@ -305,6 +310,15 @@ impl ScenarioSpec {
     /// including the array index for list entries (e.g.
     /// `thetas.grid[3]: expected a finite number >= 0`) — actionable
     /// from a remote client that only sees the message string.
+    ///
+    /// A log sweep's `decades` must lie in `0..=100`, so every grid
+    /// point `center·10^±decades` stays finite and > 0. The center is
+    /// the equal-weight θ, nominal energy over nominal time: 0.016–0.106
+    /// for the six paper figures. Any center within `10^±200` keeps the
+    /// grid within `10^±300`, inside f64's normal range (about
+    /// `2.2e-308 ..= 1.8e308`). A wider sweep would reach +∞ and fail
+    /// only after characterization, so it is refused here, where
+    /// `synts-cli check` and `POST /v1/jobs` both see it.
     pub fn from_json(json: &Json) -> Result<ScenarioSpec, OptError> {
         let bad = |path: &str, expected: &str| {
             OptError::Spec(format!("scenario spec: {path}: {expected}"))
@@ -392,11 +406,11 @@ impl ScenarioSpec {
                     let decades = log
                         .get("decades")
                         .and_then(Json::as_f64)
-                        .filter(|d| d.is_finite() && *d >= 0.0)
+                        .filter(|d| (0.0..=MAX_THETA_DECADES).contains(d))
                         .ok_or_else(|| {
                             bad(
                                 "thetas.log_around_equal_weight.decades",
-                                "expected a finite number >= 0",
+                                &format!("expected a number in 0..={MAX_THETA_DECADES}"),
                             )
                         })?;
                     ThetaSpec::LogAroundEqualWeight { points, decades }
@@ -584,6 +598,36 @@ mod tests {
                 .contains("thetas.log_around_equal_weight.points"),
             "{err}"
         );
+
+        for decades in ["400", "100.5", "-1"] {
+            let err = ScenarioSpec::from_json_str(&format!(
+                r#"{{"name": "x", "benchmark": "radix", "stage": "decode",
+                    "thetas": {{"log_around_equal_weight": {{"points": 9, "decades": {decades}}}}}}}"#
+            ))
+            .expect_err("decades out of range");
+            assert!(
+                err.to_string().contains(
+                    "thetas.log_around_equal_weight.decades: expected a number in 0..=100"
+                ),
+                "{decades}: {err}"
+            );
+        }
+        for decades in ["0", "100"] {
+            let spec = ScenarioSpec::from_json_str(&format!(
+                r#"{{"name": "x", "benchmark": "radix", "stage": "decode",
+                    "thetas": {{"log_around_equal_weight": {{"points": 9, "decades": {decades}}}}}}}"#
+            ))
+            .expect("decades in range");
+            for center in [0.016, 0.106] {
+                assert!(
+                    spec.thetas
+                        .resolve(center)
+                        .iter()
+                        .all(|t| t.is_finite() && *t > 0.0),
+                    "{decades}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use synts_core::{CharCache, FaultPlan, SolverRegistry};
+use synts_core::{CharCache, FaultPlan};
 use synts_serve::{
     run_executor, ExecutorConfig, Journal, Server, Service, ServiceConfig, Shutdown,
 };
@@ -236,7 +236,6 @@ fn main() -> ExitCode {
         max_shards: args.max_shards,
         max_attempts: args.max_attempts,
         cache: args.cache,
-        registry: SolverRegistry::with_defaults(),
         journal,
         faults,
         local_shards: args.local_shards,

@@ -1,43 +1,56 @@
-//! Fault-tolerant fleet layer: lease-based remote executors with shard
-//! reassignment, plus the coordinator side of the shared
+//! The one shard scheduler: leases, the executors that hold them
+//! (in-process and remote), and the coordinator side of the shared
 //! characterization tier.
 //!
 //! # Topology
 //!
 //! One **coordinator** (an ordinary [`Service`] behind [`crate::http`])
 //! owns the job store, the journal and the authoritative cache
-//! directory. Any number of **executors** (`synts-serve --executor
-//! --coordinator <addr>`) register over HTTP and pull `Shard` work:
+//! directory. Its worker threads are **in-process executors**; any
+//! number of **remote executors** (`synts-serve --executor
+//! --coordinator <addr>`) register over HTTP. Every executor runs the
+//! same loop through the same scheduler: lease a task, run it, complete
+//! it.
 //!
 //! ```text
 //!   client ──POST /v1/jobs──▶ coordinator ◀──register/poll/complete── executor A
-//!                             │  plan tasks run locally               executor B
-//!                             │  shard tasks dispatch under leases    ...
+//!                             │  in-process executors: plans + shards  executor B
+//!                             │  one queue, one lease table            ...
 //!                             └─ GET/PUT /v1/cache/<key>  (shared characterization tier)
 //! ```
 //!
+//! Plan tasks run only in process and take no lease number. In-process
+//! executors take no `exec-<n>` id and never count as live fleet
+//! executors; their fault tokens are `<shard>#a<attempt>`, with no
+//! executor identity, so fault ledgers do not depend on the worker
+//! count.
+//!
 //! # Leases, in logical time
 //!
-//! Every dispatched shard carries a **lease** measured in logical ticks,
+//! Every leased shard carries a **lease** measured in logical ticks,
 //! not wall-clock: [`Service::fleet_tick`] advances the clock, and a
 //! lease (or executor registration) not renewed within
 //! [`ServiceConfig::lease_ticks`](crate::ServiceConfig::lease_ticks)
-//! ticks expires. Polls, heartbeats and completions renew. The
-//! `synts-serve` binary drives ticks from a wall-clock reaper thread
-//! (`--tick-ms`); tests drive them directly, which is what makes lease
-//! expiry and shard reassignment fully deterministic — no decision in
-//! this module ever reads a clock.
+//! ticks expires. A remote executor renews by polling, heartbeating and
+//! completing. An in-process executor is alive as long as the process,
+//! so every tick renews its leases, each renewal passing the
+//! `fleet.heartbeat` fault site. The `synts-serve` binary drives ticks
+//! from a wall-clock reaper thread (`--tick-ms`); tests drive them
+//! directly, which is what makes lease expiry and shard reassignment
+//! fully deterministic — no decision in this module ever reads a clock.
 //!
-//! An expired lease charges the shard one attempt and requeues it, so a
-//! killed executor's work is reassigned with the same bounded-attempt
-//! discipline as a local crash, journaled through the same records:
+//! Every lost attempt is charged by one rule (`charge_lost_attempt`):
+//! a failed run, an expired lease, a dispatch lost in flight. Below the
+//! attempt bound the shard is requeued; a completion under an expired
+//! lease is rejected, so a zombie never lands a result. Shard results
+//! are journaled through the same records whichever executor ran them:
 //! coordinator restart recovers fleet jobs byte-identically.
 //!
 //! # Degraded modes
 //!
-//! * Fleet mode (`local_shards == false`) with zero live executors:
-//!   local workers take shards anyway (warned in `/v1/stats` and
-//!   `/v1/healthz` as `degraded`).
+//! * Fleet mode (`local_shards == false`) with zero live remote
+//!   executors: in-process executors lease shards anyway (warned in
+//!   `/v1/stats` and `/v1/healthz` as `degraded`).
 //! * A partially-dead fleet converges: live executors absorb the
 //!   reassigned shards of dead ones.
 //! * A dead coordinator ends the fleet (executors exit after bounded
@@ -45,14 +58,15 @@
 //!
 //! # Fault sites
 //!
-//! `fleet.dispatch` (coordinator: a granted dispatch is lost in
-//! flight), `fleet.heartbeat` (executor: a due heartbeat is dropped)
-//! and `cache.remote` (the shared tier is unreachable) plug the layer
-//! into the same deterministic chaos harness as everything else.
+//! `fleet.dispatch` (coordinator: a dispatch to a remote executor is
+//! lost in flight), `fleet.heartbeat` (a due renewal is dropped: a
+//! remote executor's heartbeat, or a tick's renewal of an in-process
+//! lease) and `cache.remote` (the shared tier is unreachable) plug the
+//! layer into the same deterministic chaos harness as everything else.
 
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 use std::time::Duration;
 
 use synts_core::cache::{write_via_temp, RemoteCacheTier, RemoteFetch};
@@ -62,8 +76,12 @@ use synts_core::{CharCache, OptError};
 
 use crate::client::{Client, RetryPolicy};
 use crate::queue::{
-    claim, panic_error, JobState, Service, ShardState, Shutdown, Store, Task, TerminalRecord,
+    panic_error, JobState, Service, ShardState, Shutdown, Store, SvcState, Task, TerminalRecord,
 };
+
+/// How an in-process executor is named where a remote executor's id
+/// would go: log lines and lease-loss messages.
+const IN_PROCESS: &str = "in-process";
 
 /// Coordinator-side fleet state, embedded in the service's one store
 /// mutex so lease transitions and queue transitions never interleave
@@ -95,7 +113,9 @@ struct ExecutorInfo {
 
 #[derive(Debug)]
 struct Lease {
-    executor: String,
+    /// The remote executor holding the lease; `None` for an in-process
+    /// one.
+    executor: Option<String>,
     job: u64,
     idx: usize,
     expires: u64,
@@ -123,7 +143,7 @@ impl FleetStore {
         }
     }
 
-    /// Executors whose registration has not lapsed.
+    /// Remote executors whose registration has not lapsed.
     pub(crate) fn live_executors(&self) -> usize {
         self.executors
             .values()
@@ -142,23 +162,36 @@ impl FleetStore {
             degraded: !local_shards && executors == 0,
         }
     }
+
+    /// Renews a remote executor's registration; `false` when it is
+    /// unknown (never registered, or evicted by a tick once it lapsed).
+    fn renew(&mut self, executor: &str) -> bool {
+        let expires = self.now + self.lease_ticks;
+        self.executors
+            .get_mut(executor)
+            .map(|info| info.expires = expires)
+            .is_some()
+    }
 }
 
-/// Fleet counters surfaced in `/v1/stats`.
+/// Fleet counters surfaced in `/v1/stats`. Lease counters cover
+/// in-process and remote executors alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FleetSnapshot {
-    /// Executors with a live registration.
+    /// Remote executors with a live registration.
     pub executors: usize,
-    /// Leases currently outstanding.
+    /// Shard leases currently outstanding.
     pub leases: usize,
-    /// Shards dispatched to executors since start.
+    /// Shards leased to executors since start.
     pub dispatched: u64,
-    /// Shards completed by executors since start.
+    /// Lease completions accepted since start.
     pub completed: u64,
-    /// Leases expired (shard reassigned or failed) since start.
+    /// Leases expired or lost in dispatch (shard reassigned or failed)
+    /// since start.
     pub expired: u64,
     /// True when the service wants fleet execution but has no live
-    /// executor, so shards run locally (graceful degradation).
+    /// remote executor, so in-process executors lease the shards
+    /// (graceful degradation).
     pub degraded: bool,
 }
 
@@ -276,13 +309,14 @@ pub struct Health {
     pub ok: bool,
     /// Tasks waiting in the queue.
     pub queue_depth: usize,
-    /// Tasks claimed by local workers.
+    /// Tasks running on in-process executors.
     pub in_flight: usize,
-    /// Live fleet executors.
+    /// Live remote executors.
     pub executors: usize,
-    /// Outstanding fleet leases.
+    /// Outstanding shard leases, in-process and remote.
     pub leases: usize,
-    /// Fleet mode with zero live executors (shards running locally).
+    /// Fleet mode with zero live remote executors (shards running in
+    /// process).
     pub degraded: bool,
     /// Journal writability.
     pub journal: JournalHealth,
@@ -325,10 +359,11 @@ pub enum CacheFetchOutcome {
 /// filesystem.
 pub use synts_core::cache::valid_entry_name;
 
-/// Charges one attempt to a leased (Running) shard whose executor lost
-/// it — lease expiry, a dispatch lost in flight, or a failure report.
-/// Requeues below the attempt bound; fails the job at it. Returns a
-/// staged terminal record for the caller to write outside the lock.
+/// The one retry rule. Charges one attempt to a leased (Running) shard
+/// whose attempt was lost — a failed run, an expired lease or a dispatch
+/// lost in flight. Requeues below the attempt bound; fails the job at
+/// it. Returns a staged terminal record for the caller to write outside
+/// the lock.
 fn charge_lost_attempt(
     store: &mut Store,
     job_seq: u64,
@@ -336,14 +371,11 @@ fn charge_lost_attempt(
     err: &str,
     max_attempts: u32,
 ) -> Option<TerminalRecord> {
-    let job = store.jobs.get_mut(&job_seq)?;
-    if job.state != JobState::Running {
-        return None;
-    }
-    let slot = job.slots.get_mut(idx)?;
-    if !matches!(slot.state, ShardState::Running) {
-        return None;
-    }
+    let job = store.job_in(job_seq, JobState::Running)?;
+    let slot = job
+        .slots
+        .get_mut(idx)
+        .filter(|slot| matches!(slot.state, ShardState::Running))?;
     slot.attempts += 1;
     if slot.attempts < max_attempts {
         slot.state = ShardState::Queued;
@@ -352,15 +384,297 @@ fn charge_lost_attempt(
         store.queue.push_back(Task::Shard { job: job_seq, idx });
         None
     } else {
+        slot.state = ShardState::Failed;
         let msg = format!(
             "shard {idx} failed after {} attempt(s): {err}",
             slot.attempts
         );
-        slot.state = ShardState::Failed;
-        job.state = JobState::Failed;
-        job.error = Some(msg.clone());
-        store.failed += 1;
-        Some(TerminalRecord::Failed { job: job_seq, msg })
+        store.fail(job_seq, msg)
+    }
+}
+
+/// What a lease hands its executor.
+pub(crate) enum Leased {
+    /// A plan task: in-process only, under no lease number.
+    Plan {
+        job: u64,
+        spec: ScenarioSpec,
+        faults: Option<Arc<FaultPlan>>,
+    },
+    /// A shard under a fresh lease, with its job's fault plan.
+    Shard(Box<Dispatch>, Option<Arc<FaultPlan>>),
+}
+
+/// The one lease function. `executor` is the remote executor asking,
+/// `None` for an in-process one. Leases the first queued task that
+/// executor may run: a remote executor takes only shards; an in-process
+/// one takes plans, and shards when `local_shards` is set or no remote
+/// executor is live. Tasks of cancelled or failed jobs dissolve on the
+/// way. A `fleet.dispatch` fault loses a remote dispatch in flight: the
+/// attempt is charged (staging any terminal record) and the scan goes
+/// on.
+fn lease(
+    store: &mut Store,
+    executor: Option<&str>,
+    local_shards: bool,
+    max_attempts: u32,
+    staged: &mut Vec<TerminalRecord>,
+) -> Option<Leased> {
+    let take_shards = executor.is_some() || local_shards || store.fleet.live_executors() == 0;
+    let mut i = 0;
+    while let Some(&task) = store.queue.get(i) {
+        let runnable = match task {
+            Task::Plan { .. } => executor.is_none(),
+            Task::Shard { .. } => take_shards,
+        };
+        if !runnable {
+            i += 1;
+            continue;
+        }
+        // Taken off the queue: a task that dissolves below is dropped,
+        // and the next candidate is already at `i`.
+        store.queue.remove(i);
+        match task {
+            Task::Plan { job } => {
+                let Some(j) = store.job_in(job, JobState::Queued) else {
+                    continue;
+                };
+                j.state = JobState::Planning;
+                let (spec, faults) = (j.spec.clone(), j.faults.clone());
+                store.in_flight += 1;
+                return Some(Leased::Plan { job, spec, faults });
+            }
+            Task::Shard { job, idx } => {
+                let Some(j) = store.job_in(job, JobState::Running) else {
+                    continue;
+                };
+                let faults = j.faults.clone();
+                let Some(slot) = j
+                    .slots
+                    .get_mut(idx)
+                    .filter(|s| matches!(s.state, ShardState::Queued))
+                else {
+                    continue;
+                };
+                slot.state = ShardState::Running;
+                let (spec, attempt) = (slot.shard.spec.clone(), slot.attempts);
+                if let (Some(executor), Some(plan)) = (executor, &faults) {
+                    let token = format!("{}#a{attempt}@{executor}", spec.name);
+                    if plan.should(site::FLEET_DISPATCH, &token) {
+                        store.fleet.expired += 1;
+                        staged.extend(charge_lost_attempt(
+                            store,
+                            job,
+                            idx,
+                            "dispatch lost in flight (injected)",
+                            max_attempts,
+                        ));
+                        continue;
+                    }
+                }
+                let fleet = &mut store.fleet;
+                let lease = format!("lease-{}", fleet.next_lease);
+                fleet.next_lease += 1;
+                fleet.dispatched += 1;
+                let expires = fleet.now + fleet.lease_ticks;
+                fleet.leases.insert(
+                    lease.clone(),
+                    Lease {
+                        executor: executor.map(str::to_string),
+                        job,
+                        idx,
+                        expires,
+                    },
+                );
+                if executor.is_none() {
+                    store.in_flight += 1;
+                    if !local_shards {
+                        eprintln!(
+                            "synts-serve: fleet degraded: no live executors, \
+                             running shard locally"
+                        );
+                    }
+                }
+                let dispatch = Dispatch {
+                    lease,
+                    job: format!("job-{job}"),
+                    shard: idx,
+                    attempt,
+                    spec,
+                };
+                return Some(Leased::Shard(Box::new(dispatch), faults));
+            }
+        }
+    }
+    None
+}
+
+/// The one shard runner, shared by in-process, simulated and remote
+/// executors: the `exec.*` fault hooks for `token`, then the shard's
+/// complete `Experiment::run`, with a panic contained as an error.
+fn execute_shard(
+    spec: ScenarioSpec,
+    cache: CharCache,
+    faults: Option<&FaultPlan>,
+    token: &str,
+) -> Result<Report, String> {
+    std::panic::catch_unwind(AssertUnwindSafe(|| {
+        if let Some(plan) = faults {
+            plan.maybe_kill(token);
+            plan.maybe_slow(token);
+            plan.maybe_panic(token);
+        }
+        Experiment::new(spec).with_cache(cache).run()
+    }))
+    .unwrap_or_else(|panic| Err(panic_error("shard execution", &panic)))
+    .map_err(|e| e.to_string())
+}
+
+/// An in-process executor: each worker thread [`Service::start`]
+/// spawns runs this loop until shutdown — lease a task, run it,
+/// complete it — blocking on the store's condvar between leases.
+/// Returns at [`Shutdown::Now`], or at [`Shutdown::Drain`] once the
+/// queue is dry.
+pub(crate) fn run_in_process(state: &SvcState) {
+    loop {
+        let leased = {
+            let mut store = state.locked();
+            loop {
+                if store.shutdown == Some(Shutdown::Now) {
+                    return;
+                }
+                // In-process leases pass no dispatch fault site, so they
+                // never stage a terminal record.
+                let leased = lease(
+                    &mut store,
+                    None,
+                    state.local_shards,
+                    state.max_attempts,
+                    &mut Vec::new(),
+                );
+                if let Some(leased) = leased {
+                    break leased;
+                }
+                if store.shutdown == Some(Shutdown::Drain) && store.queue.is_empty() {
+                    return;
+                }
+                store = state.cv.wait(store).unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        match leased {
+            Leased::Plan { job, spec, faults } => state.run_plan(job, &spec, faults.as_ref()),
+            Leased::Shard(dispatch, faults) => {
+                let Dispatch {
+                    lease,
+                    attempt,
+                    spec,
+                    ..
+                } = *dispatch;
+                let token = format!("{}#a{attempt}", spec.name);
+                let cache = state.task_cache(faults.as_ref());
+                let result = execute_shard(spec, cache, faults.as_deref(), &token);
+                let _ = state.complete(None, &lease, result);
+            }
+        }
+    }
+}
+
+impl SvcState {
+    /// The one completion path, for every executor (`executor` is `None`
+    /// for an in-process one). `Ok(report)` is journaled outside the
+    /// lock, then published, merging the job when it was the last
+    /// shard; `Err(msg)` charges the attempt at once. A lease that
+    /// expired or is held by someone else rejects the result.
+    pub(crate) fn complete(
+        &self,
+        executor: Option<&str>,
+        lease_id: &str,
+        result: Result<Report, String>,
+    ) -> CompleteOutcome {
+        // Phase 1: validate ownership and detach the lease under the
+        // lock. The slot stays `Running`, and with the lease gone
+        // neither a tick nor another lease can touch it, so the journal
+        // write below is race-free.
+        let (job_seq, idx, report) = {
+            let mut store = self.locked();
+            if executor.is_none() {
+                store.in_flight -= 1;
+            }
+            let Some(lease) = store.fleet.leases.remove(lease_id) else {
+                return CompleteOutcome::Rejected(format!(
+                    "lease {lease_id} unknown or expired; shard was reassigned"
+                ));
+            };
+            if lease.executor.as_deref() != executor {
+                store.fleet.leases.insert(lease_id.to_string(), lease);
+                return CompleteOutcome::Rejected(format!(
+                    "lease {lease_id} is not held by {}",
+                    executor.unwrap_or(IN_PROCESS)
+                ));
+            }
+            if let Some(executor) = executor {
+                store.fleet.renew(executor);
+            }
+            match result {
+                Ok(report) => {
+                    // Validate the slot is still this lease's to fill.
+                    let valid = store.jobs.get(&lease.job).is_some_and(|job| {
+                        job.state == JobState::Running
+                            && job.slots.get(lease.idx).is_some_and(|slot| {
+                                matches!(slot.state, ShardState::Running)
+                                    && slot.shard.spec == report.spec
+                            })
+                    });
+                    if !valid {
+                        return CompleteOutcome::Rejected(format!(
+                            "job-{} is no longer expecting shard {}",
+                            lease.job, lease.idx
+                        ));
+                    }
+                    (lease.job, lease.idx, report)
+                }
+                Err(msg) => {
+                    let staged = charge_lost_attempt(
+                        &mut store,
+                        lease.job,
+                        lease.idx,
+                        &msg,
+                        self.max_attempts,
+                    );
+                    store.fleet.completed += 1;
+                    drop(store);
+                    self.write_terminal(staged);
+                    self.cv.notify_all();
+                    return CompleteOutcome::Accepted;
+                }
+            }
+        };
+        // Phase 2: journal outside the lock (payload writes are the
+        // journal's slowest path), then publish the slot and maybe
+        // finish.
+        if let Some(journal) = &self.journal {
+            if let Err(e) = journal.record_shard_done(job_seq, idx, &report) {
+                eprintln!("synts-serve: journal: shard record for job-{job_seq}/{idx} failed: {e}");
+            }
+        }
+        let staged = {
+            let mut store = self.locked();
+            store.fleet.completed += 1;
+            let publishable = store
+                .job_in(job_seq, JobState::Running)
+                .and_then(|job| job.slots.get_mut(idx));
+            match publishable {
+                Some(slot) if matches!(slot.state, ShardState::Running) => {
+                    slot.state = ShardState::Done(Box::new(report));
+                    self.finish_if_complete(&mut store, job_seq)
+                }
+                // Cancelled/failed while we journaled: drop the result.
+                _ => None,
+            }
+        };
+        self.write_terminal(staged);
+        self.cv.notify_all();
+        CompleteOutcome::Accepted
     }
 }
 
@@ -389,11 +703,8 @@ impl Service {
         }
     }
 
-    /// An executor asks for work. Renews its registration; claims the
-    /// first claimable shard task in the queue and leases it. A
-    /// `fleet.dispatch` fault on the job's plan loses the grant in
-    /// flight: the shard is charged an attempt and requeued, and the
-    /// poll keeps scanning.
+    /// A remote executor asks for work: renews its registration and
+    /// leases it the first shard it may run (see the module docs).
     #[must_use]
     pub fn fleet_poll(&self, executor: &str) -> PollOutcome {
         let mut staged = Vec::new();
@@ -402,103 +713,41 @@ impl Service {
             if store.shutdown == Some(Shutdown::Now) {
                 return PollOutcome::Stop;
             }
-            let now = store.fleet.now;
-            let lease_ticks = store.fleet.lease_ticks;
-            match store.fleet.executors.get_mut(executor) {
-                Some(info) if info.expires > now => info.expires = now + lease_ticks,
-                _ => return PollOutcome::UnknownExecutor,
+            if !store.fleet.renew(executor) {
+                return PollOutcome::UnknownExecutor;
             }
-            let mut outcome = PollOutcome::Idle;
-            let mut idx = 0;
-            while idx < store.queue.len() {
-                let is_shard = store
-                    .queue
-                    .get(idx)
-                    .is_some_and(|t| matches!(t, Task::Shard { .. }));
-                if !is_shard {
-                    idx += 1;
-                    continue;
-                }
-                let Some(task) = store.queue.remove(idx) else {
-                    break;
-                };
-                let Some(crate::queue::Claimed::Shard {
-                    job,
-                    idx: shard_idx,
-                    spec,
-                    attempt,
-                    faults,
-                }) = claim(&mut store, &task)
-                else {
-                    // Dissolved (cancelled job / stale slot): the next
-                    // candidate is already at `idx`.
-                    continue;
-                };
-                // `claim` charged the local in-flight gauge; leased
-                // work is tracked by the lease table instead.
-                store.in_flight -= 1;
-                let token = format!("{}#a{attempt}@{executor}", spec.name);
-                if let Some(plan) = &faults {
-                    if plan.should(site::FLEET_DISPATCH, &token) {
-                        // The grant is lost in flight: charge the
-                        // attempt and keep scanning for other work.
-                        store.fleet.expired += 1;
-                        staged.extend(charge_lost_attempt(
-                            &mut store,
-                            job,
-                            shard_idx,
-                            "dispatch lost in flight (injected)",
-                            self.state.max_attempts,
-                        ));
-                        continue;
-                    }
-                }
-                let n = store.fleet.next_lease;
-                store.fleet.next_lease += 1;
-                let lease = format!("lease-{n}");
-                store.fleet.leases.insert(
-                    lease.clone(),
-                    Lease {
-                        executor: executor.to_string(),
-                        job,
-                        idx: shard_idx,
-                        expires: now + lease_ticks,
-                    },
-                );
-                store.fleet.dispatched += 1;
-                outcome = PollOutcome::Dispatch(Box::new(Dispatch {
-                    lease,
-                    job: format!("job-{job}"),
-                    shard: shard_idx,
-                    attempt,
-                    spec,
-                }));
-                break;
+            match lease(
+                &mut store,
+                Some(executor),
+                self.state.local_shards,
+                self.state.max_attempts,
+                &mut staged,
+            ) {
+                Some(Leased::Shard(dispatch, _)) => PollOutcome::Dispatch(dispatch),
+                _ => PollOutcome::Idle,
             }
-            outcome
         };
         for t in staged {
             self.state.write_terminal(Some(t));
         }
-        // Requeued shards (dispatch faults) may now be claimable by
-        // local workers in degraded mode.
+        // Requeued shards (dispatch faults) may now be leasable by
+        // in-process executors in degraded mode.
         self.state.cv.notify_all();
         outcome
     }
 
-    /// Renews an executor's registration and (optionally) one lease.
+    /// Renews a remote executor's registration and (optionally) one
+    /// lease.
     #[must_use]
     pub fn fleet_heartbeat(&self, executor: &str, lease: Option<&str>) -> HeartbeatOutcome {
         let mut store = self.state.locked();
-        let now = store.fleet.now;
-        let lease_ticks = store.fleet.lease_ticks;
-        match store.fleet.executors.get_mut(executor) {
-            Some(info) if info.expires > now => info.expires = now + lease_ticks,
-            _ => return HeartbeatOutcome::UnknownExecutor,
+        if !store.fleet.renew(executor) {
+            return HeartbeatOutcome::UnknownExecutor;
         }
+        let expires = store.fleet.now + store.fleet.lease_ticks;
         let lease_held = lease.map(|id| match store.fleet.leases.get_mut(id) {
-            Some(l) if l.executor == executor => {
-                l.expires = now + lease_ticks;
+            Some(l) if l.executor.as_deref() == Some(executor) => {
+                l.expires = expires;
                 true
             }
             _ => false,
@@ -506,10 +755,11 @@ impl Service {
         HeartbeatOutcome::Renewed { lease_held }
     }
 
-    /// An executor reports a leased shard's outcome: `Ok(report)` lands
-    /// the partial result (journaled, merged when the job completes);
-    /// `Err(msg)` charges the attempt immediately — same policy as a
-    /// lease expiry, without waiting for one.
+    /// A remote executor reports a leased shard's outcome through the
+    /// one completion path: `Ok(report)` lands the partial result
+    /// (journaled, merged when the job completes); `Err(msg)` charges
+    /// the attempt immediately — same rule as a lease expiry, without
+    /// waiting for one.
     #[must_use]
     pub fn fleet_complete(
         &self,
@@ -517,125 +767,59 @@ impl Service {
         lease_id: &str,
         result: Result<Report, String>,
     ) -> CompleteOutcome {
-        // Phase 1: validate ownership and detach the lease under the
-        // lock. The slot stays `Running`, and with the lease gone
-        // neither a tick nor another poll can touch it, so the journal
-        // write below is race-free.
-        let (job_seq, idx, report) = {
-            let mut store = self.state.locked();
-            let now = store.fleet.now;
-            let lease_ticks = store.fleet.lease_ticks;
-            let Some(lease) = store.fleet.leases.remove(lease_id) else {
-                return CompleteOutcome::Rejected(format!(
-                    "lease {lease_id} unknown or expired; shard was reassigned"
-                ));
-            };
-            if lease.executor != executor {
-                store.fleet.leases.insert(lease_id.to_string(), lease);
-                return CompleteOutcome::Rejected(format!(
-                    "lease {lease_id} is not held by {executor}"
-                ));
-            }
-            if let Some(info) = store.fleet.executors.get_mut(executor) {
-                info.expires = now + lease_ticks;
-            }
-            match result {
-                Ok(report) => {
-                    // Validate the slot is still this lease's to fill.
-                    let valid = store.jobs.get(&lease.job).is_some_and(|job| {
-                        job.state == JobState::Running
-                            && job.slots.get(lease.idx).is_some_and(|slot| {
-                                matches!(slot.state, ShardState::Running)
-                                    && slot.shard.spec == report.spec
-                            })
-                    });
-                    if !valid {
-                        return CompleteOutcome::Rejected(format!(
-                            "job-{} is no longer expecting shard {}",
-                            lease.job, lease.idx
-                        ));
-                    }
-                    (lease.job, lease.idx, report)
-                }
-                Err(msg) => {
-                    let staged = charge_lost_attempt(
-                        &mut store,
-                        lease.job,
-                        lease.idx,
-                        &msg,
-                        self.state.max_attempts,
-                    );
-                    store.fleet.completed += 1;
-                    drop(store);
-                    self.state.write_terminal(staged);
-                    self.state.cv.notify_all();
-                    return CompleteOutcome::Accepted;
-                }
-            }
-        };
-        // Phase 2: journal outside the lock (same discipline as local
-        // shard completion), then publish the slot and maybe finish.
-        if let Some(journal) = &self.state.journal {
-            if let Err(e) = journal.record_shard_done(job_seq, idx, &report) {
-                eprintln!("synts-serve: journal: shard record for job-{job_seq}/{idx} failed: {e}");
-            }
-        }
-        let staged = {
-            let mut store = self.state.locked();
-            store.fleet.completed += 1;
-            let publishable = store.jobs.get_mut(&job_seq).and_then(|job| {
-                if job.state != JobState::Running {
-                    return None;
-                }
-                job.slots.get_mut(idx)
-            });
-            match publishable {
-                Some(slot) if matches!(slot.state, ShardState::Running) => {
-                    slot.state = ShardState::Done(Box::new(report));
-                    self.state.finish_if_complete(&mut store, job_seq)
-                }
-                // Cancelled/failed while we journaled: drop the result.
-                _ => None,
-            }
-        };
-        self.state.write_terminal(staged);
-        self.state.cv.notify_all();
-        CompleteOutcome::Accepted
+        self.state.complete(Some(executor), lease_id, result)
     }
 
-    /// Advances the logical clock one tick: expired leases charge their
-    /// shard an attempt and requeue it (reassignment), lapsed executor
-    /// registrations and cache claims are evicted. Driven by the
-    /// binary's reaper thread, `POST /v1/fleet/tick`, or tests.
+    /// Advances the logical clock one tick. In-process leases are
+    /// renewed first, each renewal through the `fleet.heartbeat` fault
+    /// site (token `<shard>#a<attempt>`). Then expired leases charge
+    /// their shard an attempt and requeue it (reassignment), and lapsed
+    /// executor registrations and cache claims are evicted. Driven by
+    /// the binary's reaper thread, `POST /v1/fleet/tick`, or tests.
     #[must_use]
     pub fn fleet_tick(&self) -> TickOutcome {
         let mut staged = Vec::new();
         let outcome = {
-            let mut store = self.state.locked();
+            let mut guard = self.state.locked();
+            let store = &mut *guard;
             store.fleet.now += 1;
             let now = store.fleet.now;
-            let due: Vec<String> = store
-                .fleet
-                .leases
-                .iter()
-                .filter(|(_, l)| l.expires <= now)
-                .map(|(id, _)| id.clone())
-                .collect();
-            for id in &due {
-                let Some(lease) = store.fleet.leases.remove(id) else {
-                    continue;
-                };
+            let renewed = now + store.fleet.lease_ticks;
+            let (due, live): (BTreeMap<String, Lease>, _) = std::mem::take(&mut store.fleet.leases)
+                .into_iter()
+                .map(|(id, mut lease)| {
+                    // Remote leases renew by heartbeat, in-process ones
+                    // here: unless the heartbeat site drops the renewal.
+                    let renew = lease.executor.is_none()
+                        && !store.jobs.get(&lease.job).is_some_and(|job| {
+                            let (Some(plan), Some(slot)) = (&job.faults, job.slots.get(lease.idx))
+                            else {
+                                return false;
+                            };
+                            let token = format!("{}#a{}", slot.shard.spec.name, slot.attempts);
+                            plan.should(site::FLEET_HEARTBEAT, &token)
+                        });
+                    if renew {
+                        lease.expires = renewed;
+                    }
+                    (id, lease)
+                })
+                .partition(|(_, lease)| lease.expires <= now);
+            store.fleet.leases = live;
+            let expired = due.len();
+            for (id, lease) in due {
                 store.fleet.expired += 1;
+                let holder = lease.executor.as_deref().unwrap_or(IN_PROCESS);
                 eprintln!(
-                    "synts-serve: fleet: lease {id} (executor {}, job-{} shard {}) expired; \
+                    "synts-serve: fleet: lease {id} (executor {holder}, job-{} shard {}) expired; \
                      reassigning",
-                    lease.executor, lease.job, lease.idx
+                    lease.job, lease.idx
                 );
                 staged.extend(charge_lost_attempt(
-                    &mut store,
+                    store,
                     lease.job,
                     lease.idx,
-                    &format!("lease expired on executor {}", lease.executor),
+                    &format!("lease expired on executor {holder}"),
                     self.state.max_attempts,
                 ));
             }
@@ -650,16 +834,13 @@ impl Service {
                 live
             });
             store.fleet.claims.retain(|_, c| c.expires > now);
-            TickOutcome {
-                now,
-                expired: due.len(),
-            }
+            TickOutcome { now, expired }
         };
         for t in staged {
             self.state.write_terminal(Some(t));
         }
-        // Requeued shards need a worker (or a polling executor) to
-        // notice; local workers also re-check the degraded predicate.
+        // Requeued shards need an executor to notice; in-process ones
+        // also re-check the degraded rule.
         self.state.cv.notify_all();
         outcome
     }
@@ -829,7 +1010,7 @@ pub enum SimStep {
     FailedShard { shard: usize },
 }
 
-/// A deterministic in-process executor for tests: drives the real
+/// A deterministic simulated remote executor for tests: drives the real
 /// coordinator API ([`Service::fleet_poll`] / [`Service::fleet_complete`])
 /// synchronously, with `exec.kill` modelled as *silently halting* (the
 /// lease is abandoned, exactly like an aborted process) instead of
@@ -890,37 +1071,29 @@ impl SimExecutor {
             }
             PollOutcome::Stop | PollOutcome::Idle => SimStep::Idle,
             PollOutcome::Dispatch(d) => {
-                let token = format!("{}#a{}@{}", d.spec.name, d.attempt, self.name);
-                if let Some(plan) = &self.faults {
-                    // The in-process stand-in for `maybe_kill`: halt
-                    // forever with the lease still held.
-                    if plan.should(site::EXEC_KILL, &token) {
-                        self.dead = true;
-                        return SimStep::Killed { shard: d.shard };
-                    }
+                let Dispatch {
+                    lease,
+                    shard,
+                    attempt,
+                    spec,
+                    ..
+                } = *d;
+                let token = format!("{}#a{attempt}@{}", spec.name, self.name);
+                let faults = self.faults.as_deref();
+                // The in-process stand-in for `maybe_kill`: halt forever
+                // with the lease still held. The runner's own kill hook
+                // then draws the same (negative) decision.
+                if faults.is_some_and(|plan| plan.should(site::EXEC_KILL, &token)) {
+                    self.dead = true;
+                    return SimStep::Killed { shard };
                 }
-                let faults = self.faults.clone();
-                let spec = d.spec.clone();
-                let cache = self.cache.clone();
-                let result = std::panic::catch_unwind(AssertUnwindSafe(move || {
-                    if let Some(plan) = &faults {
-                        plan.maybe_slow(&token);
-                        plan.maybe_panic(&token);
-                    }
-                    Experiment::new(spec).with_cache(cache).run()
-                }))
-                .unwrap_or_else(|panic| Err(panic_error("shard execution", &panic)));
-                match result {
-                    Ok(report) => {
-                        let _ = self.service.fleet_complete(&self.id, &d.lease, Ok(report));
-                        SimStep::Completed { shard: d.shard }
-                    }
-                    Err(e) => {
-                        let _ = self
-                            .service
-                            .fleet_complete(&self.id, &d.lease, Err(e.to_string()));
-                        SimStep::FailedShard { shard: d.shard }
-                    }
+                let result = execute_shard(spec, self.cache.clone(), faults, &token);
+                let failed = result.is_err();
+                let _ = self.service.fleet_complete(&self.id, &lease, result);
+                if failed {
+                    SimStep::FailedShard { shard }
+                } else {
+                    SimStep::Completed { shard }
                 }
             }
         }
@@ -1104,21 +1277,9 @@ pub fn run_executor(cfg: &ExecutorConfig) -> Result<(), OptError> {
                 }
             })
         };
-        let run_faults = cfg.faults.clone();
-        let run_spec = spec;
-        let run_cache = cache.clone();
-        let run_token = token;
-        let result = std::panic::catch_unwind(AssertUnwindSafe(move || {
-            if let Some(plan) = &run_faults {
-                // The real kill: abort mid-shard, lease still held.
-                plan.maybe_kill(&run_token);
-                plan.maybe_slow(&run_token);
-                plan.maybe_panic(&run_token);
-            }
-            Experiment::new(run_spec).with_cache(run_cache).run()
-        }))
-        .unwrap_or_else(|panic| Err(panic_error("shard execution", &panic)))
-        .map_err(|e| e.to_string());
+        // An armed exec.kill is the real kill here: the process aborts
+        // mid-shard with the lease still held.
+        let result = execute_shard(spec, cache.clone(), cfg.faults.as_deref(), &token);
         hb_stop.store(true, std::sync::atomic::Ordering::Relaxed);
         let _ = hb.join();
         match complete(&client, &id, &lease, &result) {

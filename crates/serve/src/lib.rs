@@ -4,24 +4,28 @@
 //! the repo's [`Experiment`](synts_core::scenario::Experiment) engine
 //! runs one such sweep monolithically. This crate turns that engine
 //! into a **service**: specs go in over HTTP, a shard planner splits
-//! the θ grid ([`ShardPlan`](synts_core::scenario::ShardPlan)), an
-//! executor pool runs the shards against the shared characterization
-//! cache, and the partial reports are merged back into a report
+//! the θ grid ([`ShardPlan`](synts_core::scenario::ShardPlan)),
+//! executors run the shards against the shared characterization cache,
+//! and the partial reports are merged back into a report
 //! **byte-identical** (canonical JSON) to the monolithic run.
 //!
-//! Four layers, separable on purpose:
+//! Five layers, separable on purpose:
 //!
-//! * [`queue`] — the job model, FIFO task queue and executor pool
-//!   ([`Service`]): submission, per-shard bounded retries, cancellation,
-//!   and drain-on-shutdown. Usable fully in-process (the tests and the
-//!   `perfbench` benchmark do).
+//! * [`queue`] — the job model and FIFO task queue ([`Service`]):
+//!   submission, cancellation, merging and drain-on-shutdown. Usable
+//!   fully in-process (the tests and the `perfbench` benchmark do).
+//! * [`fleet`] — the one shard scheduler: every shard runs under a
+//!   lease, on an in-process executor (the service's worker threads) or
+//!   a remote one (`synts-serve --executor`), with one retry rule for
+//!   failed, expired and lost attempts.
 //! * [`journal`] — the durable job journal ([`Journal`]): append-only
 //!   canonical-JSON records with content-addressed shard payloads, so a
 //!   service killed mid-job replays the journal on restart and resumes
 //!   to a byte-identical report.
 //! * [`http`] — a hand-rolled `std::net` HTTP/1.1 front end
 //!   ([`Server`]): `POST /v1/jobs`, `GET /v1/jobs/<id>[/report]`,
-//!   `GET /v1/healthz`, `GET /v1/stats`, `POST /v1/shutdown`.
+//!   `GET /v1/healthz`, `GET /v1/stats`, `POST /v1/shutdown`, and the
+//!   `/v1/fleet/*` and `/v1/cache/*` routes remote executors use.
 //! * [`client`] — the matching std-only client ([`Client`]), behind
 //!   `synts-cli submit|status|fetch`.
 //!

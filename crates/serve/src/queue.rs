@@ -1,24 +1,29 @@
-//! The in-process sharded work queue and executor pool.
+//! The job model, the job store and the service front door.
 //!
 //! One submitted [`ScenarioSpec`] becomes one job. A job's lifecycle:
 //!
-//! 1. **queued** — accepted, waiting for a worker;
-//! 2. **planning** — a worker characterizes the benchmark/stage (through
-//!    the shared [`CharCache`], warming it for every shard) and splits
-//!    the resolved θ grid into a [`ShardPlan`];
-//! 3. **running** — shards execute independently on the executor pool,
-//!    each a complete [`Experiment::run`]; a failed shard is retried up
-//!    to a bounded attempt count before it fails the job;
+//! 1. **queued** — accepted, waiting for an in-process executor;
+//! 2. **planning** — an in-process executor characterizes the
+//!    benchmark/stage (through the shared [`CharCache`], warming it for
+//!    every shard) and splits the resolved θ grid into a [`ShardPlan`];
+//! 3. **running** — each shard is leased to an executor, in-process or
+//!    remote, and runs as one complete
+//!    [`Experiment::run`](synts_core::scenario::Experiment::run); a
+//!    failed or lost attempt is charged and retried up to a bounded
+//!    attempt count before it fails the job;
 //! 4. **done** — the partial reports are merged ([`Report::merge`])
 //!    into a report bit-identical to a monolithic run of the original
 //!    spec — or **failed** / **cancelled**.
 //!
 //! The queue is a plain FIFO over (plan | shard) tasks guarded by one
-//! mutex + condvar; workers are long-lived threads claiming tasks until
-//! shutdown. [`Service::shutdown`] offers the two fleet-standard exits:
-//! [`Shutdown::Drain`] (stop accepting, run everything queued, then
-//! join) and [`Shutdown::Now`] (finish only in-flight tasks, leave the
-//! rest queued, then join) — either way no work is torn down mid-shard.
+//! mutex + condvar. The [`ServiceConfig::workers`] threads are the
+//! in-process executors of [`crate::fleet`]: they lease, run and
+//! complete tasks through the same scheduler as remote executors, and
+//! block on the condvar between leases. [`Service::shutdown`] offers the
+//! two fleet-standard exits: [`Shutdown::Drain`] (stop accepting, run
+//! everything queued, then join) and [`Shutdown::Now`] (finish only
+//! in-flight tasks, leave the rest queued, then join) — either way no
+//! work is torn down mid-shard.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -26,17 +31,16 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use synts_core::faults::FaultPlan;
-use synts_core::scenario::{Experiment, Json, Report, ScenarioSpec, Shard, ShardPlan};
+use synts_core::scenario::{Json, Report, ScenarioSpec, Shard, ShardPlan};
 use synts_core::{CacheStats, CharCache, OptError, SolverRegistry};
-use timing::ErrorCurve;
 
 use crate::fleet::FleetStore;
 use crate::journal::{Journal, Terminal};
 
 /// Configuration of one [`Service`] instance.
 pub struct ServiceConfig {
-    /// Executor threads (each runs one plan/shard task at a time; the
-    /// task itself may fan further across `SYNTS_THREADS`).
+    /// In-process executor threads (each runs one plan/shard task at a
+    /// time; the task itself may fan further across `SYNTS_THREADS`).
     pub workers: usize,
     /// Maximum shards one job's θ grid is split into.
     pub max_shards: usize,
@@ -44,20 +48,19 @@ pub struct ServiceConfig {
     pub max_attempts: u32,
     /// The characterization cache every task shares.
     pub cache: CharCache,
-    /// The solver registry specs resolve their scheme keys against.
-    pub registry: SolverRegistry<ErrorCurve>,
     /// Durable job journal (pre-opened so an unusable directory fails
     /// startup loudly). `None` runs fully in-memory, as before.
     pub journal: Option<Journal>,
     /// Service-wide fault plan; per-spec `faults` fields override it.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Whether the in-process pool runs shard tasks. `false` reserves
+    /// Whether in-process executors lease shard tasks. `false` reserves
     /// shards for registered fleet executors — except when none are
-    /// live, when local workers take them anyway (graceful degradation,
-    /// flagged in stats/healthz). Plan tasks always run locally.
+    /// live, when in-process executors lease them anyway (graceful
+    /// degradation, flagged in stats/healthz). Plan tasks always run in
+    /// process.
     pub local_shards: bool,
-    /// Logical ticks a fleet lease (and executor registration) stays
-    /// valid without renewal; see [`Service::fleet_tick`].
+    /// Logical ticks a lease (and executor registration) stays valid
+    /// without renewal; see [`Service::fleet_tick`].
     pub lease_ticks: u64,
 }
 
@@ -68,7 +71,6 @@ impl Default for ServiceConfig {
             max_shards: 4,
             max_attempts: 2,
             cache: CharCache::from_env(),
-            registry: SolverRegistry::with_defaults(),
             journal: None,
             faults: None,
             local_shards: true,
@@ -125,7 +127,7 @@ pub struct ShardCounts {
     pub total: usize,
     /// Waiting in the queue.
     pub queued: usize,
-    /// Claimed by a worker.
+    /// Leased to an executor, in-process or remote.
     pub running: usize,
     /// Completed with a partial report.
     pub done: usize,
@@ -190,7 +192,7 @@ impl JobStatus {
 /// Service-wide counters (`GET /v1/stats`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Executor threads.
+    /// In-process executor threads.
     pub workers: usize,
     /// Jobs accepted since start.
     pub submitted: u64,
@@ -202,7 +204,7 @@ pub struct ServiceStats {
     pub cancelled: u64,
     /// Tasks waiting in the queue right now.
     pub queue_depth: usize,
-    /// Tasks claimed by workers right now.
+    /// Tasks running on in-process executors right now.
     pub in_flight: usize,
     /// Shard retry attempts consumed since start.
     pub shard_retries: u64,
@@ -293,7 +295,7 @@ pub(crate) struct ShardSlot {
 
 pub(crate) struct Job {
     id: String,
-    spec: ScenarioSpec,
+    pub(crate) spec: ScenarioSpec,
     pub(crate) state: JobState,
     plan: Option<ShardPlan>,
     pub(crate) slots: Vec<ShardSlot>,
@@ -311,6 +313,27 @@ pub(crate) struct Job {
 }
 
 impl Job {
+    fn queued(
+        seq: u64,
+        spec: ScenarioSpec,
+        key: Option<String>,
+        faults: Option<Arc<FaultPlan>>,
+    ) -> Job {
+        Job {
+            id: format!("job-{seq}"),
+            spec,
+            state: JobState::Queued,
+            plan: None,
+            slots: Vec::new(),
+            retries: 0,
+            error: None,
+            merged: None,
+            key,
+            faults,
+            recovered: BTreeMap::new(),
+        }
+    }
+
     fn status(&self) -> JobStatus {
         let mut shards = ShardCounts {
             total: self.slots.len(),
@@ -350,7 +373,7 @@ pub(crate) struct Store {
     pub(crate) in_flight: usize,
     submitted: u64,
     done: u64,
-    pub(crate) failed: u64,
+    failed: u64,
     cancelled: u64,
     pub(crate) shard_retries: u64,
     /// Fleet coordinator state (executors, leases, cache claims) — one
@@ -359,21 +382,20 @@ pub(crate) struct Store {
     pub(crate) fleet: FleetStore,
 }
 
-pub(crate) enum Claimed {
-    Plan {
-        job: u64,
-        spec: ScenarioSpec,
-        faults: Option<Arc<FaultPlan>>,
-    },
-    Shard {
-        job: u64,
-        idx: usize,
-        spec: ScenarioSpec,
-        /// Zero-based attempt number, baked into the fault-injection
-        /// identity token so plans can target first attempts only.
-        attempt: u32,
-        faults: Option<Arc<FaultPlan>>,
-    },
+impl Store {
+    /// Job `seq`, when it is in `state`.
+    pub(crate) fn job_in(&mut self, seq: u64, state: JobState) -> Option<&mut Job> {
+        self.jobs.get_mut(&seq).filter(|job| job.state == state)
+    }
+
+    /// Fails job `seq` with `msg` and stages its terminal record.
+    pub(crate) fn fail(&mut self, seq: u64, msg: String) -> Option<TerminalRecord> {
+        let job = self.jobs.get_mut(&seq)?;
+        job.state = JobState::Failed;
+        job.error = Some(msg.clone());
+        self.failed += 1;
+        Some(TerminalRecord::Failed { job: seq, msg })
+    }
 }
 
 /// A terminal journal record staged under the store lock and written
@@ -390,19 +412,21 @@ pub(crate) struct SvcState {
     max_shards: usize,
     pub(crate) max_attempts: u32,
     pub(crate) cache: CharCache,
-    registry: SolverRegistry<ErrorCurve>,
+    /// The default registry, the one every shard runs on (in process or
+    /// remote): submission and merging resolve scheme keys against it too.
+    registry: SolverRegistry,
     worker_total: usize,
     pub(crate) journal: Option<Journal>,
     faults: Option<Arc<FaultPlan>>,
-    /// Whether local workers may claim shard tasks while fleet
+    /// Whether in-process executors may lease shard tasks while fleet
     /// executors are live (see [`ServiceConfig::local_shards`]).
     pub(crate) local_shards: bool,
     store: Mutex<Store>,
     pub(crate) cv: Condvar,
 }
 
-/// The scenario service: a [`ServiceConfig`]-sized executor pool over an
-/// in-process job store. Protocol front ends ([`crate::http`]) and
+/// The scenario service: [`ServiceConfig::workers`] in-process executors
+/// over one job store. Protocol front ends ([`crate::http`]) and
 /// in-process callers (tests, `perfbench`) share this one API.
 pub struct Service {
     pub(crate) state: Arc<SvcState>,
@@ -410,7 +434,7 @@ pub struct Service {
 }
 
 impl Service {
-    /// Starts the executor pool and returns the running service.
+    /// Starts the in-process executors and returns the running service.
     ///
     /// With a journal configured, the journal is replayed first
     /// (recovery): terminal jobs are restored verbatim — a `done` job
@@ -452,7 +476,7 @@ impl Service {
             max_shards: cfg.max_shards.max(1),
             max_attempts: cfg.max_attempts.max(1),
             cache: cfg.cache,
-            registry: cfg.registry,
+            registry: SolverRegistry::with_defaults(),
             worker_total: cfg.workers.max(1),
             journal: cfg.journal,
             faults: cfg.faults,
@@ -463,7 +487,7 @@ impl Service {
         let workers = (0..cfg.workers.max(1))
             .map(|_| {
                 let state = Arc::clone(&state);
-                std::thread::spawn(move || worker_loop(&state))
+                std::thread::spawn(move || crate::fleet::run_in_process(&state))
             })
             .collect();
         Service {
@@ -473,8 +497,8 @@ impl Service {
     }
 
     /// Accepts a spec as a new job. Scheme keys are resolved against the
-    /// registry here so a typo fails at submission, not minutes later on
-    /// a worker.
+    /// default registry (the one every executor runs shards on) here, so
+    /// a typo fails at submission, not minutes later on an executor.
     ///
     /// # Errors
     ///
@@ -572,19 +596,7 @@ impl Service {
             )));
         }
         store.submitted += 1;
-        let job = Job {
-            id: format!("job-{seq}"),
-            spec,
-            state: JobState::Queued,
-            plan: None,
-            slots: Vec::new(),
-            retries: 0,
-            error: None,
-            merged: None,
-            key: key.map(str::to_string),
-            faults,
-            recovered: BTreeMap::new(),
-        };
+        let job = Job::queued(seq, spec, key.map(str::to_string), faults);
         let status = job.status();
         store.jobs.insert(seq, job);
         store.queue.push_back(Task::Plan { job: seq });
@@ -674,7 +686,7 @@ impl Service {
         }
     }
 
-    /// Stops the executor pool and joins every worker. Idempotent; safe
+    /// Stops the in-process executors and joins them. Idempotent; safe
     /// to call from any thread holding the service behind an [`Arc`].
     ///
     /// With [`Shutdown::Drain`] every queued task runs first; with
@@ -722,63 +734,21 @@ impl SvcState {
         self.store.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Blocks for the next runnable task; `None` means "exit the worker".
-    ///
-    /// In fleet mode (`local_shards == false`) local workers claim only
-    /// plan tasks and leave shards to registered executors — unless no
-    /// executor is live, in which case they take shards anyway so a
-    /// fully-dead fleet degrades to single-node execution instead of
-    /// stalling.
-    fn next_task(&self) -> Option<Claimed> {
-        let mut store = self.locked();
-        loop {
-            if store.shutdown == Some(Shutdown::Now) {
-                return None;
-            }
-            let take_shards = self.local_shards || store.fleet.live_executors() == 0;
-            let mut idx = 0;
-            while idx < store.queue.len() {
-                let leave_for_fleet = !take_shards
-                    && store
-                        .queue
-                        .get(idx)
-                        .is_some_and(|t| matches!(t, Task::Shard { .. }));
-                if leave_for_fleet {
-                    idx += 1;
-                    continue;
-                }
-                let Some(task) = store.queue.remove(idx) else {
-                    break;
-                };
-                if let Some(claimed) = claim(&mut store, &task) {
-                    if !self.local_shards && matches!(task, Task::Shard { .. }) {
-                        eprintln!(
-                            "synts-serve: fleet degraded: no live executors, \
-                             running shard locally"
-                        );
-                    }
-                    return Some(claimed);
-                }
-                // Dissolved task: the element at `idx` is already the
-                // next candidate, so don't advance.
-            }
-            if store.shutdown == Some(Shutdown::Drain) && store.queue.is_empty() {
-                return None;
-            }
-            store = self.cv.wait(store).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
     /// The shared cache, with the job's fault plan (if any) armed on a
     /// clone so cache-site injection follows the job, not the service.
-    fn task_cache(&self, faults: Option<&Arc<FaultPlan>>) -> CharCache {
+    pub(crate) fn task_cache(&self, faults: Option<&Arc<FaultPlan>>) -> CharCache {
         match faults {
             Some(plan) => self.cache.clone().with_faults(Some(Arc::clone(plan))),
             None => self.cache.clone(),
         }
     }
 
-    fn run_plan(&self, job_id: u64, spec: &ScenarioSpec, faults: Option<&Arc<FaultPlan>>) {
+    pub(crate) fn run_plan(
+        &self,
+        job_id: u64,
+        spec: &ScenarioSpec,
+        faults: Option<&Arc<FaultPlan>>,
+    ) {
         let cache = self.task_cache(faults);
         let planned = std::panic::catch_unwind(AssertUnwindSafe(|| {
             ShardPlan::plan_cached_with(spec, self.max_shards, &cache)
@@ -786,12 +756,9 @@ impl SvcState {
         .unwrap_or_else(|panic| Err(panic_error("shard planning", &panic)));
         let mut store = self.locked();
         store.in_flight -= 1;
-        let Some(job) = store.jobs.get_mut(&job_id) else {
-            return;
-        };
-        if job.state != JobState::Planning {
+        let Some(job) = store.job_in(job_id, JobState::Planning) else {
             return; // cancelled while planning
-        }
+        };
         let staged = match planned {
             Ok(plan) => {
                 job.slots = plan
@@ -832,92 +799,11 @@ impl SvcState {
                     None
                 }
             }
-            Err(e) => {
-                let msg = format!("planning failed: {e}");
-                job.state = JobState::Failed;
-                job.error = Some(msg.clone());
-                store.failed += 1;
-                Some(TerminalRecord::Failed { job: job_id, msg })
-            }
+            Err(e) => store.fail(job_id, format!("planning failed: {e}")),
         };
         drop(store);
         self.cv.notify_all();
         self.write_terminal(staged);
-    }
-
-    fn run_shard(
-        &self,
-        job_id: u64,
-        idx: usize,
-        spec: ScenarioSpec,
-        attempt: u32,
-        faults: Option<&Arc<FaultPlan>>,
-    ) {
-        // Identity token for fault decisions: the shard spec's name is
-        // already `<job-spec>@shard<idx>`, so `~@shard1#a0` targets one
-        // shard's first attempt and nothing else.
-        let token = format!("{}#a{attempt}", spec.name);
-        let cache = self.task_cache(faults);
-        let injected = faults.map(Arc::clone);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(move || {
-            if let Some(plan) = &injected {
-                plan.maybe_kill(&token);
-                plan.maybe_slow(&token);
-                plan.maybe_panic(&token);
-            }
-            Experiment::new(spec).with_cache(cache).run()
-        }))
-        .unwrap_or_else(|panic| Err(panic_error("shard execution", &panic)));
-        // Journal the completed shard before publishing it, outside the
-        // lock (payload writes are the journal's slowest path). An
-        // orphan record for a since-cancelled job is harmless.
-        if let (Some(journal), Ok(report)) = (&self.journal, &result) {
-            if let Err(e) = journal.record_shard_done(job_id, idx, report) {
-                eprintln!("synts-serve: journal: shard record for job-{job_id}/{idx} failed: {e}");
-            }
-        }
-        let mut store = self.locked();
-        store.in_flight -= 1;
-        let Some(job) = store.jobs.get_mut(&job_id) else {
-            return;
-        };
-        if job.state != JobState::Running {
-            return; // cancelled (or already failed) while executing
-        }
-        match result {
-            Ok(report) => {
-                let Some(slot) = job.slots.get_mut(idx) else {
-                    return; // stale task for a slot that no longer exists
-                };
-                slot.state = ShardState::Done(Box::new(report));
-                let staged = self.finish_if_complete(&mut store, job_id);
-                drop(store);
-                self.write_terminal(staged);
-            }
-            Err(e) => {
-                let Some(slot) = job.slots.get_mut(idx) else {
-                    return; // stale task for a slot that no longer exists
-                };
-                slot.attempts += 1;
-                let attempts = slot.attempts;
-                if attempts < self.max_attempts {
-                    slot.state = ShardState::Queued;
-                    job.retries += 1;
-                    store.shard_retries += 1;
-                    store.queue.push_back(Task::Shard { job: job_id, idx });
-                    drop(store);
-                    self.cv.notify_one();
-                } else {
-                    let msg = format!("shard {idx} failed after {attempts} attempt(s): {e}");
-                    slot.state = ShardState::Failed;
-                    job.state = JobState::Failed;
-                    job.error = Some(msg.clone());
-                    store.failed += 1;
-                    drop(store);
-                    self.write_terminal(Some(TerminalRecord::Failed { job: job_id, msg }));
-                }
-            }
-        }
     }
 
     /// When every slot of a running job is `Done`, merges under the lock
@@ -932,10 +818,9 @@ impl SvcState {
         store: &mut Store,
         job_id: u64,
     ) -> Option<TerminalRecord> {
-        let job = store.jobs.get_mut(&job_id)?;
-        if job.state != JobState::Running || job.slots.is_empty() {
-            return None;
-        }
+        let job = store
+            .job_in(job_id, JobState::Running)
+            .filter(|job| !job.slots.is_empty())?;
         // `collect` over Options doubles as the all-done check.
         let parts: Option<Vec<Report>> = job
             .slots
@@ -968,13 +853,7 @@ impl SvcState {
                     report: merged,
                 })
             }
-            Err(e) => {
-                let msg = format!("merge failed: {e}");
-                job.state = JobState::Failed;
-                job.error = Some(msg.clone());
-                store.failed += 1;
-                Some(TerminalRecord::Failed { job: job_id, msg })
-            }
+            Err(e) => store.fail(job_id, format!("merge failed: {e}")),
         }
     }
 
@@ -1031,19 +910,8 @@ fn recover(store: &mut Store, journal: &Journal, service_faults: Option<&Arc<Fau
             .and_then(|src| FaultPlan::parse(src).ok())
             .map(Arc::new)
             .or_else(|| service_faults.map(Arc::clone));
-        let mut job = Job {
-            id: format!("job-{seq}"),
-            spec: rec.spec,
-            state: JobState::Queued,
-            plan: None,
-            slots: Vec::new(),
-            retries: 0,
-            error: None,
-            merged: None,
-            key: rec.key,
-            faults,
-            recovered: rec.shards,
-        };
+        let mut job = Job::queued(seq, rec.spec, rec.key, faults);
+        job.recovered = rec.shards;
         match rec.terminal {
             Some(Terminal::Done(report)) => {
                 job.state = JobState::Done;
@@ -1068,64 +936,6 @@ fn recover(store: &mut Store, journal: &Journal, service_faults: Option<&Arc<Fau
     }
 }
 
-/// Marks a popped task as claimed (state transitions + `in_flight`),
-/// returning what the worker needs to run it lock-free. Tasks of
-/// cancelled/failed jobs dissolve here.
-pub(crate) fn claim(store: &mut Store, task: &Task) -> Option<Claimed> {
-    match task {
-        Task::Plan { job } => {
-            let j = store.jobs.get_mut(job)?;
-            if j.state != JobState::Queued {
-                return None;
-            }
-            j.state = JobState::Planning;
-            store.in_flight += 1;
-            Some(Claimed::Plan {
-                job: *job,
-                spec: j.spec.clone(),
-                faults: j.faults.clone(),
-            })
-        }
-        Task::Shard { job, idx } => {
-            let j = store.jobs.get_mut(job)?;
-            if j.state != JobState::Running {
-                return None;
-            }
-            let faults = j.faults.clone();
-            let slot = j.slots.get_mut(*idx)?;
-            if !matches!(slot.state, ShardState::Queued) {
-                return None;
-            }
-            slot.state = ShardState::Running;
-            let spec = slot.shard.spec.clone();
-            let attempt = slot.attempts;
-            store.in_flight += 1;
-            Some(Claimed::Shard {
-                job: *job,
-                idx: *idx,
-                spec,
-                attempt,
-                faults,
-            })
-        }
-    }
-}
-
-fn worker_loop(state: &SvcState) {
-    while let Some(claimed) = state.next_task() {
-        match claimed {
-            Claimed::Plan { job, spec, faults } => state.run_plan(job, &spec, faults.as_ref()),
-            Claimed::Shard {
-                job,
-                idx,
-                spec,
-                attempt,
-                faults,
-            } => state.run_shard(job, idx, spec, attempt, faults.as_ref()),
-        }
-    }
-}
-
 pub(crate) fn panic_error(stage: &str, panic: &(dyn std::any::Any + Send)) -> OptError {
     let msg = panic
         .downcast_ref::<String>()
@@ -1139,7 +949,7 @@ pub(crate) fn panic_error(stage: &str, panic: &(dyn std::any::Any + Send)) -> Op
 mod tests {
     use super::*;
     use circuits::StageKind;
-    use synts_core::scenario::ThetaSpec;
+    use synts_core::scenario::{Experiment, ThetaSpec};
     use workloads::Benchmark;
 
     fn quick_spec(name: &str) -> ScenarioSpec {

@@ -4,9 +4,10 @@
 //!
 //! 1. **Deterministic in-process fleets** ([`SimExecutor`] +
 //!    explicit [`Service::fleet_tick`]s): lease grant/renewal/expiry,
-//!    shard reassignment after an injected `exec.kill`, bounded
-//!    attempts, and graceful degradation to local execution — all in
-//!    logical time, so every schedule is exactly reproducible.
+//!    shard reassignment after an injected `exec.kill` or a starved
+//!    in-process lease, bounded attempts, and graceful degradation to
+//!    local execution — all in logical time, so every schedule is
+//!    exactly reproducible.
 //! 2. **Property**: a seeded kill of any executor, at 1, 2 and 4
 //!    nodes, converges to the byte-exact monolithic report with a
 //!    reproducible fired-fault ledger.
@@ -18,16 +19,18 @@
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use circuits::StageKind;
 use proptest::prelude::*;
+use synts_core::cache::{RemoteCacheTier, RemoteFetch};
 use synts_core::scenario::{Experiment, Json, Quality, ScenarioSpec, ThetaSpec};
-use synts_core::{CharCache, FaultPlan, SolverRegistry};
+use synts_core::{CharCache, FaultPlan};
 use synts_serve::{
-    Client, CompleteOutcome, HeartbeatOutcome, PollOutcome, ReportOutcome, RetryPolicy, Server,
-    Service, ServiceConfig, Shutdown, SimExecutor,
+    Client, CompleteOutcome, HeartbeatOutcome, JobState, PollOutcome, ReportOutcome, RetryPolicy,
+    Server, Service, ServiceConfig, Shutdown, SimExecutor,
 };
 use workloads::Benchmark;
 
@@ -58,7 +61,6 @@ fn fleet_service(tag: &str, faults: Option<Arc<FaultPlan>>) -> Arc<Service> {
         max_shards: 3,
         max_attempts: 3,
         cache: CharCache::at_dir(temp_dir(&format!("{tag}-cache"))),
-        registry: SolverRegistry::with_defaults(),
         journal: None,
         faults,
         local_shards: false,
@@ -241,6 +243,116 @@ fn leases_expire_deterministically_and_reject_stale_completions() {
     service.shutdown(Shutdown::Now);
 }
 
+/// A remote tier that parks one chosen fetch (the `park`-th): it tells
+/// the test on `entered`, then waits on `release` until the test sends
+/// or hangs up. Every fetch misses.
+#[derive(Debug)]
+struct GateTier {
+    fetches: AtomicUsize,
+    park: usize,
+    entered: Mutex<mpsc::Sender<()>>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl RemoteCacheTier for GateTier {
+    fn fetch(&self, _name: &str) -> RemoteFetch {
+        if self.fetches.fetch_add(1, Ordering::SeqCst) + 1 == self.park {
+            let _ = self.entered.lock().expect("gate").send(());
+            let _ = self.release.lock().expect("gate").recv();
+        }
+        RemoteFetch::Compute
+    }
+
+    fn publish(&self, _name: &str, _entry: &str) -> bool {
+        true
+    }
+}
+
+/// A starved in-process lease, in logical time. The one in-process
+/// executor leases shard 0 and parks inside its run (on a gated cache
+/// fetch), while `fleet.heartbeat` drops every tick's renewal of that
+/// attempt. After exactly `lease_ticks` ticks the lease expires and the
+/// shard is requeued; the parked attempt's late completion is rejected,
+/// and the job still merges to the monolithic report.
+#[test]
+fn starved_in_process_lease_is_reassigned_and_its_late_completion_rejected() {
+    // The planner's lookup is fetch 1 and shard 0's is fetch 2. Dropped
+    // cache writes keep every lookup a local miss, so every run fetches.
+    let (entered_tx, entered) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    let gate = Arc::new(GateTier {
+        fetches: AtomicUsize::new(0),
+        park: 2,
+        entered: Mutex::new(entered_tx),
+        release: Mutex::new(release_rx),
+    });
+    let plan =
+        Arc::new(FaultPlan::parse("fleet.heartbeat=~@shard0#a0;cache.write=1").expect("plan"));
+    let tier: Arc<dyn RemoteCacheTier> = Arc::clone(&gate) as Arc<dyn RemoteCacheTier>;
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        max_shards: 3,
+        max_attempts: 3,
+        cache: CharCache::at_dir(temp_dir("starved-cache")).with_remote(Some(tier)),
+        journal: None,
+        faults: Some(Arc::clone(&plan)),
+        local_shards: true,
+        lease_ticks: 3,
+    });
+    // Bound after `service`, so a failed assertion drops it first: the
+    // parked executor is unparked before the service joins it.
+    let release = release_tx;
+    // Its own (benchmark, stage) key, so no other test coalesces onto
+    // the parked characterization.
+    let spec = ScenarioSpec::new("starved", Benchmark::Radix, StageKind::SimpleAlu)
+        .schemes(["synts_poly", "per_core_ts", "no_ts"])
+        .thetas(ThetaSpec::LogAroundEqualWeight {
+            points: 6,
+            decades: 1.0,
+        })
+        .workers(1);
+    let id = service.submit(spec.clone()).expect("submits").id;
+
+    entered
+        .recv_timeout(Duration::from_secs(300))
+        .expect("shard 0 parks in its cache fetch");
+    let status = service.status(&id).expect("job exists");
+    assert_eq!(status.state, JobState::Running, "{status:?}");
+    assert_eq!(status.shards.running, 1, "shard 0 is leased: {status:?}");
+    let expired: Vec<usize> = (0..3).map(|_| service.fleet_tick().expired).collect();
+    assert_eq!(
+        expired,
+        [0, 0, 1],
+        "the lease must expire on tick lease_ticks"
+    );
+    let status = service.status(&id).expect("job exists");
+    assert_eq!(status.retries, 1, "expiry charges one attempt: {status:?}");
+    assert_eq!(
+        status.shards.queued, 3,
+        "shard 0 is back in the queue: {status:?}"
+    );
+
+    // Let the parked attempt finish: its completion finds no lease. No
+    // more ticks happen, so the reassigned attempt's lease cannot lapse.
+    release.send(()).expect("the executor is parked");
+    service.shutdown(Shutdown::Drain);
+    let ReportOutcome::Ready(report) = service.report(&id) else {
+        panic!("the job must finish: {:?}", service.status(&id));
+    };
+    let monolithic = Experiment::new(spec)
+        .with_cache(CharCache::disabled())
+        .run()
+        .expect("monolithic run");
+    assert_eq!(report.to_json_string(), monolithic.to_json_string());
+    let fleet = service.stats().fleet;
+    assert_eq!(
+        (fleet.dispatched, fleet.completed, fleet.expired),
+        (4, 3, 1),
+        "four leases, one expired, and its late completion rejected"
+    );
+    assert_eq!(plan.fired_counts().get("fleet.heartbeat"), Some(&3));
+}
+
 /// Graceful degradation: with zero live executors a fleet-mode service
 /// still finishes jobs (locally), flags `degraded` in stats/health, and
 /// recovers the flag once an executor registers.
@@ -282,7 +394,6 @@ fn fleet_protocol_round_trips_over_http() {
         max_shards: 2,
         max_attempts: 2,
         cache: CharCache::at_dir(&cache_dir),
-        registry: SolverRegistry::with_defaults(),
         journal: None,
         faults: None,
         local_shards: true,
@@ -546,7 +657,6 @@ fn healthz_reports_readiness_and_503s_on_unwritable_journal() {
         max_shards: 2,
         max_attempts: 2,
         cache: CharCache::at_dir(temp_dir("healthz-cache")),
-        registry: SolverRegistry::with_defaults(),
         journal: Some(synts_serve::Journal::open(&journal_dir).expect("journal opens")),
         faults: None,
         local_shards: true,

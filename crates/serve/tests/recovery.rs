@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use circuits::StageKind;
 use synts_core::scenario::{Experiment, Json, Quality, ScenarioSpec, ThetaSpec};
-use synts_core::{CharCache, SolverRegistry};
+use synts_core::CharCache;
 use synts_serve::{Client, Journal, ReportOutcome, Service, ServiceConfig, Shutdown};
 use workloads::Benchmark;
 
@@ -50,7 +50,6 @@ fn journaled_service(journal_dir: &PathBuf, cache_dir: &PathBuf, workers: usize)
         max_shards: 3,
         max_attempts: 2,
         cache: CharCache::at_dir(cache_dir),
-        registry: SolverRegistry::with_defaults(),
         journal: Some(Journal::open(journal_dir).expect("journal opens")),
         faults: None,
         ..ServiceConfig::default()

@@ -62,7 +62,6 @@ fn chaos_run(tag: &str, seed: u64, workers: usize) -> (String, String, PathBuf) 
         max_shards: 3,
         max_attempts: 3,
         cache: CharCache::at_dir(fresh_dir(&format!("{tag}-cache"))),
-        registry: SolverRegistry::with_defaults(),
         journal: Some(Journal::open(&journal_dir).expect("journal opens")),
         faults: Some(Arc::clone(&plan)),
         ..ServiceConfig::default()
@@ -163,7 +162,6 @@ fn chaos_fleet_run(tag: &str, seed: u64) -> (String, String, PathBuf) {
         max_shards: 3,
         max_attempts: 6,
         cache: CharCache::at_dir(fresh_dir(&format!("{tag}-cache"))),
-        registry: SolverRegistry::with_defaults(),
         journal: Some(Journal::open(&journal_dir).expect("journal opens")),
         faults: Some(Arc::clone(&plan)),
         local_shards: false,

@@ -220,20 +220,34 @@ fn report_json_embeds_a_recoverable_spec() {
     assert!(rows.iter().all(|r| r.len() == header.len()));
 }
 
-/// A log grid wide enough to overflow reaches θ = +∞: `decades: 400`
-/// parses and passes the static checks. The run must refuse it with the
-/// θ-domain message whichever exact solver sweeps it, not answer with
-/// an arbitrary assignment or a spurious "no feasible assignment".
+/// A log grid wide enough to overflow reaches θ = +∞: `decades: 400`.
+/// The JSON parser refuses it, so `synts-cli check` and `POST /v1/jobs`
+/// catch it before characterization. A spec built in code still reaches
+/// the solvers, which must refuse it with the θ-domain message whichever
+/// exact solver sweeps it, not answer with an arbitrary assignment or a
+/// spurious "no feasible assignment".
 #[test]
 fn overflowing_log_grid_fails_cleanly_with_the_theta_message() {
+    let err = ScenarioSpec::from_json_str(
+        r#"{"name": "wide", "benchmark": "radix", "stage": "simple-alu",
+            "thetas": {"log_around_equal_weight": {"points": 9, "decades": 400}}}"#,
+    )
+    .expect_err("the parser bounds decades");
+    assert!(
+        err.to_string()
+            .contains("thetas.log_around_equal_weight.decades"),
+        "{err}"
+    );
     let data = quick_data(Benchmark::Radix, StageKind::SimpleAlu);
     for scheme in ["synts_exhaustive", "synts_poly"] {
-        let src = format!(
-            r#"{{"name": "wide", "benchmark": "radix", "stage": "simple-alu",
-                "schemes": ["{scheme}"], "intervals": {{"index": 1}}, "quality": "quick",
-                "thetas": {{"log_around_equal_weight": {{"points": 9, "decades": 400}}}}}}"#
-        );
-        let spec = ScenarioSpec::from_json_str(&src).expect("parses");
+        let spec = ScenarioSpec::new("wide", Benchmark::Radix, StageKind::SimpleAlu)
+            .schemes([scheme])
+            .intervals(IntervalSelection::Index(1))
+            .quality(Quality::Quick)
+            .thetas(ThetaSpec::LogAroundEqualWeight {
+                points: 9,
+                decades: 400.0,
+            });
         assert_eq!(spec.thetas.resolve(1.0).last(), Some(&f64::INFINITY));
         let err = Experiment::new(spec)
             .run_on(&data)

@@ -85,7 +85,6 @@ fn test_service(name: &str, workers: usize) -> Arc<Service> {
         max_shards: 3,
         max_attempts: 2,
         cache: CharCache::at_dir(cache_dir),
-        registry: SolverRegistry::with_defaults(),
         journal: None,
         faults: None,
         ..ServiceConfig::default()
