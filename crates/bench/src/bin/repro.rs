@@ -13,12 +13,10 @@
 
 use std::process::ExitCode;
 
-use circuits::StageKind;
 use synts_bench::corpus::{Corpus, Effort};
 use synts_bench::ext_figures;
 use synts_bench::figures::{self, Figure};
 use synts_bench::render::save_csv;
-use workloads::Benchmark;
 
 const TARGETS: &[&str] = &[
     "table-5-1",
@@ -66,48 +64,9 @@ fn generate(target: &str, corpus: Option<&Corpus>) -> Result<Figure, synts_core:
         "fig-3-5" => figures::fig_3_5(c()),
         "fig-3-6" => figures::fig_3_6(c()),
         "fig-5-10" => figures::fig_5_10(),
-        "fig-6-11" => figures::fig_pareto(
-            c(),
-            "fig-6-11",
-            "6.11",
-            Benchmark::Fmm,
-            StageKind::SimpleAlu,
-        ),
-        "fig-6-12" => figures::fig_pareto(
-            c(),
-            "fig-6-12",
-            "6.12",
-            Benchmark::Cholesky,
-            StageKind::SimpleAlu,
-        ),
-        "fig-6-13" => figures::fig_pareto(
-            c(),
-            "fig-6-13",
-            "6.13",
-            Benchmark::Cholesky,
-            StageKind::Decode,
-        ),
-        "fig-6-14" => figures::fig_pareto(
-            c(),
-            "fig-6-14",
-            "6.14",
-            Benchmark::Raytrace,
-            StageKind::Decode,
-        ),
-        "fig-6-15" => figures::fig_pareto(
-            c(),
-            "fig-6-15",
-            "6.15",
-            Benchmark::Cholesky,
-            StageKind::ComplexAlu,
-        ),
-        "fig-6-16" => figures::fig_pareto(
-            c(),
-            "fig-6-16",
-            "6.16",
-            Benchmark::Raytrace,
-            StageKind::ComplexAlu,
-        ),
+        "fig-6-11" | "fig-6-12" | "fig-6-13" | "fig-6-14" | "fig-6-15" | "fig-6-16" => {
+            figures::fig_pareto(c(), target)
+        }
         "fig-6-17" => figures::fig_6_17(c()),
         "fig-6-18" => figures::fig_6_18(c()),
         "sec-5-4" => figures::sec_5_4(c()),

@@ -237,12 +237,10 @@ fn check(args: &CheckArgs) -> ExitCode {
         eprintln!("error: {msg}");
     };
 
-    // Scheme keys against the registry, with typo suggestions.
+    // Scheme keys against the registry, with typo suggestions. The
+    // parser has already refused an empty scheme list and an empty or
+    // negative θ grid.
     let registry: SolverRegistry = SolverRegistry::with_defaults();
-    if spec.schemes.is_empty() {
-        errors += 1;
-        fail("schemes: must name at least one registry key".to_string());
-    }
     for (i, key) in spec.schemes.iter().enumerate() {
         if let Err(e) = registry.get(key) {
             errors += 1;
@@ -271,16 +269,6 @@ fn check(args: &CheckArgs) -> ExitCode {
             1
         }
         ThetaSpec::Grid(values) => {
-            if values.is_empty() {
-                errors += 1;
-                fail("thetas: explicit grid is empty".to_string());
-            }
-            for (i, v) in values.iter().enumerate() {
-                if !v.is_finite() || *v <= 0.0 {
-                    errors += 1;
-                    fail(format!("thetas[{i}]: θ must be finite and > 0, got {v}"));
-                }
-            }
             if values.windows(2).any(|w| w[1] <= w[0]) {
                 eprintln!(
                     "warning: thetas: grid is not strictly increasing; \
@@ -302,26 +290,25 @@ fn check(args: &CheckArgs) -> ExitCode {
     };
 
     // Shard-plan preview: the same θ-index chunking ShardPlan::plan
-    // produces, sans benchmark characterization.
-    if grid_points > 0 {
-        let chunks = ThreadPool::new(args.max_shards.max(1)).chunk_ranges(grid_points);
+    // produces, sans benchmark characterization. The parser refuses an
+    // empty grid, so there is at least one θ point.
+    let chunks = ThreadPool::new(args.max_shards.max(1)).chunk_ranges(grid_points);
+    println!(
+        "[check] shard plan (max {} shard(s)): {} shard(s) over {} θ point(s)",
+        args.max_shards.max(1),
+        chunks.len(),
+        grid_points
+    );
+    for (i, range) in chunks.iter().enumerate() {
+        let verify = if i == 0 && spec.verify_model {
+            "  (+ model verification)"
+        } else {
+            ""
+        };
         println!(
-            "[check] shard plan (max {} shard(s)): {} shard(s) over {} θ point(s)",
-            args.max_shards.max(1),
-            chunks.len(),
-            grid_points
+            "[check]   {}@shard{i}: θ[{}..{}){verify}",
+            spec.name, range.start, range.end
         );
-        for (i, range) in chunks.iter().enumerate() {
-            let verify = if i == 0 && spec.verify_model {
-                "  (+ model verification)"
-            } else {
-                ""
-            };
-            println!(
-                "[check]   {}@shard{i}: θ[{}..{}){verify}",
-                spec.name, range.start, range.end
-            );
-        }
     }
 
     if errors == 0 {

@@ -76,8 +76,7 @@ impl Corpus {
         )
     }
 
-    /// [`Corpus::build_subset`] with an explicit cache and worker pool
-    /// (`Synts::builder().workers(n)` callers pass `synts.pool()`).
+    /// [`Corpus::build_subset`] with an explicit cache and worker pool.
     ///
     /// Work fans out at (benchmark × stage × interval × thread)
     /// granularity, and per-phase wall-clock lands in

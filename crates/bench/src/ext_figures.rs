@@ -20,16 +20,8 @@ use timing::{DieTiming, ErrorCurve, ErrorModel, StageCharacterizer};
 use workloads::Benchmark;
 
 use crate::corpus::Corpus;
-use crate::figures::{Check, Figure};
+use crate::figures::{solver, Check, Figure};
 use crate::render::{f, table};
-
-/// The display label a registered solver declares for itself
-/// ([`synts_core::Solver::label`]) — the single source figure rows quote.
-fn solver_label(key: &str) -> &'static str {
-    synts_core::solver::default_solver::<ErrorCurve>(key)
-        .expect("default registry key")
-        .label()
-}
 
 /// A deterministic mixed-op operand stream for the corpus-free ablations.
 fn synthetic_events(seed: u64, n: usize) -> Vec<AluEvent> {
@@ -228,10 +220,10 @@ pub fn ablation_leakage(corpus: &Corpus) -> Result<Figure, OptError> {
     // leakage-blind variant (deliberately the plain Eq-4.4 solver charged
     // under the leakage model) derives its label.
     let names = [
-        solver_label("synts_leakage").to_string(),
-        format!("{} (leakage-blind)", solver_label("synts_poly")),
-        solver_label("thrifty").to_string(),
-        solver_label("nominal").to_string(),
+        solver("synts_leakage").label().to_string(),
+        format!("{} (leakage-blind)", solver("synts_poly").label()),
+        solver("thrifty").label().to_string(),
+        solver("nominal").label().to_string(),
     ];
     let rows: Vec<Vec<String>> = names
         .iter()

@@ -3,7 +3,7 @@
 //! of the paper that the reproduction is expected to reproduce (who wins,
 //! by roughly what factor, where the structure lies).
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use circuits::{AdderKind, SimpleAlu, StageKind};
 use gpgpu::{GpuKernel, SimdConfig, SimdUnit};
@@ -18,17 +18,13 @@ use workloads::Benchmark;
 use crate::corpus::Corpus;
 use crate::render::{f, report_rows, table};
 
-/// The shared solver registry every figure dispatches through.
-fn registry() -> &'static SolverRegistry {
-    static REGISTRY: OnceLock<SolverRegistry> = OnceLock::new();
-    REGISTRY.get_or_init(SolverRegistry::with_defaults)
-}
-
-/// Resolves a registry key to its solver; figure labels come from
-/// [`Solver::label`], so tables and CSVs can never drift from the names
-/// the solvers declare.
-fn solver_for(key: &str) -> Arc<dyn Solver<ErrorCurve>> {
-    registry().get(key).expect("default registry key")
+/// Resolves a default registry key to its solver; figure labels come
+/// from [`Solver::label`], so tables and CSVs can never drift from the
+/// names the solvers declare.
+pub(crate) fn solver(key: &str) -> Arc<dyn Solver<ErrorCurve>> {
+    SolverRegistry::with_defaults()
+        .get(key)
+        .expect("default registry key")
 }
 
 /// One qualitative claim and whether the reproduction satisfies it.
@@ -474,41 +470,40 @@ pub const PARETO_SPECS: &[(&str, &str)] = &[
     ("fig-6-16", include_str!("../specs/fig-6-16.json")),
 ];
 
+/// The committed spec source of one Pareto figure, under its static id.
+fn committed_spec(id: &str) -> Result<(&'static str, &'static str), OptError> {
+    PARETO_SPECS
+        .iter()
+        .find(|(k, _)| *k == id)
+        .copied()
+        .ok_or_else(|| OptError::Spec(format!("no committed spec for figure '{id}'")))
+}
+
 /// Parses the committed spec of one Pareto figure.
 ///
 /// # Errors
 ///
 /// [`OptError::Spec`] for unknown ids or malformed committed specs.
 pub fn pareto_spec(id: &str) -> Result<ScenarioSpec, OptError> {
-    let (_, src) = PARETO_SPECS
-        .iter()
-        .find(|(k, _)| *k == id)
-        .ok_or_else(|| OptError::Spec(format!("no committed spec for figure '{id}'")))?;
-    ScenarioSpec::from_json_str(src)
+    ScenarioSpec::from_json_str(committed_spec(id)?.1)
 }
 
 /// One Pareto figure (Figs 6.11–6.16): energy vs execution time for SynTS,
 /// Per-core TS and No-TS, normalized to Nominal. The data comes entirely
-/// from the committed [`ScenarioSpec`] run through [`Experiment::run_on`];
-/// this function is only the renderer over the structured
-/// [`synts_core::Report`].
+/// from the committed [`ScenarioSpec`] `id` (a key of [`PARETO_SPECS`],
+/// which also names the figure: `fig-6-12` is Fig 6.12) run through
+/// [`Experiment::run_on`] on the spec's benchmark and stage; this function
+/// is only the renderer over the structured [`synts_core::Report`].
 ///
 /// # Errors
 ///
-/// Propagates [`OptError`] from the scenario runner.
-pub fn fig_pareto(
-    corpus: &Corpus,
-    id: &'static str,
-    figure_no: &str,
-    bench: Benchmark,
-    stage: StageKind,
-) -> Result<Figure, OptError> {
-    let spec = pareto_spec(id)?;
-    if spec.benchmark != bench || spec.stage != stage {
-        return Err(OptError::BadConfig(
-            "committed figure spec disagrees with the repro target's benchmark/stage",
-        ));
-    }
+/// [`OptError::Spec`] for an id without a committed spec; otherwise
+/// propagates [`OptError`] from the scenario runner.
+pub fn fig_pareto(corpus: &Corpus, id: &str) -> Result<Figure, OptError> {
+    let (id, src) = committed_spec(id)?;
+    let spec = ScenarioSpec::from_json_str(src)?;
+    let (bench, stage) = (spec.benchmark, spec.stage);
+    let figure_no = id.trim_start_matches("fig-").replace('-', ".");
     let data = corpus_data(corpus, bench, stage)?;
     let report = Experiment::new(spec).run_on(data)?;
 
@@ -674,6 +669,7 @@ pub fn fig_6_18(corpus: &Corpus) -> Result<Figure, OptError> {
     let mut wins_count = 0usize;
     let mut total_count = 0usize;
     let mut sums = (0.0f64, 0.0f64, 0.0f64); // online, no-ts, nominal
+    let (nominal, no_ts) = (solver("nominal"), solver("no_ts"));
     for stage in StageKind::ALL {
         for bench in Benchmark::REPORTED {
             let Some(data) = corpus.get(bench, stage) else {
@@ -692,7 +688,7 @@ pub fn fig_6_18(corpus: &Corpus) -> Result<Figure, OptError> {
             // all four schemes — intervals fan out across the pool.
             let prepared = ThreadPool::from_env().try_map(&data.intervals, |_, iv| {
                 let profiles = trace_profiles(iv)?;
-                let (_, ed) = solver_for("nominal").solve_evaluated(&cfg, &profiles, 1.0)?;
+                let (_, ed) = nominal.solve_evaluated(&cfg, &profiles, 1.0)?;
                 Ok::<_, OptError>((profiles, iv.thread_traces(), ed))
             })?;
             // Equal-weight theta over the trace population.
@@ -720,8 +716,8 @@ pub fn fig_6_18(corpus: &Corpus) -> Result<Figure, OptError> {
             // intervals are independent, so they fan out across the pool.
             let per_interval = ThreadPool::from_env().try_map(&prepared, |_, item| {
                 let (profiles, traces, _) = item;
-                let (_, nom) = solver_for("nominal").solve_evaluated(&cfg, profiles, theta)?;
-                let (_, nots) = solver_for("no_ts").solve_evaluated(&cfg, profiles, theta)?;
+                let (_, nom) = nominal.solve_evaluated(&cfg, profiles, theta)?;
+                let (_, nots) = no_ts.solve_evaluated(&cfg, profiles, theta)?;
                 let (_, off) = run_interval_offline(&cfg, traces, theta)?;
                 let longest = traces
                     .iter()
@@ -803,14 +799,14 @@ pub fn fig_6_18(corpus: &Corpus) -> Result<Figure, OptError> {
             true,
         ));
     }
-    let online_label = format!("{}(online)", solver_for("synts_poly").label());
+    let online_label = format!("{}(online)", solver("synts_poly").label());
     let text = table(
         &[
             "stage",
             "benchmark",
             &online_label,
-            solver_for("no_ts").label(),
-            solver_for("nominal").label(),
+            no_ts.label(),
+            nominal.label(),
         ],
         &rows,
     );

@@ -23,7 +23,8 @@ use timing::EnergyDelay;
 
 use crate::error::OptError;
 use crate::model::SystemConfig;
-use crate::online::{IntervalOutcome, SamplingPlan, ThreadTrace};
+use crate::online::{run_interval_with, IntervalOutcome, SamplingPlan, ThreadTrace};
+use crate::solver::Poly;
 
 /// Forecasting rule for per-thread interval instruction counts.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -239,7 +240,12 @@ pub fn run_sequence(
         // Substitute predicted counts by rescaling each thread's trace
         // weight: run the controller on traces truncated/extended is not
         // physical — instead pass the prediction through the profile Ni.
-        let outcome = run_interval_with_ni(cfg, traces, theta, plan, predicted.as_deref())?;
+        // Without history, every thread is assumed to run the mean length.
+        let ni = predicted.unwrap_or_else(|| {
+            let mean = truth.iter().sum::<f64>() / m as f64;
+            vec![mean.max(1.0); m]
+        });
+        let outcome = run_interval_with(cfg, traces, theta, plan, &Poly, Some(&ni))?;
         total_energy += outcome.total.energy;
         total_time += outcome.total.time;
         outcomes.push(outcome);
@@ -252,46 +258,6 @@ pub fn run_sequence(
             mape_per_interval: mapes,
         },
     })
-}
-
-/// [`run_interval`](crate::online::run_interval) with externally supplied `N_i` estimates for
-/// the optimization step (accounting still uses the true traces). `None`
-/// falls back to a uniform split across threads.
-///
-/// # Errors
-///
-/// As [`run_interval`](crate::online::run_interval), plus [`OptError::BadConfig`] if `ni`
-/// has the wrong length or non-positive entries.
-pub fn run_interval_with_ni(
-    cfg: &SystemConfig,
-    traces: &[ThreadTrace],
-    theta: f64,
-    plan: SamplingPlan,
-    ni: Option<&[f64]>,
-) -> Result<IntervalOutcome, OptError> {
-    match ni {
-        None => {
-            // Uniform guess: every thread assumed to run the mean length.
-            let mean = traces
-                .iter()
-                .map(|t| t.normalized_delays.len() as f64)
-                .sum::<f64>()
-                / traces.len().max(1) as f64;
-            let uniform = vec![mean.max(1.0); traces.len()];
-            crate::online::run_interval_with_workload(cfg, traces, theta, plan, &uniform)
-        }
-        Some(est) => {
-            if est.len() != traces.len() {
-                return Err(OptError::BadConfig("Ni estimate thread count mismatch"));
-            }
-            for &n in est {
-                if !n.is_finite() || n <= 0.0 {
-                    return Err(OptError::BadConfig("Ni estimates must be positive"));
-                }
-            }
-            crate::online::run_interval_with_workload(cfg, traces, theta, plan, est)
-        }
-    }
 }
 
 #[cfg(test)]

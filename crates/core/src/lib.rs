@@ -12,10 +12,10 @@
 //! (`solve(cfg, profiles, theta)` plus `name()` / `capabilities()`)
 //! implemented by the paper's solvers, the evaluation baselines and the
 //! extension solvers alike. A [`SolverRegistry`] provides string-keyed
-//! lookup, and [`Synts::builder`] is the fluent front door:
+//! lookup:
 //!
 //! ```
-//! use synts_core::{Synts, SystemConfig, ThreadProfile};
+//! use synts_core::{SolverRegistry, SystemConfig, ThreadProfile};
 //! use timing::ErrorCurve;
 //!
 //! # fn main() -> Result<(), synts_core::OptError> {
@@ -27,15 +27,17 @@
 //!     ThreadProfile::new(10_000.0, 1.2, hot),
 //!     ThreadProfile::new(10_000.0, 1.0, cool),
 //! ];
-//! let synts = Synts::builder().scheme("synts_poly").theta(1.0).build()?;
-//! let assignment = synts.solve(&cfg, &profiles)?;
+//! let solver = SolverRegistry::with_defaults().get("synts_poly")?;
+//! let assignment = solver.solve(&cfg, &profiles, 1.0)?;
 //! // The cool thread can be pushed to a cheaper operating point.
 //! assert_ne!(assignment.points[0], assignment.points[1]);
 //! # Ok(())
 //! # }
 //! ```
 //!
-//! Registered schemes (see [`SolverRegistry::with_defaults`]):
+//! Registered schemes (see [`SolverRegistry::with_defaults`]); the
+//! parameterized ones are also values of their solver structs, such as
+//! [`solver::PowerCap::new`] for a concrete power budget:
 //!
 //! | name | implementation | paper artifact |
 //! |------|----------------|----------------|
@@ -53,15 +55,15 @@
 //!
 //! * [`SystemConfig`] / [`ThreadProfile`] and Eq 4.1–4.3 — the system model
 //!   (Sec 4.1);
-//! * [`solver`] — the [`Solver`] trait, [`SolverRegistry`] and the
-//!   [`Synts`] builder described above;
+//! * [`solver`] — the [`Solver`] trait and the [`SolverRegistry`]
+//!   described above;
 //! * [`synts_milp`] — the SynTS-MILP formulation (Sec 4.2.1), solved by the
 //!   in-workspace [`milp`] crate;
 //! * [`synts_poly`] — Algorithm 1, the exact polynomial-time solver;
 //! * [`nominal`], [`no_ts`], [`per_core_ts`] — the evaluation baselines;
 //! * [`online`] — the sampling-based online controller (Sec 4.3), which
 //!   dispatches its optimization step through the [`Solver`] trait
-//!   ([`online::run_interval_with`]);
+//!   ([`run_interval_with`]);
 //! * [`overhead`] — the Sec 6.3 hardware-overhead accounting;
 //! * [`leakage`] — the Sec 4.1-suggested leakage-power extension;
 //! * [`power_cap`] — the Sec 4.1-suggested power-constrained variant;
@@ -69,8 +71,8 @@
 //! * [`thrifty`] — the thrifty-barrier baseline (related work, ref \[4\]);
 //! * [`parallel`] — the scoped thread pool fanning θ sweeps, batched
 //!   interval re-optimization and gate-level characterization across
-//!   cores (`SYNTS_THREADS`, or `Synts::builder().workers(n)`), with
-//!   deterministic index-ordered collection;
+//!   cores (`SYNTS_THREADS`, or `ThreadPool::new(worker_count(Some(n)))`),
+//!   with deterministic index-ordered collection;
 //! * [`cache`] — the persistent, recipe-keyed characterization cache
 //!   (`SYNTS_CACHE_DIR`): a warm run skips trace generation and gate
 //!   simulation entirely, bit-identically. [`characterize_pairs`], the one
@@ -118,20 +120,19 @@ pub use cache::{
 pub use error::{closest_match, levenshtein, OptError};
 pub use exhaustive::{pruning_stats, synts_exhaustive, PruningStats, EXHAUSTIVE_LIMIT};
 pub use faults::{FaultPlan, FAULTS_ENV};
-pub use milp_formulation::{synts_milp, synts_milp_with, MilpTuning};
+pub use milp_formulation::synts_milp;
 pub use model::{
     evaluate, thread_energy, thread_time, weighted_cost, Assignment, OperatingPoint, SystemConfig,
     ThreadProfile, RAZOR_PENALTY_CYCLES,
 };
 pub use online::{
-    run_interval, run_interval_full, run_interval_offline, run_interval_with,
-    run_intervals_batched, IntervalOutcome, SamplingPlan, ThreadTrace,
+    run_interval, run_interval_offline, run_interval_with, run_intervals_batched, IntervalOutcome,
+    SamplingPlan, ThreadTrace,
 };
 pub use overhead::{estimate_overhead, estimate_overhead_defaults, OverheadReport};
 pub use parallel::{worker_count, ThreadPool, THREADS_ENV};
 pub use pareto::{
-    default_theta_sweep, log_theta_grid, pareto_sweep, pareto_sweep_pooled, theta_equal_weight,
-    SweepPoint,
+    default_theta_sweep, log_theta_grid, pareto_sweep, theta_equal_weight, SweepPoint,
 };
 pub use phase::{time_phase, Phase, PhaseStats};
 pub use poly::synts_poly;
@@ -139,6 +140,4 @@ pub use scenario::{
     Dataset, Experiment, IntervalSelection, Quality, Record, Report, ReportCheck, ScenarioSpec,
     Shard, ShardPlan, ThetaSpec,
 };
-pub use solver::{
-    Capabilities, Objective, SolveRequest, Solver, SolverRegistry, Synts, SyntsBuilder,
-};
+pub use solver::{Capabilities, Objective, SolveRequest, Solver, SolverRegistry};

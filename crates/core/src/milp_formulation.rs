@@ -44,35 +44,13 @@ pub fn synts_milp<M: ErrorModel>(
     profiles: &[ThreadProfile<M>],
     theta: f64,
 ) -> Result<Assignment, OptError> {
-    synts_milp_with(cfg, profiles, theta, &MilpTuning::default())
-}
-
-/// [`synts_milp`] with explicit solver tuning (node budget).
-///
-/// # Errors
-///
-/// As [`synts_milp`].
-pub fn synts_milp_with<M: ErrorModel>(
-    cfg: &SystemConfig,
-    profiles: &[ThreadProfile<M>],
-    theta: f64,
-    tuning: &MilpTuning,
-) -> Result<Assignment, OptError> {
     cfg.validate()?;
     poly::validate_theta(theta)?;
     if profiles.is_empty() {
         return Err(OptError::NoThreads);
     }
     let p = PreparedTables::build(cfg, profiles);
-    solve_prepared(&p, theta, tuning)
-}
-
-/// Branch-and-bound knobs exposed to `synts-core` callers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MilpTuning {
-    /// Branch-and-bound node budget per solve; `None` uses
-    /// [`milp::DEFAULT_NODE_LIMIT`].
-    pub node_limit: Option<usize>,
+    solve_prepared(&p, theta, None)
 }
 
 /// The MILP lowering of Eq 4.5–4.10 over precomputed [`Tables`].
@@ -274,7 +252,8 @@ fn extract_pruned(p: &PreparedTables, low: &PrunedLowering, sol: &Solution) -> A
 
 /// The warm-started MILP over shared [`PreparedTables`] — the batch hot
 /// path: dominance-pruned lowering, incumbent seeded from Algorithm 1,
-/// best-first branch-and-bound. Deliberately seeded from Algorithm 1 on
+/// best-first branch-and-bound within `node_limit` nodes (`None` uses
+/// [`milp::DEFAULT_NODE_LIMIT`]). Deliberately seeded from Algorithm 1 on
 /// *this* θ (not the previous grid point's optimum): the seed is then
 /// optimal, so the result never depends on how a sweep was chunked
 /// across workers and the bit-identical-at-any-worker-count guarantee of
@@ -282,14 +261,14 @@ fn extract_pruned(p: &PreparedTables, low: &PrunedLowering, sol: &Solution) -> A
 pub(crate) fn solve_prepared(
     p: &PreparedTables,
     theta: f64,
-    tuning: &MilpTuning,
+    node_limit: Option<usize>,
 ) -> Result<Assignment, OptError> {
     let seed = poly::solve_prepared(p, theta)?;
     let low = lower_pruned(p, theta);
     let incumbent = encode_incumbent(p, &low, &seed, theta);
     let options = MilpOptions {
         incumbent: Some(incumbent),
-        node_limit: tuning.node_limit,
+        node_limit,
         best_first: true,
     };
     let sol = low.problem.solve_milp_with(&options)?;

@@ -11,6 +11,28 @@
 //! time and energy — including the Razor recoveries it provokes — are
 //! charged to the interval, which is exactly the online-vs-offline overhead
 //! Fig 6.18 quantifies.
+//!
+//! [`run_interval`] is the paper's setting. [`run_interval_with`] runs
+//! any [`Solver`] on the estimates, optionally with predicted `N_i`, and
+//! [`run_intervals_batched`] fans a sequence of intervals across a pool:
+//!
+//! ```
+//! use synts_core::{run_interval_with, SamplingPlan, SolverRegistry, SystemConfig, ThreadTrace};
+//! use timing::SampledCurve;
+//!
+//! # fn main() -> Result<(), synts_core::OptError> {
+//! let cfg = SystemConfig::paper_default(10.0);
+//! let trace = |lo: f64| {
+//!     ThreadTrace::new((0..600).map(|i| lo + (1.0 - lo) * i as f64 / 600.0).collect(), 1.0)
+//! };
+//! let traces = vec![trace(0.7), trace(0.4)];
+//! let plan = SamplingPlan::paper_default(600, cfg.s());
+//! let solver = SolverRegistry::<SampledCurve>::with_defaults().get("per_core_ts")?;
+//! let outcome = run_interval_with(&cfg, &traces, 1.0, plan, &*solver, None)?;
+//! assert_eq!(outcome.assignment.len(), 2);
+//! # Ok(())
+//! # }
+//! ```
 
 use timing::{EnergyDelay, ErrorCurve, SampledCurve, Voltage};
 
@@ -196,78 +218,41 @@ pub fn run_interval(
     theta: f64,
     plan: SamplingPlan,
 ) -> Result<IntervalOutcome, OptError> {
-    run_interval_impl(cfg, traces, theta, plan, None, &Poly)
+    run_interval_with(cfg, traces, theta, plan, &Poly, None)
 }
 
-/// [`run_interval`] with an explicit [`Solver`] choosing the operating
-/// points from the sampled estimates — the online controller's dispatch
-/// point onto the unified solver interface. The solver sees
-/// [`timing::SampledCurve`] profiles, exactly what the sampling hardware
-/// produces.
+/// Runs one barrier interval under the online scheme with `solver`
+/// choosing the operating points from the sampled estimates — the online
+/// controller's dispatch point onto the unified solver interface. The
+/// solver sees [`timing::SampledCurve`] profiles, exactly what the
+/// sampling hardware produces.
+///
+/// `ni` supplies whole-interval `N_i` estimates (per-thread instruction
+/// counts) for the optimization step, as the [`crate::criticality`]
+/// predictors do; `None` reads the true counts from the traces.
+/// Accounting always runs against the true traces.
 ///
 /// # Errors
 ///
-/// As [`run_interval`].
+/// As [`run_interval`], plus [`OptError::BadConfig`] if `ni` has a
+/// thread count different from `traces` or an entry that is not finite
+/// and positive.
 pub fn run_interval_with(
     cfg: &SystemConfig,
     traces: &[ThreadTrace],
     theta: f64,
     plan: SamplingPlan,
     solver: &dyn Solver<SampledCurve>,
-) -> Result<IntervalOutcome, OptError> {
-    run_interval_full(cfg, traces, theta, plan, None, solver)
-}
-
-/// [`run_interval`] with externally supplied whole-interval `N_i`
-/// estimates driving the optimization step (the [`crate::criticality`]
-/// predictors use this). Accounting still runs against the true traces.
-///
-/// # Errors
-///
-/// As [`run_interval`], plus [`OptError::BadConfig`] on a thread-count
-/// mismatch.
-pub fn run_interval_with_workload(
-    cfg: &SystemConfig,
-    traces: &[ThreadTrace],
-    theta: f64,
-    plan: SamplingPlan,
-    ni: &[f64],
-) -> Result<IntervalOutcome, OptError> {
-    run_interval_full(cfg, traces, theta, plan, Some(ni), &Poly)
-}
-
-/// The fully general online interval: optional external `N_i` estimates
-/// and an explicit [`Solver`] together. The three convenience wrappers
-/// above all delegate here.
-///
-/// # Errors
-///
-/// As [`run_interval`], plus [`OptError::BadConfig`] if `ni` is present
-/// with a thread count different from `traces`.
-pub fn run_interval_full(
-    cfg: &SystemConfig,
-    traces: &[ThreadTrace],
-    theta: f64,
-    plan: SamplingPlan,
     ni: Option<&[f64]>,
-    solver: &dyn Solver<SampledCurve>,
 ) -> Result<IntervalOutcome, OptError> {
     if let Some(est) = ni {
         if est.len() != traces.len() {
             return Err(OptError::BadConfig("Ni estimate thread count mismatch"));
         }
+        if est.iter().any(|&n| !n.is_finite() || n <= 0.0) {
+            return Err(OptError::BadConfig("Ni estimates must be positive"));
+        }
     }
-    run_interval_impl(cfg, traces, theta, plan, ni, solver)
-}
-
-fn run_interval_impl(
-    cfg: &SystemConfig,
-    traces: &[ThreadTrace],
-    theta: f64,
-    plan: SamplingPlan,
-    ni: Option<&[f64]>,
-    solver: &dyn Solver<SampledCurve>,
-) -> Result<IntervalOutcome, OptError> {
     cfg.validate()?;
     if traces.is_empty() {
         return Err(OptError::NoThreads);
@@ -341,9 +326,10 @@ fn run_interval_impl(
 ///
 /// Intervals are independent: each thread re-samples at its barrier, so
 /// interval `k+1` never depends on interval `k`'s outcome. That makes
-/// this the batched counterpart of calling [`run_interval_with`] in a
-/// loop — and the index-ordered collection guarantees the outcome vector
-/// is identical to that loop at any worker count.
+/// this the batched counterpart of calling [`run_interval_with`] (with
+/// the traces' own `N_i`) in a loop — and the index-ordered collection
+/// guarantees the outcome vector is identical to that loop at any worker
+/// count.
 ///
 /// # Errors
 ///
@@ -358,7 +344,7 @@ pub fn run_intervals_batched(
     pool: ThreadPool,
 ) -> Result<Vec<IntervalOutcome>, OptError> {
     pool.try_map(intervals, |_, traces| {
-        run_interval_impl(cfg, traces, theta, plan, None, solver)
+        run_interval_with(cfg, traces, theta, plan, solver, None)
     })
 }
 

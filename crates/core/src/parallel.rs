@@ -11,8 +11,8 @@
 //!
 //! Worker count resolution, in priority order:
 //!
-//! 1. an explicit count ([`ThreadPool::new`], or
-//!    `Synts::builder().workers(n)`);
+//! 1. an explicit count ([`ThreadPool::new`], or [`worker_count`] with
+//!    `Some(n)`);
 //! 2. the `SYNTS_THREADS` environment variable ([`THREADS_ENV`]);
 //! 3. [`std::thread::available_parallelism`].
 //!

@@ -12,9 +12,32 @@
 //! count.
 //!
 //! Schemes are addressed by registry key (`"synts_poly"`, `"nominal"`,
-//! …) through [`crate::SolverRegistry`] /
-//! [`crate::solver::default_solver`], with [`Solver::label`] for
-//! display — the former `Scheme` enum that duplicated both is gone.
+//! …) through [`crate::SolverRegistry`], with [`Solver::label`] for
+//! display.
+//!
+//! ```
+//! use synts_core::{default_theta_sweep, pareto_sweep, SolverRegistry, SystemConfig};
+//! use synts_core::{ThreadPool, ThreadProfile};
+//! use timing::ErrorCurve;
+//!
+//! # fn main() -> Result<(), synts_core::OptError> {
+//! let cfg = SystemConfig::paper_default(100.0);
+//! let curve = |lo: f64| {
+//!     ErrorCurve::from_normalized_delays(
+//!         (0..64).map(|i| lo + (1.0 - lo) * i as f64 / 64.0).collect(),
+//!     )
+//! };
+//! let profiles = vec![
+//!     ThreadProfile::new(10_000.0, 1.2, curve(0.7)?),
+//!     ThreadProfile::new(10_000.0, 1.0, curve(0.4)?),
+//! ];
+//! let solver = SolverRegistry::with_defaults().get("synts_poly")?;
+//! let thetas = default_theta_sweep(&cfg, &profiles, 9, 2.0)?;
+//! let points = pareto_sweep(&*solver, &cfg, &profiles, &thetas, ThreadPool::from_env())?;
+//! assert_eq!(points.len(), 9);
+//! # Ok(())
+//! # }
+//! ```
 
 use timing::{EnergyDelay, ErrorModel};
 
@@ -34,39 +57,20 @@ pub struct SweepPoint {
     pub ed: EnergyDelay,
 }
 
-/// Sweeps `theta` over any [`Solver`], producing the raw points behind
-/// the Pareto plots of Figs 6.11–6.16.
+/// Sweeps `theta` over any [`Solver`] on `pool`, producing the raw
+/// points behind the Pareto plots of Figs 6.11–6.16.
 ///
-/// θ points fan out across a [`ThreadPool::from_env`] pool (worker count
-/// from `SYNTS_THREADS`, else the machine); results are collected in θ
-/// order and are bit-identical to the sequential loop. Use
-/// [`pareto_sweep_pooled`] to pass an explicit pool.
+/// The θ grid is split into `pool.workers()` contiguous chunks; each
+/// worker runs its chunk through one [`Solver::solve_batch`] call, so the
+/// table-driven solvers build their time/energy tables once per worker
+/// instead of once per θ. Collection is index-ordered, making the result
+/// bit-identical to the sequential loop at any worker count.
 ///
 /// # Errors
 ///
 /// Propagates [`OptError`] from the solver — the first failing θ in grid
 /// order, exactly as the sequential loop would report.
 pub fn pareto_sweep<M: ErrorModel + Sync>(
-    solver: &dyn Solver<M>,
-    cfg: &SystemConfig,
-    profiles: &[ThreadProfile<M>],
-    thetas: &[f64],
-) -> Result<Vec<SweepPoint>, OptError> {
-    pareto_sweep_pooled(solver, cfg, profiles, thetas, ThreadPool::from_env())
-}
-
-/// [`pareto_sweep`] over an explicit [`ThreadPool`].
-///
-/// The θ grid is split into `pool.workers()` contiguous chunks; each
-/// worker runs its chunk through one [`Solver::solve_batch`] call, so the
-/// table-driven solvers build their time/energy tables once per worker
-/// instead of once per θ. Collection is index-ordered, making the result
-/// independent of worker count and scheduling.
-///
-/// # Errors
-///
-/// As [`pareto_sweep`].
-pub fn pareto_sweep_pooled<M: ErrorModel + Sync>(
     solver: &dyn Solver<M>,
     cfg: &SystemConfig,
     profiles: &[ThreadProfile<M>],
@@ -180,7 +184,8 @@ mod tests {
     fn sweep_produces_monotone_tradeoff_for_synts() {
         let (cfg, profiles) = workload();
         let thetas = default_theta_sweep(&cfg, &profiles, 9, 2.0).expect("ok");
-        let pts = pareto_sweep(&solver::Poly, &cfg, &profiles, &thetas).expect("ok");
+        let pool = ThreadPool::from_env();
+        let pts = pareto_sweep(&solver::Poly, &cfg, &profiles, &thetas, pool).expect("ok");
         // Higher theta -> no slower, and the sweep spans a real range.
         for w in pts.windows(2) {
             assert!(
@@ -201,8 +206,9 @@ mod tests {
         let poly = solver::default_solver::<ErrorCurve>("synts_poly").expect("registered");
         let percore_solver =
             solver::default_solver::<ErrorCurve>("per_core_ts").expect("registered");
-        let synts = pareto_sweep(&*poly, &cfg, &profiles, &thetas).expect("ok");
-        let percore = pareto_sweep(&*percore_solver, &cfg, &profiles, &thetas).expect("ok");
+        let pool = ThreadPool::from_env();
+        let synts = pareto_sweep(&*poly, &cfg, &profiles, &thetas, pool).expect("ok");
+        let percore = pareto_sweep(&*percore_solver, &cfg, &profiles, &thetas, pool).expect("ok");
         // For every per-core point, some SynTS point is at least as good on
         // both axes (SynTS solves the joint problem optimally).
         for p in &percore {
@@ -226,7 +232,8 @@ mod tests {
     fn pareto_front_of_sweep_is_nontrivial() {
         let (cfg, profiles) = workload();
         let thetas = default_theta_sweep(&cfg, &profiles, 11, 2.0).expect("ok");
-        let pts = pareto_sweep(&solver::Poly, &cfg, &profiles, &thetas).expect("ok");
+        let pool = ThreadPool::from_env();
+        let pts = pareto_sweep(&solver::Poly, &cfg, &profiles, &thetas, pool).expect("ok");
         let eds: Vec<EnergyDelay> = pts.iter().map(|p| p.ed).collect();
         let front = pareto_front(&eds);
         assert!(front.len() >= 2, "expected a real trade-off curve");

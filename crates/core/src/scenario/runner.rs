@@ -3,7 +3,8 @@
 //!
 //! The runner owns the whole data-driven path: characterize (or accept a
 //! pre-characterized [`BenchmarkData`]), select intervals, resolve the θ
-//! grid, dispatch every scheme through the [`SolverRegistry`], fan the
+//! grid, dispatch every scheme through the default
+//! [`SolverRegistry`](crate::SolverRegistry), fan the
 //! per-interval batched solves across the [`ThreadPool`], and assemble
 //! typed records with Pareto fronts and invariant checks. Results are
 //! bit-identical at any worker count: intervals are mapped in index
@@ -23,35 +24,24 @@ use crate::model::{evaluate, Assignment, SystemConfig, ThreadProfile};
 use crate::parallel::{worker_count, ThreadPool};
 use crate::scenario::report::{Dataset, Record, Report, ReportCheck};
 use crate::scenario::spec::{IntervalSelection, ScenarioSpec};
-use crate::solver::{Objective, SolveRequest, Solver, SolverRegistry};
+use crate::solver::{Objective, SolveRequest, Solver};
 
-/// A configured scenario run: a spec plus the registry it resolves
-/// scheme keys against.
+/// A configured scenario run: a spec plus the characterization cache it
+/// runs against. Scheme keys resolve through [`ScenarioSpec::solvers`].
 pub struct Experiment {
     spec: ScenarioSpec,
-    registry: SolverRegistry<ErrorCurve>,
     cache: CharCache,
 }
 
 impl Experiment {
-    /// An experiment over the default registry
-    /// ([`SolverRegistry::with_defaults`]) and the environment-resolved
-    /// characterization cache (`SYNTS_CACHE_DIR`).
+    /// An experiment over the environment-resolved characterization
+    /// cache (`SYNTS_CACHE_DIR`).
     #[must_use]
     pub fn new(spec: ScenarioSpec) -> Experiment {
         Experiment {
             spec,
-            registry: SolverRegistry::with_defaults(),
             cache: CharCache::from_env(),
         }
-    }
-
-    /// Replaces the registry (to resolve schemes against custom or
-    /// re-parameterized solvers).
-    #[must_use]
-    pub fn with_registry(mut self, registry: SolverRegistry<ErrorCurve>) -> Experiment {
-        self.registry = registry;
-        self
     }
 
     /// Replaces the characterization cache ([`CharCache::disabled`] to
@@ -82,9 +72,7 @@ impl Experiment {
     pub fn run(&self) -> Result<Report, OptError> {
         // Resolve every named scheme first so a typo fails in
         // microseconds, not after a full characterization run.
-        for key in self.spec.schemes.iter().chain(&self.spec.normalize_to) {
-            self.registry.get(key)?;
-        }
+        self.spec.solvers()?;
         let data = characterize_cached(
             self.spec.benchmark,
             self.spec.stage,
@@ -124,15 +112,10 @@ impl Experiment {
 
         // Resolve every scheme up front so an unknown key fails before
         // any solving starts, with the registered keys in the message.
-        let solvers: Vec<(String, Arc<dyn Solver<ErrorCurve>>)> = spec
-            .schemes
-            .iter()
-            .map(|key| Ok((key.clone(), self.registry.get(key)?)))
-            .collect::<Result<_, OptError>>()?;
+        let (solvers, normalize_to) = spec.solvers()?;
 
-        let baseline = match &spec.normalize_to {
-            Some(key) => {
-                let solver = self.registry.get(key)?;
+        let baseline = match normalize_to {
+            Some(solver) => {
                 let (sums, _) =
                     run_scheme(pool, &cfg, &profile_sets, &*solver, &[theta_center], false)?;
                 Some(sums[0])
@@ -141,7 +124,7 @@ impl Experiment {
         };
 
         let mut datasets = Vec::with_capacity(solvers.len());
-        for (key, solver) in &solvers {
+        for (key, solver) in spec.schemes.iter().zip(&solvers) {
             let (sums, assignments) = run_scheme(
                 pool,
                 &cfg,
@@ -178,13 +161,13 @@ impl Experiment {
             // zero-speculation baseline would pass vacuously.
             let verify_idx = solvers
                 .iter()
-                .position(|(_, s)| s.capabilities().speculates)
+                .position(|s| s.capabilities().speculates)
                 .unwrap_or(0);
             checks.push(model_vs_sim_check(
                 &cfg,
                 data,
                 intervals_used[0],
-                &*solvers[verify_idx].1,
+                &*solvers[verify_idx],
                 theta_grid[0],
             )?);
         }
@@ -206,7 +189,6 @@ impl std::fmt::Debug for Experiment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Experiment")
             .field("spec", &self.spec.name)
-            .field("registry", &self.registry.len())
             .finish()
     }
 }
@@ -310,12 +292,12 @@ fn run_scheme(
 /// Shared with [`crate::scenario::service`]'s merge, which recomputes
 /// the checks over the reassembled grid.
 pub(crate) fn dominance_checks(
-    solvers: &[(String, Arc<dyn Solver<ErrorCurve>>)],
+    solvers: &[Arc<dyn Solver<ErrorCurve>>],
     theta_grid: &[f64],
     datasets: &[Dataset],
 ) -> Vec<ReportCheck> {
     let mut checks = Vec::new();
-    for (i, (_, solver)) in solvers.iter().enumerate() {
+    for (i, solver) in solvers.iter().enumerate() {
         let caps = solver.capabilities();
         if !(caps.exact && caps.objective == Objective::WeightedEnergyTime) {
             continue;

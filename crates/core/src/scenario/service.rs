@@ -29,27 +29,26 @@
 //!
 //! ```no_run
 //! use synts_core::scenario::{Experiment, ScenarioSpec, ShardPlan, ThetaSpec};
-//! use synts_core::SolverRegistry;
+//! use synts_core::CharCache;
 //! use workloads::Benchmark;
 //! use circuits::StageKind;
 //!
 //! # fn main() -> Result<(), synts_core::OptError> {
 //! let spec = ScenarioSpec::new("sweep", Benchmark::Radix, StageKind::Decode)
 //!     .thetas(ThetaSpec::LogAroundEqualWeight { points: 9, decades: 2.0 });
-//! let plan = ShardPlan::plan_cached(&spec, 4)?;
+//! let plan = ShardPlan::plan_cached(&spec, 4, &CharCache::from_env())?;
 //! let parts = plan
 //!     .shards()
 //!     .iter()
 //!     .map(|shard| Experiment::new(shard.spec.clone()).run())
 //!     .collect::<Result<Vec<_>, _>>()?;
-//! let merged = plan.merge(&parts, &SolverRegistry::with_defaults())?;
+//! let merged = plan.merge(&parts)?;
 //! assert_eq!(merged.theta_grid.len(), 9);
 //! # Ok(())
 //! # }
 //! ```
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use timing::{pareto_front, ErrorCurve};
 
@@ -61,7 +60,6 @@ use crate::parallel::{worker_count, ThreadPool};
 use crate::scenario::report::{Dataset, Report};
 use crate::scenario::runner::{dominance_checks, equal_weight_center, select_intervals};
 use crate::scenario::spec::{ScenarioSpec, ThetaSpec};
-use crate::solver::{Solver, SolverRegistry};
 
 /// One independently runnable piece of a sharded scenario: the original
 /// spec restricted to a contiguous θ-chunk.
@@ -151,24 +149,14 @@ impl ShardPlan {
     }
 
     /// Plans `spec` by characterizing its benchmark/stage first, through
-    /// the environment-resolved cache (`SYNTS_CACHE_DIR`) — the entry
-    /// point the service uses on job submission. The characterization
-    /// this pays warms the cache the shards then hit.
+    /// `cache` — the entry point the service uses on job submission. The
+    /// characterization this pays warms the cache the shards then hit.
     ///
     /// # Errors
     ///
     /// Characterization failures, plus everything [`ShardPlan::plan`]
     /// raises.
-    pub fn plan_cached(spec: &ScenarioSpec, max_shards: usize) -> Result<ShardPlan, OptError> {
-        Self::plan_cached_with(spec, max_shards, &CharCache::from_env())
-    }
-
-    /// [`ShardPlan::plan_cached`] against an explicit cache.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardPlan::plan_cached`].
-    pub fn plan_cached_with(
+    pub fn plan_cached(
         spec: &ScenarioSpec,
         max_shards: usize,
         cache: &CharCache,
@@ -213,12 +201,8 @@ impl ShardPlan {
     /// # Errors
     ///
     /// As [`Report::merge`].
-    pub fn merge(
-        &self,
-        parts: &[Report],
-        registry: &SolverRegistry<ErrorCurve>,
-    ) -> Result<Report, OptError> {
-        Report::merge(self, parts, registry)
+    pub fn merge(&self, parts: &[Report]) -> Result<Report, OptError> {
+        Report::merge(self, parts)
     }
 }
 
@@ -230,22 +214,19 @@ impl Report {
     /// Partial `Dataset`s are matched by scheme key, records
     /// concatenated in θ-chunk order, Pareto fronts and dominance checks
     /// recomputed over the merged set (resolving scheme capabilities
-    /// against `registry`), and shard 0's model-vs-simulation check (if
-    /// the spec asked for one) spliced back in last.
+    /// through [`ScenarioSpec::solvers`]), and shard 0's
+    /// model-vs-simulation check (if the spec asked for one) spliced back
+    /// in last.
     ///
     /// # Errors
     ///
     /// [`OptError::Spec`] when the parts do not line up with the plan
     /// (wrong count or order, a θ chunk or dataset mismatch, or
     /// cross-shard disagreement on the characterized inputs);
-    /// [`OptError::UnknownSolver`] if a scheme key is not in `registry`.
+    /// [`OptError::UnknownSolver`] if a scheme key is not registered.
     ///
     /// [`Experiment::run`]: crate::scenario::Experiment::run
-    pub fn merge(
-        plan: &ShardPlan,
-        parts: &[Report],
-        registry: &SolverRegistry<ErrorCurve>,
-    ) -> Result<Report, OptError> {
+    pub fn merge(plan: &ShardPlan, parts: &[Report]) -> Result<Report, OptError> {
         let bad = |msg: String| OptError::Spec(format!("report merge: {msg}"));
         if parts.len() != plan.shards.len() {
             return Err(bad(format!(
@@ -300,12 +281,7 @@ impl Report {
             ));
         }
 
-        let solvers: Vec<(String, Arc<dyn Solver<ErrorCurve>>)> = plan
-            .spec
-            .schemes
-            .iter()
-            .map(|key| Ok((key.clone(), registry.get(key)?)))
-            .collect::<Result<_, OptError>>()?;
+        let (solvers, _) = plan.spec.solvers()?;
         let datasets: Vec<Dataset> = plan
             .spec
             .schemes
@@ -409,17 +385,14 @@ mod tests {
                     .expect("runs")
             })
             .collect();
-        let registry = SolverRegistry::with_defaults();
 
-        let err = plan
-            .merge(&parts[..1], &registry)
-            .expect_err("missing part");
+        let err = plan.merge(&parts[..1]).expect_err("missing part");
         assert!(err.to_string().contains("expected 2"), "{err}");
         let swapped: Vec<Report> = vec![parts[1].clone(), parts[0].clone()];
-        let err = plan.merge(&swapped, &registry).expect_err("out of order");
+        let err = plan.merge(&swapped).expect_err("out of order");
         assert!(err.to_string().contains("shard order"), "{err}");
 
-        let merged = plan.merge(&parts, &registry).expect("merges");
+        let merged = plan.merge(&parts).expect("merges");
         let monolithic = crate::scenario::Experiment::new(spec)
             .run_on(&data)
             .expect("runs");

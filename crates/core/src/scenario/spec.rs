@@ -7,12 +7,16 @@
 //! under `crates/bench/specs/` are the declarative form of the paper's
 //! figures.
 
+use std::sync::Arc;
+
 use circuits::StageKind;
+use timing::ErrorCurve;
 use workloads::Benchmark;
 
 use crate::error::OptError;
 use crate::experiments::HarnessConfig;
 use crate::scenario::json::Json;
+use crate::solver::{Solver, SolverRegistry};
 
 /// How much work the characterization harness does for this scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,6 +242,38 @@ impl ScenarioSpec {
     pub fn faults(mut self, plan: impl Into<String>) -> Self {
         self.faults = Some(plan.into());
         self
+    }
+
+    /// Resolves the scheme keys against the default registry, the one
+    /// every run, shard and merge uses: one solver per `schemes` key, in
+    /// order, then the `normalize_to` solver if the spec names one.
+    ///
+    /// # Errors
+    ///
+    /// [`OptError::UnknownSolver`] for the first unregistered key,
+    /// listing the registered ones.
+    #[allow(clippy::type_complexity)]
+    pub fn solvers(
+        &self,
+    ) -> Result<
+        (
+            Vec<Arc<dyn Solver<ErrorCurve>>>,
+            Option<Arc<dyn Solver<ErrorCurve>>>,
+        ),
+        OptError,
+    > {
+        let registry = SolverRegistry::with_defaults();
+        let schemes = self
+            .schemes
+            .iter()
+            .map(|key| registry.get(key))
+            .collect::<Result<_, _>>()?;
+        let normalize_to = self
+            .normalize_to
+            .as_deref()
+            .map(|key| registry.get(key))
+            .transpose()?;
+        Ok((schemes, normalize_to))
     }
 
     /// The JSON tree of this spec.

@@ -8,11 +8,13 @@
 //!
 //! * [`Solver`] — `solve(cfg, profiles, theta) -> Assignment` plus
 //!   [`Solver::name`] and [`Solver::capabilities`];
-//! * [`SolverRegistry`] — string-keyed lookup over boxed solvers, so
-//!   sweeps, experiment harnesses and services can dispatch on
-//!   configuration data instead of hard-coded matches;
-//! * [`Synts`] / [`SyntsBuilder`] — the fluent front door:
-//!   `Synts::builder().scheme("synts_poly").theta(1.0).build()`.
+//! * [`SolverRegistry`] — string-keyed lookup over the default solvers,
+//!   so sweeps, experiment harnesses and services can dispatch on
+//!   configuration data instead of hard-coded matches.
+//!
+//! A parameterized variant is a value of its solver struct:
+//! [`PowerCap::new`], [`Leakage::new`], [`Thrifty::new`],
+//! [`Milp::with_node_limit`].
 //!
 //! The trait is generic over the error model `M` (an [`ErrorModel`]), so
 //! the same solver values serve exact offline curves
@@ -20,7 +22,7 @@
 //! ([`timing::SampledCurve`]) alike.
 //!
 //! ```
-//! use synts_core::{Synts, SystemConfig, ThreadProfile};
+//! use synts_core::{SolverRegistry, SystemConfig, ThreadProfile};
 //! use timing::ErrorCurve;
 //!
 //! # fn main() -> Result<(), synts_core::OptError> {
@@ -34,8 +36,8 @@
 //!     ThreadProfile::new(10_000.0, 1.2, curve(0.7)?),
 //!     ThreadProfile::new(10_000.0, 1.0, curve(0.4)?),
 //! ];
-//! let synts = Synts::builder().scheme("synts_poly").theta(1.0).build()?;
-//! let assignment = synts.solve(&cfg, &profiles)?;
+//! let solver = SolverRegistry::with_defaults().get("synts_poly")?;
+//! let assignment = solver.solve(&cfg, &profiles, 1.0)?;
 //! assert_eq!(assignment.len(), 2);
 //! # Ok(())
 //! # }
@@ -50,9 +52,8 @@ use crate::baselines;
 use crate::error::OptError;
 use crate::exhaustive::{self, synts_exhaustive};
 use crate::leakage::{synts_poly_leakage, LeakageModel};
-use crate::milp_formulation::{self, synts_milp_with, MilpTuning};
+use crate::milp_formulation;
 use crate::model::{evaluate, Assignment, SystemConfig, ThreadProfile};
-use crate::parallel::{worker_count, ThreadPool};
 use crate::poly::{self, synts_poly, PreparedTables};
 use crate::power_cap::synts_poly_power_capped;
 use crate::thrifty::{thrifty_barrier, ThriftyConfig};
@@ -338,12 +339,6 @@ impl Milp {
             node_limit: Some(node_limit),
         }
     }
-
-    fn tuning(&self) -> MilpTuning {
-        MilpTuning {
-            node_limit: self.node_limit,
-        }
-    }
 }
 
 impl<M: ErrorModel> Solver<M> for Milp {
@@ -368,15 +363,15 @@ impl<M: ErrorModel> Solver<M> for Milp {
         profiles: &[ThreadProfile<M>],
         theta: f64,
     ) -> Result<Assignment, OptError> {
-        synts_milp_with(cfg, profiles, theta, &self.tuning())
+        let mut results = self.solve_batch(&[SolveRequest::new(cfg, profiles, theta)]);
+        results.pop().expect("one result per request")
     }
 
     fn solve_batch(&self, requests: &[SolveRequest<'_, M>]) -> Vec<Result<Assignment, OptError>> {
-        let tuning = self.tuning();
         batch_with_tables(requests, |prepared, thetas| {
             thetas
                 .iter()
-                .map(|&theta| milp_formulation::solve_prepared(prepared, theta, &tuning))
+                .map(|&theta| milp_formulation::solve_prepared(prepared, theta, self.node_limit))
                 .collect()
         })
     }
@@ -717,39 +712,25 @@ pub fn default_solver<M: ErrorModel + 'static>(name: &str) -> Option<Arc<dyn Sol
     })
 }
 
-/// String-keyed solver lookup, keyed by [`Solver::name`].
-///
-/// [`SolverRegistry::with_defaults`] registers every scheme this crate
-/// ships; services and experiments register extras (or re-register a name
-/// with different parameters, e.g. a concrete power budget) on top.
+/// String-keyed solver lookup over the default solvers, keyed by
+/// [`Solver::name`].
 pub struct SolverRegistry<M: ErrorModel = ErrorCurve> {
     solvers: BTreeMap<&'static str, Arc<dyn Solver<M>>>,
 }
 
 impl<M: ErrorModel + 'static> SolverRegistry<M> {
-    /// An empty registry.
-    #[must_use]
-    pub fn empty() -> SolverRegistry<M> {
-        SolverRegistry {
-            solvers: BTreeMap::new(),
-        }
-    }
-
     /// A registry holding every solver this crate ships
     /// ([`DEFAULT_SOLVER_NAMES`]), under its [`Solver::name`] key.
     #[must_use]
     pub fn with_defaults() -> SolverRegistry<M> {
-        let mut r = SolverRegistry::empty();
-        for name in DEFAULT_SOLVER_NAMES {
-            r.register(default_solver(name).expect("listed names are constructible"));
-        }
-        r
-    }
-
-    /// Registers a solver under its own name, returning any displaced
-    /// previous registrant.
-    pub fn register(&mut self, solver: Arc<dyn Solver<M>>) -> Option<Arc<dyn Solver<M>>> {
-        self.solvers.insert(solver.name(), solver)
+        let solvers = DEFAULT_SOLVER_NAMES
+            .into_iter()
+            .map(|name| {
+                let solver = default_solver(name).expect("listed names are constructible");
+                (solver.name(), solver)
+            })
+            .collect();
+        SolverRegistry { solvers }
     }
 
     /// Looks a solver up by name.
@@ -773,13 +754,6 @@ impl<M: ErrorModel + 'static> SolverRegistry<M> {
         self.solvers.keys().copied()
     }
 
-    /// The registered key closest to `name` by edit distance, when close
-    /// enough to be a plausible typo ("did you mean ...?").
-    #[must_use]
-    pub fn suggest(&self, name: &str) -> Option<&'static str> {
-        crate::error::closest_match(name, self.names())
-    }
-
     /// All `(name, solver)` pairs, sorted by name.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, &Arc<dyn Solver<M>>)> {
         self.solvers.iter().map(|(k, v)| (*k, v))
@@ -801,286 +775,6 @@ impl<M: ErrorModel + 'static> SolverRegistry<M> {
 impl<M: ErrorModel + 'static> Default for SolverRegistry<M> {
     fn default() -> SolverRegistry<M> {
         SolverRegistry::with_defaults()
-    }
-}
-
-/// A configured optimizer: a solver plus the weight θ it runs at.
-///
-/// Built with [`Synts::builder`]; see the [module docs](self) for an
-/// end-to-end example.
-pub struct Synts<M: ErrorModel = ErrorCurve> {
-    solver: Arc<dyn Solver<M>>,
-    theta: f64,
-    pool: ThreadPool,
-}
-
-impl<M: ErrorModel> std::fmt::Debug for Synts<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Synts")
-            .field("solver", &self.solver.name())
-            .field("theta", &self.theta)
-            .field("workers", &self.pool.workers())
-            .finish()
-    }
-}
-
-impl Synts<ErrorCurve> {
-    /// Starts a fluent configuration over exact offline error curves —
-    /// the common case, so `Synts::builder()` infers without a type
-    /// annotation. For other error models (e.g. online
-    /// [`timing::SampledCurve`] estimates) use [`SyntsBuilder::new`].
-    #[must_use]
-    pub fn builder() -> SyntsBuilder<ErrorCurve> {
-        SyntsBuilder::new()
-    }
-}
-
-impl<M: ErrorModel + 'static> Synts<M> {
-    /// The configured solver.
-    #[must_use]
-    pub fn solver(&self) -> &dyn Solver<M> {
-        self.solver.as_ref()
-    }
-
-    /// The configured weight θ.
-    #[must_use]
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
-
-    /// The sweep thread pool ([`SyntsBuilder::workers`], or
-    /// `SYNTS_THREADS`, or the machine's available parallelism).
-    #[must_use]
-    pub fn pool(&self) -> ThreadPool {
-        self.pool
-    }
-
-    /// Solves at the configured θ.
-    ///
-    /// # Errors
-    ///
-    /// As [`Solver::solve`].
-    pub fn solve(
-        &self,
-        cfg: &SystemConfig,
-        profiles: &[ThreadProfile<M>],
-    ) -> Result<Assignment, OptError> {
-        self.solver.solve(cfg, profiles, self.theta)
-    }
-
-    /// Solves and evaluates at the configured θ.
-    ///
-    /// # Errors
-    ///
-    /// As [`Solver::solve`].
-    pub fn run(
-        &self,
-        cfg: &SystemConfig,
-        profiles: &[ThreadProfile<M>],
-    ) -> Result<(Assignment, EnergyDelay), OptError> {
-        self.solver.solve_evaluated(cfg, profiles, self.theta)
-    }
-
-    /// Sweeps the configured solver over `thetas` (a Pareto sweep),
-    /// fanning θ points across the configured [`ThreadPool`]. Results are
-    /// index-ordered and bit-identical at any worker count.
-    ///
-    /// # Errors
-    ///
-    /// As [`Solver::solve`].
-    pub fn sweep(
-        &self,
-        cfg: &SystemConfig,
-        profiles: &[ThreadProfile<M>],
-        thetas: &[f64],
-    ) -> Result<Vec<crate::pareto::SweepPoint>, OptError>
-    where
-        M: Sync,
-    {
-        crate::pareto::pareto_sweep_pooled(self.solver.as_ref(), cfg, profiles, thetas, self.pool)
-    }
-}
-
-/// Fluent configuration for [`Synts`].
-pub struct SyntsBuilder<M: ErrorModel = ErrorCurve> {
-    registry: SolverRegistry<M>,
-    scheme: Option<String>,
-    theta: f64,
-    workers: Option<usize>,
-    power_budget: Option<f64>,
-    leakage: Option<LeakageModel>,
-    thrifty: Option<ThriftyConfig>,
-    custom: Option<Arc<dyn Solver<M>>>,
-}
-
-impl<M: ErrorModel + 'static> Default for SyntsBuilder<M> {
-    fn default() -> SyntsBuilder<M> {
-        SyntsBuilder::new()
-    }
-}
-
-impl<M: ErrorModel + 'static> SyntsBuilder<M> {
-    /// A builder over an explicit error model `M`; equivalent to
-    /// [`Synts::builder`] when `M` is [`ErrorCurve`].
-    #[must_use]
-    pub fn new() -> SyntsBuilder<M> {
-        SyntsBuilder {
-            registry: SolverRegistry::with_defaults(),
-            scheme: None,
-            theta: 1.0,
-            workers: None,
-            power_budget: None,
-            leakage: None,
-            thrifty: None,
-            custom: None,
-        }
-    }
-
-    /// Selects a solver by registry name (default: `"synts_poly"`).
-    #[must_use]
-    pub fn scheme(mut self, name: impl Into<String>) -> SyntsBuilder<M> {
-        self.scheme = Some(name.into());
-        self
-    }
-
-    /// Sets the energy/time weight θ of Eq 4.4 (default: 1.0).
-    #[must_use]
-    pub fn theta(mut self, theta: f64) -> SyntsBuilder<M> {
-        self.theta = theta;
-        self
-    }
-
-    /// Sets the sweep worker count (clamped to at least 1). Without an
-    /// explicit count the `SYNTS_THREADS` environment variable, then the
-    /// machine's available parallelism, decide
-    /// ([`crate::parallel::worker_count`]). Sweep results are
-    /// bit-identical at any worker count; this knob only trades wall
-    /// clock for cores.
-    #[must_use]
-    pub fn workers(mut self, workers: usize) -> SyntsBuilder<M> {
-        self.workers = Some(workers);
-        self
-    }
-
-    /// Parameterizes the `"power_cap"` solver with an average-power
-    /// budget; if no scheme was chosen explicitly, also selects it.
-    #[must_use]
-    pub fn power_budget(mut self, p_cap: f64) -> SyntsBuilder<M> {
-        self.power_budget = Some(p_cap);
-        self
-    }
-
-    /// Parameterizes the `"synts_leakage"` and `"thrifty"` solvers with a
-    /// static-power model; if no scheme was chosen explicitly, selects
-    /// the leakage-aware solver.
-    #[must_use]
-    pub fn leakage(mut self, model: LeakageModel) -> SyntsBuilder<M> {
-        self.leakage = Some(model);
-        self
-    }
-
-    /// Parameterizes the `"thrifty"` solver's sleep hardware; if no
-    /// scheme was chosen explicitly, selects the thrifty barrier.
-    #[must_use]
-    pub fn thrifty(mut self, config: ThriftyConfig) -> SyntsBuilder<M> {
-        self.thrifty = Some(config);
-        self
-    }
-
-    /// Uses a custom solver directly, bypassing the registry.
-    #[must_use]
-    pub fn solver(mut self, solver: Arc<dyn Solver<M>>) -> SyntsBuilder<M> {
-        self.custom = Some(solver);
-        self
-    }
-
-    /// Replaces the lookup registry (to resolve schemes against a custom
-    /// solver set).
-    #[must_use]
-    pub fn registry(mut self, registry: SolverRegistry<M>) -> SyntsBuilder<M> {
-        self.registry = registry;
-        self
-    }
-
-    /// Resolves the configuration into a ready [`Synts`].
-    ///
-    /// # Errors
-    ///
-    /// * [`OptError::UnknownSolver`] if the scheme name is not registered;
-    /// * [`OptError::BadConfig`] if a configured parameter cannot be
-    ///   honored — a `power_budget`/`leakage`/`thrifty` setting combined
-    ///   with an explicit scheme (or custom solver) that ignores it, or
-    ///   the `"power_cap"` scheme chosen without a budget. Silently
-    ///   dropping a constraint the caller asked for is never an option.
-    pub fn build(mut self) -> Result<Synts<M>, OptError> {
-        let pool = ThreadPool::new(worker_count(self.workers));
-        if let Some(solver) = self.custom {
-            if self.power_budget.is_some() || self.leakage.is_some() || self.thrifty.is_some() {
-                return Err(OptError::BadConfig(
-                    "a custom solver ignores power_budget/leakage/thrifty parameters",
-                ));
-            }
-            return Ok(Synts {
-                solver,
-                theta: self.theta,
-                pool,
-            });
-        }
-        // Fold the extension parameters into the registry entries so a
-        // scheme lookup sees the configured variants.
-        let leak = self.leakage.unwrap_or_else(LeakageModel::none);
-        if let Some(p_cap) = self.power_budget {
-            self.registry.register(Arc::new(PowerCap::new(p_cap)));
-        }
-        if self.leakage.is_some() {
-            self.registry.register(Arc::new(Leakage::new(leak)));
-        }
-        if self.leakage.is_some() || self.thrifty.is_some() {
-            let config = self.thrifty.unwrap_or_else(ThriftyConfig::classic);
-            self.registry.register(Arc::new(Thrifty::new(leak, config)));
-        }
-        let scheme = self.scheme.clone().unwrap_or_else(|| {
-            // Unnamed scheme: infer the most specific configured solver.
-            // Thrifty before leakage: the thrifty solver consumes both
-            // parameters, so setting both must resolve to it.
-            if self.power_budget.is_some() {
-                "power_cap".to_string()
-            } else if self.thrifty.is_some() {
-                "thrifty".to_string()
-            } else if self.leakage.is_some() {
-                "synts_leakage".to_string()
-            } else {
-                "synts_poly".to_string()
-            }
-        });
-        // Reject combinations where a requested parameter would be
-        // silently dropped by the resolved scheme.
-        if self.power_budget.is_some() && scheme != "power_cap" {
-            return Err(OptError::BadConfig(
-                "power_budget is only honored by the 'power_cap' scheme",
-            ));
-        }
-        if self.power_budget.is_none() && scheme == "power_cap" {
-            return Err(OptError::BadConfig(
-                "the 'power_cap' scheme requires a power_budget",
-            ));
-        }
-        if self.leakage.is_some() && !matches!(scheme.as_str(), "synts_leakage" | "thrifty") {
-            return Err(OptError::BadConfig(
-                "leakage is only honored by the 'synts_leakage' and 'thrifty' schemes",
-            ));
-        }
-        if self.thrifty.is_some() && scheme != "thrifty" {
-            return Err(OptError::BadConfig(
-                "a thrifty config is only honored by the 'thrifty' scheme",
-            ));
-        }
-        let solver = self.registry.get(&scheme)?;
-        Ok(Synts {
-            solver,
-            theta: self.theta,
-            pool,
-        })
     }
 }
 
@@ -1161,79 +855,40 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_to_poly() {
-        let (cfg, profiles) = small_instance();
-        let synts: Synts = Synts::builder().theta(2.0).build().expect("builds");
-        assert_eq!(synts.solver().name(), "synts_poly");
-        assert!((synts.theta() - 2.0).abs() < 1e-12);
-        let a = synts.solve(&cfg, &profiles).expect("solves");
-        let b = synts_poly(&cfg, &profiles, 2.0).expect("solves");
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn builder_power_budget_selects_and_parameterizes_power_cap() {
+    fn power_cap_keeps_average_power_within_the_budget() {
         let (cfg, profiles) = small_instance();
         let nominal_power = {
             let a = baselines::nominal(&cfg, &profiles).expect("ok");
             let ed = evaluate(&cfg, &profiles, &a);
             ed.energy / ed.time
         };
-        let synts: Synts = Synts::builder()
-            .power_budget(nominal_power)
-            .build()
-            .expect("builds");
-        assert_eq!(synts.solver().name(), "power_cap");
-        let a = synts.solve(&cfg, &profiles).expect("feasible");
+        let a = PowerCap::new(nominal_power)
+            .solve(&cfg, &profiles, 1.0)
+            .expect("feasible");
         let ed = evaluate(&cfg, &profiles, &a);
         assert!(ed.energy / ed.time <= nominal_power * (1.0 + 1e-9));
     }
 
     #[test]
-    fn builder_leakage_selects_leakage_solver() {
+    fn leakage_solver_is_the_leakage_aware_algorithm() {
         let (cfg, profiles) = small_instance();
         let leak = LeakageModel::fraction_of_dynamic(&cfg, 0.3).expect("ok");
-        let synts: Synts = Synts::builder()
-            .leakage(leak)
-            .theta(1.0)
-            .build()
-            .expect("builds");
-        assert_eq!(synts.solver().name(), "synts_leakage");
-        let a = synts.solve(&cfg, &profiles).expect("solves");
+        let a = Leakage::new(leak)
+            .solve(&cfg, &profiles, 1.0)
+            .expect("solves");
         let b = synts_poly_leakage(&cfg, &profiles, 1.0, &leak).expect("solves");
         assert_eq!(a, b);
     }
 
     #[test]
-    fn builder_explicit_scheme_wins_over_parameter_inference() {
+    fn thrifty_solver_keeps_the_uniform_nominal_policy() {
         let (cfg, profiles) = small_instance();
         let leak = LeakageModel::fraction_of_dynamic(&cfg, 0.3).expect("ok");
-        let synts: Synts = Synts::builder()
-            .scheme("thrifty")
-            .leakage(leak)
-            .build()
-            .expect("builds");
-        assert_eq!(synts.solver().name(), "thrifty");
-        // The thrifty solver inherited the configured leakage model: the
-        // solve still yields the uniform nominal policy assignment.
-        let a = synts.solve(&cfg, &profiles).expect("solves");
-        assert!(a.points.iter().all(|p| p.voltage_idx == 0));
-    }
-
-    #[test]
-    fn builder_leakage_plus_thrifty_infers_the_thrifty_solver() {
-        // The thrifty solver consumes both parameters; configuring both
-        // without a named scheme must resolve to it, not error.
-        let (cfg, profiles) = small_instance();
-        let leak = LeakageModel::fraction_of_dynamic(&cfg, 0.3).expect("ok");
-        let synts = Synts::builder()
-            .leakage(leak)
-            .thrifty(ThriftyConfig::classic())
-            .build()
-            .expect("self-consistent combination");
-        assert_eq!(synts.solver().name(), "thrifty");
-        let a = synts.solve(&cfg, &profiles).expect("solves");
+        let a = Thrifty::new(leak, ThriftyConfig::classic())
+            .solve(&cfg, &profiles, 1.0)
+            .expect("solves");
         assert_eq!(a.len(), profiles.len());
+        assert!(a.points.iter().all(|p| p.voltage_idx == 0));
     }
 
     #[test]
@@ -1248,41 +903,9 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_parameters_the_scheme_would_drop() {
-        // power_budget with a scheme that ignores it.
-        let err = Synts::builder()
-            .scheme("synts_poly")
-            .power_budget(2.0)
-            .build()
-            .expect_err("budget would be silently dropped");
-        assert!(matches!(err, OptError::BadConfig(_)), "{err}");
-        // power_cap without a budget: the 1e30 sentinel is not a cap.
-        let err = Synts::builder()
-            .scheme("power_cap")
-            .build()
-            .expect_err("cap scheme without a budget");
-        assert!(matches!(err, OptError::BadConfig(_)), "{err}");
-        // leakage with a scheme that ignores it.
-        let err = Synts::builder()
-            .scheme("per_core_ts")
-            .leakage(LeakageModel::none())
-            .build()
-            .expect_err("leakage would be silently dropped");
-        assert!(matches!(err, OptError::BadConfig(_)), "{err}");
-        // A custom solver cannot honor builder parameters either.
-        let err = Synts::builder()
-            .solver(Arc::new(Poly))
-            .power_budget(2.0)
-            .build()
-            .expect_err("custom solver ignores parameters");
-        assert!(matches!(err, OptError::BadConfig(_)), "{err}");
-    }
-
-    #[test]
-    fn builder_rejects_unknown_scheme() {
-        let err = Synts::<ErrorCurve>::builder()
-            .scheme("simulated_annealing")
-            .build()
+    fn unknown_key_lists_every_registered_key() {
+        let err = SolverRegistry::<ErrorCurve>::with_defaults()
+            .get("simulated_annealing")
             .expect_err("unknown");
         assert!(
             matches!(err, OptError::UnknownSolver { ref name, .. } if name == "simulated_annealing")
@@ -1306,15 +929,5 @@ mod tests {
         assert!(!nominal.uses_theta && !nominal.speculates);
         let cap = <PowerCap as Solver<ErrorCurve>>::capabilities(&PowerCap::uncapped());
         assert_eq!(cap.objective, Objective::TimeUnderPowerCap);
-    }
-
-    #[test]
-    fn registry_register_displaces_same_name() {
-        let mut reg: SolverRegistry = SolverRegistry::empty();
-        assert!(reg.is_empty());
-        assert!(reg.register(Arc::new(PowerCap::uncapped())).is_none());
-        let displaced = reg.register(Arc::new(PowerCap::new(42.0))).expect("old");
-        assert_eq!(displaced.name(), "power_cap");
-        assert_eq!(reg.len(), 1);
     }
 }

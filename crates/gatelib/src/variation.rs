@@ -330,9 +330,9 @@ pub fn guard_band(
     guard_band_with_workers(netlist, voltage, model, samples, seed, workers_from_env())
 }
 
-/// [`guard_band`] with an explicit Monte Carlo worker count
-/// (`Synts::builder().workers(n)` callers thread their pool width
-/// through here). `workers <= 1` runs inline on the caller.
+/// [`guard_band`] with an explicit Monte Carlo worker count (callers
+/// with a pool of their own pass its width). `workers <= 1` runs inline
+/// on the caller.
 ///
 /// # Errors
 ///

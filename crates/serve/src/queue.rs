@@ -32,7 +32,7 @@ use std::thread::JoinHandle;
 
 use synts_core::faults::FaultPlan;
 use synts_core::scenario::{Json, Report, ScenarioSpec, Shard, ShardPlan};
-use synts_core::{CacheStats, CharCache, OptError, SolverRegistry};
+use synts_core::{CacheStats, CharCache, OptError};
 
 use crate::fleet::FleetStore;
 use crate::journal::{Journal, Terminal};
@@ -412,9 +412,6 @@ pub(crate) struct SvcState {
     max_shards: usize,
     pub(crate) max_attempts: u32,
     pub(crate) cache: CharCache,
-    /// The default registry, the one every shard runs on (in process or
-    /// remote): submission and merging resolve scheme keys against it too.
-    registry: SolverRegistry,
     worker_total: usize,
     pub(crate) journal: Option<Journal>,
     faults: Option<Arc<FaultPlan>>,
@@ -476,7 +473,6 @@ impl Service {
             max_shards: cfg.max_shards.max(1),
             max_attempts: cfg.max_attempts.max(1),
             cache: cfg.cache,
-            registry: SolverRegistry::with_defaults(),
             worker_total: cfg.workers.max(1),
             journal: cfg.journal,
             faults: cfg.faults,
@@ -529,9 +525,7 @@ impl Service {
                 "scenario spec: schemes: must name at least one registry key".to_string(),
             ));
         }
-        for key in spec.schemes.iter().chain(&spec.normalize_to) {
-            self.state.registry.get(key)?;
-        }
+        spec.solvers()?;
         // Parse the per-spec fault plan up front so a typo is a 4xx at
         // submission, not a planning failure minutes later.
         let faults = match spec.faults.as_deref() {
@@ -751,7 +745,7 @@ impl SvcState {
     ) {
         let cache = self.task_cache(faults);
         let planned = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            ShardPlan::plan_cached_with(spec, self.max_shards, &cache)
+            ShardPlan::plan_cached(spec, self.max_shards, &cache)
         }))
         .unwrap_or_else(|panic| Err(panic_error("shard planning", &panic)));
         let mut store = self.locked();
@@ -838,7 +832,7 @@ impl SvcState {
                 ))
             },
             |plan| {
-                std::panic::catch_unwind(AssertUnwindSafe(|| plan.merge(&parts, &self.registry)))
+                std::panic::catch_unwind(AssertUnwindSafe(|| plan.merge(&parts)))
                     .unwrap_or_else(|panic| Err(panic_error("report merge", &panic)))
             },
         );

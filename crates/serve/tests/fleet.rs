@@ -206,9 +206,16 @@ fn leases_expire_deterministically_and_reject_stale_completions() {
     assert_eq!(service.stats().fleet.expired, 0, "renewed lease expired");
 
     // Starve it: exactly lease_ticks more ticks expire the lease and
-    // requeue the shard (attempt charged).
+    // requeue the shard (attempt charged). A lease-less heartbeat before
+    // each tick keeps the registration alive, so only the lease starves:
+    // a lapsed registration would leave the fleet dead and let the
+    // in-process worker take the requeued shard before tester2 polls.
     let mut expired = 0;
     for _ in 0..3 {
+        match service.fleet_heartbeat(&reg.executor, None) {
+            HeartbeatOutcome::Renewed { lease_held } => assert_eq!(lease_held, None),
+            HeartbeatOutcome::UnknownExecutor => panic!("executor must still be registered"),
+        }
         expired += service.fleet_tick().expired;
     }
     assert_eq!(expired, 1, "the starved lease must expire exactly once");

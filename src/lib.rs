@@ -2,9 +2,8 @@
 //!
 //! The facade crate of the SynTS reproduction suite (DAC 2016 /
 //! Yasin 2016). It re-exports every member crate and flattens the
-//! optimization API — the [`Solver`] trait, the [`SolverRegistry`] and
-//! the [`Synts`] builder — so applications depend on one crate and write
-//! `use synts::prelude::*;`.
+//! optimization API — the [`Solver`] trait and the [`SolverRegistry`] —
+//! so applications depend on one crate and write `use synts::prelude::*;`.
 //!
 //! ## Layers
 //!
@@ -22,7 +21,7 @@
 //! ## Quickstart
 //!
 //! Solve one heterogeneous barrier interval with the paper's exact
-//! polynomial solver, via the builder:
+//! polynomial solver, looked up in the registry:
 //!
 //! ```
 //! use synts::prelude::*;
@@ -39,14 +38,12 @@
 //!     ThreadProfile::new(10_000.0, 1.0, curve(0.4)?), // has headroom
 //! ];
 //!
-//! // The fluent front door...
-//! let synts = Synts::builder().scheme("synts_poly").theta(1.0).build()?;
-//! let (assignment, ed) = synts.run(&cfg, &profiles)?;
+//! let registry = SolverRegistry::with_defaults();
+//! let (assignment, ed) = registry.get("synts_poly")?.solve_evaluated(&cfg, &profiles, 1.0)?;
 //! assert_eq!(assignment.len(), 2);
 //! assert!(ed.energy > 0.0 && ed.time > 0.0);
 //!
-//! // ...or registry-driven dispatch over every scheme:
-//! let registry = SolverRegistry::with_defaults();
+//! // The same dispatch reaches every scheme by key:
 //! for name in ["synts_poly", "per_core_ts", "nominal"] {
 //!     let solver = registry.get(name).expect("registered");
 //!     let a = solver.solve(&cfg, &profiles, 1.0)?;
@@ -67,7 +64,8 @@
 //! let cfg = data.system_config();
 //! let profiles = data.intervals[0].profiles();
 //! let theta = theta_equal_weight(&cfg, &profiles)?;
-//! let assignment = Synts::builder().theta(theta).build()?.solve(&cfg, &profiles)?;
+//! let solver = SolverRegistry::with_defaults().get("synts_poly")?;
+//! let assignment = solver.solve(&cfg, &profiles, theta)?;
 //! println!("{assignment:?}");
 //! # Ok(())
 //! # }
@@ -90,18 +88,15 @@ pub use synts_core::reference;
 // The optimization API, flattened to the facade root.
 pub use synts_core::{
     characterize_cached, characterize_pairs, default_theta_sweep, evaluate, log_theta_grid, no_ts,
-    nominal, pareto_sweep, pareto_sweep_pooled, per_core_ts, pruning_stats, run_interval,
-    run_interval_full, run_interval_offline, run_interval_with, run_intervals_batched,
-    synts_exhaustive, synts_milp, synts_milp_with, synts_poly, theta_equal_weight, thread_energy,
-    thread_time, weighted_cost, worker_count, Assignment, CacheStats, Capabilities, CharCache,
-    Dataset, Experiment, FaultPlan, IntervalOutcome, IntervalSelection, MilpTuning, Objective,
-    OperatingPoint, OptError, PruningStats, Quality, Record, Report, ReportCheck, SamplingPlan,
-    ScenarioSpec, SolveRequest, Solver, SolverRegistry, SweepPoint, SyntsBuilder, SystemConfig,
-    ThetaSpec, ThreadPool, ThreadProfile, ThreadTrace, CACHE_DIR_ENV, FAULTS_ENV, THREADS_ENV,
+    nominal, pareto_sweep, per_core_ts, pruning_stats, run_interval, run_interval_offline,
+    run_interval_with, run_intervals_batched, synts_exhaustive, synts_milp, synts_poly,
+    theta_equal_weight, thread_energy, thread_time, weighted_cost, worker_count, Assignment,
+    CacheStats, Capabilities, CharCache, Dataset, Experiment, FaultPlan, IntervalOutcome,
+    IntervalSelection, Objective, OperatingPoint, OptError, PruningStats, Quality, Record, Report,
+    ReportCheck, SamplingPlan, ScenarioSpec, SolveRequest, Solver, SolverRegistry, SweepPoint,
+    SystemConfig, ThetaSpec, ThreadPool, ThreadProfile, ThreadTrace, CACHE_DIR_ENV, FAULTS_ENV,
+    THREADS_ENV,
 };
-
-// Keep the builder's name free at the root for the facade struct itself.
-pub use synts_core::Synts;
 
 /// Everything a SynTS application typically needs: the solver API, the
 /// system model, the characterization harness, and the cross-layer types
@@ -119,14 +114,13 @@ pub mod prelude {
     pub use synts_core::thrifty::{thrifty_barrier, ThriftyConfig};
     pub use synts_core::{
         characterize_cached, characterize_pairs, default_theta_sweep, evaluate, log_theta_grid,
-        no_ts, nominal, pareto_sweep, pareto_sweep_pooled, per_core_ts, pruning_stats,
-        run_interval, run_interval_full, run_interval_offline, run_interval_with,
-        run_intervals_batched, synts_exhaustive, synts_milp, synts_milp_with, synts_poly,
-        theta_equal_weight, thread_energy, thread_time, weighted_cost, worker_count, Assignment,
-        CacheStats, Capabilities, CharCache, Dataset, Experiment, FaultPlan, IntervalOutcome,
-        IntervalSelection, MilpTuning, Objective, OperatingPoint, OptError, PruningStats, Quality,
-        Record, Report, ReportCheck, SamplingPlan, ScenarioSpec, Shard, ShardPlan, SolveRequest,
-        Solver, SolverRegistry, SweepPoint, Synts, SyntsBuilder, SystemConfig, ThetaSpec,
+        no_ts, nominal, pareto_sweep, per_core_ts, pruning_stats, run_interval,
+        run_interval_offline, run_interval_with, run_intervals_batched, synts_exhaustive,
+        synts_milp, synts_poly, theta_equal_weight, thread_energy, thread_time, weighted_cost,
+        worker_count, Assignment, CacheStats, Capabilities, CharCache, Dataset, Experiment,
+        FaultPlan, IntervalOutcome, IntervalSelection, Objective, OperatingPoint, OptError,
+        PruningStats, Quality, Record, Report, ReportCheck, SamplingPlan, ScenarioSpec, Shard,
+        ShardPlan, SolveRequest, Solver, SolverRegistry, SweepPoint, SystemConfig, ThetaSpec,
         ThreadPool, ThreadProfile, ThreadTrace, CACHE_DIR_ENV, FAULTS_ENV, THREADS_ENV,
     };
 

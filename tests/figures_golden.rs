@@ -99,13 +99,6 @@ fn fig_pareto_quick_matches_golden() {
         &[StageKind::SimpleAlu],
     )
     .expect("corpus");
-    let fig = figures::fig_pareto(
-        &corpus,
-        "fig-6-12",
-        "6.12",
-        Benchmark::Cholesky,
-        StageKind::SimpleAlu,
-    )
-    .expect("generates");
+    let fig = figures::fig_pareto(&corpus, "fig-6-12").expect("generates");
     assert_matches_golden(&fig);
 }

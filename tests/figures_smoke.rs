@@ -51,14 +51,7 @@ fn pareto_figure_generates_with_passing_checks() {
         &[StageKind::SimpleAlu],
     )
     .expect("corpus");
-    let fig = figures::fig_pareto(
-        &corpus,
-        "fig-6-12",
-        "6.12",
-        Benchmark::Cholesky,
-        StageKind::SimpleAlu,
-    )
-    .expect("generates");
+    let fig = figures::fig_pareto(&corpus, "fig-6-12").expect("generates");
     assert!(fig.checks.iter().all(|c| c.pass), "{:?}", fig.checks);
     assert!(fig.csv.is_some());
 }

@@ -30,12 +30,12 @@ proptest! {
         let thetas = default_theta_sweep(&inst.cfg, &inst.profiles, 9, 2.0).expect("grid");
         for name in registry.names() {
             let solver = registry.get(name).expect("registered");
-            let reference = pareto_sweep_pooled(
+            let reference = pareto_sweep(
                 &*solver, &inst.cfg, &inst.profiles, &thetas, ThreadPool::new(1),
             )
             .unwrap_or_else(|e| panic!("{name} failed sequentially: {e}"));
             for workers in WORKER_GRID {
-                let pooled = pareto_sweep_pooled(
+                let pooled = pareto_sweep(
                     &*solver, &inst.cfg, &inst.profiles, &thetas, ThreadPool::new(workers),
                 )
                 .unwrap_or_else(|e| panic!("{name} failed at {workers} workers: {e}"));
@@ -58,7 +58,7 @@ proptest! {
         let registry = SolverRegistry::with_defaults();
         let solver = registry.get("synts_poly").expect("registered");
         for workers in WORKER_GRID {
-            let pts = pareto_sweep_pooled(
+            let pts = pareto_sweep(
                 &*solver, &inst.cfg, &inst.profiles, &thetas, ThreadPool::new(workers),
             )
             .expect("sweeps");
@@ -75,7 +75,7 @@ proptest! {
         let thetas = default_theta_sweep(&inst.cfg, &inst.profiles, 9, 2.0).expect("grid");
         for name in registry.names() {
             let solver = registry.get(name).expect("registered");
-            let pts = pareto_sweep_pooled(
+            let pts = pareto_sweep(
                 &*solver, &inst.cfg, &inst.profiles, &thetas, ThreadPool::new(4),
             )
             .unwrap_or_else(|e| panic!("{name} failed: {e}"));
@@ -125,7 +125,7 @@ proptest! {
         let solver = registry.get("synts_poly").expect("registered");
         let sequential: Vec<IntervalOutcome> = intervals
             .iter()
-            .map(|traces| run_interval_with(&cfg, traces, 1.0, plan, &*solver).expect("runs"))
+            .map(|traces| run_interval_with(&cfg, traces, 1.0, plan, &*solver, None).expect("runs"))
             .collect();
         for workers in WORKER_GRID {
             let batched = run_intervals_batched(
@@ -140,53 +140,6 @@ proptest! {
             }
         }
     }
-}
-
-/// The builder's `workers` knob reaches the sweep pool — and an explicit
-/// zero fails as loudly as `SYNTS_THREADS=0` would, instead of silently
-/// clamping to a sequential run.
-#[test]
-fn builder_workers_knob_configures_the_pool() {
-    let synts: Synts = Synts::builder().workers(3).build().expect("builds");
-    assert_eq!(synts.pool().workers(), 3);
-    let panic = std::panic::catch_unwind(|| Synts::builder().workers(0).build())
-        .expect_err("workers(0) must be rejected loudly");
-    let msg = panic
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_string()))
-        .unwrap_or_default();
-    assert!(
-        msg.contains("expected an integer >= 1"),
-        "same message shape as the SYNTS_THREADS rejection: {msg}"
-    );
-}
-
-/// `Synts::sweep` goes through the pooled engine and stays deterministic.
-#[test]
-fn synts_sweep_matches_direct_pooled_sweep() {
-    let cfg = SystemConfig::paper_default(10.0);
-    let curve = |lo: f64, hi: f64| {
-        ErrorCurve::from_normalized_delays(
-            (0..128)
-                .map(|i| lo + (hi - lo) * i as f64 / 128.0)
-                .collect(),
-        )
-        .expect("non-empty")
-    };
-    let profiles = vec![
-        ThreadProfile::new(10_000.0, 1.2, curve(0.70, 1.00)),
-        ThreadProfile::new(9_000.0, 1.1, curve(0.50, 0.85)),
-        ThreadProfile::new(11_000.0, 1.0, curve(0.30, 0.65)),
-    ];
-    let thetas = default_theta_sweep(&cfg, &profiles, 7, 2.0).expect("grid");
-    let synts: Synts = Synts::builder().workers(4).build().expect("builds");
-    let via_synts = synts.sweep(&cfg, &profiles, &thetas).expect("sweeps");
-    let registry = SolverRegistry::with_defaults();
-    let solver = registry.get("synts_poly").expect("registered");
-    let direct = pareto_sweep_pooled(&*solver, &cfg, &profiles, &thetas, ThreadPool::new(4))
-        .expect("sweeps");
-    assert_eq!(via_synts, direct);
 }
 
 /// A failing θ surfaces the same error the sequential loop would report:
@@ -205,10 +158,10 @@ fn sweep_error_reporting_is_order_deterministic() {
     let registry = SolverRegistry::with_defaults();
     let solver = registry.get("synts_exhaustive").expect("registered");
     let thetas: Vec<f64> = (0..8).map(|i| 0.5 + i as f64).collect();
-    let seq_err = pareto_sweep_pooled(&*solver, &cfg, &profiles, &thetas, ThreadPool::new(1))
+    let seq_err = pareto_sweep(&*solver, &cfg, &profiles, &thetas, ThreadPool::new(1))
         .expect_err("oversized instance");
     for workers in WORKER_GRID {
-        let err = pareto_sweep_pooled(&*solver, &cfg, &profiles, &thetas, ThreadPool::new(workers))
+        let err = pareto_sweep(&*solver, &cfg, &profiles, &thetas, ThreadPool::new(workers))
             .expect_err("oversized instance");
         assert_eq!(
             err.to_string(),

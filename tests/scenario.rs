@@ -115,7 +115,8 @@ fn grid_records_match_a_pareto_sweep() {
     let solver: std::sync::Arc<dyn Solver<ErrorCurve>> = SolverRegistry::with_defaults()
         .get("synts_poly")
         .expect("registered");
-    let swept = pareto_sweep(&*solver, &cfg, &profiles, &thetas).expect("sweeps");
+    let swept =
+        pareto_sweep(&*solver, &cfg, &profiles, &thetas, ThreadPool::from_env()).expect("sweeps");
     for (record, point) in report.datasets[0].records.iter().zip(&swept) {
         assert_eq!(record.ed.energy.to_bits(), point.ed.energy.to_bits());
         assert_eq!(record.ed.time.to_bits(), point.ed.time.to_bits());

@@ -24,7 +24,6 @@ fn radix_decode_quick() -> &'static BenchmarkData {
 /// shared characterization data, and returns the merged report.
 fn sharded_run(spec: &ScenarioSpec, max_shards: usize) -> Report {
     let data = radix_decode_quick();
-    let registry = SolverRegistry::with_defaults();
     let plan = ShardPlan::plan(spec, data, max_shards).expect("plans");
     let parts: Vec<Report> = plan
         .shards()
@@ -35,7 +34,7 @@ fn sharded_run(spec: &ScenarioSpec, max_shards: usize) -> Report {
                 .expect("shard runs")
         })
         .collect();
-    plan.merge(&parts, &registry).expect("merges")
+    plan.merge(&parts).expect("merges")
 }
 
 proptest! {

@@ -124,27 +124,6 @@ proptest! {
             }
         }
     }
-
-    /// The builder resolves the same solvers the registry holds.
-    #[test]
-    fn builder_matches_registry_dispatch(inst in instance_strategy()) {
-        let registry = SolverRegistry::with_defaults();
-        for scheme in ["synts_poly", "per_core_ts", "no_ts", "nominal"] {
-            let via_builder = Synts::builder()
-                .scheme(scheme)
-                .theta(inst.theta)
-                .build()
-                .expect("known scheme")
-                .solve(&inst.cfg, &inst.profiles)
-                .expect("solves");
-            let via_registry = registry
-                .get(scheme)
-                .expect("registered")
-                .solve(&inst.cfg, &inst.profiles, inst.theta)
-                .expect("solves");
-            prop_assert_eq!(via_builder, via_registry, "{}", scheme);
-        }
-    }
 }
 
 /// Deterministic spot check mirroring the paper's configuration: the three
