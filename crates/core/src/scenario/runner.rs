@@ -94,20 +94,13 @@ impl Experiment {
     /// benchmark/stage than the spec, otherwise as [`Experiment::run`].
     pub fn run_on(&self, data: &BenchmarkData) -> Result<Report, OptError> {
         let spec = &self.spec;
-        if data.benchmark != spec.benchmark || data.stage != spec.stage {
-            return Err(OptError::BadConfig(
-                "characterized data does not match the spec's benchmark/stage",
-            ));
-        }
-        let cfg = data.system_config();
-        let intervals_used = select_intervals(spec, data)?;
-        let profile_sets: Vec<Vec<ThreadProfile<ErrorCurve>>> = intervals_used
-            .iter()
-            .map(|&i| data.intervals[i].profiles())
-            .collect();
-
-        let theta_center = equal_weight_center(&cfg, &profile_sets)?;
-        let theta_grid = spec.thetas.resolve(theta_center);
+        let Grid {
+            cfg,
+            intervals_used,
+            profile_sets,
+            theta_center,
+            theta_grid,
+        } = resolve_grid(spec, data)?;
         let pool = ThreadPool::new(worker_count(spec.workers));
 
         // Resolve every scheme up front so an unknown key fails before
@@ -193,11 +186,44 @@ impl std::fmt::Debug for Experiment {
     }
 }
 
+/// A spec's θ grid resolved over characterized data, with the intervals
+/// and profiles it is solved on. The runner and the shard planner both
+/// resolve through [`resolve_grid`], so a shard's θ chunk is a slice of
+/// the monolithic grid, bit for bit, by construction.
+pub(crate) struct Grid {
+    pub(crate) cfg: SystemConfig,
+    pub(crate) intervals_used: Vec<usize>,
+    pub(crate) profile_sets: Vec<Vec<ThreadProfile<ErrorCurve>>>,
+    pub(crate) theta_center: f64,
+    pub(crate) theta_grid: Vec<f64>,
+}
+
+pub(crate) fn resolve_grid(spec: &ScenarioSpec, data: &BenchmarkData) -> Result<Grid, OptError> {
+    if data.benchmark != spec.benchmark || data.stage != spec.stage {
+        return Err(OptError::BadConfig(
+            "characterized data does not match the spec's benchmark/stage",
+        ));
+    }
+    let cfg = data.system_config();
+    let intervals_used = select_intervals(spec, data)?;
+    let profile_sets: Vec<Vec<ThreadProfile<ErrorCurve>>> = intervals_used
+        .iter()
+        .map(|&i| data.intervals[i].profiles())
+        .collect();
+    let theta_center = equal_weight_center(&cfg, &profile_sets)?;
+    let theta_grid = spec.thetas.resolve(theta_center);
+    Ok(Grid {
+        cfg,
+        intervals_used,
+        profile_sets,
+        theta_center,
+        theta_grid,
+    })
+}
+
 /// The equal-weight θ of a set of interval profiles: Σ nominal energy /
-/// Σ nominal time (the paper's Fig 6.18 weighting). Shared by the runner
-/// and the shard planner so both resolve a spec's θ grid to the same
-/// bits.
-pub(crate) fn equal_weight_center(
+/// Σ nominal time (the paper's Fig 6.18 weighting).
+fn equal_weight_center(
     cfg: &SystemConfig,
     profile_sets: &[Vec<ThreadProfile<ErrorCurve>>],
 ) -> Result<f64, OptError> {
@@ -217,10 +243,7 @@ pub(crate) fn equal_weight_center(
     Ok(nominal_energy / nominal_time)
 }
 
-pub(crate) fn select_intervals(
-    spec: &ScenarioSpec,
-    data: &BenchmarkData,
-) -> Result<Vec<usize>, OptError> {
+fn select_intervals(spec: &ScenarioSpec, data: &BenchmarkData) -> Result<Vec<usize>, OptError> {
     if data.intervals.is_empty() {
         return Err(OptError::BadConfig("characterized data has no intervals"));
     }

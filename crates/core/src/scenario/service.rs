@@ -14,8 +14,8 @@
 //! original spec:
 //!
 //! * the θ grid is resolved *once*, by the planner, through the same
-//!   `equal_weight_center` the runner uses, so shard grids concatenate
-//!   back to exactly the monolithic grid;
+//!   grid resolution the runner uses, so shard grids concatenate back to
+//!   exactly the monolithic grid;
 //! * per-record energy/time/normalization is a pure function of
 //!   (data, scheme, θ) and data is bit-identical under the cache, so
 //!   partial records are the monolithic records;
@@ -50,15 +50,14 @@
 
 use std::ops::Range;
 
-use timing::{pareto_front, ErrorCurve};
+use timing::pareto_front;
 
 use crate::cache::{characterize_cached, CharCache};
 use crate::error::OptError;
 use crate::experiments::BenchmarkData;
-use crate::model::ThreadProfile;
 use crate::parallel::{worker_count, ThreadPool};
 use crate::scenario::report::{Dataset, Report};
-use crate::scenario::runner::{dominance_checks, equal_weight_center, select_intervals};
+use crate::scenario::runner::{dominance_checks, resolve_grid, Grid};
 use crate::scenario::spec::{ScenarioSpec, ThetaSpec};
 
 /// One independently runnable piece of a sharded scenario: the original
@@ -103,22 +102,14 @@ impl ShardPlan {
         data: &BenchmarkData,
         max_shards: usize,
     ) -> Result<ShardPlan, OptError> {
-        if data.benchmark != spec.benchmark || data.stage != spec.stage {
-            return Err(OptError::BadConfig(
-                "characterized data does not match the spec's benchmark/stage",
-            ));
-        }
         if spec.schemes.is_empty() {
             return Err(OptError::BadConfig("the spec names no schemes"));
         }
-        let cfg = data.system_config();
-        let intervals_used = select_intervals(spec, data)?;
-        let profile_sets: Vec<Vec<ThreadProfile<ErrorCurve>>> = intervals_used
-            .iter()
-            .map(|&i| data.intervals[i].profiles())
-            .collect();
-        let theta_center = equal_weight_center(&cfg, &profile_sets)?;
-        let theta_grid = spec.thetas.resolve(theta_center);
+        let Grid {
+            theta_center,
+            theta_grid,
+            ..
+        } = resolve_grid(spec, data)?;
         if theta_grid.is_empty() {
             return Err(OptError::BadConfig("the spec resolves to an empty θ grid"));
         }

@@ -14,9 +14,10 @@
 //! skips the drain). Executor mode registers with a coordinator and
 //! pulls shard work over HTTP until the coordinator shuts down.
 //!
-//! With `--journal-dir` the service journals every job durably and, on
-//! startup, replays the directory: finished jobs serve their journaled
-//! reports, interrupted jobs resume from their completed shards.
+//! With `--journal-dir` the service journals every job durably to
+//! `DIR/journal.log` and, on startup, replays (and compacts) that file:
+//! finished jobs serve their journaled reports, interrupted jobs resume
+//! from their completed shards.
 //! `--faults` (or the `SYNTS_FAULTS` environment variable) arms the
 //! deterministic fault-injection harness — see `synts_core::faults`.
 //!

@@ -649,9 +649,8 @@ impl SvcState {
                 }
             }
         };
-        // Phase 2: journal outside the lock (payload writes are the
-        // journal's slowest path), then publish the slot and maybe
-        // finish.
+        // Phase 2: journal outside the lock (the fsync is the journal's
+        // slow path), then publish the slot and maybe finish.
         if let Some(journal) = &self.journal {
             if let Err(e) = journal.record_shard_done(job_seq, idx, &report) {
                 eprintln!("synts-serve: journal: shard record for job-{job_seq}/{idx} failed: {e}");

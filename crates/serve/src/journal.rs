@@ -1,52 +1,59 @@
 //! Durable job journal: the crash-safety substrate of the service.
 //!
 //! The queue keeps jobs in memory; this module makes them survive a
-//! `kill -9`. The journal is a **directory of append-only records** —
-//! one canonical-JSON file per event, written atomically (temp file →
-//! `fsync` → rename → directory `fsync`) so a record either exists whole
-//! or not at all. Partial shard reports are **content-addressed**: the
-//! payload lands under `payloads/<fnv64>.json` once, and records refer
-//! to it by hash, so a shard retried after recovery costs no duplicate
-//! bytes.
-//!
-//! Layout under the journal root:
+//! `kill -9`. The journal is **one append-only segment**,
+//! `DIR/journal.log`, holding one checksummed record per line:
 //!
 //! ```text
-//! journal/
-//!   records/0000000000000000001.json   {"record":"submitted", "job":1, "key":null, "spec":{...}}
-//!   records/0000000000000000002.json   {"record":"shard_done", "job":1, "shard":0, "payload":"9f3a..."}
-//!   records/0000000000000000003.json   {"record":"done", "job":1, "payload":"c41b..."}
-//!   payloads/9f3a....json              canonical report JSON
+//! <16 lowercase hex: FNV-1a 64 of the JSON> <compact JSON>\n
+//!
+//! 6c1f0e8d2b7a9354 {"record":"submitted","job":1,"key":null,"spec":{...}}
+//! 0d94be3a7f21c680 {"record":"shard_done","job":1,"shard":0,"report":{...}}
+//! e25a7c19b0f4d3a8 {"record":"done","job":1,"report":{...}}
 //! ```
 //!
-//! Record kinds: `submitted` (spec + optional idempotency key),
-//! `shard_done` (partial report by payload hash), and the terminal
-//! `done` / `failed` / `cancelled`. There is deliberately **no planned
-//! record**: shard planning is a deterministic function of the spec, the
-//! shard cap and the cache, so recovery re-plans and the shard indices
-//! line up by construction.
+//! An append writes its whole line and `fdatasync`s it under the
+//! journal's one lock, so lines land in write order. A failed append
+//! cuts the file back to the last record boundary before it returns the
+//! error, so a later record never shares a line with a partial one.
 //!
-//! [`Journal::replay`] folds the record stream into per-job
-//! [`RecoveredJob`]s. Torn or unparseable records (a crash mid-`rename`
-//! can leave a stale temp file; a payload may be missing) are *skipped
-//! and counted*, never fatal — losing a shard record only costs its
-//! recompute.
+//! Record kinds: `submitted` (spec + optional idempotency key),
+//! `shard_done` (one shard's partial report), and the terminal `done`
+//! (the merged report) / `failed` / `cancelled`. Reports are inline and
+//! round-trip bit-exactly through [`Report::from_json`], so a recovered
+//! job serves the bytes an uninterrupted one would. There is
+//! deliberately **no planned record**: shard planning is a
+//! deterministic function of the spec, the shard cap and the cache, so
+//! recovery re-plans and the shard indices line up by construction.
+//!
+//! [`Journal::replay`] reads the segment once and folds it into per-job
+//! [`RecoveredJob`]s. A line whose checksum or JSON fails is *damaged*.
+//! The run of damaged lines at the end — the footprint of a crash
+//! mid-append — is cut; a damaged line followed by a good one is
+//! damage the write path cannot produce, so it is skipped and kept for
+//! a human to inspect. Replay also compacts: the `shard_done` lines of
+//! terminal jobs are dropped (the terminal record supersedes them). When
+//! either removes a line, the segment is rewritten atomically (temp file
+//! → `fsync` → rename → directory `fsync`).
 //!
 //! The journal assumes a single writer (one service process per
 //! directory), matching the one-listener-per-`--journal-dir` deployment.
 
 use std::collections::BTreeMap;
-use std::fs;
+use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use synts_core::scenario::Json;
 use synts_core::{Report, ScenarioSpec};
 
+/// The segment's file name inside the journal directory.
+const SEGMENT: &str = "journal.log";
+
 /// Terminal state of a recovered job.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub enum Terminal {
     /// The merged report was journaled; the job serves it immediately.
     Done(Box<Report>),
@@ -57,7 +64,7 @@ pub enum Terminal {
 }
 
 /// Everything the journal knows about one job after replay.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct RecoveredJob {
     /// The job's sequence number (its id is `job-<seq>`).
     pub seq: u64,
@@ -71,89 +78,72 @@ pub struct RecoveredJob {
     pub shards: BTreeMap<usize, Report>,
 }
 
-/// The outcome of replaying a journal directory.
-#[derive(Debug)]
+/// The outcome of replaying a journal.
+#[derive(Debug, Default)]
 pub struct Replay {
     /// Jobs by sequence number, in submission order.
     pub jobs: BTreeMap<u64, RecoveredJob>,
-    /// Records (or payloads) that were present but unusable — torn
-    /// writes mid-stream, missing payload files, unknown kinds. Never
-    /// fatal.
+    /// Lines that were kept but not used: damaged lines followed by a
+    /// good one, and well-formed records of an unknown kind or job or
+    /// with an unreadable spec or report. Never fatal.
     pub skipped: usize,
-    /// Torn records at the *tail* of the stream (a crash mid-append can
-    /// leave at most a trailing prefix of a record): these are deleted —
-    /// truncate-and-warn — so the journal is clean for the next writer.
+    /// Damaged lines at the end of the segment (a crash mid-append
+    /// leaves a partial last line): cut, so the next append starts on a
+    /// record boundary.
     pub truncated: usize,
+    /// `shard_done` lines dropped because their job is terminal.
+    pub compacted: usize,
 }
 
-/// What a single journal record did during replay.
-enum RecordOutcome {
-    /// Parsed and folded into a job.
-    Applied,
-    /// Structurally valid JSON, but unusable (unknown kind, missing
-    /// payload, reference to an unknown job): skipped and counted.
-    Skipped,
-    /// Unreadable or not valid JSON — the shape a crash mid-append
-    /// leaves behind.
-    Torn,
-}
-
-/// The result of [`Journal::compact`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Compaction {
-    /// `shard_done` records dropped because their job reached a terminal
-    /// record (the terminal payload supersedes the partials).
-    pub records_removed: usize,
-    /// Content-addressed payload files no longer referenced by any
-    /// surviving record.
-    pub payloads_removed: usize,
-}
-
-impl Compaction {
-    /// True when compaction removed nothing.
-    #[must_use]
-    pub fn is_noop(&self) -> bool {
-        self.records_removed == 0 && self.payloads_removed == 0
-    }
-}
-
-/// An open journal directory (see the module docs for the layout).
+/// An open journal directory (see the module docs for the format).
 #[derive(Debug)]
 pub struct Journal {
-    records: PathBuf,
-    payloads: PathBuf,
-    /// Next record file sequence number. Records are globally ordered by
-    /// this counter so replay sees events in write order.
-    next: Mutex<u64>,
+    dir: PathBuf,
+    segment: Mutex<Segment>,
+}
+
+/// The segment's append handle and where its last whole record ends.
+#[derive(Debug)]
+struct Segment {
+    file: File,
+    /// Bytes through the last whole record.
+    len: u64,
+    /// Bytes past `len` may hold a partial line (a cut that failed);
+    /// the next append cuts them before it writes.
+    torn: bool,
 }
 
 impl Journal {
-    /// Opens (creating if needed) a journal rooted at `dir` and scans
-    /// existing records so new ones append after them.
+    /// Opens (creating if needed) the journal in `dir`. Records append
+    /// after the segment's last byte, so replay a journal a crash may
+    /// have left with a partial last line before appending to it;
+    /// [`Service::start`](crate::Service::start) does.
     ///
     /// # Errors
     ///
-    /// Any I/O error creating or listing the directories — an unusable
-    /// journal directory must stop service startup loudly, not silently
-    /// run without durability.
+    /// Any I/O error creating the directory or opening the segment, and
+    /// a `dir` that holds the old one-file-per-record layout (a
+    /// `records/` directory): an unusable journal must stop service
+    /// startup loudly, not run without durability or silently drop jobs
+    /// it already accepted.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Journal> {
-        let root = dir.into();
-        let records = root.join("records");
-        let payloads = root.join("payloads");
-        fs::create_dir_all(&records)?;
-        fs::create_dir_all(&payloads)?;
-        let mut max = 0u64;
-        for entry in fs::read_dir(&records)? {
-            let name = entry?.file_name();
-            if let Some(seq) = record_seq(&name.to_string_lossy()) {
-                max = max.max(seq);
-            }
+        let dir = dir.into();
+        if dir.join("records").is_dir() {
+            return Err(io::Error::other(format!(
+                "{} holds records/ from the old one-file-per-record journal layout; \
+                 finish its jobs with the release that wrote it, or move it aside",
+                dir.display()
+            )));
         }
-        Ok(Journal {
-            records,
-            payloads,
-            next: Mutex::new(max + 1),
-        })
+        fs::create_dir_all(&dir)?;
+        let file = OpenOptions::new()
+            .append(true)
+            .create(true)
+            .open(dir.join(SEGMENT))?;
+        let len = file.metadata()?.len();
+        let torn = false;
+        let segment = Mutex::new(Segment { file, len, torn });
+        Ok(Journal { dir, segment })
     }
 
     /// Journals a job submission. Written *before* the job is queued so
@@ -170,35 +160,23 @@ impl Journal {
         spec: &ScenarioSpec,
     ) -> io::Result<()> {
         self.append(
-            Json::obj()
-                .field("record", Json::str("submitted"))
-                .field("job", Json::num(job as f64))
-                .field(
-                    "key",
-                    match key {
-                        Some(k) => Json::str(k),
-                        None => Json::Null,
-                    },
-                )
+            record("submitted", job)
+                .field("key", key.map_or(Json::Null, Json::str))
                 .field("spec", spec.to_json()),
         )
     }
 
-    /// Journals one completed shard: stores the partial report
-    /// content-addressed, then the record referencing it.
+    /// Journals one completed shard with its partial report.
     ///
     /// # Errors
     ///
     /// Propagates write failures (the caller logs and carries on — a
     /// lost shard record only costs a recompute after a crash).
     pub fn record_shard_done(&self, job: u64, shard: usize, report: &Report) -> io::Result<()> {
-        let payload = self.store_payload(report)?;
         self.append(
-            Json::obj()
-                .field("record", Json::str("shard_done"))
-                .field("job", Json::num(job as f64))
+            record("shard_done", job)
                 .field("shard", Json::num(shard as f64))
-                .field("payload", Json::str(&payload)),
+                .field("report", report.to_json()),
         )
     }
 
@@ -210,13 +188,7 @@ impl Journal {
     ///
     /// Propagates write failures.
     pub fn record_done(&self, job: u64, report: &Report) -> io::Result<()> {
-        let payload = self.store_payload(report)?;
-        self.append(
-            Json::obj()
-                .field("record", Json::str("done"))
-                .field("job", Json::num(job as f64))
-                .field("payload", Json::str(&payload)),
-        )
+        self.append(record("done", job).field("report", report.to_json()))
     }
 
     /// Journals terminal failure.
@@ -225,12 +197,7 @@ impl Journal {
     ///
     /// Propagates write failures.
     pub fn record_failed(&self, job: u64, error: &str) -> io::Result<()> {
-        self.append(
-            Json::obj()
-                .field("record", Json::str("failed"))
-                .field("job", Json::num(job as f64))
-                .field("error", Json::str(error)),
-        )
+        self.append(record("failed", job).field("error", Json::str(error)))
     }
 
     /// Journals cancellation.
@@ -239,288 +206,246 @@ impl Journal {
     ///
     /// Propagates write failures.
     pub fn record_cancelled(&self, job: u64) -> io::Result<()> {
-        self.append(
-            Json::obj()
-                .field("record", Json::str("cancelled"))
-                .field("job", Json::num(job as f64)),
-        )
+        self.append(record("cancelled", job))
     }
 
-    /// Replays the record stream into per-job recovery state. Later
-    /// records win (a `done` after `shard_done`s supersedes them);
-    /// unusable records are skipped and counted. Torn records at the
-    /// tail of the stream — the footprint of a crash mid-append — are
-    /// deleted (truncate-and-warn) instead of failing startup.
+    /// Replays the segment into per-job recovery state, then compacts
+    /// it. Later records win (a `done` after `shard_done`s supersedes
+    /// them); unusable lines are skipped and counted. A damaged tail —
+    /// the footprint of a crash mid-append — is cut instead of failing
+    /// startup, and the `shard_done` lines of terminal jobs are dropped.
+    ///
+    /// Single-writer rule applies: call before anything appends.
     #[must_use]
     pub fn replay(&self) -> Replay {
-        let mut names: Vec<(u64, PathBuf)> = Vec::new();
-        if let Ok(dir) = fs::read_dir(&self.records) {
-            for entry in dir.flatten() {
-                let path = entry.path();
-                if let Some(seq) = record_seq(&entry.file_name().to_string_lossy()) {
-                    names.push((seq, path));
+        // Every update of a `Segment` leaves it valid (`len` moves only
+        // after a synced write, and a failed cut sets `torn`), so a
+        // poisoned lock is safe to keep using.
+        let mut segment = self.segment.lock().unwrap_or_else(PoisonError::into_inner);
+        let path = self.dir.join(SEGMENT);
+        let bytes = fs::read(&path).unwrap_or_else(|e| {
+            eprintln!("journal: reading {} failed: {e}", path.display());
+            Vec::new()
+        });
+        let (replay, kept, good_end) = fold(&bytes);
+        if replay.truncated + replay.compacted > 0 {
+            match write_atomic(&path, &kept) {
+                Ok(rewritten) => *segment = rewritten,
+                Err(e) => {
+                    eprintln!("journal: rewriting {} failed: {e}", path.display());
+                    // The next append still starts on a record boundary.
+                    segment.len = good_end as u64;
+                    segment.torn = replay.truncated > 0;
                 }
             }
         }
-        names.sort();
-        let mut jobs: BTreeMap<u64, RecoveredJob> = BTreeMap::new();
-        let mut outcomes: Vec<(PathBuf, RecordOutcome)> = Vec::with_capacity(names.len());
-        for (_, path) in names {
-            let outcome = self.apply_record(&path, &mut jobs);
-            outcomes.push((path, outcome));
-        }
-        let mut skipped = 0usize;
-        let mut truncated = 0usize;
-        // Only a contiguous *suffix* of torn records can be a crash
-        // mid-append; anything torn before a good record is damage the
-        // write path cannot produce, so it is skipped, not deleted.
-        let mut trailing = true;
-        for (path, outcome) in outcomes.iter().rev() {
-            match outcome {
-                RecordOutcome::Applied => trailing = false,
-                RecordOutcome::Skipped => {
-                    trailing = false;
-                    skipped += 1;
-                }
-                RecordOutcome::Torn if trailing => {
-                    eprintln!(
-                        "journal: truncating torn trailing record {} (crash mid-append)",
-                        path.display()
-                    );
-                    let _ = fs::remove_file(path);
-                    truncated += 1;
-                }
-                RecordOutcome::Torn => skipped += 1,
-            }
-        }
-        Replay {
-            jobs,
-            skipped,
-            truncated,
-        }
-    }
-
-    fn apply_record(&self, path: &Path, jobs: &mut BTreeMap<u64, RecoveredJob>) -> RecordOutcome {
-        let Ok(src) = fs::read_to_string(path) else {
-            return RecordOutcome::Torn;
-        };
-        let Ok(record) = Json::parse(&src) else {
-            return RecordOutcome::Torn;
-        };
-        match self.apply_parsed(&record, jobs) {
-            Some(()) => RecordOutcome::Applied,
-            None => RecordOutcome::Skipped,
-        }
-    }
-
-    fn apply_parsed(&self, record: &Json, jobs: &mut BTreeMap<u64, RecoveredJob>) -> Option<()> {
-        let kind = record.get("record")?.as_str()?;
-        let job = record.get("job")?.as_usize()? as u64;
-        match kind {
-            "submitted" => {
-                let spec = ScenarioSpec::from_json(record.get("spec")?).ok()?;
-                let key = record.get("key").and_then(Json::as_str).map(str::to_string);
-                jobs.insert(
-                    job,
-                    RecoveredJob {
-                        seq: job,
-                        spec,
-                        key,
-                        terminal: None,
-                        shards: BTreeMap::new(),
-                    },
-                );
-            }
-            "shard_done" => {
-                let shard = record.get("shard")?.as_usize()?;
-                let report = self.load_payload(record.get("payload")?.as_str()?)?;
-                jobs.get_mut(&job)?.shards.insert(shard, report);
-            }
-            "done" => {
-                let report = self.load_payload(record.get("payload")?.as_str()?)?;
-                jobs.get_mut(&job)?.terminal = Some(Terminal::Done(Box::new(report)));
-            }
-            "failed" => {
-                let error = record.get("error")?.as_str()?.to_string();
-                jobs.get_mut(&job)?.terminal = Some(Terminal::Failed(error));
-            }
-            "cancelled" => {
-                jobs.get_mut(&job)?.terminal = Some(Terminal::Cancelled);
-            }
-            _ => return None,
-        }
-        Some(())
-    }
-
-    /// Bounds journal growth: drops `shard_done` records of jobs that
-    /// have reached a terminal record (their partial reports are
-    /// superseded by the journaled terminal payload), then garbage-
-    /// collects payload files no longer referenced by any surviving
-    /// record. Replay before and after compaction recovers byte-identical
-    /// job state. Records are removed before payloads, so a crash between
-    /// the two passes only leaves orphans for the next compaction.
-    ///
-    /// Single-writer rule applies: call while no other thread appends.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-listing failures; individual file removals
-    /// are best-effort (a leftover file is re-candidate next time).
-    pub fn compact(&self) -> io::Result<Compaction> {
-        let mut compaction = Compaction::default();
-        // Pass 1: find terminal jobs and each record's (kind, job).
-        let mut parsed: Vec<(PathBuf, String, u64)> = Vec::new();
-        let mut terminal: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        for entry in fs::read_dir(&self.records)? {
-            let entry = entry?;
-            let path = entry.path();
-            if record_seq(&entry.file_name().to_string_lossy()).is_none() {
-                continue;
-            }
-            let Some(record) = fs::read_to_string(&path)
-                .ok()
-                .and_then(|src| Json::parse(&src).ok())
-            else {
-                continue;
-            };
-            let (Some(kind), Some(job)) = (
-                record
-                    .get("record")
-                    .and_then(Json::as_str)
-                    .map(str::to_string),
-                record.get("job").and_then(Json::as_usize),
-            ) else {
-                continue;
-            };
-            if matches!(kind.as_str(), "done" | "failed" | "cancelled") {
-                terminal.insert(job as u64);
-            }
-            parsed.push((path, kind, job as u64));
-        }
-        // Pass 2: drop superseded shard_done records.
-        for (path, kind, job) in &parsed {
-            if kind == "shard_done" && terminal.contains(job) && fs::remove_file(path).is_ok() {
-                compaction.records_removed += 1;
-            }
-        }
-        // Pass 3: GC payloads unreferenced by the surviving records.
-        // Re-scan rather than trust `parsed` — removals may have failed,
-        // and payloads can be shared across records.
-        let mut referenced: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-        for entry in fs::read_dir(&self.records)? {
-            let entry = entry?;
-            if record_seq(&entry.file_name().to_string_lossy()).is_none() {
-                continue;
-            }
-            if let Some(record) = fs::read_to_string(entry.path())
-                .ok()
-                .and_then(|src| Json::parse(&src).ok())
-            {
-                if let Some(hash) = record.get("payload").and_then(Json::as_str) {
-                    referenced.insert(hash.to_string());
-                }
-            }
-        }
-        for entry in fs::read_dir(&self.payloads)? {
-            let entry = entry?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let Some(hash) = name.strip_suffix(".json") else {
-                continue;
-            };
-            if !referenced.contains(hash) && fs::remove_file(entry.path()).is_ok() {
-                compaction.payloads_removed += 1;
-            }
-        }
-        Ok(compaction)
+        replay
     }
 
     /// Readiness probe: can this journal still land records? Writes and
-    /// removes a probe file in the records directory (`.probe-*` names
-    /// never parse as record sequence numbers, so replay ignores a
-    /// leftover probe from a crash mid-check).
+    /// removes a probe file beside the segment.
     #[must_use]
     pub fn writable(&self) -> bool {
         static PROBE_SEQ: AtomicU64 = AtomicU64::new(0);
         let unique = PROBE_SEQ.fetch_add(1, Ordering::Relaxed);
         let path = self
-            .records
+            .dir
             .join(format!(".probe-{}-{unique}", std::process::id()));
         let ok = fs::write(&path, b"probe").is_ok();
         let _ = fs::remove_file(&path);
         ok
     }
 
-    /// Stores a report payload content-addressed; returns its hash name.
-    /// An already-present payload (same bytes, same hash) is reused.
-    fn store_payload(&self, report: &Report) -> io::Result<String> {
-        let text = report.to_json_string();
-        let hash = format!("{:016x}", fnv64(text.as_bytes()));
-        let path = self.payloads.join(format!("{hash}.json"));
-        if !path.exists() {
-            write_atomic(&path, text.as_bytes())?;
-        }
-        Ok(hash)
-    }
-
-    fn load_payload(&self, hash: &str) -> Option<Report> {
-        let text = fs::read_to_string(self.payloads.join(format!("{hash}.json"))).ok()?;
-        Report::from_json_str(&text).ok()
-    }
-
+    /// Appends one record as a whole line and syncs it. On failure the
+    /// file is cut back to the last record boundary before the error
+    /// returns; if even the cut fails, the next append retries it first.
     fn append(&self, record: Json) -> io::Result<()> {
-        let seq = {
-            let mut next = self
-                .next
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let seq = *next;
-            *next += 1;
-            seq
+        let line = render_line(&record);
+        let mut segment = self.segment.lock().unwrap_or_else(PoisonError::into_inner);
+        let segment = &mut *segment;
+        if segment.torn {
+            segment.file.set_len(segment.len)?;
+            segment.torn = false;
+        }
+        match segment
+            .file
+            .write_all(line.as_bytes())
+            .and_then(|()| segment.file.sync_data())
+        {
+            Ok(()) => {
+                segment.len += line.len() as u64;
+                Ok(())
+            }
+            Err(e) => {
+                segment.torn = segment.file.set_len(segment.len).is_err();
+                Err(e)
+            }
+        }
+    }
+}
+
+/// How one segment line fared in [`fold`].
+enum Line {
+    /// No newline, a checksum that is not the JSON's, or JSON that does
+    /// not parse.
+    Damaged,
+    /// A `shard_done` record of this job.
+    ShardDone(u64),
+    /// Any other well-formed record.
+    Record,
+}
+
+/// Replays segment bytes. Returns the replay, the segment to keep (no
+/// damaged tail, no `shard_done` lines of terminal jobs) and where the
+/// last good line ends.
+fn fold(segment: &[u8]) -> (Replay, Vec<u8>, usize) {
+    let mut replay = Replay::default();
+    let mut lines = Vec::new();
+    for line in segment.split_inclusive(|&b| b == b'\n') {
+        let kind = match parse_line(line) {
+            None => Line::Damaged,
+            Some(record) => {
+                if apply(&record, &mut replay.jobs).is_none() {
+                    replay.skipped += 1;
+                }
+                match (
+                    record.get("record").and_then(Json::as_str),
+                    record.get("job").and_then(Json::as_usize),
+                ) {
+                    (Some("shard_done"), Some(job)) => Line::ShardDone(job as u64),
+                    _ => Line::Record,
+                }
+            }
         };
-        let path = self.records.join(format!("{seq:019}.json"));
-        write_atomic(&path, record.render_pretty().as_bytes())
+        lines.push((line, kind));
     }
+    let good = lines
+        .iter()
+        .rposition(|(_, kind)| !matches!(kind, Line::Damaged))
+        .map_or(0, |i| i + 1);
+    replay.truncated = lines.len() - good;
+    let mut kept = Vec::with_capacity(segment.len());
+    let mut good_end = 0;
+    for (line, kind) in &lines[..good] {
+        good_end += line.len();
+        match kind {
+            Line::Damaged => replay.skipped += 1,
+            Line::ShardDone(job)
+                if replay
+                    .jobs
+                    .get(job)
+                    .is_some_and(|job| job.terminal.is_some()) =>
+            {
+                replay.compacted += 1;
+                continue;
+            }
+            _ => {}
+        }
+        kept.extend_from_slice(line);
+    }
+    (replay, kept, good_end)
 }
 
-/// Parses `<seq>.json` record file names; anything else (temp files,
-/// strays) is ignored.
-fn record_seq(name: &str) -> Option<u64> {
-    name.strip_suffix(".json")?.parse().ok()
+/// Parses one segment line, `<16 lowercase hex> <JSON>\n`, or `None`
+/// when the line is damaged.
+fn parse_line(line: &[u8]) -> Option<Json> {
+    let body = line.strip_suffix(b"\n")?;
+    let json = body.get(16..)?.strip_prefix(b" ")?;
+    if body.get(..16)? != format!("{:016x}", fnv64(json)).as_bytes() {
+        return None;
+    }
+    Json::parse(std::str::from_utf8(json).ok()?).ok()
 }
 
-/// Atomic durable write: temp file in the same directory → flush +
-/// `fsync` → rename over the target → `fsync` the directory so the
-/// rename itself survives power loss.
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let dir = path
-        .parent()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "journal path has no parent"))?;
-    // The temp name carries pid *and* a process-wide counter: two worker
-    // threads storing the same payload hash concurrently must not share
-    // a temp path, or one rename could publish the other's half-written
-    // file (`store_payload`'s exists() check is advisory, not a lock).
-    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    let unique = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    let tmp = path.with_extension(format!("tmp.{}.{unique}", std::process::id()));
-    {
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
+/// The start of every record: its kind and job.
+fn record(kind: &str, job: u64) -> Json {
+    Json::obj()
+        .field("record", Json::str(kind))
+        .field("job", Json::num(job as f64))
+}
+
+fn render_line(record: &Json) -> String {
+    let json = record.render();
+    format!("{:016x} {json}\n", fnv64(json.as_bytes()))
+}
+
+/// Folds one well-formed record into `jobs`; `None` when it is unusable.
+fn apply(record: &Json, jobs: &mut BTreeMap<u64, RecoveredJob>) -> Option<()> {
+    let kind = record.get("record")?.as_str()?;
+    let job = record.get("job")?.as_usize()? as u64;
+    match kind {
+        "submitted" => {
+            let spec = ScenarioSpec::from_json(record.get("spec")?).ok()?;
+            let key = record.get("key").and_then(Json::as_str).map(str::to_string);
+            jobs.insert(
+                job,
+                RecoveredJob {
+                    seq: job,
+                    spec,
+                    key,
+                    terminal: None,
+                    shards: BTreeMap::new(),
+                },
+            );
+        }
+        "shard_done" => {
+            let shard = record.get("shard")?.as_usize()?;
+            let report = Report::from_json(record.get("report")?).ok()?;
+            jobs.get_mut(&job)?.shards.insert(shard, report);
+        }
+        "done" => {
+            let report = Report::from_json(record.get("report")?).ok()?;
+            jobs.get_mut(&job)?.terminal = Some(Terminal::Done(Box::new(report)));
+        }
+        "failed" => {
+            let error = record.get("error")?.as_str()?.to_string();
+            jobs.get_mut(&job)?.terminal = Some(Terminal::Failed(error));
+        }
+        "cancelled" => {
+            jobs.get_mut(&job)?.terminal = Some(Terminal::Cancelled);
+        }
+        _ => return None,
     }
-    if let Err(e) = fs::rename(&tmp, path) {
+    Some(())
+}
+
+/// Replaces the segment at `path` with `bytes` atomically: temp file →
+/// `fsync` → rename → directory `fsync`. Returns the temp file's handle,
+/// which the rename made the segment's append handle.
+fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<Segment> {
+    let tmp = path.with_extension("log.tmp");
+    let _ = fs::remove_file(&tmp);
+    let mut file = OpenOptions::new()
+        .append(true)
+        .create_new(true)
+        .open(&tmp)?;
+    let written = file
+        .write_all(bytes)
+        .and_then(|()| file.sync_all())
+        .and_then(|()| fs::rename(&tmp, path));
+    if let Err(e) = written {
         let _ = fs::remove_file(&tmp);
         return Err(e);
     }
     // Directory fsync makes the rename durable; non-fatal where the
-    // platform refuses to open a directory for writing metadata.
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
+    // platform refuses to open a directory for writing metadata. Nothing
+    // after the rename may fail: the old handle now points at the
+    // replaced file.
+    if let Some(dir) = path.parent() {
+        if let Ok(d) = File::open(dir) {
+            let _ = d.sync_all();
+        }
     }
-    Ok(())
+    let len = bytes.len() as u64;
+    Ok(Segment {
+        file,
+        len,
+        torn: false,
+    })
 }
 
-/// FNV-1a, matching the cache's content-addressing (stable across
-/// platforms and Rust versions).
+/// FNV-1a 64, the line checksum (stable across platforms and Rust
+/// versions, and it catches every change confined to one byte).
 fn fnv64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -528,4 +453,239 @@ fn fnv64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use super::*;
+
+    const GOLDEN: &str = include_str!("../../../tests/fixtures/fig-6-12-quick.report.golden.json");
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("synts-journal-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// The golden report cut to two records (so the sweeps stay fast)
+    /// under another spec name, so every journaled spec and report is
+    /// distinct.
+    fn report(name: &str) -> Report {
+        let mut report = Report::from_json_str(GOLDEN).expect("golden parses");
+        report.spec.name = name.to_string();
+        report.datasets.truncate(1);
+        report.datasets[0].records.truncate(2);
+        report
+    }
+
+    /// Journals job 1 (keyed) done after two shards, job 2 with one
+    /// shard and no terminal record, and job 3 cancelled, through the
+    /// real append path; returns the segment's bytes.
+    fn fixture(dir: &Path) -> Vec<u8> {
+        let journal = Journal::open(dir).expect("journal opens");
+        let spec = |job: u64| report(&format!("job-{job}")).spec;
+        journal
+            .record_submitted(1, Some("key-1"), &spec(1))
+            .expect("append");
+        journal.record_submitted(2, None, &spec(2)).expect("append");
+        journal
+            .record_shard_done(1, 0, &report("1@0"))
+            .expect("append");
+        journal.record_submitted(3, None, &spec(3)).expect("append");
+        journal
+            .record_shard_done(2, 0, &report("2@0"))
+            .expect("append");
+        journal
+            .record_shard_done(1, 1, &report("1@1"))
+            .expect("append");
+        journal.record_cancelled(3).expect("append");
+        journal.record_done(1, &report("fig-6-12")).expect("append");
+        fs::read(dir.join(SEGMENT)).expect("segment reads")
+    }
+
+    /// Start offsets of the segment's lines, plus its length.
+    fn line_starts(bytes: &[u8]) -> Vec<usize> {
+        let mut starts = vec![0];
+        starts.extend(
+            bytes
+                .iter()
+                .enumerate()
+                .filter(|(_, &b)| b == b'\n')
+                .map(|(i, _)| i + 1),
+        );
+        starts
+    }
+
+    #[test]
+    fn a_clean_segment_replays_exactly_what_was_journaled() {
+        let dir = temp_dir("clean");
+        let bytes = fixture(&dir);
+        let (replay, kept, good_end) = fold(&bytes);
+        assert_eq!((replay.skipped, replay.truncated), (0, 0));
+        assert_eq!(good_end, bytes.len());
+        assert_eq!(replay.compacted, 2, "job 1's shard lines are superseded");
+        assert_eq!(replay.jobs.keys().copied().collect::<Vec<_>>(), [1, 2, 3]);
+
+        let job1 = &replay.jobs[&1];
+        assert_eq!((job1.seq, job1.key.as_deref()), (1, Some("key-1")));
+        assert_eq!(job1.spec, report("job-1").spec);
+        let Some(Terminal::Done(merged)) = &job1.terminal else {
+            panic!("job 1 must be done: {:?}", job1.terminal);
+        };
+        let journaled = report("fig-6-12").to_json_string();
+        assert_eq!(merged.to_json_string(), journaled, "byte-identical report");
+        assert_eq!(job1.shards[&0], report("1@0"));
+        assert_eq!(job1.shards[&1], report("1@1"));
+        let job2 = &replay.jobs[&2];
+        assert_eq!((job2.key.as_deref(), &job2.terminal), (None, &None));
+        assert_eq!(job2.shards.len(), 1);
+        assert_eq!(job2.shards[&0], report("2@0"));
+        assert_eq!(replay.jobs[&3].terminal, Some(Terminal::Cancelled));
+
+        // The compacted segment recovers the same jobs, less the shards
+        // of terminal jobs, and is a fixpoint.
+        let mut settled = replay.jobs;
+        settled.get_mut(&1).expect("job 1").shards.clear();
+        let (again, kept_again, _) = fold(&kept);
+        assert_eq!(again.jobs, settled);
+        assert_eq!((again.skipped, again.truncated, again.compacted), (0, 0, 0));
+        assert_eq!(kept_again, kept);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_cut_at_any_byte_recovers_the_whole_lines_before_it() {
+        let dir = temp_dir("cut");
+        let bytes = fixture(&dir);
+        let starts = line_starts(&bytes);
+        let expected: BTreeMap<usize, BTreeMap<u64, RecoveredJob>> = starts
+            .iter()
+            .map(|&end| (end, fold(&bytes[..end]).0.jobs))
+            .collect();
+        for cut in 0..=bytes.len() {
+            let whole = starts[starts.partition_point(|&s| s <= cut) - 1];
+            let (replay, kept, good_end) = fold(&bytes[..cut]);
+            assert_eq!(replay.skipped, 0, "cut at {cut}");
+            assert_eq!(replay.truncated, usize::from(cut != whole), "cut at {cut}");
+            assert_eq!(good_end, whole, "cut at {cut}");
+            assert!(kept.last().is_none_or(|&b| b == b'\n'), "cut at {cut}");
+            assert!(replay.jobs == expected[&whole], "cut at {cut}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_bit_flip_loses_only_the_lines_it_touches() {
+        let dir = temp_dir("flip");
+        let bytes = fixture(&dir);
+        let starts = line_starts(&bytes);
+        let lines = starts.len() - 1;
+        // A stride of 16 lands in every checksum and every JSON body; the
+        // newlines are added explicitly.
+        let positions: BTreeSet<usize> = (0..bytes.len())
+            .step_by(16)
+            .chain(starts[1..].iter().map(|&s| s - 1))
+            .collect();
+        let mut expected = BTreeMap::new();
+        for pos in positions {
+            // A flipped newline joins its line to the next one.
+            let first = starts.partition_point(|&s| s <= pos) - 1;
+            let last = if bytes[pos] == b'\n' {
+                (first + 1).min(lines - 1)
+            } else {
+                first
+            };
+            let (exp, exp_kept, untouched_len) =
+                expected.entry((first, last)).or_insert_with(|| {
+                    let mut untouched = bytes[..starts[first]].to_vec();
+                    untouched.extend_from_slice(&bytes[starts[last + 1]..]);
+                    let (replay, kept, _) = fold(&untouched);
+                    (replay, kept, untouched.len())
+                });
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[pos] ^= 1 << bit;
+                let (replay, kept, _) = fold(&flipped);
+                let damaged =
+                    flipped.split_inclusive(|&b| b == b'\n').count() - (lines - (last - first + 1));
+                let at = format!("bit {bit} of byte {pos} (lines {first}..={last})");
+                assert!(replay.jobs == exp.jobs, "{at}: recovered state drifted");
+                let counts = (replay.truncated, replay.skipped);
+                if last == lines - 1 {
+                    assert_eq!(counts, (damaged, exp.skipped), "{at}");
+                    assert!(kept == *exp_kept, "{at}: the damaged tail must be cut");
+                } else {
+                    assert_eq!(counts, (0, exp.skipped + damaged), "{at}");
+                    let compacted = *untouched_len - exp_kept.len();
+                    assert_eq!(
+                        kept.len(),
+                        flipped.len() - compacted,
+                        "{at}: damage must be kept"
+                    );
+                }
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replay_cuts_a_torn_tail_compacts_and_appends_on_a_boundary() {
+        let dir = temp_dir("file");
+        let bytes = fixture(&dir);
+        // A crash mid-append leaves part of a line behind.
+        let mut torn = bytes.clone();
+        torn.extend_from_slice(&bytes[..40]);
+        fs::write(dir.join(SEGMENT), &torn).expect("torn tail");
+
+        let journal = Journal::open(&dir).expect("journal reopens");
+        let replay = journal.replay();
+        assert_eq!(
+            (replay.skipped, replay.truncated, replay.compacted),
+            (0, 1, 2)
+        );
+        let (_, kept, _) = fold(&bytes);
+        assert_eq!(fs::read(dir.join(SEGMENT)).expect("segment"), kept);
+        assert!(journal.writable());
+        let names: Vec<_> = fs::read_dir(&dir)
+            .expect("dir lists")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        assert_eq!(names, [SEGMENT], "an idle journal holds only its segment");
+
+        // The rewritten handle appends after the last whole record.
+        journal.record_failed(2, "boom").expect("append");
+        drop(journal);
+        let journal = Journal::open(&dir).expect("journal reopens");
+        let replay = journal.replay();
+        assert_eq!(
+            (replay.skipped, replay.truncated, replay.compacted),
+            (0, 0, 1)
+        );
+        assert_eq!(
+            replay.jobs[&2].terminal,
+            Some(Terminal::Failed("boom".into()))
+        );
+        let settled = fs::read(dir.join(SEGMENT)).expect("segment");
+        drop(journal);
+        let replay = Journal::open(&dir).expect("journal reopens").replay();
+        assert_eq!(
+            (replay.skipped, replay.truncated, replay.compacted),
+            (0, 0, 0)
+        );
+        assert_eq!(fs::read(dir.join(SEGMENT)).expect("segment"), settled);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_refuses_the_old_per_record_layout() {
+        let dir = temp_dir("old-layout");
+        fs::create_dir_all(dir.join("records")).expect("old layout");
+        let err = Journal::open(&dir).expect_err("an old journal must not open empty");
+        let msg = err.to_string();
+        assert!(msg.contains("records/") && msg.contains("layout"), "{msg}");
+        assert!(!dir.join(SEGMENT).exists(), "nothing is written beside it");
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

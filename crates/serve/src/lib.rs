@@ -18,10 +18,10 @@
 //!   lease, on an in-process executor (the service's worker threads) or
 //!   a remote one (`synts-serve --executor`), with one retry rule for
 //!   failed, expired and lost attempts.
-//! * [`journal`] — the durable job journal ([`Journal`]): append-only
-//!   canonical-JSON records with content-addressed shard payloads, so a
-//!   service killed mid-job replays the journal on restart and resumes
-//!   to a byte-identical report.
+//! * [`journal`] — the durable job journal ([`Journal`]): one
+//!   append-only segment of checksummed canonical-JSON records with the
+//!   shard reports inline, so a service killed mid-job replays the
+//!   journal on restart and resumes to a byte-identical report.
 //! * [`http`] — a hand-rolled `std::net` HTTP/1.1 front end
 //!   ([`Server`]): `POST /v1/jobs`, `GET /v1/jobs/<id>[/report]`,
 //!   `GET /v1/healthz`, `GET /v1/stats`, `POST /v1/shutdown`, and the

@@ -438,7 +438,8 @@ impl Service {
     /// serves the byte-identical journaled report — and unfinished jobs
     /// are re-queued, reusing every journaled shard report so only the
     /// interrupted remainder recomputes. Workers spawn after the store
-    /// is rebuilt, so recovered tasks are simply first in line.
+    /// is rebuilt, so recovered tasks are simply first in line, and the
+    /// replay compacts the journal before anything else can append.
     #[must_use]
     pub fn start(cfg: ServiceConfig) -> Service {
         let mut store = Store {
@@ -457,17 +458,6 @@ impl Service {
         };
         if let Some(journal) = &cfg.journal {
             recover(&mut store, journal, cfg.faults.as_ref());
-            // Recovery replayed everything the journal holds; compact it
-            // before workers (the single-writer window) so terminal-job
-            // shard records and orphaned payloads stop accumulating.
-            match journal.compact() {
-                Ok(c) if !c.is_noop() => eprintln!(
-                    "synts-serve: journal: compacted {} record(s), {} payload(s)",
-                    c.records_removed, c.payloads_removed
-                ),
-                Ok(_) => {}
-                Err(e) => eprintln!("synts-serve: journal: compaction failed: {e}"),
-            }
         }
         let state = Arc::new(SvcState {
             max_shards: cfg.max_shards.max(1),
@@ -887,6 +877,12 @@ fn recover(store: &mut Store, journal: &Journal, service_faults: Option<&Arc<Fau
         eprintln!(
             "synts-serve: journal: truncated {} torn trailing record(s) (crash mid-append)",
             replay.truncated
+        );
+    }
+    if replay.compacted > 0 {
+        eprintln!(
+            "synts-serve: journal: compacted {} shard record(s) of finished jobs",
+            replay.compacted
         );
     }
     for (seq, rec) in replay.jobs {

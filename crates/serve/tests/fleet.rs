@@ -545,7 +545,12 @@ fn spawn_coordinator(journal_dir: &Path, cache_dir: &Path) -> (Proc, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_synts-serve"))
         .args(["--addr", "127.0.0.1:0", "--workers", "1"])
         .args(["--local-shards", "off"])
-        .args(["--lease-ticks", "2", "--tick-ms", "50"])
+        // Executors heartbeat every 50 ms (`--poll-ms 50`), and a lease
+        // must outlive a survivor's heartbeat that runs late on a loaded
+        // host: the victim's abort already spends one of the job's two
+        // attempts, so an expired survivor lease would fail the job. Ten
+        // heartbeat intervals leave that margin.
+        .args(["--lease-ticks", "10", "--tick-ms", "50"])
         .args(["--journal-dir".as_ref(), journal_dir.as_os_str()])
         .args(["--cache-dir".as_ref(), cache_dir.as_os_str()])
         .env_remove("SYNTS_FAULTS")
@@ -683,9 +688,9 @@ fn healthz_reports_readiness_and_503s_on_unwritable_journal() {
     assert_eq!(health.get("queue_depth").and_then(Json::as_f64), Some(0.0));
     assert!(client.healthy(), "Client::healthy reads the same probe");
 
-    // Break the journal out from under the service: the records dir is
+    // Break the journal out from under the service: its directory is
     // gone, so the writability probe fails and readiness flips.
-    std::fs::remove_dir_all(journal_dir.join("records")).expect("break journal");
+    std::fs::remove_dir_all(&journal_dir).expect("break journal");
     let reply = client.request("GET", "/v1/healthz", None).expect("healthz");
     assert_eq!(reply.status, 503, "unwritable journal must fail readiness");
     let health = reply.json().expect("json");

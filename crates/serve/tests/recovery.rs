@@ -56,19 +56,16 @@ fn journaled_service(journal_dir: &PathBuf, cache_dir: &PathBuf, workers: usize)
     }))
 }
 
+/// Counts the journal segment's records of `kind` (each line is
+/// `<16 hex checksum> <JSON>`).
 fn count_records(journal_dir: &Path, kind: &str) -> usize {
-    let records = journal_dir.join("records");
-    let Ok(dir) = std::fs::read_dir(records) else {
+    let Ok(segment) = std::fs::read_to_string(journal_dir.join("journal.log")) else {
         return 0;
     };
-    dir.flatten()
-        .filter(|e| {
-            std::fs::read_to_string(e.path())
-                .ok()
-                .and_then(|text| Json::parse(&text).ok())
-                .and_then(|json| json.get("record").and_then(Json::as_str).map(String::from))
-                .is_some_and(|k| k == kind)
-        })
+    segment
+        .lines()
+        .filter_map(|line| Json::parse(line.get(17..)?).ok())
+        .filter(|json| json.get("record").and_then(Json::as_str) == Some(kind))
         .count()
 }
 
@@ -220,17 +217,9 @@ fn killed_process_recovers_to_the_golden_fixture() {
     let _ = clean.child.wait();
 }
 
-/// Counts payload files in the journal.
-fn count_payloads(journal_dir: &Path) -> usize {
-    std::fs::read_dir(journal_dir.join("payloads"))
-        .map(|dir| dir.flatten().count())
-        .unwrap_or(0)
-}
-
 /// Journal compaction: once a job is terminal its `shard_done` records
-/// are superseded by the `done` record, so compaction drops them and
-/// GCs the now-orphaned shard payloads — and replay of the compacted
-/// journal still serves the byte-identical report.
+/// are superseded by the `done` record, so replay drops them — and the
+/// compacted journal still serves the byte-identical report.
 #[test]
 fn compaction_prunes_terminal_jobs_and_replays_byte_identically() {
     let journal_dir = temp_dir("compact-journal");
@@ -255,36 +244,26 @@ fn compaction_prunes_terminal_jobs_and_replays_byte_identically() {
     drop(service);
 
     let shards_before = count_records(&journal_dir, "shard_done");
-    let payloads_before = count_payloads(&journal_dir);
     assert!(shards_before >= 1, "the job must have journaled shards");
-    // Plant an orphaned payload (a crash between payload write and
-    // record write leaves exactly this) — compaction must collect it.
-    std::fs::write(
-        journal_dir.join("payloads").join("deadbeefdeadbeef.json"),
-        "{}",
-    )
-    .expect("orphan payload");
-
-    let journal = Journal::open(&journal_dir).expect("journal reopens");
-    let compaction = journal.compact().expect("compaction runs");
+    let replay = Journal::open(&journal_dir)
+        .expect("journal reopens")
+        .replay();
     assert_eq!(
-        compaction.records_removed, shards_before,
+        replay.compacted, shards_before,
         "every shard_done of the terminal job is superseded"
     );
-    assert!(
-        compaction.payloads_removed >= 1,
-        "the planted orphan (at least) must be collected"
-    );
+    assert_eq!((replay.skipped, replay.truncated), (0, 0));
     assert_eq!(count_records(&journal_dir, "shard_done"), 0);
     assert_eq!(count_records(&journal_dir, "done"), 1);
-    assert!(
-        count_payloads(&journal_dir) < payloads_before + 1,
-        "payload set must have shrunk"
-    );
-    // Idempotent: a second pass finds nothing.
-    let again = journal.compact().expect("second compaction");
-    assert!(again.is_noop(), "compaction must converge: {again:?}");
-    drop(journal);
+    // Idempotent: a second open + replay finds nothing to drop and
+    // leaves the segment's bytes as they were.
+    let segment = journal_dir.join("journal.log");
+    let compacted = std::fs::read(&segment).expect("segment");
+    let again = Journal::open(&journal_dir)
+        .expect("journal reopens")
+        .replay();
+    assert_eq!((again.skipped, again.truncated, again.compacted), (0, 0, 0));
+    assert_eq!(std::fs::read(&segment).expect("segment"), compacted);
 
     // Replay of the compacted journal serves the exact bytes.
     let service = journaled_service(&journal_dir, &cache_dir, 2);
@@ -299,10 +278,10 @@ fn compaction_prunes_terminal_jobs_and_replays_byte_identically() {
     service.shutdown(Shutdown::Now);
 }
 
-/// A crash mid-append leaves a torn trailing record. Replay must not
+/// A crash mid-append leaves a torn trailing line. Replay must not
 /// refuse the journal (that would strand every earlier job): it
 /// truncates the torn suffix with a warning and recovers everything
-/// before it — while torn records *before* good ones (real corruption)
+/// before it — while damaged lines *before* good ones (real corruption)
 /// are skipped, never silently deleted.
 #[test]
 fn torn_trailing_record_is_truncated_and_earlier_jobs_survive() {
@@ -327,41 +306,35 @@ fn torn_trailing_record_is_truncated_and_earlier_jobs_survive() {
     drop(service);
 
     // Simulate the crash: a half-written record lands after the last
-    // good one (highest sequence number wins the "trailing" position).
-    let records = journal_dir.join("records");
-    let max_seq = std::fs::read_dir(&records)
-        .expect("records dir")
-        .flatten()
-        .filter_map(|e| {
-            e.file_name()
-                .to_string_lossy()
-                .strip_suffix(".json")?
-                .parse::<u64>()
-                .ok()
-        })
-        .max()
-        .expect("at least one record");
-    let torn = records.join(format!("{}.json", max_seq + 1));
-    std::fs::write(&torn, "{\"record\": \"submitted\", \"job\": 9").expect("torn record");
+    // good line.
+    let segment = journal_dir.join("journal.log");
+    let mut torn = std::fs::read(&segment).expect("segment");
+    torn.extend_from_slice(b"0123456789abcdef {\"record\": \"submitted\", \"job\": 9");
+    std::fs::write(&segment, &torn).expect("torn record");
 
     let journal = Journal::open(&journal_dir).expect("journal reopens");
     let replay = journal.replay();
     assert_eq!(replay.truncated, 1, "the torn suffix must be truncated");
     assert_eq!(replay.skipped, 0, "nothing before it was damaged");
-    assert!(!torn.exists(), "the torn file must be gone");
+    let settled = std::fs::read(&segment).expect("segment");
+    assert!(settled.ends_with(b"\n"), "the torn line must be gone");
     assert_eq!(replay.jobs.len(), 1, "the finished job survives");
     drop(journal);
 
-    // A torn record *before* good ones is not the append crash pattern:
-    // it is skipped (and kept on disk) so a human can look at it.
-    let early = records.join("0.json");
-    std::fs::write(&early, "not json at all").expect("early garbage");
+    // A damaged line *before* good ones is not the append crash
+    // pattern: it is skipped, and kept on disk so a human can look at it.
+    let mut damaged = b"not a journal line\n".to_vec();
+    damaged.extend_from_slice(&settled);
+    std::fs::write(&segment, &damaged).expect("early garbage");
     let journal = Journal::open(&journal_dir).expect("journal reopens");
     let replay = journal.replay();
     assert_eq!(replay.truncated, 0);
     assert_eq!(replay.skipped, 1, "mid-stream damage is skipped");
-    assert!(early.exists(), "mid-stream damage is preserved");
-    std::fs::remove_file(&early).expect("cleanup");
+    assert_eq!(
+        std::fs::read(&segment).expect("segment"),
+        damaged,
+        "mid-stream damage is preserved"
+    );
     drop(journal);
 
     // And the service still serves the exact bytes through it all.

@@ -88,17 +88,9 @@ fn save_artifacts(tag: &str, journal_dir: &std::path::Path, fault_report: &str) 
         .join("target/chaos-artifacts")
         .join(tag);
     let _ = std::fs::remove_dir_all(&out);
-    std::fs::create_dir_all(out.join("journal")).expect("artifact dir");
+    std::fs::create_dir_all(&out).expect("artifact dir");
     std::fs::write(out.join("fault-report.json"), fault_report).expect("fault report");
-    for sub in ["records", "payloads"] {
-        let dst = out.join("journal").join(sub);
-        std::fs::create_dir_all(&dst).expect("artifact subdir");
-        if let Ok(dir) = std::fs::read_dir(journal_dir.join(sub)) {
-            for entry in dir.flatten() {
-                let _ = std::fs::copy(entry.path(), dst.join(entry.file_name()));
-            }
-        }
-    }
+    std::fs::copy(journal_dir.join("journal.log"), out.join("journal.log")).expect("journal");
 }
 
 proptest! {
