@@ -9,7 +9,7 @@ use gatelib::{CellKind, Netlist, NetlistBuilder, NetlistError};
 use crate::multiplier::array_multiplier;
 use crate::ops::{AluEvent, AluOp};
 use crate::prims::{mux_word, or_tree};
-use crate::stage::{PipeStage, StageKind};
+use crate::stage::{put_bits, PipeStage, StageKind};
 
 /// Gate-level multiplier stage of configurable width.
 ///
@@ -94,16 +94,11 @@ impl PipeStage for ComplexAlu {
         op.is_complex()
     }
 
-    fn encode_into(&self, ev: &AluEvent, buf: &mut Vec<bool>) {
-        buf.clear();
-        buf.reserve(1 + 2 * self.width);
-        buf.push(ev.op == AluOp::MulHi);
-        for i in 0..self.width {
-            buf.push((ev.a >> i) & 1 == 1);
-        }
-        for i in 0..self.width {
-            buf.push((ev.b >> i) & 1 == 1);
-        }
+    fn encode_packed(&self, ev: &AluEvent, words: &mut [u64]) {
+        words.fill(0);
+        put_bits(words, 0, 1, u64::from(ev.op == AluOp::MulHi));
+        put_bits(words, 1, self.width, ev.a);
+        put_bits(words, 1 + self.width, self.width, ev.b);
     }
 }
 

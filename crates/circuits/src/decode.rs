@@ -13,7 +13,7 @@ use gatelib::{CellKind, Netlist, NetlistBuilder, NetlistError};
 
 use crate::ops::{AluEvent, AluOp};
 use crate::prims::{eq_comparator, onehot_decoder, or_tree, priority_chain};
-use crate::stage::{PipeStage, StageKind};
+use crate::stage::{put_bits, PipeStage, StageKind};
 
 /// Width of the instruction word consumed by the decode stage.
 pub const INSTR_BITS: usize = 32;
@@ -155,10 +155,14 @@ impl PipeStage for DecodeStage {
         true // every instruction passes through decode
     }
 
-    fn encode_into(&self, ev: &AluEvent, buf: &mut Vec<bool>) {
-        let word = DecodeStage::instruction_word(ev);
-        buf.clear();
-        buf.extend((0..INSTR_BITS).map(|i| (word >> i) & 1 == 1));
+    fn encode_packed(&self, ev: &AluEvent, words: &mut [u64]) {
+        words.fill(0);
+        put_bits(
+            words,
+            0,
+            INSTR_BITS,
+            u64::from(DecodeStage::instruction_word(ev)),
+        );
     }
 }
 

@@ -47,13 +47,11 @@ impl AluOp {
         AluOp::MulHi,
     ];
 
-    /// Opcode index (position in [`AluOp::ALL`]).
+    /// Opcode index (position in [`AluOp::ALL`]): the declaration order,
+    /// which `opcode_indices_are_stable` pins.
     #[must_use]
-    pub fn index(self) -> usize {
-        AluOp::ALL
-            .iter()
-            .position(|&k| k == self)
-            .expect("ALL covers every variant")
+    pub const fn index(self) -> usize {
+        self as usize
     }
 
     /// Whether the op executes on the ComplexALU (multiplier) rather than
@@ -114,6 +112,31 @@ impl std::fmt::Display for AluOp {
     }
 }
 
+/// A set of [`AluOp`]s, one bit per [`AluOp::index`]: the operations
+/// that reach a stage ([`crate::PipeStage::accepted_ops`]), and so the
+/// event stream a sampling recorder numbers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+pub struct OpSet(u16);
+
+impl OpSet {
+    /// The operations for which `pred` holds.
+    #[must_use]
+    pub fn from_fn(mut pred: impl FnMut(AluOp) -> bool) -> OpSet {
+        OpSet(
+            AluOp::ALL
+                .iter()
+                .filter(|&&op| pred(op))
+                .fold(0, |bits, &op| bits | 1 << op.index()),
+        )
+    }
+
+    /// Whether `op` is in the set.
+    #[must_use]
+    pub const fn contains(self, op: AluOp) -> bool {
+        self.0 >> op.index() & 1 == 1
+    }
+}
+
 /// One dynamic instruction's timing-relevant content: the operation and the
 /// operand values it consumed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -148,6 +171,16 @@ mod tests {
     fn opcode_indices_are_stable() {
         for (i, op) in AluOp::ALL.iter().enumerate() {
             assert_eq!(op.index(), i);
+        }
+    }
+
+    #[test]
+    fn op_sets_hold_exactly_their_members() {
+        let complex = OpSet::from_fn(AluOp::is_complex);
+        for op in AluOp::ALL {
+            assert_eq!(complex.contains(op), op.is_complex(), "{op}");
+            assert!(OpSet::from_fn(|_| true).contains(op));
+            assert!(!OpSet::default().contains(op));
         }
     }
 

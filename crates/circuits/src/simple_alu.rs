@@ -9,7 +9,7 @@ use crate::adder::AdderKind;
 use crate::ops::{AluEvent, AluOp};
 use crate::prims::{onehot_decoder, or_tree};
 use crate::shifter::{barrel_shifter, ShiftDirection};
-use crate::stage::{PipeStage, StageKind};
+use crate::stage::{put_bits, PipeStage, StageKind};
 
 /// Gate-level simple integer ALU of configurable width and adder topology.
 ///
@@ -169,21 +169,14 @@ impl PipeStage for SimpleAlu {
         true
     }
 
-    fn encode_into(&self, ev: &AluEvent, buf: &mut Vec<bool>) {
+    fn encode_packed(&self, ev: &AluEvent, words: &mut [u64]) {
         // Complex ops never execute here; fall back to Add so the encoding
         // stays total (callers filter with `accepts` first).
         let idx = if ev.op.is_complex() { 0 } else { ev.op.index() };
-        buf.clear();
-        buf.reserve(3 + 2 * self.width);
-        for i in 0..3 {
-            buf.push((idx >> i) & 1 == 1);
-        }
-        for i in 0..self.width {
-            buf.push((ev.a >> i) & 1 == 1);
-        }
-        for i in 0..self.width {
-            buf.push((ev.b >> i) & 1 == 1);
-        }
+        words.fill(0);
+        put_bits(words, 0, 3, idx as u64);
+        put_bits(words, 3, self.width, ev.a);
+        put_bits(words, 3 + self.width, self.width, ev.b);
     }
 }
 

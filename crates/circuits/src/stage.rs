@@ -4,7 +4,7 @@ use gatelib::{Netlist, NetlistError};
 
 use crate::complex_alu::ComplexAlu;
 use crate::decode::DecodeStage;
-use crate::ops::{AluEvent, AluOp};
+use crate::ops::{AluEvent, AluOp, OpSet};
 use crate::simple_alu::SimpleAlu;
 
 /// The three pipeline stages the paper characterizes (Sec 5.3).
@@ -71,6 +71,14 @@ impl std::fmt::Display for StageKind {
 /// A pipeline stage circuit: netlist plus the mapping from dynamic
 /// instructions ([`AluEvent`]s) to input vectors.
 ///
+/// Each stage has one encoder, [`PipeStage::encode_packed`], which packs
+/// an event's input vector into 64-bit words: 64 lanes of those words
+/// transpose straight into the per-input words of
+/// [`gatelib::WideTimingSim`] ([`gatelib::transpose_lanes`]). The
+/// `Vec<bool>` forms the scalar [`gatelib::TimingSim`] takes,
+/// [`PipeStage::encode`] and [`PipeStage::encode_into`], are derived from
+/// it.
+///
 /// Implementors are [`SimpleAlu`], [`ComplexAlu`] and [`DecodeStage`];
 /// [`build_stage`] constructs them uniformly.
 pub trait PipeStage: Send + Sync {
@@ -87,21 +95,67 @@ pub trait PipeStage: Send + Sync {
     /// timing-critical logic (e.g. only multiplies stress the ComplexALU).
     fn accepts(&self, op: AluOp) -> bool;
 
-    /// Encodes an event into the stage's primary-input vector.
+    /// Every operation the stage [accepts](PipeStage::accepts), as one set.
+    fn accepted_ops(&self) -> OpSet {
+        OpSet::from_fn(|op| self.accepts(op))
+    }
+
+    /// Encodes an event into the stage's primary-input vector, packed:
+    /// input `k` is bit `k % 64` of `words[k / 64]`. `words` holds
+    /// [`PipeStage::packed_words`] words; they are overwritten, and bits
+    /// past the last input are zero.
+    fn encode_packed(&self, ev: &AluEvent, words: &mut [u64]);
+
+    /// Words per packed input vector: ⌈inputs / 64⌉.
+    fn packed_words(&self) -> usize {
+        self.netlist().primary_inputs().len().div_ceil(64)
+    }
+
+    /// Encodes an event into the stage's primary-input vector, one `bool`
+    /// per input.
     fn encode(&self, ev: &AluEvent) -> Vec<bool> {
         let mut buf = Vec::new();
         self.encode_into(ev, &mut buf);
         buf
     }
 
-    /// Encodes an event into a reused buffer (cleared first) — the
-    /// allocation-free form of [`PipeStage::encode`] that the batched
-    /// characterization loop drives.
-    fn encode_into(&self, ev: &AluEvent, buf: &mut Vec<bool>);
+    /// Encodes an event into a reused buffer (cleared first): the unpacked
+    /// form of [`PipeStage::encode_packed`] that the scalar simulator
+    /// takes.
+    fn encode_into(&self, ev: &AluEvent, buf: &mut Vec<bool>) {
+        let mut words = vec![0u64; self.packed_words()];
+        self.encode_packed(ev, &mut words);
+        let inputs = self.netlist().primary_inputs().len();
+        buf.clear();
+        buf.extend((0..inputs).map(|k| words[k / 64] >> (k % 64) & 1 == 1));
+    }
 
     /// Convenience: the stage's display name.
     fn name(&self) -> String {
         self.kind().to_string()
+    }
+}
+
+/// ORs the low `len` bits of `value` (`len` ≤ 64) into `words` at bit
+/// offset `at`, in the packed layout of [`PipeStage::encode_packed`]:
+/// bit `k` is bit `k % 64` of `words[k / 64]`.
+///
+/// # Panics
+///
+/// Panics if the field runs past the end of `words`.
+pub(crate) fn put_bits(words: &mut [u64], at: usize, len: usize, value: u64) {
+    if len == 0 {
+        return;
+    }
+    let value = if len >= 64 {
+        value
+    } else {
+        value & ((1u64 << len) - 1)
+    };
+    let (word, shift) = (at / 64, at % 64);
+    words[word] |= value << shift;
+    if shift + len > 64 {
+        words[word + 1] |= value >> (64 - shift);
     }
 }
 
@@ -143,6 +197,17 @@ mod tests {
                 "{kind}: encode width"
             );
         }
+    }
+
+    #[test]
+    fn put_bits_places_fields_across_word_boundaries() {
+        let mut words = [0u64; 3];
+        put_bits(&mut words, 60, 8, 0xFFF); // only the low 8 bits land
+        assert_eq!(words, [0xF << 60, 0xF, 0]);
+        put_bits(&mut words, 64, 64, u64::MAX);
+        assert_eq!(words[1], u64::MAX);
+        put_bits(&mut words, 128, 0, u64::MAX);
+        assert_eq!(words[2], 0);
     }
 
     #[test]

@@ -37,17 +37,17 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
-use circuits::{PipeStage, StageKind};
-use workloads::{Benchmark, WorkloadTrace};
+use circuits::{OpSet, PipeStage, StageKind};
+use workloads::{Benchmark, Keep, SampleMismatch, SamplePlan, SampledTrace, WorkloadTrace};
 
 use crate::error::OptError;
 use crate::experiments::{
-    characterize_thread, BenchmarkData, HarnessConfig, IntervalData, ThreadData,
+    characterize_sample, BenchmarkData, HarnessConfig, IntervalData, ThreadData,
 };
 use crate::faults::{site, FaultPlan};
 use crate::parallel::ThreadPool;
 use crate::phase::{time_phase, Phase};
-use timing::{ErrorCurve, StageCharacterizer, TimingError};
+use timing::{ErrorCurve, Sampling, StageCharacterizer, TimingError};
 
 /// Environment variable naming the on-disk cache directory.
 pub const CACHE_DIR_ENV: &str = "SYNTS_CACHE_DIR";
@@ -805,12 +805,14 @@ fn decode_entry(text: &str, key: &CacheKey) -> Option<BenchmarkData> {
             if head.next().is_some() || run.len() as u64 != n.checked_mul(16)? {
                 return None;
             }
-            let normalized_delays = run
-                .chunks_exact(16)
-                .map(|d| hex16(d).map(f64::from_bits).filter(|x| x.is_finite()))
-                .collect::<Option<Vec<f64>>>()?;
-            // Mirror `characterize_thread`: a stage-idle thread carries an
-            // empty trace and the zero-delay activity curve.
+            // `n` is checked against the run's length, so the delays are
+            // allocated once at their exact size.
+            let mut normalized_delays = Vec::with_capacity(run.len() / 16);
+            for d in run.chunks_exact(16) {
+                normalized_delays.push(hex16(d).map(f64::from_bits).filter(|x| x.is_finite())?);
+            }
+            // Mirror `experiments::thread_data`: a stage-idle thread
+            // carries an empty trace and the zero-delay activity curve.
             let curve = if normalized_delays.is_empty() {
                 ErrorCurve::from_normalized_delays(vec![0.0])
             } else {
@@ -983,16 +985,29 @@ fn probe(entry: CacheEntry) -> Probe {
 /// and probe them again. So two calls over overlapping pairs, in any
 /// order, cannot deadlock, and each key is computed once.
 ///
+/// A miss never materializes its benchmark's full trace. Each benchmark
+/// with a miss runs its kernel twice ([`workloads::Benchmark::sample`]):
+/// a counting run tallies every (interval, thread)'s ops by kind, then a
+/// sampling run keeps the memory references and, for each distinct
+/// accepted-op set among the call's stages of that benchmark, only the
+/// events the one sampling rule ([`Sampling`]) times for that set's
+/// count. Stages that accept the same ops (SimpleALU and Decode) share
+/// one kept list. A unit times its list with
+/// [`StageCharacterizer::delay_trace_kept`], the loop the oracle
+/// [`crate::experiments::characterize_workload_on`] reaches through
+/// [`StageCharacterizer::delay_trace_into`], so the two agree bit for bit
+/// (property-tested in `tests/characterization_cache.rs`).
+///
 /// The misses fan out as *unit* tasks, one (pair, interval, thread) gate
 /// simulation each, rather than one task per pair, for two reasons:
 ///
 /// 1. **quantization**: 9 multi-second pairs on 4 workers run as
 ///    ⌈9/4⌉ = 3 sequential rounds, capping the speed-up at 2.6× before any
 ///    other loss; the quick 3-benchmark corpus has 108 units;
-/// 2. **shared set-up**: each benchmark's trace is built once, by the
-///    first unit that needs it, so trace building overlaps the gate
-///    simulation of traces already built; STA runs once per stage with a
-///    miss, not once per pair.
+/// 2. **shared set-up**: each benchmark's two recording passes run once,
+///    in the first unit that needs them, so they overlap the gate
+///    simulation of benchmarks already recorded; STA runs once per stage
+///    with a miss, not once per pair.
 ///
 /// Units are ordered interval-major, thread-middle, pair-minor, so the
 /// first claims cover every pair. Results are collected in unit order, so
@@ -1075,13 +1090,26 @@ fn characterize_misses(
             characs.insert(stage, charac);
         }
     }
-    let traces: BTreeMap<Benchmark, OnceLock<WorkloadTrace>> =
+    let samples: BTreeMap<Benchmark, OnceLock<Result<SampledTrace, OptError>>> =
         pairs.iter().map(|&(b, _)| (b, OnceLock::new())).collect();
-    let trace_of = |benchmark: Benchmark| -> &WorkloadTrace {
-        traces[&benchmark]
-            .get_or_init(|| time_phase(Phase::TraceBuild, || benchmark.run(&cfg.workload)))
+    let sample_of = |benchmark: Benchmark| -> Result<&SampledTrace, OptError> {
+        samples[&benchmark]
+            .get_or_init(|| {
+                let mut sets: Vec<OpSet> = pairs
+                    .iter()
+                    .filter(|&&(b, _)| b == benchmark)
+                    .map(|(_, stage)| characs[stage].stage().accepted_ops())
+                    .collect();
+                sets.sort_unstable();
+                sets.dedup();
+                time_phase(Phase::TraceBuild, || {
+                    sample_workload(benchmark, &sets, cfg).map_err(OptError::Workload)
+                })
+            })
+            .as_ref()
+            .map_err(Clone::clone)
     };
-    // The unit list comes from the configured shape; a trace of another
+    // The unit list comes from the configured shape; a run of another
     // shape (none today) finishes its remaining threads during assembly.
     let (n_iv, n_th, n_pairs) = (cfg.workload.intervals, cfg.workload.threads, pairs.len());
     let units: Vec<(usize, usize, usize)> = (0..n_iv)
@@ -1089,32 +1117,29 @@ fn characterize_misses(
         .collect();
     let mut computed: Vec<Option<ThreadData>> = pool.try_map(&units, |_, &(p, i, t)| {
         let (benchmark, stage) = pairs[p];
-        let Some(interval) = trace_of(benchmark).intervals.get(i) else {
+        let Some(sample) = sample_of(benchmark)?.thread(i, t) else {
             return Ok(None);
         };
-        if t >= interval.threads() {
-            return Ok(None);
-        }
         time_phase(Phase::GateSim, || {
-            characterize_thread(&characs[&stage], interval.thread(t), cfg).map(Some)
+            characterize_sample(&characs[&stage], sample, cfg).map(Some)
         })
     })?;
     let mut out = Vec::with_capacity(n_pairs);
     for (p, &(benchmark, stage)) in pairs.iter().enumerate() {
         let charac = &characs[&stage];
-        let trace = trace_of(benchmark);
-        let mut intervals = Vec::with_capacity(trace.intervals.len());
-        for (i, interval) in trace.intervals.iter().enumerate() {
-            let mut threads = Vec::with_capacity(interval.threads());
-            for t in 0..interval.threads() {
+        let sampled = sample_of(benchmark)?;
+        let mut intervals = Vec::with_capacity(sampled.intervals.len());
+        for (i, interval) in sampled.intervals.iter().enumerate() {
+            let mut threads = Vec::with_capacity(interval.len());
+            for (t, sample) in interval.iter().enumerate() {
                 let unit = (i < n_iv && t < n_th)
                     .then(|| computed[(i * n_th + t) * n_pairs + p].take())
                     .flatten();
                 threads.push(match unit {
                     Some(thread) => thread,
-                    None => time_phase(Phase::GateSim, || {
-                        characterize_thread(charac, interval.thread(t), cfg)
-                    })?,
+                    None => {
+                        time_phase(Phase::GateSim, || characterize_sample(charac, sample, cfg))?
+                    }
                 });
             }
             intervals.push(IntervalData { threads });
@@ -1127,6 +1152,31 @@ fn characterize_misses(
         });
     }
     Ok(out)
+}
+
+/// Runs `benchmark`'s kernel twice, keeping almost nothing: a counting
+/// run tallies each (interval, thread)'s ops by kind, and a sampling run
+/// keeps its memory references and, per accepted-op set in `sets`, only
+/// the events [`Sampling`] times for that set's count.
+fn sample_workload(
+    benchmark: Benchmark,
+    sets: &[OpSet],
+    cfg: &HarnessConfig,
+) -> Result<SampledTrace, SampleMismatch> {
+    let counted = benchmark.sample(&cfg.workload, &SamplePlan::count_only())?;
+    let plan = SamplePlan::new(&counted, |tally| {
+        sets.iter()
+            .map(|&ops| {
+                let sampling = Sampling::new(tally.of(ops) as usize, cfg.max_samples);
+                Keep {
+                    ops,
+                    stride: sampling.stride(),
+                    count: sampling.kept(),
+                }
+            })
+            .collect()
+    });
+    benchmark.sample(&cfg.workload, &plan)
 }
 
 /// Runs and characterizes a benchmark on one stage through the cache:

@@ -5,6 +5,7 @@ use std::fmt;
 
 use milp::SolveError;
 use timing::TimingError;
+use workloads::SampleMismatch;
 
 /// Errors raised by the SynTS optimizers and controllers.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,6 +33,8 @@ pub enum OptError {
     Spec(String),
     /// A timing-layer failure while preparing inputs.
     Timing(TimingError),
+    /// A workload's sampling run saw other events than its counting run.
+    Workload(SampleMismatch),
     /// Problem too large for the exhaustive reference solver.
     TooLarge {
         /// Number of candidate assignments requested.
@@ -65,6 +68,7 @@ impl fmt::Display for OptError {
             }
             OptError::Spec(msg) => write!(f, "scenario: {msg}"),
             OptError::Timing(e) => write!(f, "timing layer: {e}"),
+            OptError::Workload(e) => write!(f, "workload layer: {e}"),
             OptError::TooLarge { candidates, limit } => write!(
                 f,
                 "exhaustive search over {candidates} assignments exceeds limit {limit}"
@@ -120,6 +124,7 @@ impl Error for OptError {
         match self {
             OptError::Milp(e) => Some(e),
             OptError::Timing(e) => Some(e),
+            OptError::Workload(e) => Some(e),
             _ => None,
         }
     }

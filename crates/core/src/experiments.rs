@@ -8,9 +8,11 @@
 //! binary and the integration tests are thin wrappers over this module.
 
 use archsim::{CpiModel, InstrStream};
-use circuits::StageKind;
-use timing::{ErrorCurve, ErrorModel as _, StageCharacterizer};
-use workloads::{Benchmark, ThreadWork, WorkloadConfig, WorkloadTrace};
+use circuits::{AluOp, OpSet, StageKind};
+use timing::{DelayTrace, ErrorCurve, ErrorModel as _, Sampling, StageCharacterizer, TimingError};
+use workloads::{
+    Benchmark, MemRef, Tally, ThreadSample, ThreadWork, WorkloadConfig, WorkloadTrace,
+};
 
 use crate::error::OptError;
 use crate::model::{SystemConfig, ThreadProfile};
@@ -137,10 +139,12 @@ impl BenchmarkData {
 }
 
 /// Characterizes one thread's work for one barrier interval on an
-/// already-built stage — the unit task of the characterization pipeline.
-/// [`characterize_workload_on`] maps this over every (interval, thread)
-/// pair, and [`crate::cache::characterize_pairs`] fans the same units out
-/// at (pair × interval × thread) granularity, so the two stay
+/// already-built stage, from its full event list: the unit task of
+/// [`characterize_workload_on`], the oracle. It shares
+/// [`thread_data`] with [`characterize_sample`], the unit task of
+/// [`crate::cache::characterize_pairs`], and
+/// [`StageCharacterizer::delay_trace_into`] times the events
+/// [`StageCharacterizer::delay_trace_kept`] times there, so the two stay
 /// bit-identical by construction.
 ///
 /// # Errors
@@ -153,31 +157,78 @@ pub(crate) fn characterize_thread(
     work: &ThreadWork,
     cfg: &HarnessConfig,
 ) -> Result<ThreadData, OptError> {
+    let mut delays = Vec::new();
+    let timed = charac.delay_trace_into(&work.events, cfg.max_samples, &mut delays);
+    thread_data(
+        charac,
+        timed.map(|()| delays),
+        &work.tally(),
+        &work.mem_refs,
+        cfg,
+    )
+}
+
+/// Characterizes what a sampling run kept of one thread's barrier
+/// interval (see [`workloads::Benchmark::sample`]): the kept events of the
+/// stage's accepted-op set, timed under the sampling rule of its counted
+/// stream.
+///
+/// # Errors
+///
+/// As [`characterize_thread`].
+pub(crate) fn characterize_sample(
+    charac: &StageCharacterizer,
+    sample: &ThreadSample,
+    cfg: &HarnessConfig,
+) -> Result<ThreadData, OptError> {
+    let ops = charac.stage().accepted_ops();
+    let sampling = Sampling::new(sample.tally().of(ops) as usize, cfg.max_samples);
+    let mut delays = Vec::new();
+    let timed = charac.delay_trace_kept(sample.kept(ops), sampling, &mut delays);
+    thread_data(
+        charac,
+        timed.map(|()| delays),
+        sample.tally(),
+        sample.mem_refs(),
+        cfg,
+    )
+}
+
+/// The per-thread arithmetic of a characterization: the error curve from
+/// the timed delays, the instruction count and the error-free CPI from
+/// the tally and memory references.
+fn thread_data(
+    charac: &StageCharacterizer,
+    delays: Result<Vec<f64>, TimingError>,
+    tally: &Tally,
+    mem_refs: &[MemRef],
+    cfg: &HarnessConfig,
+) -> Result<ThreadData, OptError> {
     // A thread whose instructions never reach this stage (e.g. a
     // multiply-free benchmark on the operand-isolated ComplexALU) cannot
     // err there at any clock: model it as a zero-delay activity profile.
-    let (normalized, curve) = match charac.delay_trace_sampled(&work.events, cfg.max_samples) {
+    let (normalized, curve) = match delays.and_then(|d| DelayTrace::new(d, charac.tnom_v1())) {
         Ok(trace) => {
             let normalized = trace.normalized();
             (normalized, ErrorCurve::from_trace(&trace))
         }
-        Err(timing::TimingError::EmptyTrace) => {
+        Err(TimingError::EmptyTrace) => {
             (Vec::new(), ErrorCurve::from_normalized_delays(vec![0.0])?)
         }
         Err(e) => return Err(e.into()),
     };
-    let mul_ops = work.events.iter().filter(|e| e.op.is_complex()).count() as u64;
-    let mem: Vec<(u64, bool)> = work.mem_refs.iter().map(|m| (m.addr, m.is_store)).collect();
+    let mul_ops = tally.of(OpSet::from_fn(AluOp::is_complex));
+    let mem: Vec<(u64, bool)> = mem_refs.iter().map(|m| (m.addr, m.is_store)).collect();
     let stream = InstrStream {
-        alu_ops: work.events.len() as u64 - mul_ops,
+        alu_ops: tally.events() - mul_ops,
         mul_ops,
         mem_refs: &mem,
-        branches: work.branches,
+        branches: tally.branches(),
     };
     Ok(ThreadData {
         curve,
         normalized_delays: normalized,
-        instructions: work.instructions() as f64,
+        instructions: stream.instructions() as f64,
         cpi_base: cfg.cpi_model.cpi(&stream),
     })
 }
@@ -188,10 +239,12 @@ pub(crate) fn characterize_thread(
 ///
 /// Each pair drives an independent simulator and results are collected in
 /// index order, so the output is bit-identical to the sequential loop at
-/// any worker count. It shares only the unit task with
+/// any worker count. It reads the full trace of [`Benchmark::run`], where
 /// [`crate::cache::characterize_pairs`], the scheduler every other
-/// characterization goes through, which makes it the reference that
-/// scheduler is tested against.
+/// characterization goes through, reads two recording passes that keep
+/// only what is timed; the two share the simulation loop and the
+/// per-thread arithmetic, which makes this the reference that scheduler
+/// is tested against.
 ///
 /// # Errors
 ///

@@ -25,7 +25,8 @@ use std::time::Instant;
 /// The instrumented phases of a characterization build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Running an instrumented workload kernel to produce its trace.
+    /// Running instrumented workload kernels: the counting and sampling
+    /// runs of a cold characterization.
     TraceBuild,
     /// Building a stage netlist and running STA on it.
     StageBuild,

@@ -200,14 +200,11 @@ impl Json {
     ///
     /// [`OptError::Spec`] with a byte offset on malformed input.
     pub fn parse(src: &str) -> Result<Json, OptError> {
-        let mut p = Parser {
-            bytes: src.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { src, pos: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.src.len() {
             return Err(p.err("trailing characters after the JSON value"));
         }
         Ok(value)
@@ -253,7 +250,8 @@ fn write_string(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    /// The document; valid UTF-8, since [`Json::parse`] takes `&str`.
+    src: &'a str,
     pos: usize,
 }
 
@@ -263,7 +261,7 @@ impl Parser<'_> {
         // this string verbatim and spec files are edited by hand.
         let mut line = 1usize;
         let mut col = 1usize;
-        for &b in &self.bytes[..self.pos.min(self.bytes.len())] {
+        for &b in &self.src.as_bytes()[..self.pos.min(self.src.len())] {
             if b == b'\n' {
                 line += 1;
                 col = 1;
@@ -275,7 +273,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -294,7 +292,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, OptError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.src[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -393,9 +391,8 @@ impl Parser<'_> {
                         b'u' => {
                             let end = self.pos + 4;
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos..end)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("invalid \\u escape"))?;
@@ -410,18 +407,20 @@ impl Parser<'_> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                _ => {
-                    // Re-synchronize on UTF-8: step back and consume the
-                    // full code point from the source slice.
+                c if c < 0x20 => {
                     self.pos -= 1;
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty string"))?;
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
+                    return Err(self.err("unescaped control character"));
+                }
+                _ => {
+                    // A run of plain bytes, copied as one slice. `"`, `\`
+                    // and control characters are ASCII, and no byte of a
+                    // multi-byte UTF-8 sequence is ASCII, so the run ends
+                    // on a character boundary.
+                    let start = self.pos - 1;
+                    while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -450,9 +449,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
+        self.src[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
     }
@@ -530,6 +528,43 @@ mod tests {
         assert!(msg.contains("column 8"), "{msg}");
         let err = Json::parse("[1, 2,]").expect_err("trailing comma");
         assert!(err.to_string().contains("line 1"), "{err}");
+    }
+
+    #[test]
+    fn multi_byte_characters_parse_whole() {
+        let src = "{\"k\": \"£ naïve – ∑ 🚀\", \"é\": [\"x\\ny😀\", \"\\u00e9\"]}";
+        let j = Json::parse(src).expect("parses");
+        assert_eq!(j.get("k").and_then(Json::as_str), Some("£ naïve – ∑ 🚀"));
+        let arr = j.get("é").and_then(Json::as_arr).expect("array");
+        assert_eq!(arr[0].as_str(), Some("x\ny😀"));
+        assert_eq!(arr[1].as_str(), Some("é"));
+        assert_eq!(Json::parse(&j.render()).expect("round trip"), j);
+        // Four bytes after \u that end inside a character are a truncated
+        // escape; four that hold a whole non-hex character are invalid.
+        let err = Json::parse("\"\\u0😀\"").expect_err("cut escape");
+        assert!(err.to_string().contains("truncated \\u escape"), "{err}");
+        let err = Json::parse("\"\\u00é\"").expect_err("non-hex escape");
+        assert!(err.to_string().contains("invalid \\u escape"), "{err}");
+    }
+
+    #[test]
+    fn unescaped_control_characters_are_refused_where_they_stand() {
+        let err = Json::parse("[\"ab\u{1}c\"]").expect_err("control character");
+        let msg = err.to_string();
+        assert!(msg.contains("unescaped control character"), "{msg}");
+        assert!(msg.contains("line 1, column 5"), "{msg}");
+        let err = Json::parse("\"two\nlines\"").expect_err("raw newline");
+        assert!(err.to_string().contains("column 5"), "{err}");
+        for src in [
+            "\"open",
+            "\"esc\\",
+            "\"\\q\"",
+            "\"\\u12\"",
+            "\"\\uzzzz\"",
+            "\"\\ud800\"",
+        ] {
+            assert!(Json::parse(src).is_err(), "{src} should fail");
+        }
     }
 
     #[test]

@@ -91,7 +91,8 @@ impl Experiment {
     /// # Errors
     ///
     /// [`OptError::BadConfig`] if `data` is for a different
-    /// benchmark/stage than the spec, otherwise as [`Experiment::run`].
+    /// benchmark/stage than the spec, the spec names no schemes or its θ
+    /// grid resolves empty, otherwise as [`Experiment::run`].
     pub fn run_on(&self, data: &BenchmarkData) -> Result<Report, OptError> {
         let spec = &self.spec;
         let Grid {
@@ -198,7 +199,16 @@ pub(crate) struct Grid {
     pub(crate) theta_grid: Vec<f64>,
 }
 
+/// Resolves `spec`'s θ grid over `data`. It also makes the refusals that
+/// need no solving, so [`Experiment::run_on`] and
+/// [`crate::scenario::ShardPlan::plan`] refuse alike, with the same
+/// messages: a spec that names no schemes, data of another
+/// benchmark/stage, a bad interval selection, an idle stage, and a θ
+/// grid that resolves empty.
 pub(crate) fn resolve_grid(spec: &ScenarioSpec, data: &BenchmarkData) -> Result<Grid, OptError> {
+    if spec.schemes.is_empty() {
+        return Err(OptError::BadConfig("the spec names no schemes"));
+    }
     if data.benchmark != spec.benchmark || data.stage != spec.stage {
         return Err(OptError::BadConfig(
             "characterized data does not match the spec's benchmark/stage",
@@ -212,6 +222,9 @@ pub(crate) fn resolve_grid(spec: &ScenarioSpec, data: &BenchmarkData) -> Result<
         .collect();
     let theta_center = equal_weight_center(&cfg, &profile_sets)?;
     let theta_grid = spec.thetas.resolve(theta_center);
+    if theta_grid.is_empty() {
+        return Err(OptError::BadConfig("the spec resolves to an empty θ grid"));
+    }
     Ok(Grid {
         cfg,
         intervals_used,

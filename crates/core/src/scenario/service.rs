@@ -102,17 +102,11 @@ impl ShardPlan {
         data: &BenchmarkData,
         max_shards: usize,
     ) -> Result<ShardPlan, OptError> {
-        if spec.schemes.is_empty() {
-            return Err(OptError::BadConfig("the spec names no schemes"));
-        }
         let Grid {
             theta_center,
             theta_grid,
             ..
         } = resolve_grid(spec, data)?;
-        if theta_grid.is_empty() {
-            return Err(OptError::BadConfig("the spec resolves to an empty θ grid"));
-        }
         // The same contiguous near-equal chunking the thread pool uses,
         // so a plan at N shards mirrors a sweep at N workers.
         let ranges = ThreadPool::new(max_shards.max(1)).chunk_ranges(theta_grid.len());

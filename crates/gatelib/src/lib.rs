@@ -57,4 +57,4 @@ pub use sim::{Step, TimingSim, Transition};
 pub use sta::{CriticalPath, StaticTiming};
 pub use stats::{NetlistStats, PowerEstimate};
 pub use voltage::{Voltage, VoltageTable, VOLTAGE_TABLE_POINTS};
-pub use wide::{WideStep, WideTimingSim, LANES};
+pub use wide::{transpose_lanes, WideStep, WideTimingSim, LANES};

@@ -419,6 +419,66 @@ impl<'n> WideTimingSim<'n> {
     }
 }
 
+/// Transposes up to 64 lanes' packed input vectors into the per-input
+/// lane words [`WideTimingSim::step`] and [`WideTimingSim::settle`] take.
+///
+/// `packed` holds the lanes' vectors back to back, `words_per_lane` words
+/// each, in which input `k` is bit `k % 64` of word `k / 64` (the layout
+/// of `circuits::PipeStage::encode_packed`). Afterwards bit `l` of
+/// `inputs[k]` is lane `l`'s input `k`; lanes past
+/// `packed.len() / words_per_lane` read as zero. Each word column is one
+/// 64×64 bit-matrix transpose: six rounds of masked block swaps instead
+/// of 64 × `inputs.len()` single-bit inserts.
+///
+/// # Panics
+///
+/// Panics if `packed` holds more than 64 lanes, or if `inputs` is longer
+/// than `64 * words_per_lane`.
+pub fn transpose_lanes(packed: &[u64], words_per_lane: usize, inputs: &mut [u64]) {
+    if inputs.is_empty() {
+        return;
+    }
+    assert!(
+        inputs.len() <= LANES * words_per_lane,
+        "{} inputs do not fit {words_per_lane} word(s) per lane",
+        inputs.len()
+    );
+    let lanes = packed.len() / words_per_lane;
+    assert!(lanes <= LANES, "{lanes} lanes exceed the {LANES}-lane word");
+    let mut block = [0u64; LANES];
+    for (w, out) in inputs.chunks_mut(LANES).enumerate() {
+        for (l, row) in block.iter_mut().enumerate() {
+            *row = if l < lanes {
+                packed[l * words_per_lane + w]
+            } else {
+                0
+            };
+        }
+        transpose64(&mut block);
+        out.copy_from_slice(&block[..out.len()]);
+    }
+}
+
+/// Transposes a 64×64 bit matrix in place: afterwards bit `c` of row `r`
+/// is what bit `r` of row `c` was. Round `j` swaps, in every 2j×2j block,
+/// the j×j block right of the diagonal with the one below it; `mask`
+/// selects the low j bits of every 2j-bit group.
+fn transpose64(rows: &mut [u64; LANES]) {
+    let mut j = 32;
+    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
+    while j != 0 {
+        let mut k = 0;
+        while k < LANES {
+            let t = ((rows[k] >> j) ^ rows[k + j]) & mask;
+            rows[k] ^= t << j;
+            rows[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        mask ^= mask << j;
+    }
+}
+
 /// The lanes whose bits are set in `mask`, lowest first.
 #[inline]
 fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {

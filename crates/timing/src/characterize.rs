@@ -4,7 +4,7 @@
 
 use circuits::{build_stage, AluEvent, PipeStage, StageKind};
 use gatelib::variation::DelayFactors;
-use gatelib::{StaticTiming, TimingSim, Voltage, WideTimingSim, LANES};
+use gatelib::{transpose_lanes, StaticTiming, TimingSim, Voltage, WideTimingSim, LANES};
 
 use crate::err_curve::ErrorCurve;
 use crate::error::TimingError;
@@ -34,6 +34,93 @@ pub enum DieTiming {
     /// `err(r)` may be nonzero even at `r = 1` — the "aging consumed the
     /// guard band" regime the paper's introduction motivates.
     DesignNominal,
+}
+
+/// Which of a thread's accepted events a delay trace times: the one
+/// sampling rule of [`StageCharacterizer::delay_trace_into`], which a
+/// sampling recorder applies to a counted stream before the events exist.
+///
+/// Of `m` accepted events, with a cap of `max_samples` records, the rule
+/// strides uniformly through the stream. Striding keeps consecutive
+/// pairs (the delay of instruction k depends on the state left by
+/// instruction k-1), so record `j` is the transition into accepted event
+/// `j·stride + 1`. With stride 1 the records chain (each event seeds the
+/// next); above 1 they are disjoint seeded pairs. The stride is forced
+/// odd so that instruction streams with period-2 structure (e.g.
+/// mul/mulhi pairs over the same operands) don't alias: an even stride
+/// would sample only one phase of such a stream.
+///
+/// ```
+/// use timing::Sampling;
+///
+/// let chained = Sampling::new(10, 400);
+/// assert_eq!((chained.stride(), chained.records(), chained.kept()), (1, 9, 10));
+/// let paired = Sampling::new(1000, 50);
+/// assert_eq!((paired.stride(), paired.records()), (19, 50));
+/// // Kept events come in (seed, timed) pairs one stride apart.
+/// assert_eq!(paired.kept_index(2), 19);
+/// assert_eq!(paired.kept_index(3), 20);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sampling {
+    stride: usize,
+    records: usize,
+}
+
+impl Sampling {
+    /// The rule for `m` accepted events and at most `max_samples` records
+    /// (0 counts as 1). Fewer than two events record nothing.
+    #[must_use]
+    pub fn new(m: usize, max_samples: usize) -> Sampling {
+        if m < 2 {
+            return Sampling {
+                stride: 1,
+                records: 0,
+            };
+        }
+        let wanted = max_samples.max(1);
+        let stride = ((m / wanted.saturating_add(1)).max(1)) | 1;
+        let records = if stride == 1 {
+            (m - 1).min(wanted)
+        } else {
+            ((m - 2) / stride + 1).min(wanted)
+        };
+        Sampling { stride, records }
+    }
+
+    /// The (odd) distance between the seeds of consecutive records.
+    #[must_use]
+    pub fn stride(self) -> usize {
+        self.stride
+    }
+
+    /// The number of recorded transitions.
+    #[must_use]
+    pub fn records(self) -> usize {
+        self.records
+    }
+
+    /// The number of accepted events the records read: `records + 1` for
+    /// a chained walk, `2 · records` for seeded pairs, 0 for no records.
+    #[must_use]
+    pub fn kept(self) -> usize {
+        match (self.records, self.stride) {
+            (0, _) => 0,
+            (r, 1) => r + 1,
+            (r, _) => 2 * r,
+        }
+    }
+
+    /// The accepted-event index of kept event `n` (`n` < [`Self::kept`]):
+    /// `n` for a chained walk, `(n / 2)·stride + n % 2` for seeded pairs.
+    #[must_use]
+    pub fn kept_index(self, n: usize) -> usize {
+        if self.stride == 1 {
+            n
+        } else {
+            n / 2 * self.stride + n % 2
+        }
+    }
 }
 
 impl StageCharacterizer {
@@ -150,27 +237,20 @@ impl StageCharacterizer {
         DelayTrace::new(delays, self.tnom_v1)
     }
 
-    /// The batched characterization entry point: replays `events` through
-    /// a 64-lane bit-parallel simulator ([`gatelib::WideTimingSim`]) and
-    /// writes the sensitized delay of every recorded instruction into
-    /// `delays` (cleared first, so a caller characterizing many intervals
-    /// can recycle one buffer).
+    /// The batched characterization entry point: replays the events of
+    /// `events` that [`Sampling::new`] picks through a 64-lane
+    /// bit-parallel simulator ([`gatelib::WideTimingSim`]) and writes the
+    /// sensitized delay of every recorded instruction into `delays`
+    /// (cleared first, so a caller characterizing many intervals can
+    /// recycle one buffer).
     ///
-    /// The recorded delay of instruction `k` depends only on the settled
-    /// circuit state left by instruction `k-1` — a pure function of that
-    /// one vector — so the record list can be cut into up to 64 contiguous
-    /// chunks, each chunk seeded with its predecessor vector and replayed
-    /// in its own lane. One bitwise gate sweep then advances all chunks at
-    /// once, and the result is **bit-identical** to the sequential replay
-    /// (kept as [`Self::delay_trace_into_scalar`] and property-tested
-    /// against it in `tests/bitparallel_sim.rs`), at roughly the cost of
-    /// one lane.
-    ///
-    /// A seed vector only has to set that state, so a batch in which every
-    /// lane with work is seeding is applied with
-    /// [`WideTimingSim::settle`] (logic values only) rather than a timed
-    /// step. With a stride above 1 that is every other batch, each seed
-    /// jumping to an unrelated event; with stride 1 it is only the first.
+    /// It counts the events the stage accepts, applies the sampling rule
+    /// to that count, keeps the picked events while it filters, and times
+    /// them with [`Self::delay_trace_kept`], the loop the characterization
+    /// scheduler runs on events a sampling recorder kept. The result is
+    /// **bit-identical** to the sequential replay (kept as
+    /// [`Self::delay_trace_into_scalar`] and property-tested against it in
+    /// `tests/bitparallel_sim.rs`).
     ///
     /// [`Self::delay_trace_sampled`] is this plus a [`DelayTrace`]
     /// wrapper; the recorded delays are bit-identical.
@@ -185,94 +265,125 @@ impl StageCharacterizer {
         max_samples: usize,
         delays: &mut Vec<f64>,
     ) -> Result<(), TimingError> {
+        let ops = self.stage.accepted_ops();
+        let accepted = || events.iter().filter(|e| ops.contains(e.op));
+        let sampling = Sampling::new(accepted().count(), max_samples);
+        let mut kept = Vec::with_capacity(sampling.kept());
+        let mut next = sampling.kept_index(0);
+        for (k, ev) in accepted().enumerate() {
+            if kept.len() == sampling.kept() {
+                break;
+            }
+            if k == next {
+                kept.push(*ev);
+                next = sampling.kept_index(kept.len());
+            }
+        }
+        self.delay_trace_kept(&kept, sampling, delays)
+    }
+
+    /// Times the events `sampling` keeps of one thread's accepted stream,
+    /// in stream order, writing one delay per record into `delays`
+    /// (cleared first). This is the simulation loop of every
+    /// characterization: [`Self::delay_trace_into`] picks `kept` out of a
+    /// full event list, and the characterization scheduler gets it from a
+    /// recorder that kept nothing else.
+    ///
+    /// The recorded delay of a transition depends only on the settled
+    /// circuit state left by the vector before it, a pure function of
+    /// that one vector, so the records are cut into up to 64 contiguous
+    /// chunks, each seeded with its predecessor vector and replayed in a
+    /// lane of its own. Each stage encodes every kept event once, packed
+    /// ([`PipeStage::encode_packed`]), and [`gatelib::transpose_lanes`]
+    /// turns the 64 lanes' current vectors into per-input words, so one
+    /// bitwise gate sweep advances all chunks at about the cost of one.
+    ///
+    /// A batch in which every lane with work is seeding only has to set
+    /// the state, so it is applied with [`WideTimingSim::settle`] (logic
+    /// values only) rather than a timed step. With a stride above 1 that
+    /// is every other batch, each seed jumping to an unrelated event; with
+    /// stride 1 it is only the first.
+    ///
+    /// # Errors
+    ///
+    /// [`TimingError::SampleMismatch`] if `kept` does not hold
+    /// [`Sampling::kept`] events, and [`TimingError::EmptyTrace`] if the
+    /// sampling records nothing (fewer than two accepted events).
+    pub fn delay_trace_kept(
+        &self,
+        kept: &[AluEvent],
+        sampling: Sampling,
+        delays: &mut Vec<f64>,
+    ) -> Result<(), TimingError> {
         delays.clear();
-        let accepted: Vec<&AluEvent> = events.iter().filter(|e| self.stage.accepts(e.op)).collect();
-        let m = accepted.len();
-        if m < 2 {
+        if kept.len() != sampling.kept() {
+            return Err(TimingError::SampleMismatch {
+                expected: sampling.kept(),
+                found: kept.len(),
+            });
+        }
+        let records = sampling.records();
+        if records == 0 {
             return Err(TimingError::EmptyTrace);
         }
-        // Same sampling contract as the scalar path (see
-        // `delay_trace_into_scalar` for why the stride is forced odd).
-        let wanted = max_samples.max(1);
-        let stride = ((m / wanted.saturating_add(1)).max(1)) | 1;
-        // Record j is the transition into accepted event `j*stride + 1`
-        // (stride > 1: disjoint seeded pairs; stride == 1: a chained walk).
-        let records = if stride == 1 {
-            (m - 1).min(wanted)
-        } else {
-            ((m - 2) / stride + 1).min(wanted)
-        };
-
-        // Per-lane schedule: (accepted-event index, record slot). NO_SLOT
-        // marks seed steps whose delay is discarded. Records are split
-        // into contiguous near-equal chunks so every lane replays an
-        // independent slice of the trace.
-        const NO_SLOT: usize = usize::MAX;
-        let lanes = records.min(LANES);
-        let mut ops: Vec<Vec<(usize, usize)>> = Vec::with_capacity(lanes);
-        let base = records / lanes;
-        let extra = records % lanes;
-        let mut next = 0usize;
-        for l in 0..lanes {
-            let len = base + usize::from(l < extra);
-            let (start, end) = (next, next + len);
-            next = end;
-            let mut lane_ops = Vec::new();
-            if stride == 1 {
-                lane_ops.push((start, NO_SLOT));
-                for r in start..end {
-                    lane_ops.push((r + 1, r));
-                }
-            } else {
-                for j in start..end {
-                    lane_ops.push((j * stride, NO_SLOT));
-                    lane_ops.push((j * stride + 1, j));
-                }
-            }
-            ops.push(lane_ops);
+        let n_words = self.stage.packed_words();
+        let mut packed = vec![0u64; kept.len() * n_words];
+        for (ev, words) in kept.iter().zip(packed.chunks_exact_mut(n_words)) {
+            self.stage.encode_packed(ev, words);
         }
+
+        // Records are split into contiguous near-equal chunks, one per
+        // lane. Lane `l` owns records `start(l) .. start(l) + len(l)`.
+        let lanes = records.min(LANES);
+        let (base, extra) = (records / lanes, records % lanes);
+        let start = |l: usize| l * base + l.min(extra);
+        let len = |l: usize| base + usize::from(l < extra);
+        // At step `t` a lane applies kept event `vector(l, t)` and, unless
+        // it is seeding, times it as record `slot(l, t)`:
+        // * stride 1 (a chained walk): one seed, then each record's event;
+        // * stride > 1 (disjoint seeded pairs): seed, record, seed, ….
+        let chained = sampling.stride() == 1;
+        let depth = if chained { len(0) + 1 } else { 2 * len(0) };
+        let vector = |l: usize, t: usize| -> Option<usize> {
+            if chained {
+                (t <= len(l)).then(|| start(l) + t)
+            } else {
+                (t < 2 * len(l)).then(|| 2 * (start(l) + t / 2) + t % 2)
+            }
+        };
+        let slot = |l: usize, t: usize| -> usize {
+            if chained {
+                start(l) + t - 1
+            } else {
+                start(l) + t / 2
+            }
+        };
 
         let mut sim = match &self.die {
             Some(f) => WideTimingSim::with_factors(self.stage.netlist(), Voltage::NOMINAL, f)?,
             None => WideTimingSim::new(self.stage.netlist(), Voltage::NOMINAL)?,
         };
-        let n_pi = self.stage.netlist().primary_inputs().len();
-        let mut words = vec![0u64; n_pi];
-        let mut buf: Vec<bool> = Vec::new();
+        // Each lane's current vector. A lane past the end of its chunk
+        // keeps its last one: re-applying it toggles nothing and records
+        // nothing, so ragged chunks cost no extra sweeps.
+        let mut current = vec![0u64; lanes * n_words];
+        let mut inputs = vec![0u64; self.stage.netlist().primary_inputs().len()];
         delays.resize(records, 0.0);
-        let depth = ops.iter().map(Vec::len).max().unwrap_or(0);
         for t in 0..depth {
-            for (lane, lane_ops) in ops.iter().enumerate() {
-                // Lanes past the end of their schedule keep their previous
-                // vector: re-applying it toggles nothing and records
-                // nothing, so ragged chunks cost no extra sweeps.
-                let Some(&(ev, _)) = lane_ops.get(t) else {
-                    continue;
-                };
-                self.stage.encode_into(accepted[ev], &mut buf);
-                let mask = !(1u64 << lane);
-                for (w, &bit) in words.iter_mut().zip(&buf) {
-                    *w = (*w & mask) | (u64::from(bit) << lane);
+            for (l, words) in current.chunks_exact_mut(n_words).enumerate() {
+                if let Some(v) = vector(l, t) {
+                    words.copy_from_slice(&packed[v * n_words..(v + 1) * n_words]);
                 }
             }
-            let seeding = ops
-                .iter()
-                .all(|lane_ops| lane_ops.get(t).is_none_or(|&(_, slot)| slot == NO_SLOT));
-            if seeding {
-                sim.settle(&words)?;
+            transpose_lanes(&current, n_words, &mut inputs);
+            if t == 0 || (!chained && t % 2 == 0) {
+                sim.settle(&inputs)?;
                 continue;
             }
-            let step = sim.step(&words)?;
-            for (lane, lane_ops) in ops.iter().enumerate() {
-                if let Some(&(_, slot)) = lane_ops.get(t) {
-                    if slot != NO_SLOT {
-                        delays[slot] = step.delays[lane];
-                    }
-                }
+            let step = sim.step(&inputs)?;
+            for l in (0..lanes).filter(|&l| vector(l, t).is_some()) {
+                delays[slot(l, t)] = step.delays[l];
             }
-        }
-        if delays.is_empty() {
-            return Err(TimingError::EmptyTrace);
         }
         Ok(())
     }

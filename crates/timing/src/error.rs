@@ -17,6 +17,14 @@ pub enum TimingError {
     InvalidRatio(f64),
     /// A sampled estimate was requested with zero samples per level.
     NoSamples,
+    /// A sampled event list does not hold the events its sampling rule
+    /// keeps.
+    SampleMismatch {
+        /// Events the rule keeps.
+        expected: usize,
+        /// Events the list holds.
+        found: usize,
+    },
 }
 
 impl fmt::Display for TimingError {
@@ -28,6 +36,10 @@ impl fmt::Display for TimingError {
                 write!(f, "timing speculation ratio {r} outside (0, 1]")
             }
             TimingError::NoSamples => write!(f, "sampled curve requires at least one sample"),
+            TimingError::SampleMismatch { expected, found } => write!(
+                f,
+                "sampled event list holds {found} events where the sampling rule keeps {expected}"
+            ),
         }
     }
 }

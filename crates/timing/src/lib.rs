@@ -36,7 +36,7 @@ mod err_curve;
 mod error;
 mod trace;
 
-pub use characterize::{DieTiming, StageCharacterizer};
+pub use characterize::{DieTiming, Sampling, StageCharacterizer};
 pub use edp::{pareto_front, EnergyDelay};
 pub use err_curve::{heterogeneity, max_abs_gap, ErrorCurve, ErrorModel, SampledCurve};
 pub use error::TimingError;

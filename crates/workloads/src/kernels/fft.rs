@@ -8,11 +8,11 @@
 //! at any speculative clock. Both properties match the paper's reason for
 //! excluding FFT from the SynTS result set (Sec 5.4).
 
-use crate::kernels::{SplitMix64, FRAC};
+use crate::kernels::{Source, SplitMix64, FRAC};
 use crate::recorder::Recorder;
-use crate::types::{BarrierInterval, WorkloadConfig};
+use crate::types::WorkloadConfig;
 
-pub(crate) fn fft(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
+pub(crate) fn fft(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
     let n = (cfg.scale * cfg.threads).next_power_of_two().max(16);
     let stages = n.trailing_zeros() as usize;
     let mask = (1u64 << cfg.width.min(16)) - 1;
@@ -46,8 +46,7 @@ pub(crate) fn fft(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
     let stages_per_interval = stages.div_ceil(cfg.intervals);
     let mut intervals = Vec::with_capacity(cfg.intervals);
     for interval in 0..cfg.intervals {
-        let mut recorders: Vec<Recorder> =
-            (0..cfg.threads).map(|_| Recorder::new(cfg.width)).collect();
+        let mut recorders = src.interval(interval, cfg.threads);
         let s_lo = interval * stages_per_interval;
         let s_hi = ((interval + 1) * stages_per_interval).min(stages);
         for s in s_lo..s_hi {
@@ -85,9 +84,7 @@ pub(crate) fn fft(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
                 }
             }
         }
-        intervals.push(BarrierInterval::new(
-            recorders.into_iter().map(Recorder::finish).collect(),
-        ));
+        intervals.push(recorders);
     }
     intervals
 }
@@ -95,11 +92,12 @@ pub(crate) fn fft(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Benchmark;
 
     #[test]
     fn work_is_balanced_across_threads() {
         let cfg = WorkloadConfig::small(4);
-        let ivs = fft(&cfg);
+        let ivs = Benchmark::Fft.run(&cfg).intervals;
         for iv in &ivs {
             let counts: Vec<usize> = iv.iter().map(|w| w.events.len()).collect();
             let max = *counts.iter().max().expect("non-empty");
@@ -114,7 +112,7 @@ mod tests {
     #[test]
     fn multiplier_heavy() {
         let cfg = WorkloadConfig::small(2);
-        let ivs = fft(&cfg);
+        let ivs = Benchmark::Fft.run(&cfg).intervals;
         let muls = ivs[0]
             .thread(0)
             .events
@@ -127,8 +125,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let cfg = WorkloadConfig::small(2);
-        let a = fft(&cfg);
-        let b = fft(&cfg);
+        let a = Benchmark::Fft.run(&cfg).intervals;
+        let b = Benchmark::Fft.run(&cfg).intervals;
         assert_eq!(a[0].thread(0).events, b[0].thread(0).events);
     }
 }

@@ -5,11 +5,11 @@
 //! every thread performs identical stencil work on statistically identical
 //! values: the homogeneous control benchmark (Sec 5.4).
 
-use crate::kernels::SplitMix64;
+use crate::kernels::{Source, SplitMix64};
 use crate::recorder::Recorder;
-use crate::types::{BarrierInterval, WorkloadConfig};
+use crate::types::WorkloadConfig;
 
-pub(crate) fn ocean(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
+pub(crate) fn ocean(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
     let cols = 64usize;
     let rows_per_thread = (cfg.scale / cols).max(4);
     let rows = rows_per_thread * cfg.threads + 2; // halo rows
@@ -29,8 +29,7 @@ pub(crate) fn ocean(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
 
     let mut intervals = Vec::with_capacity(cfg.intervals);
     for sweep in 0..cfg.intervals {
-        let mut recorders: Vec<Recorder> =
-            (0..cfg.threads).map(|_| Recorder::new(cfg.width)).collect();
+        let mut recorders = src.interval(sweep, cfg.threads);
         // Red-black: phase parity alternates per sweep.
         for color in 0..2usize {
             let snapshot = grid.clone();
@@ -61,9 +60,7 @@ pub(crate) fn ocean(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
                 }
             }
         }
-        intervals.push(BarrierInterval::new(
-            recorders.into_iter().map(Recorder::finish).collect(),
-        ));
+        intervals.push(recorders);
     }
     intervals
 }
@@ -71,11 +68,12 @@ pub(crate) fn ocean(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Benchmark;
 
     #[test]
     fn perfectly_balanced_across_threads() {
         let cfg = WorkloadConfig::small(4);
-        let ivs = ocean(&cfg);
+        let ivs = Benchmark::Ocean.run(&cfg).intervals;
         for iv in &ivs {
             let counts: Vec<usize> = iv.iter().map(|w| w.events.len()).collect();
             let max = *counts.iter().max().expect("non-empty");
@@ -90,7 +88,7 @@ mod tests {
     #[test]
     fn stencil_op_mix() {
         let cfg = WorkloadConfig::small(2);
-        let ivs = ocean(&cfg);
+        let ivs = Benchmark::Ocean.run(&cfg).intervals;
         use circuits::AluOp;
         let w = ivs[0].thread(0);
         let adds = w.events.iter().filter(|e| e.op == AluOp::Add).count();
@@ -102,8 +100,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let cfg = WorkloadConfig::small(2);
-        let a = ocean(&cfg);
-        let b = ocean(&cfg);
+        let a = Benchmark::Ocean.run(&cfg).intervals;
+        let b = Benchmark::Ocean.run(&cfg).intervals;
         assert_eq!(a[0].thread(0).events, b[0].thread(0).events);
     }
 }

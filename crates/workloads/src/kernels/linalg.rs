@@ -10,9 +10,9 @@
 //! `k mod T`) spreads it, changing the heterogeneity pattern between the
 //! two LU variants exactly as SPLASH-2's two layouts do.
 
-use crate::kernels::{div_restoring, isqrt, spin_wait, SplitMix64, FRAC};
+use crate::kernels::{div_restoring, isqrt, spin_wait, Source, SplitMix64, FRAC};
 use crate::recorder::Recorder;
-use crate::types::{BarrierInterval, WorkloadConfig};
+use crate::types::WorkloadConfig;
 
 /// Problem size: matrix dimension derived from the scale knob.
 fn matrix_dim(cfg: &WorkloadConfig) -> usize {
@@ -49,15 +49,14 @@ fn column_owner(contiguous: bool, k: usize, n: usize, threads: usize) -> usize {
     }
 }
 
-pub(crate) fn lu(cfg: &WorkloadConfig, contiguous: bool) -> Vec<BarrierInterval> {
+pub(crate) fn lu(cfg: &WorkloadConfig, src: &Source, contiguous: bool) -> Vec<Vec<Recorder>> {
     let n = matrix_dim(cfg);
     let mut a = make_matrix(cfg, n, 0x4C55);
     let steps_per_interval = (n / cfg.intervals).clamp(1, 10);
 
     let mut intervals = Vec::with_capacity(cfg.intervals);
     for interval in 0..cfg.intervals {
-        let mut recorders: Vec<Recorder> =
-            (0..cfg.threads).map(|_| Recorder::new(cfg.width)).collect();
+        let mut recorders = src.interval(interval, cfg.threads);
         let k_lo = interval * steps_per_interval;
         let k_hi = ((interval + 1) * steps_per_interval).min(n.saturating_sub(1));
         for k in k_lo..k_hi {
@@ -98,14 +97,12 @@ pub(crate) fn lu(cfg: &WorkloadConfig, contiguous: bool) -> Vec<BarrierInterval>
                 spin_wait(rec, 96, tid);
             }
         }
-        intervals.push(BarrierInterval::new(
-            recorders.into_iter().map(Recorder::finish).collect(),
-        ));
+        intervals.push(recorders);
     }
     intervals
 }
 
-pub(crate) fn cholesky(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
+pub(crate) fn cholesky(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
     let n = matrix_dim(cfg);
     // Symmetric positive-definite-ish: diagonally dominant symmetric.
     let mut a = make_matrix(cfg, n, 0x4348);
@@ -120,8 +117,7 @@ pub(crate) fn cholesky(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
 
     let mut intervals = Vec::with_capacity(cfg.intervals);
     for interval in 0..cfg.intervals {
-        let mut recorders: Vec<Recorder> =
-            (0..cfg.threads).map(|_| Recorder::new(cfg.width)).collect();
+        let mut recorders = src.interval(interval, cfg.threads);
         let k_lo = interval * steps_per_interval;
         let k_hi = ((interval + 1) * steps_per_interval).min(n.saturating_sub(1));
         for k in k_lo..k_hi {
@@ -164,9 +160,7 @@ pub(crate) fn cholesky(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
                 spin_wait(rec, 96, tid);
             }
         }
-        intervals.push(BarrierInterval::new(
-            recorders.into_iter().map(Recorder::finish).collect(),
-        ));
+        intervals.push(recorders);
     }
     intervals
 }
@@ -174,12 +168,13 @@ pub(crate) fn cholesky(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Benchmark;
     use circuits::AluOp;
 
     #[test]
     fn lu_contig_concentrates_pivot_work_early() {
         let cfg = WorkloadConfig::small(4);
-        let ivs = lu(&cfg, true);
+        let ivs = Benchmark::LuContig.run(&cfg).intervals;
         // In the first interval the pivot columns belong to thread 0, so
         // thread 0 must record far more division-shaped work (sltu-heavy)
         // than the last thread.
@@ -202,7 +197,7 @@ mod tests {
     #[test]
     fn lu_ncontig_spreads_pivot_work() {
         let cfg = WorkloadConfig::small(4);
-        let ivs = lu(&cfg, false);
+        let ivs = Benchmark::LuNcontig.run(&cfg).intervals;
         let sltu = |t: usize| {
             ivs[0]
                 .thread(t)
@@ -223,7 +218,7 @@ mod tests {
     #[test]
     fn cholesky_produces_multiplies_and_divisions() {
         let cfg = WorkloadConfig::small(4);
-        let ivs = cholesky(&cfg);
+        let ivs = Benchmark::Cholesky.run(&cfg).intervals;
         let all: Vec<_> = ivs.iter().flat_map(|iv| iv.iter()).collect();
         assert!(all
             .iter()
@@ -236,9 +231,9 @@ mod tests {
     #[test]
     fn shapes_and_determinism() {
         let cfg = WorkloadConfig::small(2);
-        for variant in [true, false] {
-            let a = lu(&cfg, variant);
-            let b = lu(&cfg, variant);
+        for variant in [Benchmark::LuContig, Benchmark::LuNcontig] {
+            let a = variant.run(&cfg).intervals;
+            let b = variant.run(&cfg).intervals;
             assert_eq!(a.len(), cfg.intervals);
             for (ia, ib) in a.iter().zip(&b) {
                 assert_eq!(ia.threads(), 2);

@@ -13,7 +13,44 @@ pub(crate) mod render;
 pub(crate) mod sort;
 
 use crate::recorder::Recorder;
-use crate::types::WorkloadConfig;
+use crate::types::{SamplePlan, WorkloadConfig};
+
+/// Where a kernel run gets the recorder of each (interval, thread): the
+/// one place that decides what the run keeps. Without a plan every
+/// recorder keeps everything; with one, a recorder whose (interval,
+/// thread) has a plan entry samples by it, and any other only counts.
+pub(crate) struct Source<'p> {
+    width: usize,
+    plan: Option<&'p SamplePlan>,
+}
+
+impl<'p> Source<'p> {
+    /// Recorders that keep everything.
+    pub(crate) fn full(width: usize) -> Source<'static> {
+        Source { width, plan: None }
+    }
+
+    /// Recorders that keep what `plan` asks for.
+    pub(crate) fn planned(width: usize, plan: &'p SamplePlan) -> Source<'p> {
+        Source {
+            width,
+            plan: Some(plan),
+        }
+    }
+
+    /// The recorders of interval `interval`'s `threads` threads.
+    pub(crate) fn interval(&self, interval: usize, threads: usize) -> Vec<Recorder> {
+        (0..threads)
+            .map(|thread| match self.plan {
+                None => Recorder::new(self.width),
+                Some(plan) => match plan.keeps(interval, thread) {
+                    Some(keeps) => Recorder::sampling(self.width, keeps),
+                    None => Recorder::counting(self.width),
+                },
+            })
+            .collect()
+    }
+}
 
 /// Fractional bits of the kernels' fixed-point format.
 pub(crate) const FRAC: u32 = 6;

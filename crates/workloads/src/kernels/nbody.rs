@@ -10,9 +10,9 @@
 //!   statistics: the homogeneous control the paper excludes from the SynTS
 //!   result set.
 
-use crate::kernels::{div_restoring, isqrt, SplitMix64, FRAC};
+use crate::kernels::{div_restoring, isqrt, Source, SplitMix64, FRAC};
 use crate::recorder::Recorder;
-use crate::types::{BarrierInterval, WorkloadConfig};
+use crate::types::WorkloadConfig;
 
 struct Particle {
     x: u64,
@@ -82,7 +82,7 @@ fn drift(rec: &mut Recorder, ps: &mut [Particle]) {
     }
 }
 
-pub(crate) fn fmm(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
+pub(crate) fn fmm(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
     // Clustered input: thread 0's cell is densest and sits at large
     // coordinates; density tapers with thread id.
     let base_count = (cfg.scale / 16).max(8);
@@ -95,9 +95,8 @@ pub(crate) fn fmm(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
         .collect();
     // Far-field centroids (one per cell).
     let mut intervals = Vec::with_capacity(cfg.intervals);
-    for _step in 0..cfg.intervals {
-        let mut recorders: Vec<Recorder> =
-            (0..cfg.threads).map(|_| Recorder::new(cfg.width)).collect();
+    for step in 0..cfg.intervals {
+        let mut recorders = src.interval(step, cfg.threads);
         // Centroids: each thread reduces its own cell (multipole moment).
         let mut centroids = Vec::with_capacity(cfg.threads);
         for (tid, cell) in cells.iter().enumerate() {
@@ -132,31 +131,26 @@ pub(crate) fn fmm(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
             }
             drift(rec, cell);
         }
-        intervals.push(BarrierInterval::new(
-            recorders.into_iter().map(Recorder::finish).collect(),
-        ));
+        intervals.push(recorders);
     }
     intervals
 }
 
-pub(crate) fn water(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
+pub(crate) fn water(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
     // Uniform lattice, identical statistics for every thread.
     let count = (cfg.scale / 8).max(12);
     let mut cells: Vec<Vec<Particle>> = (0..cfg.threads)
         .map(|tid| particles(cfg, tid, count, 0x4000, 0x3FFF, 0x3A7))
         .collect();
     let mut intervals = Vec::with_capacity(cfg.intervals);
-    for _step in 0..cfg.intervals {
-        let mut recorders: Vec<Recorder> =
-            (0..cfg.threads).map(|_| Recorder::new(cfg.width)).collect();
+    for step in 0..cfg.intervals {
+        let mut recorders = src.interval(step, cfg.threads);
         for (tid, cell) in cells.iter_mut().enumerate() {
             let rec = &mut recorders[tid];
             near_field(rec, cell, 96 << FRAC);
             drift(rec, cell);
         }
-        intervals.push(BarrierInterval::new(
-            recorders.into_iter().map(Recorder::finish).collect(),
-        ));
+        intervals.push(recorders);
     }
     intervals
 }
@@ -258,7 +252,7 @@ fn rec_mask(f: u64, d: u64) -> u64 {
     (f.wrapping_mul(d)) & 0xF
 }
 
-pub(crate) fn barnes(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
+pub(crate) fn barnes(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
     // Thread 0 owns the dense cluster quadrant.
     let base_count = (cfg.scale / 12).max(8);
     let mut bodies: Vec<Vec<Particle>> = (0..cfg.threads)
@@ -269,7 +263,7 @@ pub(crate) fn barnes(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
         })
         .collect();
     let mut intervals = Vec::with_capacity(cfg.intervals);
-    for _step in 0..cfg.intervals {
+    for step in 0..cfg.intervals {
         // Global tree over all bodies (built unrecorded: tree build is
         // pointer-chasing, not ALU work).
         let mut root = Quad::Empty;
@@ -278,8 +272,7 @@ pub(crate) fn barnes(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
                 insert(&mut root, p.x, p.y, 0, 0, 1 << cfg.width.min(16), 0);
             }
         }
-        let mut recorders: Vec<Recorder> =
-            (0..cfg.threads).map(|_| Recorder::new(cfg.width)).collect();
+        let mut recorders = src.interval(step, cfg.threads);
         for (tid, cell) in bodies.iter_mut().enumerate() {
             let rec = &mut recorders[tid];
             for p in cell.iter_mut() {
@@ -291,9 +284,7 @@ pub(crate) fn barnes(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
             }
             drift(rec, cell);
         }
-        intervals.push(BarrierInterval::new(
-            recorders.into_iter().map(Recorder::finish).collect(),
-        ));
+        intervals.push(recorders);
     }
     intervals
 }
@@ -301,11 +292,12 @@ pub(crate) fn barnes(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Benchmark;
 
     #[test]
     fn fmm_is_thread_heterogeneous_in_volume() {
         let cfg = WorkloadConfig::small(4);
-        let ivs = fmm(&cfg);
+        let ivs = Benchmark::Fmm.run(&cfg).intervals;
         let counts: Vec<usize> = ivs[0].iter().map(|w| w.events.len()).collect();
         assert!(
             counts[0] > 2 * counts[3],
@@ -316,7 +308,7 @@ mod tests {
     #[test]
     fn water_is_homogeneous_in_volume() {
         let cfg = WorkloadConfig::small(4);
-        let ivs = water(&cfg);
+        let ivs = Benchmark::WaterSp.run(&cfg).intervals;
         let counts: Vec<usize> = ivs[0].iter().map(|w| w.events.len()).collect();
         let max = *counts.iter().max().expect("non-empty") as f64;
         let min = *counts.iter().min().expect("non-empty").max(&1) as f64;
@@ -326,7 +318,7 @@ mod tests {
     #[test]
     fn barnes_cluster_thread_walks_more() {
         let cfg = WorkloadConfig::small(4);
-        let ivs = barnes(&cfg);
+        let ivs = Benchmark::Barnes.run(&cfg).intervals;
         let counts: Vec<usize> = ivs[0].iter().map(|w| w.events.len()).collect();
         assert!(
             counts[0] > counts[2],
@@ -337,9 +329,9 @@ mod tests {
     #[test]
     fn kernels_are_deterministic() {
         let cfg = WorkloadConfig::small(2);
-        for f in [fmm, water, barnes] {
-            let a = f(&cfg);
-            let b = f(&cfg);
+        for bench in [Benchmark::Fmm, Benchmark::WaterSp, Benchmark::Barnes] {
+            let a = bench.run(&cfg).intervals;
+            let b = bench.run(&cfg).intervals;
             assert_eq!(a[0].thread(0).events, b[0].thread(0).events);
         }
     }

@@ -6,9 +6,9 @@
 //! bit-serial square roots) while high threads mostly miss — the classic
 //! scene-dependent load and operand imbalance of parallel ray tracing.
 
-use crate::kernels::{div_restoring, isqrt, SplitMix64, FRAC};
+use crate::kernels::{div_restoring, isqrt, Source, SplitMix64, FRAC};
 use crate::recorder::Recorder;
-use crate::types::{BarrierInterval, WorkloadConfig};
+use crate::types::WorkloadConfig;
 
 struct Sphere {
     cx: u64,
@@ -17,7 +17,7 @@ struct Sphere {
     r2: u64,
 }
 
-pub(crate) fn raytrace(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
+pub(crate) fn raytrace(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
     let cols = 48usize;
     let rows_per_thread = (cfg.scale / cols).max(4);
     let mut rng = SplitMix64::for_stream(cfg, 0, 0x7247);
@@ -35,8 +35,7 @@ pub(crate) fn raytrace(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
     for frame in 0..cfg.intervals {
         // Small camera pan per frame keeps frames distinct.
         let pan = (frame as u64) * 37;
-        let mut recorders: Vec<Recorder> =
-            (0..cfg.threads).map(|_| Recorder::new(cfg.width)).collect();
+        let mut recorders = src.interval(frame, cfg.threads);
         for (tid, rec) in recorders.iter_mut().enumerate() {
             let row0 = tid * rows_per_thread;
             for dy in 0..rows_per_thread {
@@ -72,9 +71,7 @@ pub(crate) fn raytrace(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
                 }
             }
         }
-        intervals.push(BarrierInterval::new(
-            recorders.into_iter().map(Recorder::finish).collect(),
-        ));
+        intervals.push(recorders);
     }
     intervals
 }
@@ -82,11 +79,12 @@ pub(crate) fn raytrace(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Benchmark;
 
     #[test]
     fn hit_tile_does_more_work() {
         let cfg = WorkloadConfig::small(4);
-        let ivs = raytrace(&cfg);
+        let ivs = Benchmark::Raytrace.run(&cfg).intervals;
         let counts: Vec<usize> = ivs[0].iter().map(|w| w.events.len()).collect();
         assert!(
             counts[0] > counts[3],
@@ -97,7 +95,7 @@ mod tests {
     #[test]
     fn every_thread_casts_rays() {
         let cfg = WorkloadConfig::small(4);
-        let ivs = raytrace(&cfg);
+        let ivs = Benchmark::Raytrace.run(&cfg).intervals;
         for iv in &ivs {
             for w in iv {
                 assert!(w.events.len() > 100);
@@ -109,8 +107,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let cfg = WorkloadConfig::small(2);
-        let a = raytrace(&cfg);
-        let b = raytrace(&cfg);
+        let a = Benchmark::Raytrace.run(&cfg).intervals;
+        let b = Benchmark::Raytrace.run(&cfg).intervals;
         assert_eq!(a[1].thread(1).events, b[1].thread(1).events);
     }
 }

@@ -7,22 +7,22 @@
 //! heterogeneity lives: thread 0 is the reduction root, accumulating
 //! global ranks over running totals while the other threads spin.
 
-use crate::kernels::SplitMix64;
+use crate::kernels::{Source, SplitMix64};
 use crate::recorder::Recorder;
-use crate::types::{BarrierInterval, WorkloadConfig};
+use crate::types::WorkloadConfig;
 
 /// SPLASH-2's default radix is 1024 (10-bit digits): the global rank
 /// reduction over 1024 buckets is a first-class phase, not an epilogue.
 const DIGIT_BITS: u64 = 10;
 const BUCKETS: usize = 1 << DIGIT_BITS;
 
-pub(crate) fn radix(cfg: &WorkloadConfig) -> Vec<BarrierInterval> {
-    radix_impl(cfg).0
+pub(crate) fn radix(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
+    radix_impl(cfg, src).0
 }
 
 /// Implementation that also returns the final key array (used by tests to
 /// verify the sort really sorts).
-fn radix_impl(cfg: &WorkloadConfig) -> (Vec<BarrierInterval>, Vec<u64>) {
+fn radix_impl(cfg: &WorkloadConfig, src: &Source) -> (Vec<Vec<Recorder>>, Vec<u64>) {
     let n_per = cfg.scale;
     let total = n_per * cfg.threads;
     // Skewed keys: squaring a uniform variable concentrates mass at small
@@ -47,8 +47,7 @@ fn radix_impl(cfg: &WorkloadConfig) -> (Vec<BarrierInterval>, Vec<u64>) {
     let mut intervals = Vec::with_capacity(passes * 3);
     for pass in 0..passes {
         let shift = pass as u64 * DIGIT_BITS;
-        let mut recorders: Vec<Recorder> =
-            (0..cfg.threads).map(|_| Recorder::new(cfg.width)).collect();
+        let mut recorders = src.interval(intervals.len(), cfg.threads);
 
         // Phase 1: local histograms (each thread scans its chunk).
         let mut local_hist = vec![[0u64; BUCKETS]; cfg.threads];
@@ -66,11 +65,8 @@ fn radix_impl(cfg: &WorkloadConfig) -> (Vec<BarrierInterval>, Vec<u64>) {
                 rec.less_than((lo + i) as u64, (lo + n_per) as u64);
             }
         }
-        intervals.push(BarrierInterval::new(
-            recorders.into_iter().map(Recorder::finish).collect(),
-        ));
-        let mut recorders: Vec<Recorder> =
-            (0..cfg.threads).map(|_| Recorder::new(cfg.width)).collect();
+        intervals.push(recorders);
+        let mut recorders = src.interval(intervals.len(), cfg.threads);
 
         // Phase 2: global rank. As in SPLASH-2's tree reduction, each
         // thread prefix-sums its *local* histogram (small counts), then
@@ -107,11 +103,8 @@ fn radix_impl(cfg: &WorkloadConfig) -> (Vec<BarrierInterval>, Vec<u64>) {
         for (tid, rec) in recorders.iter_mut().enumerate().skip(1) {
             crate::kernels::spin_wait(rec, BUCKETS * 2, tid);
         }
-        intervals.push(BarrierInterval::new(
-            recorders.into_iter().map(Recorder::finish).collect(),
-        ));
-        let mut recorders: Vec<Recorder> =
-            (0..cfg.threads).map(|_| Recorder::new(cfg.width)).collect();
+        intervals.push(recorders);
+        let mut recorders = src.interval(intervals.len(), cfg.threads);
 
         // Phase 3: permute into the destination (the redistribution).
         let mut next = vec![0u64; total];
@@ -130,9 +123,7 @@ fn radix_impl(cfg: &WorkloadConfig) -> (Vec<BarrierInterval>, Vec<u64>) {
             }
         }
         keys = next;
-        intervals.push(BarrierInterval::new(
-            recorders.into_iter().map(Recorder::finish).collect(),
-        ));
+        intervals.push(recorders);
     }
     intervals.truncate(cfg.intervals.max(1));
     (intervals, keys)
@@ -141,12 +132,13 @@ fn radix_impl(cfg: &WorkloadConfig) -> (Vec<BarrierInterval>, Vec<u64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Benchmark;
     use circuits::AluOp;
 
     #[test]
     fn produces_requested_shape() {
         let cfg = WorkloadConfig::small(4);
-        let ivs = radix(&cfg);
+        let ivs = Benchmark::Radix.run(&cfg).intervals;
         // Each pass is three barrier intervals; the trace is truncated to
         // the configured interval budget (the paper's "3 intervals").
         assert_eq!(ivs.len(), cfg.intervals);
@@ -163,7 +155,7 @@ mod tests {
     #[test]
     fn rank_reduction_root_dominates_thread_zero() {
         let cfg = WorkloadConfig::small(4);
-        let ivs = radix(&cfg);
+        let ivs = Benchmark::Radix.run(&cfg).intervals;
         // Interval 1 is the rank phase: thread 0 owns the global
         // accumulation while the peers spin at the barrier.
         let rank = &ivs[1];
@@ -178,8 +170,8 @@ mod tests {
     #[test]
     fn is_deterministic() {
         let cfg = WorkloadConfig::small(2);
-        let a = radix(&cfg);
-        let b = radix(&cfg);
+        let a = Benchmark::Radix.run(&cfg).intervals;
+        let b = Benchmark::Radix.run(&cfg).intervals;
         for (ia, ib) in a.iter().zip(&b) {
             for t in 0..ia.threads() {
                 assert_eq!(ia.thread(t).events, ib.thread(t).events);
@@ -192,12 +184,14 @@ mod tests {
         // Enough LSD passes to cover the full 16-bit key width.
         let mut cfg = WorkloadConfig::small(4);
         cfg.intervals = 6; // both passes' phases
-        let (ivs, keys) = radix_impl(&cfg);
+        let (mut ivs, keys) = radix_impl(&cfg, &Source::full(cfg.width));
         for w in keys.windows(2) {
             assert!(w[0] <= w[1], "keys must be sorted after all passes");
         }
-        let shr_count = ivs[0]
-            .thread(0)
+        let shr_count = ivs
+            .swap_remove(0)
+            .swap_remove(0)
+            .finish()
             .events
             .iter()
             .filter(|e| e.op == AluOp::Shr)
@@ -209,7 +203,7 @@ mod tests {
     fn uses_no_multiplies() {
         // Radix sort is a SimpleALU workload; the ComplexALU should starve.
         let cfg = WorkloadConfig::small(2);
-        let ivs = radix(&cfg);
+        let ivs = Benchmark::Radix.run(&cfg).intervals;
         for iv in &ivs {
             for w in iv {
                 assert!(w.events.iter().all(|e| !e.op.is_complex()));

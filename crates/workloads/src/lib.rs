@@ -18,6 +18,14 @@
 //! The three benchmarks the paper found homogeneous (FFT, Ocean, Water-sp)
 //! partition data symmetrically and come out homogeneous here too.
 //!
+//! [`Benchmark::run`] keeps every event: the oracle trace. Cold
+//! characterization times only a sampled stream of each thread's events,
+//! so it runs a kernel twice and keeps almost nothing
+//! ([`Benchmark::sample`]): a counting run tallies each (interval,
+//! thread)'s ops by kind, and a sampling run, planned from those tallies
+//! ([`SamplePlan`]), keeps the memory references and only the events the
+//! plan's [`Keep`]s pick.
+//!
 //! ```
 //! use workloads::{Benchmark, WorkloadConfig};
 //!
@@ -32,8 +40,11 @@ mod kernels;
 mod recorder;
 mod types;
 
-pub use recorder::{MemRef, Recorder, ThreadWork};
-pub use types::{BarrierInterval, Benchmark, WorkloadConfig, WorkloadTrace};
+pub use recorder::{Keep, MemRef, Recorder, Tally, ThreadSample, ThreadWork};
+pub use types::{
+    BarrierInterval, Benchmark, SampleMismatch, SamplePlan, SampledTrace, WorkloadConfig,
+    WorkloadTrace,
+};
 
 /// Version of the trace generators: `Benchmark::run` is a pure function
 /// of `(benchmark, WorkloadConfig, GENERATOR_VERSION)`. Persistent

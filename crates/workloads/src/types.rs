@@ -1,7 +1,7 @@
 //! Benchmark catalogue and trace containers.
 
-use crate::kernels;
-use crate::recorder::ThreadWork;
+use crate::kernels::{self, Source};
+use crate::recorder::{Keep, Recorder, Tally, ThreadSample, ThreadWork};
 
 /// The ten SPLASH-2 benchmarks the paper characterizes (Sec 5.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -99,26 +99,77 @@ impl Benchmark {
         Benchmark::ALL.iter().copied().find(|b| b.name() == norm)
     }
 
-    /// Runs the instrumented kernel and returns its trace.
+    /// Runs the instrumented kernel and returns its trace: every event,
+    /// memory reference and branch of every thread (the oracle trace).
     ///
     /// Deterministic for a given config (including its seed).
     #[must_use]
     pub fn run(self, cfg: &WorkloadConfig) -> WorkloadTrace {
-        let intervals = match self {
-            Benchmark::Fmm => kernels::nbody::fmm(cfg),
-            Benchmark::Radix => kernels::sort::radix(cfg),
-            Benchmark::LuContig => kernels::linalg::lu(cfg, true),
-            Benchmark::LuNcontig => kernels::linalg::lu(cfg, false),
-            Benchmark::Fft => kernels::fft::fft(cfg),
-            Benchmark::WaterSp => kernels::nbody::water(cfg),
-            Benchmark::Barnes => kernels::nbody::barnes(cfg),
-            Benchmark::Raytrace => kernels::render::raytrace(cfg),
-            Benchmark::Cholesky => kernels::linalg::cholesky(cfg),
-            Benchmark::Ocean => kernels::grid::ocean(cfg),
-        };
+        let intervals = self
+            .record(cfg, &Source::full(cfg.width))
+            .into_iter()
+            .map(|recorders| {
+                BarrierInterval::new(recorders.into_iter().map(Recorder::finish).collect())
+            })
+            .collect();
         WorkloadTrace {
             benchmark: self,
             intervals,
+        }
+    }
+
+    /// Runs the instrumented kernel keeping only what `plan` asks for.
+    /// Every thread keeps its [`Tally`] (op counts by kind and the branch
+    /// count); a thread with a plan entry also keeps its memory references
+    /// and the events each of the entry's [`Keep`]s picks, and nothing
+    /// else. [`SamplePlan::count_only`] makes a counting run, from whose
+    /// tallies [`SamplePlan::new`] plans the sampling run.
+    ///
+    /// The kernel computes exactly what [`Benchmark::run`] computes, so a
+    /// sampling run's kept events are the events the oracle trace holds
+    /// at the same positions.
+    ///
+    /// # Errors
+    ///
+    /// [`SampleMismatch`] if the run's shape or a planned thread's tally
+    /// differs from the counting run's the plan was built from.
+    pub fn sample(
+        self,
+        cfg: &WorkloadConfig,
+        plan: &SamplePlan,
+    ) -> Result<SampledTrace, SampleMismatch> {
+        let intervals: Vec<Vec<ThreadSample>> = self
+            .record(cfg, &Source::planned(cfg.width, plan))
+            .into_iter()
+            .map(|recorders| recorders.into_iter().map(Recorder::finish_sample).collect())
+            .collect();
+        let tallies: Vec<Vec<Tally>> = intervals
+            .iter()
+            .map(|threads| threads.iter().map(|t| *t.tally()).collect())
+            .collect();
+        if !plan.keeps.is_empty() && tallies != plan.tallies {
+            return Err(SampleMismatch { benchmark: self });
+        }
+        Ok(SampledTrace {
+            benchmark: self,
+            intervals,
+        })
+    }
+
+    /// Runs the kernel with recorders from `src`, one per (interval,
+    /// thread).
+    fn record(self, cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
+        match self {
+            Benchmark::Fmm => kernels::nbody::fmm(cfg, src),
+            Benchmark::Radix => kernels::sort::radix(cfg, src),
+            Benchmark::LuContig => kernels::linalg::lu(cfg, src, true),
+            Benchmark::LuNcontig => kernels::linalg::lu(cfg, src, false),
+            Benchmark::Fft => kernels::fft::fft(cfg, src),
+            Benchmark::WaterSp => kernels::nbody::water(cfg, src),
+            Benchmark::Barnes => kernels::nbody::barnes(cfg, src),
+            Benchmark::Raytrace => kernels::render::raytrace(cfg, src),
+            Benchmark::Cholesky => kernels::linalg::cholesky(cfg, src),
+            Benchmark::Ocean => kernels::grid::ocean(cfg, src),
         }
     }
 }
@@ -237,6 +288,91 @@ impl WorkloadTrace {
     }
 }
 
+/// What a sampling run keeps, per (interval, thread): see
+/// [`Benchmark::sample`]. The plan of a counting run is empty; the plan of
+/// a sampling run is built from a counting run's tallies, which it also
+/// holds so the sampling run can check that it saw the same events.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SamplePlan {
+    /// Per interval, per thread: the counting run's tally.
+    tallies: Vec<Vec<Tally>>,
+    /// Per interval, per thread: the [`Keep`]s of the sampling run.
+    keeps: Vec<Vec<Vec<Keep>>>,
+}
+
+impl SamplePlan {
+    /// The plan of a counting run: no entries, so every recorder keeps
+    /// only its tally.
+    #[must_use]
+    pub fn count_only() -> SamplePlan {
+        SamplePlan::default()
+    }
+
+    /// Plans a sampling run from `counted`, a counting run of the same
+    /// benchmark and config: every (interval, thread) of `counted` gets an
+    /// entry keeping what `keeps` returns for its tally, one [`Keep`] per
+    /// accepted-op set (so stages that accept the same operations share
+    /// one kept list).
+    #[must_use]
+    pub fn new(counted: &SampledTrace, mut keeps: impl FnMut(&Tally) -> Vec<Keep>) -> SamplePlan {
+        let tallies: Vec<Vec<Tally>> = counted
+            .intervals
+            .iter()
+            .map(|threads| threads.iter().map(|t| *t.tally()).collect())
+            .collect();
+        let keeps = tallies
+            .iter()
+            .map(|threads| threads.iter().map(&mut keeps).collect())
+            .collect();
+        SamplePlan { tallies, keeps }
+    }
+
+    /// The [`Keep`]s of (interval, thread), if the plan has an entry for
+    /// it.
+    pub(crate) fn keeps(&self, interval: usize, thread: usize) -> Option<&[Keep]> {
+        self.keeps.get(interval)?.get(thread).map(Vec::as_slice)
+    }
+}
+
+/// A sampling run ([`Benchmark::sample`]): the benchmark and, per barrier
+/// interval, what each thread's recorder kept.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SampledTrace {
+    /// Which benchmark produced this run.
+    pub benchmark: Benchmark,
+    /// Per barrier interval, in execution order, one sample per thread.
+    pub intervals: Vec<Vec<ThreadSample>>,
+}
+
+impl SampledTrace {
+    /// What `thread` kept in `interval`, if the run has that pair.
+    #[must_use]
+    pub fn thread(&self, interval: usize, thread: usize) -> Option<&ThreadSample> {
+        self.intervals.get(interval)?.get(thread)
+    }
+}
+
+/// A sampling run that did not see what the counting run its plan was
+/// built from saw: another number of intervals or threads, or another
+/// tally.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SampleMismatch {
+    /// The benchmark whose runs differ.
+    pub benchmark: Benchmark,
+}
+
+impl std::fmt::Display for SampleMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}: the sampling run counted other events than the counting run",
+            self.benchmark
+        )
+    }
+}
+
+impl std::error::Error for SampleMismatch {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,6 +387,52 @@ mod tests {
         assert_eq!(Benchmark::from_name("Radix"), Some(Benchmark::Radix));
         assert_eq!(Benchmark::from_name("LU_CONTIG"), Some(Benchmark::LuContig));
         assert_eq!(Benchmark::from_name(" water-sp "), Some(Benchmark::WaterSp));
+    }
+
+    #[test]
+    fn a_sampling_run_that_sees_other_events_is_an_error() {
+        let cfg = WorkloadConfig::small(2);
+        let mut other_seed = cfg.clone();
+        other_seed.seed ^= 1;
+        let mut fewer_intervals = cfg.clone();
+        fewer_intervals.intervals = 2;
+        for other in [other_seed, fewer_intervals] {
+            let counted = Benchmark::Fmm
+                .sample(&other, &SamplePlan::count_only())
+                .expect("a counting run checks nothing");
+            let plan = SamplePlan::new(&counted, |_| Vec::new());
+            let err = Benchmark::Fmm
+                .sample(&cfg, &plan)
+                .expect_err("other events");
+            assert_eq!(
+                err.to_string(),
+                "fmm: the sampling run counted other events than the counting run"
+            );
+        }
+    }
+
+    #[test]
+    fn a_sampling_run_counts_what_the_full_run_records() {
+        let cfg = WorkloadConfig::small(3);
+        for bench in Benchmark::ALL {
+            let full = bench.run(&cfg);
+            let counted = bench
+                .sample(&cfg, &SamplePlan::count_only())
+                .expect("a counting run checks nothing");
+            assert_eq!(counted.intervals.len(), full.intervals.len(), "{bench}");
+            for (threads, interval) in counted.intervals.iter().zip(&full.intervals) {
+                for (sample, work) in threads.iter().zip(interval) {
+                    assert_eq!(*sample.tally(), work.tally(), "{bench}");
+                }
+            }
+            let plan = SamplePlan::new(&counted, |_| Vec::new());
+            let sampled = bench.sample(&cfg, &plan).expect("same events");
+            let refs = |i: usize, t: usize| sampled.thread(i, t).map(ThreadSample::mem_refs);
+            assert_eq!(
+                refs(0, 0),
+                Some(full.intervals[0].thread(0).mem_refs.as_slice())
+            );
+        }
     }
 
     #[test]

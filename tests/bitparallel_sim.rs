@@ -17,11 +17,16 @@
 //!   entry point) against `delay_trace_into_scalar` (the sequential
 //!   reference) across random event streams, stage kinds and sampling
 //!   caps — covering both the chained stride-1 walk and the strided
-//!   seeded-pair regime.
+//!   seeded-pair regime;
+//! * each stage's packed encoder against its documented input layout,
+//!   built bit by bit, at every width the stage accepts, and the
+//!   `Vec<bool>` encodings derived from it;
+//! * [`gatelib::transpose_lanes`] against the per-bit loop it replaces,
+//!   on random lane sets of 1 to 64 lanes and 1 to 3 words per lane.
 
 use proptest::prelude::*;
-use synts::circuits::{build_stage, AluEvent, AluOp, StageKind};
-use synts::gatelib::{TimingSim, Voltage, WideTimingSim, LANES};
+use synts::circuits::{build_stage, AluEvent, AluOp, DecodeStage, StageKind};
+use synts::gatelib::{transpose_lanes, TimingSim, Voltage, WideTimingSim, LANES};
 use synts::timing::StageCharacterizer;
 
 /// Deterministic pseudo-random bit stream (the tests' only entropy
@@ -48,6 +53,73 @@ fn stage_for(choice: usize) -> StageKind {
         StageKind::Decode,
         StageKind::ComplexAlu,
     ][choice % 3]
+}
+
+/// A stage's input vector for `ev`, built bit by bit from the layout its
+/// module documents: the reference the packed encoders are held to.
+fn documented_layout(kind: StageKind, width: usize, ev: &AluEvent) -> Vec<bool> {
+    let bits = |x: u64, n: usize| (0..n).map(move |i| (x >> i) & 1 == 1);
+    match kind {
+        // [op[3], a[W], b[W]]; complex ops fall back to Add's opcode.
+        StageKind::SimpleAlu => {
+            let op = if ev.op.is_complex() { 0 } else { ev.op.index() };
+            bits(op as u64, 3)
+                .chain(bits(ev.a, width))
+                .chain(bits(ev.b, width))
+                .collect()
+        }
+        // [hi_sel, a[W], b[W]].
+        StageKind::ComplexAlu => std::iter::once(ev.op == AluOp::MulHi)
+            .chain(bits(ev.a, width))
+            .chain(bits(ev.b, width))
+            .collect(),
+        // The 32-bit instruction word.
+        StageKind::Decode => bits(u64::from(DecodeStage::instruction_word(ev)), 32).collect(),
+    }
+}
+
+/// Each stage has one encoder, the packed one: at every width the stage
+/// accepts it matches the documented layout bit for bit, leaves the
+/// bits past the last input clear, and the `Vec<bool>` forms the scalar
+/// simulator takes agree with it.
+#[test]
+fn packed_encoders_match_the_documented_layouts_at_every_width() {
+    let widths = [
+        (StageKind::SimpleAlu, vec![4, 8, 16, 32, 64]),
+        (StageKind::ComplexAlu, (4..=32).collect()),
+        (StageKind::Decode, vec![16]),
+    ];
+    let mut rng = Lcg(0x5EED_0FE7_C0DE);
+    for (kind, widths) in widths {
+        for width in widths {
+            let stage = build_stage(kind, width).expect("stage");
+            let n_pi = stage.netlist().primary_inputs().len();
+            let mut words = vec![u64::MAX; stage.packed_words()];
+            let mut buf = Vec::new();
+            for _ in 0..48 {
+                let op = AluOp::ALL[(rng.next_u64() >> 60) as usize % AluOp::ALL.len()];
+                let ev = AluEvent::new(op, rng.next_u64(), rng.next_u64());
+                let expect = documented_layout(kind, width, &ev);
+                assert_eq!(expect.len(), n_pi, "{kind} at width {width}");
+                stage.encode_packed(&ev, &mut words);
+                let unpacked: Vec<bool> = (0..64 * words.len())
+                    .map(|k| words[k / 64] >> (k % 64) & 1 == 1)
+                    .collect();
+                assert_eq!(
+                    &unpacked[..n_pi],
+                    expect.as_slice(),
+                    "{kind}/{width} {ev:?}"
+                );
+                assert!(
+                    unpacked[n_pi..].iter().all(|&b| !b),
+                    "{kind}/{width}: bits past the last input must be clear"
+                );
+                assert_eq!(stage.encode(&ev), expect, "{kind}/{width} encode");
+                stage.encode_into(&ev, &mut buf);
+                assert_eq!(buf, expect, "{kind}/{width} encode_into");
+            }
+        }
+    }
 }
 
 proptest! {
@@ -264,6 +336,31 @@ proptest! {
                 "toggle total is not the step batches' sum: lane {}", lane
             );
         }
+    }
+
+    /// The 64×64 block transpose equals the per-bit loop it replaced, for
+    /// any lane count (ragged batches read as zero lanes) and any input
+    /// count that fits the words per lane.
+    #[test]
+    fn transpose_matches_the_per_bit_loop(
+        lanes in 1usize..65,
+        words_per_lane in 1usize..4,
+        spare in 0usize..64,
+        seed in any::<u64>(),
+    ) {
+        let n_inputs = 64 * words_per_lane - spare;
+        let mut rng = Lcg(seed);
+        let packed: Vec<u64> = (0..lanes * words_per_lane).map(|_| rng.next_u64()).collect();
+        let mut fast = vec![rng.next_u64(); n_inputs];
+        transpose_lanes(&packed, words_per_lane, &mut fast);
+        let mut slow = vec![0u64; n_inputs];
+        for lane in 0..lanes {
+            for (k, word) in slow.iter_mut().enumerate() {
+                let bit = packed[lane * words_per_lane + k / 64] >> (k % 64) & 1;
+                *word |= bit << lane;
+            }
+        }
+        prop_assert_eq!(fast, slow);
     }
 
     /// The lane-batched characterization entry point is bit-identical to

@@ -8,6 +8,11 @@
 //! * the trace generators still produce their pinned traces (cache keys
 //!   name a trace by its recipe, so a generator change must bump
 //!   `workloads::GENERATOR_VERSION`);
+//! * the scheduler's two recording passes (count, then keep only the
+//!   sampled events) characterize bit-identically to the oracle
+//!   `characterize_workload_on` over `Benchmark::run`'s full trace, for
+//!   every benchmark, stage, width and sampling cap, one stage or many
+//!   per call;
 //! * the zero-alloc batched `delay_trace_into` entry point reproduces
 //!   `delay_trace_sampled` exactly, including across buffer reuse;
 //! * `guard_band` is worker-count-invariant.
@@ -15,7 +20,10 @@
 use std::path::PathBuf;
 
 use proptest::prelude::*;
+use synts::core_api::characterize_pairs;
+use synts::core_api::experiments::characterize_workload_on;
 use synts::prelude::*;
+use synts::workloads::SamplePlan;
 use synts_bench::corpus::{Corpus, Effort};
 
 const BENCHES: [Benchmark; 3] = [Benchmark::Radix, Benchmark::Cholesky, Benchmark::Fmm];
@@ -44,6 +52,90 @@ fn assert_bit_identical(a: &BenchmarkData, b: &BenchmarkData) {
             assert_eq!(ta.instructions.to_bits(), tb.instructions.to_bits());
             assert_eq!(ta.cpi_base.to_bits(), tb.cpi_base.to_bits());
         }
+    }
+}
+
+/// The quick harness at another datapath width and sampling cap.
+fn harness(width: usize, max_samples: usize) -> HarnessConfig {
+    let mut cfg = HarnessConfig::quick();
+    cfg.workload.width = width;
+    cfg.max_samples = max_samples;
+    cfg
+}
+
+/// One `characterize_pairs` call over `stages` of `bench` (uncached, so
+/// every pair takes the two recording passes) equals the oracle, pair by
+/// pair: `characterize_workload_on` over the full trace.
+fn assert_two_passes_match_the_oracle(bench: Benchmark, stages: &[StageKind], cfg: &HarnessConfig) {
+    let pairs: Vec<(Benchmark, StageKind)> = stages.iter().map(|&s| (bench, s)).collect();
+    let sampled = characterize_pairs(&pairs, cfg, &CharCache::disabled(), ThreadPool::new(2))
+        .expect("two passes");
+    let trace = bench.run(&cfg.workload);
+    for (&stage, data) in stages.iter().zip(&sampled) {
+        let charac =
+            synts::timing::StageCharacterizer::new(stage, cfg.workload.width).expect("stage");
+        let oracle = characterize_workload_on(&charac, &trace, cfg, ThreadPool::sequential())
+            .expect("oracle");
+        assert_bit_identical(&oracle, data);
+    }
+}
+
+/// Every benchmark (radix's dropped intervals and the linear-algebra
+/// kernels' `event_count` branch included), all three stages in one call,
+/// each width and each fixed sampling cap at least once: stride 1 with
+/// one record, short chains, the quick default and no cap.
+#[test]
+fn two_passes_equal_the_oracle_on_every_benchmark() {
+    for (k, bench) in Benchmark::ALL.into_iter().enumerate() {
+        let width = [8, 16, 32][k % 3];
+        let max_samples = [1, 2, 3, 400, usize::MAX][k % 5];
+        assert_two_passes_match_the_oracle(bench, &StageKind::ALL, &harness(width, max_samples));
+    }
+}
+
+/// A paper-quality spot check: two stages with different accepted-op
+/// sets in one call.
+#[test]
+fn two_passes_equal_the_oracle_at_paper_quality() {
+    assert_two_passes_match_the_oracle(
+        Benchmark::Cholesky,
+        &[StageKind::ComplexAlu, StageKind::Decode],
+        &HarnessConfig::paper_default(),
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random benchmarks, stage subsets, widths and sampling caps. The
+    /// caps around m/2, with m the accepted count of interval 0's thread
+    /// 0, straddle that thread's boundary between stride 1 and stride 3.
+    #[test]
+    fn two_passes_equal_the_oracle(
+        bench_idx in 0..Benchmark::ALL.len(),
+        stage_mask in 1u8..8,
+        width_idx in 0usize..3,
+        cap_choice in 0usize..9,
+    ) {
+        let bench = Benchmark::ALL[bench_idx];
+        let stages: Vec<StageKind> = StageKind::ALL
+            .into_iter()
+            .enumerate()
+            .filter(|&(i, _)| stage_mask >> i & 1 == 1)
+            .map(|(_, s)| s)
+            .collect();
+        let mut cfg = harness([8, 16, 32][width_idx], 400);
+        let counted = bench.sample(&cfg.workload, &SamplePlan::count_only()).expect("counts");
+        let ops = synts::circuits::build_stage(stages[0], cfg.workload.width)
+            .expect("stage")
+            .accepted_ops();
+        let half = counted.thread(0, 0).map_or(0, |t| t.tally().of(ops) as usize) / 2;
+        cfg.max_samples = [
+            1, 2, 3,
+            half.saturating_sub(2), half.saturating_sub(1), half, half + 1,
+            400, usize::MAX,
+        ][cap_choice];
+        assert_two_passes_match_the_oracle(bench, &stages, &cfg);
     }
 }
 

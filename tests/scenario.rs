@@ -71,6 +71,47 @@ fn mismatched_data_is_rejected() {
     assert!(Experiment::new(spec).run_on(&data).is_err());
 }
 
+/// A spec built in code with no schemes is refused by the runner with
+/// the shard planner's message, not a panic at the model check's solver
+/// index. The parser and `POST /v1/jobs` refuse such a spec already.
+#[test]
+fn an_empty_scheme_list_is_refused_by_runner_and_planner_alike() {
+    let data = quick_data(Benchmark::Radix, StageKind::SimpleAlu);
+    let spec = ScenarioSpec::new("none", Benchmark::Radix, StageKind::SimpleAlu)
+        .schemes(Vec::<String>::new())
+        .verify_model(true);
+    let run = Experiment::new(spec.clone())
+        .run_on(&data)
+        .expect_err("no schemes");
+    let plan = ShardPlan::plan(&spec, &data, 4).expect_err("no schemes");
+    for err in [run, plan] {
+        assert_eq!(
+            err.to_string(),
+            "bad system config: the spec names no schemes"
+        );
+    }
+}
+
+/// An explicit θ grid with no points is refused by the runner with the
+/// shard planner's message, not a panic at the model check's first θ.
+#[test]
+fn an_empty_theta_grid_is_refused_by_runner_and_planner_alike() {
+    let data = quick_data(Benchmark::Radix, StageKind::SimpleAlu);
+    let spec = ScenarioSpec::new("no-thetas", Benchmark::Radix, StageKind::SimpleAlu)
+        .thetas(ThetaSpec::Grid(vec![]))
+        .verify_model(true);
+    let run = Experiment::new(spec.clone())
+        .run_on(&data)
+        .expect_err("empty grid");
+    let plan = ShardPlan::plan(&spec, &data, 4).expect_err("empty grid");
+    for err in [run, plan] {
+        assert_eq!(
+            err.to_string(),
+            "bad system config: the spec resolves to an empty θ grid"
+        );
+    }
+}
+
 #[test]
 fn equal_weight_record_matches_the_direct_solver_api() {
     let data = quick_data(Benchmark::Cholesky, StageKind::SimpleAlu);
