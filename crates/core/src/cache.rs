@@ -3,10 +3,10 @@
 //! Gate-level characterization (Fig 5.8's trace → delay-trace →
 //! error-curve pipeline) dominates the wall-clock of every end-to-end run,
 //! yet its output is a pure function of the workload *recipe* (benchmark,
-//! [`WorkloadConfig`](workloads::WorkloadConfig) and
-//! [`workloads::GENERATOR_VERSION`]), the stage, the harness knobs and the
-//! cell library. This module memoizes that function on disk so the cost
-//! is paid **once per machine**, not once per process:
+//! [`WorkloadConfig`] and [`workloads::GENERATOR_VERSION`]), the stage,
+//! the harness knobs and the cell library. This module memoizes that
+//! function on disk so the cost is paid **once per machine**, not once
+//! per process:
 //!
 //! * entries are keyed on the recipe, never on trace contents, so a hit
 //!   neither generates nor hashes a workload trace. The file name is a
@@ -38,7 +38,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 use circuits::{OpSet, PipeStage, StageKind};
-use workloads::{Benchmark, Keep, SampleMismatch, SamplePlan, SampledTrace, WorkloadTrace};
+use workloads::{
+    Benchmark, Keep, SampleMismatch, Tally, ThreadSample, WorkloadConfig, WorkloadTrace,
+};
 
 use crate::error::OptError;
 use crate::experiments::{
@@ -46,7 +48,7 @@ use crate::experiments::{
 };
 use crate::faults::{site, FaultPlan};
 use crate::parallel::ThreadPool;
-use crate::phase::{time_phase, Phase};
+use crate::phase::{time_phase, time_phase_except, Phase};
 use timing::{ErrorCurve, Sampling, StageCharacterizer, TimingError};
 
 /// Environment variable naming the on-disk cache directory.
@@ -704,12 +706,24 @@ fn parse_hex(digits: &str) -> Option<u64> {
         .flatten()
 }
 
-/// Appends `x` as exactly 16 lowercase hex digits.
+/// Appends `x` as exactly 16 lowercase hex digits, a byte (two digits)
+/// at a time.
 fn push_hex16(out: &mut String, x: u64) {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    for shift in (0..16).rev() {
-        out.push(char::from(DIGITS[(x >> (4 * shift)) as usize & 0xf]));
+    const PAIRS: [[u8; 2]; 256] = {
+        let digits = b"0123456789abcdef";
+        let mut pairs = [[0; 2]; 256];
+        let mut byte = 0;
+        while byte < 256 {
+            pairs[byte] = [digits[byte >> 4], digits[byte & 0xf]];
+            byte += 1;
+        }
+        pairs
+    };
+    let mut hex = [0; 16];
+    for (pair, byte) in hex.chunks_exact_mut(2).zip(x.to_be_bytes()) {
+        pair.copy_from_slice(&PAIRS[usize::from(byte)]);
     }
+    out.push_str(std::str::from_utf8(&hex).expect("hex digits are ASCII"));
 }
 
 /// Reads exactly 16 lowercase hex digits.
@@ -743,32 +757,39 @@ fn hex16(digits: &[u8]) -> Option<u64> {
 /// multiset [`ErrorCurve::from_trace`] sorts), which keeps the entry
 /// small and the round-trip exact. Benchmark and stage come from the key.
 fn encode_entry(key: &CacheKey, data: &BenchmarkData) -> String {
+    use std::fmt::Write as _;
     let delays: usize = data
         .intervals
         .iter()
         .flat_map(|iv| &iv.threads)
         .map(|t| t.normalized_delays.len() + 3)
         .sum();
-    let mut body = String::with_capacity(16 * delays + 64);
-    push_hex16(&mut body, data.tnom_v1.to_bits());
-    body.push_str(&format!(" {:x}\n", data.intervals.len()));
+    // One buffer: the header with the checksum's digits reserved, then
+    // the body, then the checksum of the body written over the reserve.
+    let mut text = format!("{MAGIC}\n{}\n", key.line());
+    let sum_at = text.len();
+    text.reserve(17 + 16 * delays + 64);
+    push_hex16(&mut text, 0);
+    text.push('\n');
+    let body_at = text.len();
+    push_hex16(&mut text, data.tnom_v1.to_bits());
+    let _ = writeln!(text, " {:x}", data.intervals.len());
     for iv in &data.intervals {
-        body.push_str(&format!("{:x}\n", iv.threads.len()));
+        let _ = writeln!(text, "{:x}", iv.threads.len());
         for t in &iv.threads {
-            push_hex16(&mut body, t.instructions.to_bits());
-            body.push(' ');
-            push_hex16(&mut body, t.cpi_base.to_bits());
-            body.push_str(&format!(" {:x}\n", t.normalized_delays.len()));
+            push_hex16(&mut text, t.instructions.to_bits());
+            text.push(' ');
+            push_hex16(&mut text, t.cpi_base.to_bits());
+            let _ = writeln!(text, " {:x}", t.normalized_delays.len());
             for d in &t.normalized_delays {
-                push_hex16(&mut body, d.to_bits());
+                push_hex16(&mut text, d.to_bits());
             }
-            body.push('\n');
+            text.push('\n');
         }
     }
-    let mut text = format!("{MAGIC}\n{}\n", key.line());
-    push_hex16(&mut text, checksum(body.as_bytes()));
-    text.push('\n');
-    text.push_str(&body);
+    let mut sum = String::with_capacity(16);
+    push_hex16(&mut sum, checksum(&text.as_bytes()[body_at..]));
+    text.replace_range(sum_at..sum_at + 16, &sum);
     text
 }
 
@@ -986,37 +1007,52 @@ fn probe(entry: CacheEntry) -> Probe {
 /// order, cannot deadlock, and each key is computed once.
 ///
 /// A miss never materializes its benchmark's full trace. Each benchmark
-/// with a miss runs its kernel twice ([`workloads::Benchmark::sample`]):
-/// a counting run tallies every (interval, thread)'s ops by kind, then a
-/// sampling run keeps the memory references and, for each distinct
-/// accepted-op set among the call's stages of that benchmark, only the
-/// events the one sampling rule ([`Sampling`]) times for that set's
-/// count. Stages that accept the same ops (SimpleALU and Decode) share
-/// one kept list. A unit times its list with
+/// with a miss runs its kernel twice, and both runs hand each barrier
+/// interval on as the kernel leaves it. The counting run
+/// ([`workloads::Benchmark::count`]) tallies every (interval, thread)'s
+/// ops by kind. The sampling run ([`workloads::Benchmark::sample`])
+/// follows it: as its kernel enters an interval, it plans that interval
+/// from the counted tallies, keeping the memory references and, for each
+/// distinct accepted-op set among the call's stages of that benchmark,
+/// only the events the one sampling rule ([`Sampling`]) times for that
+/// set's count. A thread's stride depends only on its own (interval,
+/// thread) count, so interval i can be planned while the counting run is
+/// still in interval i + 1. Stages that accept the same ops (SimpleALU and
+/// Decode) share one kept list. Each interval's sampled tallies are
+/// checked against its counted ones as they arrive; a run of another
+/// shape is an [`OptError::Workload`]. A unit times its list with
 /// [`StageCharacterizer::delay_trace_kept`], the loop the oracle
 /// [`crate::experiments::characterize_workload_on`] reaches through
 /// [`StageCharacterizer::delay_trace_into`], so the two agree bit for bit
 /// (property-tested in `tests/characterization_cache.rs`).
 ///
-/// The misses fan out as *unit* tasks, one (pair, interval, thread) gate
-/// simulation each, rather than one task per pair, for two reasons:
+/// The misses run on one pool pass: each benchmark's counting and
+/// sampling tasks, then the *unit* tasks, one (pair, interval, thread)
+/// gate simulation each, rather than one task per pair, for two reasons:
 ///
 /// 1. **quantization**: 9 multi-second pairs on 4 workers run as
 ///    ⌈9/4⌉ = 3 sequential rounds, capping the speed-up at 2.6× before any
 ///    other loss; the quick 3-benchmark corpus has 108 units;
-/// 2. **shared set-up**: each benchmark's two recording passes run once,
-///    in the first unit that needs them, so they overlap the gate
-///    simulation of benchmarks already recorded; STA runs once per stage
-///    with a miss, not once per pair.
+/// 2. **pipelining**: the units of interval i start as soon as the
+///    sampling run hands interval i on, while the kernels still record
+///    the intervals after it, so a one-pair call keeps every worker busy
+///    instead of waiting for two whole kernel runs. STA runs once per
+///    stage with a miss, not once per pair.
 ///
-/// Units are ordered interval-major, thread-middle, pair-minor, so the
-/// first claims cover every pair. Results are collected in unit order, so
-/// the output is bit-identical to a sequential run at any worker count,
-/// cache warm, cold or disabled.
+/// A task waits only on tasks before it (the sampling run on the counting
+/// run, a unit on the sampling run), and the pool claims tasks in order,
+/// so the pass cannot deadlock at any worker count; one worker runs them
+/// inline in order. A recording task that errs or panics first hands
+/// every interval it did not reach on as absent, so no waiter outlives
+/// it, and its error is returned or its panic resumed. Units are ordered
+/// interval-major, thread-middle, pair-minor, so the first claims cover
+/// every pair. Results are collected in task order, so the output is
+/// bit-identical to a sequential run at any worker count, cache warm,
+/// cold or disabled.
 ///
 /// # Errors
 ///
-/// Propagates characterization failures, the lowest-unit failure at any
+/// Propagates characterization failures, the lowest-task failure at any
 /// worker count; cache I/O failures are swallowed (they only cost a
 /// recompute).
 pub fn characterize_pairs(
@@ -1072,9 +1108,10 @@ pub fn characterize_pairs(
         .collect())
 }
 
-/// Characterizes `pairs` on one pool pass of (pair × interval × thread)
-/// unit tasks (see [`characterize_pairs`]). `built` holds the circuit of
-/// every stage probed; STA runs only on those of `pairs`.
+/// Characterizes `pairs` on one pool pass: each benchmark's counting and
+/// sampling tasks, then the (pair × interval × thread) unit tasks (see
+/// [`characterize_pairs`]). `built` holds the circuit of every stage
+/// probed; STA runs only on those of `pairs`.
 fn characterize_misses(
     pairs: &[(Benchmark, StageKind)],
     built: BTreeMap<StageKind, Box<dyn PipeStage>>,
@@ -1090,50 +1127,66 @@ fn characterize_misses(
             characs.insert(stage, charac);
         }
     }
-    let samples: BTreeMap<Benchmark, OnceLock<Result<SampledTrace, OptError>>> =
-        pairs.iter().map(|&(b, _)| (b, OnceLock::new())).collect();
-    let sample_of = |benchmark: Benchmark| -> Result<&SampledTrace, OptError> {
-        samples[&benchmark]
-            .get_or_init(|| {
-                let mut sets: Vec<OpSet> = pairs
-                    .iter()
-                    .filter(|&&(b, _)| b == benchmark)
-                    .map(|(_, stage)| characs[stage].stage().accepted_ops())
-                    .collect();
-                sets.sort_unstable();
-                sets.dedup();
-                time_phase(Phase::TraceBuild, || {
-                    sample_workload(benchmark, &sets, cfg).map_err(OptError::Workload)
-                })
-            })
-            .as_ref()
-            .map_err(Clone::clone)
-    };
-    // The unit list comes from the configured shape; a run of another
-    // shape (none today) finishes its remaining threads during assembly.
-    let (n_iv, n_th, n_pairs) = (cfg.workload.intervals, cfg.workload.threads, pairs.len());
-    let units: Vec<(usize, usize, usize)> = (0..n_iv)
-        .flat_map(|i| (0..n_th).flat_map(move |t| (0..n_pairs).map(move |p| (p, i, t))))
-        .collect();
-    let mut computed: Vec<Option<ThreadData>> = pool.try_map(&units, |_, &(p, i, t)| {
-        let (benchmark, stage) = pairs[p];
-        let Some(sample) = sample_of(benchmark)?.thread(i, t) else {
-            return Ok(None);
-        };
-        time_phase(Phase::GateSim, || {
-            characterize_sample(&characs[&stage], sample, cfg).map(Some)
+    let handed_on = cfg.workload.intervals.max(1);
+    let mut recordings: Vec<Recording> = Vec::new();
+    let recording_of: Vec<usize> = pairs
+        .iter()
+        .map(|&(benchmark, stage)| {
+            let r = match recordings.iter().position(|r| r.benchmark == benchmark) {
+                Some(r) => r,
+                None => {
+                    recordings.push(Recording::new(benchmark, handed_on));
+                    recordings.len() - 1
+                }
+            };
+            let ops = characs[&stage].stage().accepted_ops();
+            if !recordings[r].sets.contains(&ops) {
+                recordings[r].sets.push(ops);
+            }
+            r
         })
+        .collect();
+    // The unit list comes from the configured shape; a run of another
+    // shape (radix with no intervals configured hands one on) finishes
+    // its remaining threads during assembly.
+    let (n_iv, n_th, n_pairs) = (cfg.workload.intervals, cfg.workload.threads, pairs.len());
+    let tasks: Vec<Task> = (0..recordings.len())
+        .flat_map(|r| [Task::Count(r), Task::Sample(r)])
+        .chain((0..n_iv).flat_map(|i| {
+            (0..n_th).flat_map(move |t| (0..n_pairs).map(move |p| Task::Unit(p, i, t)))
+        }))
+        .collect();
+    let mut computed: Vec<Option<ThreadData>> = pool.try_map(&tasks, |_, &task| match task {
+        Task::Count(r) => {
+            recordings[r].count(&cfg.workload);
+            Ok(None)
+        }
+        Task::Sample(r) => {
+            recordings[r].sample(&cfg.workload, cfg.max_samples)?;
+            Ok(None)
+        }
+        Task::Unit(p, i, t) => {
+            let samples = recordings[recording_of[p]].sampled.wait(i)?;
+            let Some(sample) = samples.and_then(|samples| samples.get(t)) else {
+                return Ok(None);
+            };
+            time_phase(Phase::GateSim, || {
+                characterize_sample(&characs[&pairs[p].1], sample, cfg).map(Some)
+            })
+        }
     })?;
+    let units = &mut computed[2 * recordings.len()..];
     let mut out = Vec::with_capacity(n_pairs);
     for (p, &(benchmark, stage)) in pairs.iter().enumerate() {
         let charac = &characs[&stage];
-        let sampled = sample_of(benchmark)?;
-        let mut intervals = Vec::with_capacity(sampled.intervals.len());
-        for (i, interval) in sampled.intervals.iter().enumerate() {
-            let mut threads = Vec::with_capacity(interval.len());
-            for (t, sample) in interval.iter().enumerate() {
+        let sampled = &recordings[recording_of[p]].sampled;
+        let mut intervals = Vec::new();
+        while let Some(samples) = sampled.wait(intervals.len())? {
+            let i = intervals.len();
+            let mut threads = Vec::with_capacity(samples.len());
+            for (t, sample) in samples.iter().enumerate() {
                 let unit = (i < n_iv && t < n_th)
-                    .then(|| computed[(i * n_th + t) * n_pairs + p].take())
+                    .then(|| units[(i * n_th + t) * n_pairs + p].take())
                     .flatten();
                 threads.push(match unit {
                     Some(thread) => thread,
@@ -1154,29 +1207,173 @@ fn characterize_misses(
     Ok(out)
 }
 
-/// Runs `benchmark`'s kernel twice, keeping almost nothing: a counting
-/// run tallies each (interval, thread)'s ops by kind, and a sampling run
-/// keeps its memory references and, per accepted-op set in `sets`, only
-/// the events [`Sampling`] times for that set's count.
-fn sample_workload(
+/// One task of [`characterize_misses`]'s pool pass, in task order: the
+/// recording tasks of every benchmark, then the units, interval-major,
+/// thread-middle, pair-minor. A task waits only on tasks before it.
+#[derive(Debug, Clone, Copy)]
+enum Task {
+    /// The counting run of recording `r`.
+    Count(usize),
+    /// The sampling run of recording `r`.
+    Sample(usize),
+    /// The gate simulation of (pair, interval, thread).
+    Unit(usize, usize, usize),
+}
+
+/// The two kernel runs of one benchmark with a miss, and the hand-offs
+/// through which each passes its barrier intervals on as the kernel
+/// leaves them: the counting run to the sampling run, the sampling run
+/// to the units.
+struct Recording {
     benchmark: Benchmark,
-    sets: &[OpSet],
-    cfg: &HarnessConfig,
-) -> Result<SampledTrace, SampleMismatch> {
-    let counted = benchmark.sample(&cfg.workload, &SamplePlan::count_only())?;
-    let plan = SamplePlan::new(&counted, |tally| {
-        sets.iter()
-            .map(|&ops| {
-                let sampling = Sampling::new(tally.of(ops) as usize, cfg.max_samples);
-                Keep {
-                    ops,
-                    stride: sampling.stride(),
-                    count: sampling.kept(),
+    /// The distinct accepted-op sets of the call's stages of this
+    /// benchmark: stages that accept the same ops (SimpleALU and Decode)
+    /// share one kept list.
+    sets: Vec<OpSet>,
+    counted: HandOff<Vec<Tally>>,
+    sampled: HandOff<Vec<ThreadSample>>,
+}
+
+impl Recording {
+    fn new(benchmark: Benchmark, handed_on: usize) -> Recording {
+        Recording {
+            benchmark,
+            sets: Vec::new(),
+            counted: HandOff::new(handed_on),
+            sampled: HandOff::new(handed_on),
+        }
+    }
+
+    /// The counting task: tallies each (interval, thread)'s ops by kind,
+    /// handing each interval's tallies on as the kernel leaves it.
+    fn count(&self, workload: &WorkloadConfig) {
+        self.counted.record(|| {
+            time_phase(Phase::TraceBuild, || {
+                self.benchmark
+                    .count(workload, |i, tallies| self.counted.hand_on(i, Ok(tallies)));
+            });
+        });
+    }
+
+    /// The sampling task. As the kernel enters an interval it waits,
+    /// charged to no phase, for the counting run to hand that interval
+    /// on, and plans from its tallies: per thread and accepted-op set in
+    /// `sets`, the events [`Sampling`] times for that set's count. As the
+    /// kernel leaves the interval, the tallies it saw are checked against
+    /// the counted ones and the samples are handed on to the units.
+    ///
+    /// # Errors
+    ///
+    /// [`SampleMismatch`] if this run sees another number of intervals or
+    /// threads, or another tally, than the counting run: from that
+    /// interval on, every unit waiting on this run gets the error too.
+    fn sample(&self, workload: &WorkloadConfig, max_samples: usize) -> Result<(), SampleMismatch> {
+        let mismatch = SampleMismatch {
+            benchmark: self.benchmark,
+        };
+        self.sampled.record(|| {
+            let (mut failed, mut handed) = (false, 0);
+            time_phase_except(Phase::TraceBuild, |untimed| {
+                self.benchmark.sample(
+                    workload,
+                    |i| match untimed.run(|| self.counted.wait(i)) {
+                        Ok(Some(tallies)) => tallies
+                            .iter()
+                            .map(|tally| keeps(tally, &self.sets, max_samples))
+                            .collect(),
+                        _ => Vec::new(),
+                    },
+                    |i, samples| {
+                        handed = i + 1;
+                        let same = matches!(self.counted.wait(i), Ok(Some(counted))
+                            if counted.len() == samples.len()
+                                && counted.iter().zip(&samples).all(|(c, s)| c == s.tally()));
+                        failed |= !same;
+                        let interval = if failed {
+                            Err(mismatch.clone())
+                        } else {
+                            Ok(samples)
+                        };
+                        self.sampled.hand_on(i, interval);
+                    },
+                );
+            });
+            // The counting run must not have handed on more intervals.
+            failed |= matches!(self.counted.wait(handed), Ok(Some(_)));
+            if failed {
+                Err(mismatch)
+            } else {
+                Ok(())
+            }
+        })
+    }
+}
+
+/// What the sampling run keeps of a thread with `tally`: one [`Keep`] per
+/// accepted-op set, by the one sampling rule ([`Sampling`]).
+fn keeps(tally: &Tally, sets: &[OpSet], max_samples: usize) -> Vec<Keep> {
+    sets.iter()
+        .map(|&ops| {
+            let sampling = Sampling::new(tally.of(ops) as usize, max_samples);
+            Keep {
+                ops,
+                stride: sampling.stride(),
+                count: sampling.kept(),
+            }
+        })
+        .collect()
+}
+
+/// A recording task's hand-off to the tasks after it: one slot per
+/// barrier interval the run may hand on, set once, as the kernel leaves
+/// the interval. `Some` is the interval, `None` a run that ended without
+/// it, an error a run that saw other events than the run it was planned
+/// from.
+struct HandOff<T> {
+    slots: Vec<OnceLock<Result<Option<T>, SampleMismatch>>>,
+}
+
+impl<T> HandOff<T> {
+    fn new(intervals: usize) -> HandOff<T> {
+        HandOff {
+            slots: (0..intervals).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Blocks until the recording task has handed interval `i` on or
+    /// ended without it (`None`, also for an interval past the slots).
+    fn wait(&self, i: usize) -> Result<Option<&T>, SampleMismatch> {
+        match self.slots.get(i) {
+            Some(slot) => match slot.wait() {
+                Ok(interval) => Ok(interval.as_ref()),
+                Err(mismatch) => Err(mismatch.clone()),
+            },
+            None => Ok(None),
+        }
+    }
+
+    fn hand_on(&self, i: usize, interval: Result<T, SampleMismatch>) {
+        if let Some(slot) = self.slots.get(i) {
+            let _ = slot.set(interval.map(Some));
+        }
+    }
+
+    /// Runs the recording task `record`, then sets every slot it left
+    /// unset to `None`: when it returns, errs or unwinds, so no waiter
+    /// outlives it. A panic is then resumed by the pool, after every
+    /// other task has returned.
+    fn record<R>(&self, record: impl FnOnce() -> R) -> R {
+        struct Ended<'a, T>(&'a HandOff<T>);
+        impl<T> Drop for Ended<'_, T> {
+            fn drop(&mut self) {
+                for slot in &self.0.slots {
+                    let _ = slot.set(Ok(None));
                 }
-            })
-            .collect()
-    });
-    benchmark.sample(&cfg.workload, &plan)
+            }
+        }
+        let _ended = Ended(self);
+        record()
+    }
 }
 
 /// Runs and characterizes a benchmark on one stage through the cache:
@@ -1520,5 +1717,122 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.hits, stats.coalesced), (1, 1, 0));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Runs a recording's two tasks, then a waiter on each of its sampled
+    /// slots per thread, on one pool pass of `workers` in a thread of its
+    /// own. Returns what the pass returned, or the message it panicked
+    /// with; fails if the pass does not return, i.e. a waiter was
+    /// stranded.
+    fn pass_with_waiters(
+        workers: usize,
+        rec: Recording,
+        count: impl Fn(&Recording) + Send + Sync + 'static,
+        sample: impl Fn(&Recording) -> Result<(), SampleMismatch> + Send + Sync + 'static,
+    ) -> Result<Result<(), OptError>, String> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let pass = std::thread::spawn(move || {
+            let slots = rec.sampled.slots.len();
+            let tasks: Vec<usize> = (0..2 + 4 * slots).collect();
+            let pass = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ThreadPool::new(workers).try_map(&tasks, |_, &k| match k {
+                    0 => {
+                        count(&rec);
+                        Ok(())
+                    }
+                    1 => Ok(sample(&rec)?),
+                    k => Ok(rec.sampled.wait((k - 2) % slots).map(drop)?),
+                })
+            }));
+            let _ = tx.send(pass.map(|r| r.map(drop)).map_err(|panic| {
+                panic
+                    .downcast_ref::<&str>()
+                    .map(ToString::to_string)
+                    .unwrap_or_default()
+            }));
+        });
+        let returned = rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("every waiter returns: a failed recording must not strand one");
+        pass.join().expect("the pass's panic was caught");
+        returned
+    }
+
+    /// A recording task that hands interval 0 on, then panics.
+    fn panic_after_one<T>(hand_off: &HandOff<T>, first: T, message: &'static str) {
+        hand_off.record(|| {
+            hand_off.hand_on(0, Ok(first));
+            std::panic::panic_any(message);
+        });
+    }
+
+    #[test]
+    fn a_recording_that_sees_other_events_fails_the_call_and_strands_no_waiter() {
+        let cfg = WorkloadConfig::small(2);
+        let other = |change: fn(&mut WorkloadConfig)| {
+            let mut other = cfg.clone();
+            change(&mut other);
+            other
+        };
+        // (counting run, sampling run): other tallies from interval 0 on;
+        // a counting run that ends partway through the sampling run; a
+        // sampling run that ends partway through the counting run.
+        let cases = [
+            (other(|c| c.seed ^= 1), cfg.clone()),
+            (other(|c| c.intervals = 2), cfg.clone()),
+            (cfg.clone(), other(|c| c.intervals = 2)),
+        ];
+        for workers in [1, 2, 8] {
+            for (counting, sampling) in cases.clone() {
+                let err = pass_with_waiters(
+                    workers,
+                    Recording::new(Benchmark::Fmm, cfg.intervals),
+                    move |rec| rec.count(&counting),
+                    move |rec| rec.sample(&sampling, 8),
+                )
+                .expect("no panic")
+                .expect_err("the runs saw other events");
+                assert_eq!(
+                    err.to_string(),
+                    "workload layer: fmm: the sampling run counted other events than the \
+                     counting run",
+                    "{workers} workers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_recording_that_panics_resumes_its_panic_and_strands_no_waiter() {
+        let cfg = WorkloadConfig::small(2);
+        for workers in [1, 2, 8] {
+            let sampling = cfg.clone();
+            let panicked = pass_with_waiters(
+                workers,
+                Recording::new(Benchmark::Fmm, cfg.intervals),
+                |rec| panic_after_one(&rec.counted, vec![Tally::default(); 2], "counting panicked"),
+                move |rec| rec.sample(&sampling, 8),
+            );
+            assert_eq!(
+                panicked,
+                Err("counting panicked".to_string()),
+                "{workers} workers"
+            );
+            let counting = cfg.clone();
+            let panicked = pass_with_waiters(
+                workers,
+                Recording::new(Benchmark::Fmm, cfg.intervals),
+                move |rec| rec.count(&counting),
+                |rec| {
+                    panic_after_one(&rec.sampled, Vec::new(), "sampling panicked");
+                    Ok(())
+                },
+            );
+            assert_eq!(
+                panicked,
+                Err("sampling panicked".to_string()),
+                "{workers} workers"
+            );
+        }
     }
 }

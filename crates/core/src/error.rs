@@ -142,6 +142,12 @@ impl From<TimingError> for OptError {
     }
 }
 
+impl From<SampleMismatch> for OptError {
+    fn from(e: SampleMismatch) -> OptError {
+        OptError::Workload(e)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,13 +20,15 @@
 //! the overhead is unmeasurable next to what they time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The instrumented phases of a characterization build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Running instrumented workload kernels: the counting and sampling
-    /// runs of a cold characterization.
+    /// runs of a cold characterization. The time a sampling run spends
+    /// waiting for the counting run to hand it an interval is not kernel
+    /// time and is charged to no phase.
     TraceBuild,
     /// Building a stage netlist and running STA on it.
     StageBuild,
@@ -62,18 +64,41 @@ fn counter(phase: Phase) -> &'static AtomicU64 {
 /// against `workers × elapsed` shows how well that phase actually
 /// parallelized.
 pub fn time_phase<R>(phase: Phase, f: impl FnOnce() -> R) -> R {
+    time_phase_except(phase, |_| f())
+}
+
+/// [`time_phase`], less the time `f` spends in the sections it runs
+/// through [`Untimed::run`]: a task that blocks on another task's
+/// hand-off is charged for its own work only.
+pub(crate) fn time_phase_except<R>(phase: Phase, f: impl FnOnce(&mut Untimed) -> R) -> R {
     let start = Instant::now();
-    let result = f();
-    let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    let mut untimed = Untimed(Duration::ZERO);
+    let result = f(&mut untimed);
+    let charged = start.elapsed().saturating_sub(untimed.0);
+    let ns = u64::try_from(charged.as_nanos()).unwrap_or(u64::MAX);
     counter(phase).fetch_add(ns, Ordering::Relaxed);
     result
+}
+
+/// The time a [`time_phase_except`] region spent outside its phase.
+pub(crate) struct Untimed(Duration);
+
+impl Untimed {
+    /// Runs `f` (a wait) outside the enclosing phase.
+    pub(crate) fn run<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        let start = Instant::now();
+        let result = f();
+        self.0 += start.elapsed();
+        result
+    }
 }
 
 /// Process-wide per-phase wall-clock totals, in nanoseconds (monotonic
 /// snapshots; see the [module docs](self) for the snapshot/delta idiom).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhaseStats {
-    /// Workload kernel runs.
+    /// Workload kernel runs (kernel time; a sampling run's waits for
+    /// the counting run's hand-offs are not counted).
     pub trace_build_ns: u64,
     /// Stage netlist construction + STA.
     pub stage_build_ns: u64,
@@ -157,5 +182,16 @@ mod tests {
             delta.total_ns(),
             delta.rows().iter().map(|(_, ns)| ns).sum::<u64>()
         );
+    }
+
+    #[test]
+    fn untimed_sections_are_charged_to_no_phase() {
+        let before = PhaseStats::snapshot();
+        // Other tests of this binary may charge stage builds meanwhile,
+        // but not a whole nap's worth.
+        let nap = || std::thread::sleep(std::time::Duration::from_millis(200));
+        time_phase_except(Phase::StageBuild, |untimed| untimed.run(nap));
+        let charged = PhaseStats::snapshot().since(before).stage_build_ns;
+        assert!(charged < 200_000_000, "the nap was charged: {charged}ns");
     }
 }

@@ -23,7 +23,7 @@ use crate::experiments::BenchmarkData;
 use crate::model::{evaluate, Assignment, SystemConfig, ThreadProfile};
 use crate::parallel::{worker_count, ThreadPool};
 use crate::scenario::report::{Dataset, Record, Report, ReportCheck};
-use crate::scenario::spec::{IntervalSelection, ScenarioSpec};
+use crate::scenario::spec::{IntervalSelection, ScenarioSpec, ThetaSpec};
 use crate::solver::{Objective, SolveRequest, Solver};
 
 /// A configured scenario run: a spec plus the characterization cache it
@@ -68,10 +68,14 @@ impl Experiment {
     /// # Errors
     ///
     /// Characterization failures, unknown scheme keys (listing the
-    /// registered ones) and solver errors, as [`OptError`].
+    /// registered ones) and solver errors, as [`OptError`]. A spec that
+    /// names no schemes or has an explicit empty θ grid is refused
+    /// before anything is characterized.
     pub fn run(&self) -> Result<Report, OptError> {
-        // Resolve every named scheme first so a typo fails in
-        // microseconds, not after a full characterization run.
+        // Refuse what needs no data, and resolve every named scheme, first
+        // so a typo fails in microseconds, not after a full
+        // characterization run.
+        refuse_data_free(&self.spec)?;
         self.spec.solvers()?;
         let data = characterize_cached(
             self.spec.benchmark,
@@ -199,16 +203,32 @@ pub(crate) struct Grid {
     pub(crate) theta_grid: Vec<f64>,
 }
 
-/// Resolves `spec`'s θ grid over `data`. It also makes the refusals that
-/// need no solving, so [`Experiment::run_on`] and
-/// [`crate::scenario::ShardPlan::plan`] refuse alike, with the same
-/// messages: a spec that names no schemes, data of another
-/// benchmark/stage, a bad interval selection, an idle stage, and a θ
-/// grid that resolves empty.
-pub(crate) fn resolve_grid(spec: &ScenarioSpec, data: &BenchmarkData) -> Result<Grid, OptError> {
+/// The refusals that need no characterized data: a spec that names no
+/// schemes, and a θ spec that resolves empty whatever its center (an
+/// explicit empty grid). [`Experiment::run`] and
+/// [`crate::scenario::ShardPlan::plan_cached`] make them before they
+/// characterize, and [`resolve_grid`] makes them first, so every entry
+/// point refuses alike, with the same messages.
+pub(crate) fn refuse_data_free(spec: &ScenarioSpec) -> Result<(), OptError> {
     if spec.schemes.is_empty() {
         return Err(OptError::BadConfig("the spec names no schemes"));
     }
+    if matches!(&spec.thetas, ThetaSpec::Grid(thetas) if thetas.is_empty()) {
+        return Err(OptError::BadConfig(EMPTY_GRID));
+    }
+    Ok(())
+}
+
+const EMPTY_GRID: &str = "the spec resolves to an empty θ grid";
+
+/// Resolves `spec`'s θ grid over `data`. It also makes the refusals that
+/// need no solving, so [`Experiment::run_on`] and
+/// [`crate::scenario::ShardPlan::plan`] refuse alike, with the same
+/// messages: those of [`refuse_data_free`], data of another
+/// benchmark/stage, a bad interval selection, an idle stage, and a θ
+/// grid that resolves empty.
+pub(crate) fn resolve_grid(spec: &ScenarioSpec, data: &BenchmarkData) -> Result<Grid, OptError> {
+    refuse_data_free(spec)?;
     if data.benchmark != spec.benchmark || data.stage != spec.stage {
         return Err(OptError::BadConfig(
             "characterized data does not match the spec's benchmark/stage",
@@ -223,7 +243,7 @@ pub(crate) fn resolve_grid(spec: &ScenarioSpec, data: &BenchmarkData) -> Result<
     let theta_center = equal_weight_center(&cfg, &profile_sets)?;
     let theta_grid = spec.thetas.resolve(theta_center);
     if theta_grid.is_empty() {
-        return Err(OptError::BadConfig("the spec resolves to an empty θ grid"));
+        return Err(OptError::BadConfig(EMPTY_GRID));
     }
     Ok(Grid {
         cfg,

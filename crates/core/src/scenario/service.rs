@@ -57,7 +57,7 @@ use crate::error::OptError;
 use crate::experiments::BenchmarkData;
 use crate::parallel::{worker_count, ThreadPool};
 use crate::scenario::report::{Dataset, Report};
-use crate::scenario::runner::{dominance_checks, resolve_grid, Grid};
+use crate::scenario::runner::{dominance_checks, refuse_data_free, resolve_grid, Grid};
 use crate::scenario::spec::{ScenarioSpec, ThetaSpec};
 
 /// One independently runnable piece of a sharded scenario: the original
@@ -135,7 +135,9 @@ impl ShardPlan {
 
     /// Plans `spec` by characterizing its benchmark/stage first, through
     /// `cache` — the entry point the service uses on job submission. The
-    /// characterization this pays warms the cache the shards then hit.
+    /// characterization this pays warms the cache the shards then hit. A
+    /// spec [`ShardPlan::plan`] refuses whatever the data (no schemes, an
+    /// explicit empty θ grid) is refused before it characterizes.
     ///
     /// # Errors
     ///
@@ -146,6 +148,7 @@ impl ShardPlan {
         max_shards: usize,
         cache: &CharCache,
     ) -> Result<ShardPlan, OptError> {
+        refuse_data_free(spec)?;
         let data = characterize_cached(
             spec.benchmark,
             spec.stage,

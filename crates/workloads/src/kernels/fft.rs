@@ -9,10 +9,9 @@
 //! excluding FFT from the SynTS result set (Sec 5.4).
 
 use crate::kernels::{Source, SplitMix64, FRAC};
-use crate::recorder::Recorder;
 use crate::types::WorkloadConfig;
 
-pub(crate) fn fft(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
+pub(crate) fn fft(cfg: &WorkloadConfig, src: &mut Source) {
     let n = (cfg.scale * cfg.threads).next_power_of_two().max(16);
     let stages = n.trailing_zeros() as usize;
     let mask = (1u64 << cfg.width.min(16)) - 1;
@@ -44,9 +43,8 @@ pub(crate) fn fft(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
 
     // Group the log2(n) butterfly stages into the requested intervals.
     let stages_per_interval = stages.div_ceil(cfg.intervals);
-    let mut intervals = Vec::with_capacity(cfg.intervals);
     for interval in 0..cfg.intervals {
-        let mut recorders = src.interval(interval, cfg.threads);
+        let mut recorders = src.interval(cfg.threads);
         let s_lo = interval * stages_per_interval;
         let s_hi = ((interval + 1) * stages_per_interval).min(stages);
         for s in s_lo..s_hi {
@@ -84,9 +82,8 @@ pub(crate) fn fft(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
                 }
             }
         }
-        intervals.push(recorders);
+        src.hand_on(recorders);
     }
-    intervals
 }
 
 #[cfg(test)]

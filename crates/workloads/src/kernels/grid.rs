@@ -6,10 +6,9 @@
 //! values: the homogeneous control benchmark (Sec 5.4).
 
 use crate::kernels::{Source, SplitMix64};
-use crate::recorder::Recorder;
 use crate::types::WorkloadConfig;
 
-pub(crate) fn ocean(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
+pub(crate) fn ocean(cfg: &WorkloadConfig, src: &mut Source) {
     let cols = 64usize;
     let rows_per_thread = (cfg.scale / cols).max(4);
     let rows = rows_per_thread * cfg.threads + 2; // halo rows
@@ -27,9 +26,8 @@ pub(crate) fn ocean(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
         })
         .collect();
 
-    let mut intervals = Vec::with_capacity(cfg.intervals);
     for sweep in 0..cfg.intervals {
-        let mut recorders = src.interval(sweep, cfg.threads);
+        let mut recorders = src.interval(cfg.threads);
         // Red-black: phase parity alternates per sweep.
         for color in 0..2usize {
             let snapshot = grid.clone();
@@ -60,9 +58,8 @@ pub(crate) fn ocean(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
                 }
             }
         }
-        intervals.push(recorders);
+        src.hand_on(recorders);
     }
-    intervals
 }
 
 #[cfg(test)]

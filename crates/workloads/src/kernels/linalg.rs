@@ -11,7 +11,6 @@
 //! two LU variants exactly as SPLASH-2's two layouts do.
 
 use crate::kernels::{div_restoring, isqrt, spin_wait, Source, SplitMix64, FRAC};
-use crate::recorder::Recorder;
 use crate::types::WorkloadConfig;
 
 /// Problem size: matrix dimension derived from the scale knob.
@@ -49,14 +48,13 @@ fn column_owner(contiguous: bool, k: usize, n: usize, threads: usize) -> usize {
     }
 }
 
-pub(crate) fn lu(cfg: &WorkloadConfig, src: &Source, contiguous: bool) -> Vec<Vec<Recorder>> {
+pub(crate) fn lu(cfg: &WorkloadConfig, src: &mut Source, contiguous: bool) {
     let n = matrix_dim(cfg);
     let mut a = make_matrix(cfg, n, 0x4C55);
     let steps_per_interval = (n / cfg.intervals).clamp(1, 10);
 
-    let mut intervals = Vec::with_capacity(cfg.intervals);
     for interval in 0..cfg.intervals {
-        let mut recorders = src.interval(interval, cfg.threads);
+        let mut recorders = src.interval(cfg.threads);
         let k_lo = interval * steps_per_interval;
         let k_hi = ((interval + 1) * steps_per_interval).min(n.saturating_sub(1));
         for k in k_lo..k_hi {
@@ -97,12 +95,11 @@ pub(crate) fn lu(cfg: &WorkloadConfig, src: &Source, contiguous: bool) -> Vec<Ve
                 spin_wait(rec, 96, tid);
             }
         }
-        intervals.push(recorders);
+        src.hand_on(recorders);
     }
-    intervals
 }
 
-pub(crate) fn cholesky(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
+pub(crate) fn cholesky(cfg: &WorkloadConfig, src: &mut Source) {
     let n = matrix_dim(cfg);
     // Symmetric positive-definite-ish: diagonally dominant symmetric.
     let mut a = make_matrix(cfg, n, 0x4348);
@@ -115,9 +112,8 @@ pub(crate) fn cholesky(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>>
     }
     let steps_per_interval = (n / cfg.intervals).clamp(1, 10);
 
-    let mut intervals = Vec::with_capacity(cfg.intervals);
     for interval in 0..cfg.intervals {
-        let mut recorders = src.interval(interval, cfg.threads);
+        let mut recorders = src.interval(cfg.threads);
         let k_lo = interval * steps_per_interval;
         let k_hi = ((interval + 1) * steps_per_interval).min(n.saturating_sub(1));
         for k in k_lo..k_hi {
@@ -160,9 +156,8 @@ pub(crate) fn cholesky(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>>
                 spin_wait(rec, 96, tid);
             }
         }
-        intervals.push(recorders);
+        src.hand_on(recorders);
     }
-    intervals
 }
 
 #[cfg(test)]

@@ -13,42 +13,57 @@ pub(crate) mod render;
 pub(crate) mod sort;
 
 use crate::recorder::Recorder;
-use crate::types::{SamplePlan, WorkloadConfig};
+use crate::types::WorkloadConfig;
 
-/// Where a kernel run gets the recorder of each (interval, thread): the
-/// one place that decides what the run keeps. Without a plan every
-/// recorder keeps everything; with one, a recorder whose (interval,
-/// thread) has a plan entry samples by it, and any other only counts.
-pub(crate) struct Source<'p> {
+/// Where a kernel run gets the recorders of each barrier interval, and
+/// where it hands them back as it leaves the interval: the one place
+/// that decides what a run keeps and when it sees it. The first
+/// `cfg.intervals` intervals (at least one) are handed on. A kernel that
+/// records more (radix records every phase of every digit pass) gets
+/// counting recorders for the rest, which it hands back to no one.
+pub(crate) struct Source<'a> {
     width: usize,
-    plan: Option<&'p SamplePlan>,
+    handed_on: usize,
+    left: usize,
+    recorders: &'a mut dyn FnMut(usize, usize) -> Vec<Recorder>,
+    hand_on: &'a mut dyn FnMut(usize, Vec<Recorder>),
 }
 
-impl<'p> Source<'p> {
-    /// Recorders that keep everything.
-    pub(crate) fn full(width: usize) -> Source<'static> {
-        Source { width, plan: None }
-    }
-
-    /// Recorders that keep what `plan` asks for.
-    pub(crate) fn planned(width: usize, plan: &'p SamplePlan) -> Source<'p> {
+impl<'a> Source<'a> {
+    /// A source for a run of `cfg`: `recorders(interval, threads)` makes
+    /// the recorders of a handed-on interval as the kernel enters it, and
+    /// `hand_on(interval, recorders)` gets them back as it leaves.
+    pub(crate) fn new(
+        cfg: &WorkloadConfig,
+        recorders: &'a mut dyn FnMut(usize, usize) -> Vec<Recorder>,
+        hand_on: &'a mut dyn FnMut(usize, Vec<Recorder>),
+    ) -> Source<'a> {
         Source {
-            width,
-            plan: Some(plan),
+            width: cfg.width,
+            handed_on: cfg.intervals.max(1),
+            left: 0,
+            recorders,
+            hand_on,
         }
     }
 
-    /// The recorders of interval `interval`'s `threads` threads.
-    pub(crate) fn interval(&self, interval: usize, threads: usize) -> Vec<Recorder> {
-        (0..threads)
-            .map(|thread| match self.plan {
-                None => Recorder::new(self.width),
-                Some(plan) => match plan.keeps(interval, thread) {
-                    Some(keeps) => Recorder::sampling(self.width, keeps),
-                    None => Recorder::counting(self.width),
-                },
-            })
-            .collect()
+    /// The recorders of the next interval's `threads` threads.
+    pub(crate) fn interval(&mut self, threads: usize) -> Vec<Recorder> {
+        if self.left < self.handed_on {
+            (self.recorders)(self.left, threads)
+        } else {
+            (0..threads)
+                .map(|_| Recorder::counting(self.width))
+                .collect()
+        }
+    }
+
+    /// Takes back the recorders of the interval the kernel just left.
+    pub(crate) fn hand_on(&mut self, recorders: Vec<Recorder>) {
+        if self.left < self.handed_on {
+            (self.hand_on)(self.left, recorders);
+        }
+        self.left += 1;
     }
 }
 

@@ -82,7 +82,7 @@ fn drift(rec: &mut Recorder, ps: &mut [Particle]) {
     }
 }
 
-pub(crate) fn fmm(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
+pub(crate) fn fmm(cfg: &WorkloadConfig, src: &mut Source) {
     // Clustered input: thread 0's cell is densest and sits at large
     // coordinates; density tapers with thread id.
     let base_count = (cfg.scale / 16).max(8);
@@ -94,9 +94,8 @@ pub(crate) fn fmm(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
         })
         .collect();
     // Far-field centroids (one per cell).
-    let mut intervals = Vec::with_capacity(cfg.intervals);
-    for step in 0..cfg.intervals {
-        let mut recorders = src.interval(step, cfg.threads);
+    for _ in 0..cfg.intervals {
+        let mut recorders = src.interval(cfg.threads);
         // Centroids: each thread reduces its own cell (multipole moment).
         let mut centroids = Vec::with_capacity(cfg.threads);
         for (tid, cell) in cells.iter().enumerate() {
@@ -131,28 +130,25 @@ pub(crate) fn fmm(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
             }
             drift(rec, cell);
         }
-        intervals.push(recorders);
+        src.hand_on(recorders);
     }
-    intervals
 }
 
-pub(crate) fn water(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
+pub(crate) fn water(cfg: &WorkloadConfig, src: &mut Source) {
     // Uniform lattice, identical statistics for every thread.
     let count = (cfg.scale / 8).max(12);
     let mut cells: Vec<Vec<Particle>> = (0..cfg.threads)
         .map(|tid| particles(cfg, tid, count, 0x4000, 0x3FFF, 0x3A7))
         .collect();
-    let mut intervals = Vec::with_capacity(cfg.intervals);
-    for step in 0..cfg.intervals {
-        let mut recorders = src.interval(step, cfg.threads);
+    for _ in 0..cfg.intervals {
+        let mut recorders = src.interval(cfg.threads);
         for (tid, cell) in cells.iter_mut().enumerate() {
             let rec = &mut recorders[tid];
             near_field(rec, cell, 96 << FRAC);
             drift(rec, cell);
         }
-        intervals.push(recorders);
+        src.hand_on(recorders);
     }
-    intervals
 }
 
 /// A quadtree node for the Barnes-Hut walk.
@@ -252,7 +248,7 @@ fn rec_mask(f: u64, d: u64) -> u64 {
     (f.wrapping_mul(d)) & 0xF
 }
 
-pub(crate) fn barnes(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
+pub(crate) fn barnes(cfg: &WorkloadConfig, src: &mut Source) {
     // Thread 0 owns the dense cluster quadrant.
     let base_count = (cfg.scale / 12).max(8);
     let mut bodies: Vec<Vec<Particle>> = (0..cfg.threads)
@@ -262,8 +258,7 @@ pub(crate) fn barnes(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
             particles(cfg, tid, count, (tid as u64) * 0x4000, spread, 0xBA5)
         })
         .collect();
-    let mut intervals = Vec::with_capacity(cfg.intervals);
-    for step in 0..cfg.intervals {
+    for _ in 0..cfg.intervals {
         // Global tree over all bodies (built unrecorded: tree build is
         // pointer-chasing, not ALU work).
         let mut root = Quad::Empty;
@@ -272,7 +267,7 @@ pub(crate) fn barnes(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
                 insert(&mut root, p.x, p.y, 0, 0, 1 << cfg.width.min(16), 0);
             }
         }
-        let mut recorders = src.interval(step, cfg.threads);
+        let mut recorders = src.interval(cfg.threads);
         for (tid, cell) in bodies.iter_mut().enumerate() {
             let rec = &mut recorders[tid];
             for p in cell.iter_mut() {
@@ -284,9 +279,8 @@ pub(crate) fn barnes(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
             }
             drift(rec, cell);
         }
-        intervals.push(recorders);
+        src.hand_on(recorders);
     }
-    intervals
 }
 
 #[cfg(test)]

@@ -7,7 +7,6 @@
 //! scene-dependent load and operand imbalance of parallel ray tracing.
 
 use crate::kernels::{div_restoring, isqrt, Source, SplitMix64, FRAC};
-use crate::recorder::Recorder;
 use crate::types::WorkloadConfig;
 
 struct Sphere {
@@ -17,7 +16,7 @@ struct Sphere {
     r2: u64,
 }
 
-pub(crate) fn raytrace(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
+pub(crate) fn raytrace(cfg: &WorkloadConfig, src: &mut Source) {
     let cols = 48usize;
     let rows_per_thread = (cfg.scale / cols).max(4);
     let mut rng = SplitMix64::for_stream(cfg, 0, 0x7247);
@@ -31,11 +30,10 @@ pub(crate) fn raytrace(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>>
         })
         .collect();
 
-    let mut intervals = Vec::with_capacity(cfg.intervals);
     for frame in 0..cfg.intervals {
         // Small camera pan per frame keeps frames distinct.
         let pan = (frame as u64) * 37;
-        let mut recorders = src.interval(frame, cfg.threads);
+        let mut recorders = src.interval(cfg.threads);
         for (tid, rec) in recorders.iter_mut().enumerate() {
             let row0 = tid * rows_per_thread;
             for dy in 0..rows_per_thread {
@@ -71,9 +69,8 @@ pub(crate) fn raytrace(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>>
                 }
             }
         }
-        intervals.push(recorders);
+        src.hand_on(recorders);
     }
-    intervals
 }
 
 #[cfg(test)]

@@ -8,7 +8,6 @@
 //! global ranks over running totals while the other threads spin.
 
 use crate::kernels::{Source, SplitMix64};
-use crate::recorder::Recorder;
 use crate::types::WorkloadConfig;
 
 /// SPLASH-2's default radix is 1024 (10-bit digits): the global rank
@@ -16,13 +15,13 @@ use crate::types::WorkloadConfig;
 const DIGIT_BITS: u64 = 10;
 const BUCKETS: usize = 1 << DIGIT_BITS;
 
-pub(crate) fn radix(cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
-    radix_impl(cfg, src).0
+pub(crate) fn radix(cfg: &WorkloadConfig, src: &mut Source) {
+    radix_impl(cfg, src);
 }
 
 /// Implementation that also returns the final key array (used by tests to
 /// verify the sort really sorts).
-fn radix_impl(cfg: &WorkloadConfig, src: &Source) -> (Vec<Vec<Recorder>>, Vec<u64>) {
+fn radix_impl(cfg: &WorkloadConfig, src: &mut Source) -> Vec<u64> {
     let n_per = cfg.scale;
     let total = n_per * cfg.threads;
     // Skewed keys: squaring a uniform variable concentrates mass at small
@@ -40,14 +39,13 @@ fn radix_impl(cfg: &WorkloadConfig, src: &Source) -> (Vec<Vec<Recorder>>, Vec<u6
 
     // The sort completes in ceil(width / DIGIT_BITS) passes; each pass
     // contributes three barrier intervals (histogram, rank, permute), and
-    // like the paper ("3 barrier intervals, or completion") the returned
-    // trace is truncated to the requested interval count.
+    // like the paper ("3 barrier intervals, or completion") the source
+    // hands on only the requested interval count.
     let width = cfg.width.min(16) as u64;
     let passes = width.div_ceil(DIGIT_BITS) as usize;
-    let mut intervals = Vec::with_capacity(passes * 3);
     for pass in 0..passes {
         let shift = pass as u64 * DIGIT_BITS;
-        let mut recorders = src.interval(intervals.len(), cfg.threads);
+        let mut recorders = src.interval(cfg.threads);
 
         // Phase 1: local histograms (each thread scans its chunk).
         let mut local_hist = vec![[0u64; BUCKETS]; cfg.threads];
@@ -65,8 +63,8 @@ fn radix_impl(cfg: &WorkloadConfig, src: &Source) -> (Vec<Vec<Recorder>>, Vec<u6
                 rec.less_than((lo + i) as u64, (lo + n_per) as u64);
             }
         }
-        intervals.push(recorders);
-        let mut recorders = src.interval(intervals.len(), cfg.threads);
+        src.hand_on(recorders);
+        let mut recorders = src.interval(cfg.threads);
 
         // Phase 2: global rank. As in SPLASH-2's tree reduction, each
         // thread prefix-sums its *local* histogram (small counts), then
@@ -103,8 +101,8 @@ fn radix_impl(cfg: &WorkloadConfig, src: &Source) -> (Vec<Vec<Recorder>>, Vec<u6
         for (tid, rec) in recorders.iter_mut().enumerate().skip(1) {
             crate::kernels::spin_wait(rec, BUCKETS * 2, tid);
         }
-        intervals.push(recorders);
-        let mut recorders = src.interval(intervals.len(), cfg.threads);
+        src.hand_on(recorders);
+        let mut recorders = src.interval(cfg.threads);
 
         // Phase 3: permute into the destination (the redistribution).
         let mut next = vec![0u64; total];
@@ -123,15 +121,15 @@ fn radix_impl(cfg: &WorkloadConfig, src: &Source) -> (Vec<Vec<Recorder>>, Vec<u6
             }
         }
         keys = next;
-        intervals.push(recorders);
+        src.hand_on(recorders);
     }
-    intervals.truncate(cfg.intervals.max(1));
-    (intervals, keys)
+    keys
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::Recorder;
     use crate::types::Benchmark;
     use circuits::AluOp;
 
@@ -184,14 +182,23 @@ mod tests {
         // Enough LSD passes to cover the full 16-bit key width.
         let mut cfg = WorkloadConfig::small(4);
         cfg.intervals = 6; // both passes' phases
-        let (mut ivs, keys) = radix_impl(&cfg, &Source::full(cfg.width));
+        let keys = radix_impl(
+            &cfg,
+            &mut Source::new(
+                &cfg,
+                &mut |_, threads| {
+                    (0..threads)
+                        .map(|_| Recorder::counting(cfg.width))
+                        .collect()
+                },
+                &mut |_, _| (),
+            ),
+        );
         for w in keys.windows(2) {
             assert!(w[0] <= w[1], "keys must be sorted after all passes");
         }
-        let shr_count = ivs
-            .swap_remove(0)
-            .swap_remove(0)
-            .finish()
+        let shr_count = Benchmark::Radix.run(&cfg).intervals[0]
+            .thread(0)
             .events
             .iter()
             .filter(|e| e.op == AluOp::Shr)

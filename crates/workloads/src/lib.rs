@@ -20,11 +20,14 @@
 //!
 //! [`Benchmark::run`] keeps every event: the oracle trace. Cold
 //! characterization times only a sampled stream of each thread's events,
-//! so it runs a kernel twice and keeps almost nothing
-//! ([`Benchmark::sample`]): a counting run tallies each (interval,
-//! thread)'s ops by kind, and a sampling run, planned from those tallies
-//! ([`SamplePlan`]), keeps the memory references and only the events the
-//! plan's [`Keep`]s pick.
+//! so it runs a kernel twice and keeps almost nothing. A counting run
+//! ([`Benchmark::count`]) tallies each (interval, thread)'s ops by kind,
+//! and a sampling run ([`Benchmark::sample`]), planned from those
+//! tallies, keeps the memory references and only the events its
+//! [`Keep`]s pick. Both hand each barrier interval on as the kernel
+//! leaves it, so the sampling run can follow the counting run one
+//! interval behind, and whatever uses an interval can start before the
+//! kernel has finished the next one.
 //!
 //! ```
 //! use workloads::{Benchmark, WorkloadConfig};
@@ -41,10 +44,7 @@ mod recorder;
 mod types;
 
 pub use recorder::{Keep, MemRef, Recorder, Tally, ThreadSample, ThreadWork};
-pub use types::{
-    BarrierInterval, Benchmark, SampleMismatch, SamplePlan, SampledTrace, WorkloadConfig,
-    WorkloadTrace,
-};
+pub use types::{BarrierInterval, Benchmark, SampleMismatch, WorkloadConfig, WorkloadTrace};
 
 /// Version of the trace generators: `Benchmark::run` is a pure function
 /// of `(benchmark, WorkloadConfig, GENERATOR_VERSION)`. Persistent

@@ -86,8 +86,9 @@ impl Tally {
 /// numbered 0, 1, … in program order. With `stride` 1 the first `count`
 /// are kept (a chained walk); with an odd `stride` above 1, numbers
 /// `j·stride` and `j·stride + 1` for j = 0, 1, … until `count` are kept
-/// (seeded pairs). This is the shape of `timing::Sampling`: a plan built
-/// from it takes `stride` and `count` from its `stride()` and `kept()`.
+/// (seeded pairs). This is the shape of `timing::Sampling`: a `Keep`
+/// built from it takes `stride` and `count` from its `stride()` and
+/// `kept()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Keep {
     /// The operations whose events form the numbered stream.
@@ -154,9 +155,8 @@ impl Sampler {
     }
 }
 
-/// What a sampling run kept of one thread's barrier interval: the tally
-/// always; with a plan entry, also the memory references and one kept
-/// event list per accepted-op set.
+/// What a sampling run kept of one thread's barrier interval: the tally,
+/// the memory references and one kept event list per accepted-op set.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ThreadSample {
     tally: Tally,
@@ -171,14 +171,14 @@ impl ThreadSample {
         &self.tally
     }
 
-    /// Memory references in program order (empty without a plan entry).
+    /// Memory references in program order.
     #[must_use]
     pub fn mem_refs(&self) -> &[MemRef] {
         &self.mem_refs
     }
 
     /// The kept events of the accepted-op set `ops`, in program order
-    /// (empty if the plan kept none of that set).
+    /// (empty if the thread kept none of that set).
     #[must_use]
     pub fn kept(&self, ops: OpSet) -> &[AluEvent] {
         self.kept
@@ -199,12 +199,13 @@ impl ThreadSample {
 /// * [`Recorder::new`] keeps everything: every event, memory reference
 ///   and branch, the [`ThreadWork`] of [`crate::Benchmark::run`] (the
 ///   oracle trace).
-/// * A recorder of a sampling run ([`crate::Benchmark::sample`]) always
-///   keeps a [`Tally`]: per-opcode counts and the branch count. If the
-///   run's [`crate::SamplePlan`] has an entry for its (interval, thread),
-///   it also keeps the memory references and, for each accepted-op set,
-///   only the events the entry's [`Keep`] picks. Without an entry (radix
-///   records more intervals than it returns) it only counts.
+/// * A recorder of a [counting run](crate::Benchmark::count) keeps only
+///   a [`Tally`]: per-opcode counts and the branch count. So does every
+///   recorder of an interval a kernel records but no run hands on (radix
+///   records more intervals than it returns).
+/// * A recorder of a [sampling run](crate::Benchmark::sample) keeps its
+///   tally, its memory references and, for each accepted-op set, only
+///   the events its thread's [`Keep`] for that set picks.
 ///
 /// [`Recorder::event_count`] counts every event in every case.
 ///
@@ -272,6 +273,12 @@ impl Recorder {
     #[must_use]
     pub fn width(&self) -> usize {
         self.width
+    }
+
+    /// The per-opcode counts and branch count so far, whatever the
+    /// recorder keeps.
+    pub(crate) fn tally(&self) -> Tally {
+        self.tally
     }
 
     /// Number of events executed so far, whatever the recorder keeps.

@@ -105,60 +105,85 @@ impl Benchmark {
     /// Deterministic for a given config (including its seed).
     #[must_use]
     pub fn run(self, cfg: &WorkloadConfig) -> WorkloadTrace {
-        let intervals = self
-            .record(cfg, &Source::full(cfg.width))
-            .into_iter()
-            .map(|recorders| {
-                BarrierInterval::new(recorders.into_iter().map(Recorder::finish).collect())
-            })
-            .collect();
+        let mut intervals = Vec::new();
+        self.record(
+            cfg,
+            &mut |_, threads| (0..threads).map(|_| Recorder::new(cfg.width)).collect(),
+            &mut |_, recorders| {
+                intervals.push(BarrierInterval::new(
+                    recorders.into_iter().map(Recorder::finish).collect(),
+                ));
+            },
+        );
         WorkloadTrace {
             benchmark: self,
             intervals,
         }
     }
 
-    /// Runs the instrumented kernel keeping only what `plan` asks for.
-    /// Every thread keeps its [`Tally`] (op counts by kind and the branch
-    /// count); a thread with a plan entry also keeps its memory references
-    /// and the events each of the entry's [`Keep`]s picks, and nothing
-    /// else. [`SamplePlan::count_only`] makes a counting run, from whose
-    /// tallies [`SamplePlan::new`] plans the sampling run.
+    /// The counting run: runs the instrumented kernel keeping only each
+    /// thread's [`Tally`] (op counts by kind and the branch count), and
+    /// calls `each(interval, tallies)`, one tally per thread, as the
+    /// kernel leaves each barrier interval [`Benchmark::run`] returns.
+    pub fn count(self, cfg: &WorkloadConfig, mut each: impl FnMut(usize, Vec<Tally>)) {
+        self.record(
+            cfg,
+            &mut |_, threads| {
+                (0..threads)
+                    .map(|_| Recorder::counting(cfg.width))
+                    .collect()
+            },
+            &mut |interval, recorders| {
+                each(interval, recorders.iter().map(Recorder::tally).collect())
+            },
+        );
+    }
+
+    /// The sampling run: runs the instrumented kernel keeping almost
+    /// nothing, one barrier interval at a time. As the kernel enters
+    /// interval `i`, `keeps(i)` returns one list of [`Keep`]s per thread;
+    /// each thread keeps its tally, its memory references and the events
+    /// its `Keep`s pick (none past the end of the list). As the kernel
+    /// leaves the interval, `each(i, samples)` gets what each thread kept.
+    /// Intervals [`Benchmark::run`] does not return reach neither.
     ///
-    /// The kernel computes exactly what [`Benchmark::run`] computes, so a
-    /// sampling run's kept events are the events the oracle trace holds
-    /// at the same positions.
-    ///
-    /// # Errors
-    ///
-    /// [`SampleMismatch`] if the run's shape or a planned thread's tally
-    /// differs from the counting run's the plan was built from.
+    /// `keeps` may block: a caller that plans an interval from a
+    /// [counting run](Benchmark::count)'s tallies can run the two
+    /// concurrently, each handing an interval on as soon as it leaves it.
+    /// The kernel computes exactly what [`Benchmark::run`] computes, so
+    /// the kept events are the events the oracle trace holds at the same
+    /// positions, and a run's tallies equal the counting run's.
     pub fn sample(
         self,
         cfg: &WorkloadConfig,
-        plan: &SamplePlan,
-    ) -> Result<SampledTrace, SampleMismatch> {
-        let intervals: Vec<Vec<ThreadSample>> = self
-            .record(cfg, &Source::planned(cfg.width, plan))
-            .into_iter()
-            .map(|recorders| recorders.into_iter().map(Recorder::finish_sample).collect())
-            .collect();
-        let tallies: Vec<Vec<Tally>> = intervals
-            .iter()
-            .map(|threads| threads.iter().map(|t| *t.tally()).collect())
-            .collect();
-        if !plan.keeps.is_empty() && tallies != plan.tallies {
-            return Err(SampleMismatch { benchmark: self });
-        }
-        Ok(SampledTrace {
-            benchmark: self,
-            intervals,
-        })
+        mut keeps: impl FnMut(usize) -> Vec<Vec<Keep>>,
+        mut each: impl FnMut(usize, Vec<ThreadSample>),
+    ) {
+        self.record(
+            cfg,
+            &mut |interval, threads| {
+                let keeps = keeps(interval);
+                (0..threads)
+                    .map(|t| Recorder::sampling(cfg.width, keeps.get(t).map_or(&[], Vec::as_slice)))
+                    .collect()
+            },
+            &mut |interval, recorders| {
+                each(
+                    interval,
+                    recorders.into_iter().map(Recorder::finish_sample).collect(),
+                );
+            },
+        );
     }
 
-    /// Runs the kernel with recorders from `src`, one per (interval,
-    /// thread).
-    fn record(self, cfg: &WorkloadConfig, src: &Source) -> Vec<Vec<Recorder>> {
+    /// Runs the kernel through a [`Source`] of `recorders` and `hand_on`.
+    fn record(
+        self,
+        cfg: &WorkloadConfig,
+        recorders: &mut dyn FnMut(usize, usize) -> Vec<Recorder>,
+        hand_on: &mut dyn FnMut(usize, Vec<Recorder>),
+    ) {
+        let src = &mut Source::new(cfg, recorders, hand_on);
         match self {
             Benchmark::Fmm => kernels::nbody::fmm(cfg, src),
             Benchmark::Radix => kernels::sort::radix(cfg, src),
@@ -288,73 +313,9 @@ impl WorkloadTrace {
     }
 }
 
-/// What a sampling run keeps, per (interval, thread): see
-/// [`Benchmark::sample`]. The plan of a counting run is empty; the plan of
-/// a sampling run is built from a counting run's tallies, which it also
-/// holds so the sampling run can check that it saw the same events.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SamplePlan {
-    /// Per interval, per thread: the counting run's tally.
-    tallies: Vec<Vec<Tally>>,
-    /// Per interval, per thread: the [`Keep`]s of the sampling run.
-    keeps: Vec<Vec<Vec<Keep>>>,
-}
-
-impl SamplePlan {
-    /// The plan of a counting run: no entries, so every recorder keeps
-    /// only its tally.
-    #[must_use]
-    pub fn count_only() -> SamplePlan {
-        SamplePlan::default()
-    }
-
-    /// Plans a sampling run from `counted`, a counting run of the same
-    /// benchmark and config: every (interval, thread) of `counted` gets an
-    /// entry keeping what `keeps` returns for its tally, one [`Keep`] per
-    /// accepted-op set (so stages that accept the same operations share
-    /// one kept list).
-    #[must_use]
-    pub fn new(counted: &SampledTrace, mut keeps: impl FnMut(&Tally) -> Vec<Keep>) -> SamplePlan {
-        let tallies: Vec<Vec<Tally>> = counted
-            .intervals
-            .iter()
-            .map(|threads| threads.iter().map(|t| *t.tally()).collect())
-            .collect();
-        let keeps = tallies
-            .iter()
-            .map(|threads| threads.iter().map(&mut keeps).collect())
-            .collect();
-        SamplePlan { tallies, keeps }
-    }
-
-    /// The [`Keep`]s of (interval, thread), if the plan has an entry for
-    /// it.
-    pub(crate) fn keeps(&self, interval: usize, thread: usize) -> Option<&[Keep]> {
-        self.keeps.get(interval)?.get(thread).map(Vec::as_slice)
-    }
-}
-
-/// A sampling run ([`Benchmark::sample`]): the benchmark and, per barrier
-/// interval, what each thread's recorder kept.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SampledTrace {
-    /// Which benchmark produced this run.
-    pub benchmark: Benchmark,
-    /// Per barrier interval, in execution order, one sample per thread.
-    pub intervals: Vec<Vec<ThreadSample>>,
-}
-
-impl SampledTrace {
-    /// What `thread` kept in `interval`, if the run has that pair.
-    #[must_use]
-    pub fn thread(&self, interval: usize, thread: usize) -> Option<&ThreadSample> {
-        self.intervals.get(interval)?.get(thread)
-    }
-}
-
-/// A sampling run that did not see what the counting run its plan was
-/// built from saw: another number of intervals or threads, or another
-/// tally.
+/// A [sampling run](Benchmark::sample) that did not see what the
+/// [counting run](Benchmark::count) it was planned from saw: another
+/// number of intervals or threads, or another tally.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SampleMismatch {
     /// The benchmark whose runs differ.
@@ -390,48 +351,50 @@ mod tests {
     }
 
     #[test]
-    fn a_sampling_run_that_sees_other_events_is_an_error() {
-        let cfg = WorkloadConfig::small(2);
-        let mut other_seed = cfg.clone();
-        other_seed.seed ^= 1;
-        let mut fewer_intervals = cfg.clone();
-        fewer_intervals.intervals = 2;
-        for other in [other_seed, fewer_intervals] {
-            let counted = Benchmark::Fmm
-                .sample(&other, &SamplePlan::count_only())
-                .expect("a counting run checks nothing");
-            let plan = SamplePlan::new(&counted, |_| Vec::new());
-            let err = Benchmark::Fmm
-                .sample(&cfg, &plan)
-                .expect_err("other events");
-            assert_eq!(
-                err.to_string(),
-                "fmm: the sampling run counted other events than the counting run"
-            );
-        }
-    }
-
-    #[test]
-    fn a_sampling_run_counts_what_the_full_run_records() {
-        let cfg = WorkloadConfig::small(3);
+    fn streamed_runs_count_and_keep_what_the_full_run_records() {
+        let mut cfg = WorkloadConfig::small(3);
         for bench in Benchmark::ALL {
+            // Radix records more intervals than it hands on.
+            cfg.intervals = if bench == Benchmark::Radix { 2 } else { 3 };
             let full = bench.run(&cfg);
-            let counted = bench
-                .sample(&cfg, &SamplePlan::count_only())
-                .expect("a counting run checks nothing");
-            assert_eq!(counted.intervals.len(), full.intervals.len(), "{bench}");
-            for (threads, interval) in counted.intervals.iter().zip(&full.intervals) {
-                for (sample, work) in threads.iter().zip(interval) {
+            let mut counted = Vec::new();
+            bench.count(&cfg, |i, tallies| {
+                assert_eq!(i, counted.len(), "{bench}: intervals in order");
+                counted.push(tallies);
+            });
+            assert_eq!(counted.len(), full.intervals.len(), "{bench}");
+            for (tallies, interval) in counted.iter().zip(&full.intervals) {
+                let expect: Vec<Tally> = interval.iter().map(ThreadWork::tally).collect();
+                assert_eq!(tallies, &expect, "{bench}");
+            }
+            let all = circuits::OpSet::from_fn(|_| true);
+            let (mut entered, mut sampled) = (0, Vec::new());
+            bench.sample(
+                &cfg,
+                |i| {
+                    assert_eq!(i, entered, "{bench}: planned as it enters");
+                    entered += 1;
+                    vec![vec![Keep {
+                        ops: all,
+                        stride: 1,
+                        count: 5,
+                    }]]
+                },
+                |_, samples| sampled.push(samples),
+            );
+            assert_eq!(
+                (entered, sampled.len()),
+                (full.intervals.len(), entered),
+                "{bench}"
+            );
+            for (samples, interval) in sampled.iter().zip(&full.intervals) {
+                for (t, (sample, work)) in samples.iter().zip(interval).enumerate() {
                     assert_eq!(*sample.tally(), work.tally(), "{bench}");
+                    assert_eq!(sample.mem_refs(), work.mem_refs.as_slice(), "{bench}");
+                    let events = if t == 0 { work.events.len().min(5) } else { 0 };
+                    assert_eq!(sample.kept(all), &work.events[..events], "{bench}");
                 }
             }
-            let plan = SamplePlan::new(&counted, |_| Vec::new());
-            let sampled = bench.sample(&cfg, &plan).expect("same events");
-            let refs = |i: usize, t: usize| sampled.thread(i, t).map(ThreadSample::mem_refs);
-            assert_eq!(
-                refs(0, 0),
-                Some(full.intervals[0].thread(0).mem_refs.as_slice())
-            );
         }
     }
 

@@ -9,10 +9,11 @@
 //!   name a trace by its recipe, so a generator change must bump
 //!   `workloads::GENERATOR_VERSION`);
 //! * the scheduler's two recording passes (count, then keep only the
-//!   sampled events) characterize bit-identically to the oracle
+//!   sampled events, each handing its barrier intervals on as it leaves
+//!   them) characterize bit-identically to the oracle
 //!   `characterize_workload_on` over `Benchmark::run`'s full trace, for
 //!   every benchmark, stage, width and sampling cap, one stage or many
-//!   per call;
+//!   and one benchmark or several per call, at 1, 2, 3 and 8 workers;
 //! * the zero-alloc batched `delay_trace_into` entry point reproduces
 //!   `delay_trace_sampled` exactly, including across buffer reuse;
 //! * `guard_band` is worker-count-invariant.
@@ -23,7 +24,6 @@ use proptest::prelude::*;
 use synts::core_api::characterize_pairs;
 use synts::core_api::experiments::characterize_workload_on;
 use synts::prelude::*;
-use synts::workloads::SamplePlan;
 use synts_bench::corpus::{Corpus, Effort};
 
 const BENCHES: [Benchmark; 3] = [Benchmark::Radix, Benchmark::Cholesky, Benchmark::Fmm];
@@ -63,21 +63,40 @@ fn harness(width: usize, max_samples: usize) -> HarnessConfig {
     cfg
 }
 
-/// One `characterize_pairs` call over `stages` of `bench` (uncached, so
-/// every pair takes the two recording passes) equals the oracle, pair by
-/// pair: `characterize_workload_on` over the full trace.
+/// One `characterize_pairs` call over `pairs` (uncached, so every pair
+/// takes the two recording passes) equals the oracle, pair by pair:
+/// `characterize_workload_on` over the full trace. The call runs at 1, 2,
+/// 3 and 8 workers: one runs the tasks inline in order, and the others
+/// interleave the recording runs' per-interval hand-offs with the units
+/// differently.
+fn assert_pipeline_matches_the_oracle(pairs: &[(Benchmark, StageKind)], cfg: &HarnessConfig) {
+    let mut traces = std::collections::BTreeMap::new();
+    let oracle: Vec<BenchmarkData> = pairs
+        .iter()
+        .map(|&(bench, stage)| {
+            let trace = traces
+                .entry(bench)
+                .or_insert_with(|| bench.run(&cfg.workload));
+            let charac =
+                synts::timing::StageCharacterizer::new(stage, cfg.workload.width).expect("stage");
+            characterize_workload_on(&charac, trace, cfg, ThreadPool::sequential()).expect("oracle")
+        })
+        .collect();
+    for workers in [1, 2, 3, 8] {
+        let sampled =
+            characterize_pairs(pairs, cfg, &CharCache::disabled(), ThreadPool::new(workers))
+                .expect("two passes");
+        assert_eq!(sampled.len(), pairs.len());
+        for (oracle, data) in oracle.iter().zip(&sampled) {
+            assert_bit_identical(oracle, data);
+        }
+    }
+}
+
+/// [`assert_pipeline_matches_the_oracle`] over `stages` of one benchmark.
 fn assert_two_passes_match_the_oracle(bench: Benchmark, stages: &[StageKind], cfg: &HarnessConfig) {
     let pairs: Vec<(Benchmark, StageKind)> = stages.iter().map(|&s| (bench, s)).collect();
-    let sampled = characterize_pairs(&pairs, cfg, &CharCache::disabled(), ThreadPool::new(2))
-        .expect("two passes");
-    let trace = bench.run(&cfg.workload);
-    for (&stage, data) in stages.iter().zip(&sampled) {
-        let charac =
-            synts::timing::StageCharacterizer::new(stage, cfg.workload.width).expect("stage");
-        let oracle = characterize_workload_on(&charac, &trace, cfg, ThreadPool::sequential())
-            .expect("oracle");
-        assert_bit_identical(&oracle, data);
-    }
+    assert_pipeline_matches_the_oracle(&pairs, cfg);
 }
 
 /// Every benchmark (radix's dropped intervals and the linear-algebra
@@ -91,6 +110,21 @@ fn two_passes_equal_the_oracle_on_every_benchmark() {
         let max_samples = [1, 2, 3, 400, usize::MAX][k % 5];
         assert_two_passes_match_the_oracle(bench, &StageKind::ALL, &harness(width, max_samples));
     }
+}
+
+/// Several benchmarks in one call, so one benchmark's recording runs
+/// overlap another's units: fmm, radix (which records more intervals than
+/// it hands on) and cholesky, on stages with different accepted-op sets.
+#[test]
+fn two_passes_equal_the_oracle_with_several_benchmarks_per_call() {
+    let pairs = [
+        (Benchmark::Fmm, StageKind::ComplexAlu),
+        (Benchmark::Radix, StageKind::SimpleAlu),
+        (Benchmark::Cholesky, StageKind::Decode),
+        (Benchmark::Fmm, StageKind::SimpleAlu),
+        (Benchmark::Cholesky, StageKind::ComplexAlu),
+    ];
+    assert_pipeline_matches_the_oracle(&pairs, &HarnessConfig::quick());
 }
 
 /// A paper-quality spot check: two stages with different accepted-op
@@ -125,11 +159,11 @@ proptest! {
             .map(|(_, s)| s)
             .collect();
         let mut cfg = harness([8, 16, 32][width_idx], 400);
-        let counted = bench.sample(&cfg.workload, &SamplePlan::count_only()).expect("counts");
         let ops = synts::circuits::build_stage(stages[0], cfg.workload.width)
             .expect("stage")
             .accepted_ops();
-        let half = counted.thread(0, 0).map_or(0, |t| t.tally().of(ops) as usize) / 2;
+        let trace = bench.run(&cfg.workload);
+        let half = trace.intervals.first().map_or(0, |iv| iv.thread(0).tally().of(ops) as usize) / 2;
         cfg.max_samples = [
             1, 2, 3,
             half.saturating_sub(2), half.saturating_sub(1), half, half + 1,

@@ -112,6 +112,55 @@ fn an_empty_theta_grid_is_refused_by_runner_and_planner_alike() {
     }
 }
 
+/// The refusals that need no data come before any characterization: a
+/// spec built in code with no schemes, or with an explicit empty θ grid,
+/// is refused by `Experiment::run` and `ShardPlan::plan_cached` alike
+/// with the planner's message, without a cache lookup or an entry
+/// written. Before, the paper `fig-6-16` spec with no schemes was refused
+/// only after a full cold characterization (0.35 s) had stored its entry.
+#[test]
+fn data_free_refusals_come_before_characterizing() {
+    let src = fs::read_to_string(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("crates/bench/specs/fig-6-16.json"),
+    )
+    .expect("committed spec");
+    let paper = ScenarioSpec::from_json_str(&src).expect("parses");
+    let cases = [
+        (
+            paper.clone().schemes(Vec::<String>::new()),
+            "bad system config: the spec names no schemes",
+        ),
+        (
+            paper.thetas(ThetaSpec::Grid(vec![])),
+            "bad system config: the spec resolves to an empty θ grid",
+        ),
+    ];
+    for (k, (spec, message)) in cases.into_iter().enumerate() {
+        let dir = std::env::temp_dir().join(format!(
+            "synts-data-free-refusal-{k}-{}",
+            std::process::id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        let cache = CharCache::at_dir(&dir);
+        let run = Experiment::new(spec.clone())
+            .with_cache(cache.clone())
+            .run()
+            .expect_err("refused");
+        let plan = ShardPlan::plan_cached(&spec, 4, &cache).expect_err("refused");
+        for err in [run, plan] {
+            assert_eq!(err.to_string(), message);
+        }
+        assert_eq!(cache.stats().lookups(), 0, "{message}: no lookup");
+        let entries = fs::read_dir(&dir).map_or(0, |d| {
+            d.filter_map(Result::ok)
+                .filter(|e| e.path().extension().is_some_and(|x| x == "char"))
+                .count()
+        });
+        assert_eq!(entries, 0, "{message}: no entry written");
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn equal_weight_record_matches_the_direct_solver_api() {
     let data = quick_data(Benchmark::Cholesky, StageKind::SimpleAlu);
