@@ -20,7 +20,9 @@
 //! * the header is verified before the body is parsed: a wrong magic, a
 //!   key that differs structurally (a hash collision) or a body that
 //!   fails its checksum reads as a miss, so a damaged local file or a
-//!   corrupt remote payload recomputes instead of being served;
+//!   corrupt remote payload recomputes instead of being served. So does
+//!   a checksum-valid body holding a number the cold path never writes
+//!   (NaN, an infinity, a negative value or −0.0);
 //! * writes go through a temp file + rename ([`write_via_temp`]), and any
 //!   I/O failure only costs a recompute (never an error);
 //! * every [`CharCache`] counts its own lookups ([`CharCache::stats`],
@@ -185,11 +187,7 @@ pub trait RemoteCacheTier: Send + Sync + std::fmt::Debug {
 #[must_use]
 pub fn valid_entry_name(name: &str) -> bool {
     name.strip_suffix(ENTRY_SUFFIX)
-        .is_some_and(|stem| stem.len() == 16 && stem.bytes().all(is_lower_hex))
-}
-
-fn is_lower_hex(b: u8) -> bool {
-    b.is_ascii_digit() || (b'a'..=b'f').contains(&b)
+        .is_some_and(|stem| hex16(stem.as_bytes()).is_some())
 }
 
 /// Configuration of the on-disk characterization cache.
@@ -410,13 +408,22 @@ impl CacheEntry {
     /// entry counts a `remote_hit` and is replicated into the local
     /// directory. Anything else (absent, damaged, key-mismatched, or a
     /// disabled cache) is a miss. The disabled cache skips the counters.
+    ///
+    /// The entry is decoded as [`characterize_pairs`] decodes a one-pair
+    /// call's entry, each thread's delays on a pool, here
+    /// [`ThreadPool::from_env`].
     #[must_use]
     pub fn load(&self) -> Option<BenchmarkData> {
+        self.load_on(ThreadPool::from_env())
+    }
+
+    /// [`CacheEntry::load`], decoding on `pool`.
+    fn load_on(&self, pool: ThreadPool) -> Option<BenchmarkData> {
         let slot = self.slot.as_ref()?;
         // An injected read fault turns this probe into a miss — the exact
         // behaviour of a damaged entry on disk.
         if !self.faulted(site::CACHE_READ, &slot.name) {
-            if let Some(data) = self.load_local(slot) {
+            if let Some(data) = self.load_local(slot, pool) {
                 return Some(data);
             }
             // An injected cache.remote fault models an unreachable tier:
@@ -427,9 +434,9 @@ impl CacheEntry {
                 .filter(|_| !self.faulted(site::CACHE_REMOTE, &slot.name))
             {
                 if let RemoteFetch::Hit(text) = remote.fetch(&slot.name) {
-                    if let Some(data) =
-                        time_phase(Phase::CacheLookup, || decode_entry(&text, &slot.key))
-                    {
+                    if let Some(data) = time_phase(Phase::CacheLookup, || {
+                        decode_entry(text.as_bytes(), &slot.key, pool)
+                    }) {
                         self.counters.count(Count::RemoteHit);
                         // Replicate locally (best-effort) so the next
                         // probe on this machine is a plain local hit.
@@ -446,10 +453,9 @@ impl CacheEntry {
     }
 
     /// Reads and verifies the local entry, counting a hit when it serves.
-    fn load_local(&self, slot: &Slot) -> Option<BenchmarkData> {
+    fn load_local(&self, slot: &Slot, pool: ThreadPool) -> Option<BenchmarkData> {
         let data = time_phase(Phase::CacheLookup, || {
-            let text = std::fs::read_to_string(&slot.path).ok()?;
-            decode_entry(&text, &slot.key)
+            decode_entry(&std::fs::read(&slot.path).ok()?, &slot.key, pool)
         })?;
         self.counters.count(Count::Hit);
         Some(data)
@@ -459,9 +465,9 @@ impl CacheEntry {
     /// back to `load` on `None`: a verified local entry counts a hit, and
     /// anything else counts nothing. A fault-armed entry always returns
     /// `None`, so fault decisions are drawn by `load` alone.
-    fn probe_local(&self) -> Option<BenchmarkData> {
+    fn probe_local(&self, pool: ThreadPool) -> Option<BenchmarkData> {
         let slot = self.slot.as_ref().filter(|_| self.faults.is_none())?;
-        self.load_local(slot)
+        self.load_local(slot, pool)
     }
 
     /// Persists freshly computed data into the slot (best-effort, like
@@ -680,7 +686,7 @@ impl CacheKey {
             value("stage").and_then(|v| StageKind::ALL.into_iter().find(|s| s.name() == v))?;
         let mut values = [0; KEY_FIELDS.len()];
         for (slot, name) in values.iter_mut().zip(KEY_FIELDS) {
-            *slot = value(name).and_then(parse_hex)?;
+            *slot = value(name).and_then(|v| parse_hex(v.as_bytes()))?;
         }
         fields.next().is_none().then_some(CacheKey {
             benchmark,
@@ -699,11 +705,9 @@ impl CacheKey {
 }
 
 /// Parses what `{:x}` writes: lowercase hex digits without leading zeros.
-fn parse_hex(digits: &str) -> Option<u64> {
-    let canonical = (digits == "0" || !digits.starts_with('0')) && digits.bytes().all(is_lower_hex);
-    canonical
-        .then(|| u64::from_str_radix(digits, 16).ok())
-        .flatten()
+fn parse_hex(digits: &[u8]) -> Option<u64> {
+    let canonical = digits == b"0" || (1..=16).contains(&digits.len()) && digits[0] != b'0';
+    canonical.then(|| hex_digits(digits)).flatten()
 }
 
 /// Appends `x` as exactly 16 lowercase hex digits, a byte (two digits)
@@ -726,19 +730,51 @@ fn push_hex16(out: &mut String, x: u64) {
     out.push_str(std::str::from_utf8(&hex).expect("hex digits are ASCII"));
 }
 
-/// Reads exactly 16 lowercase hex digits.
-fn hex16(digits: &[u8]) -> Option<u64> {
-    if digits.len() != 16 {
+/// The value of every lowercase hex digit, and [`NOT_HEX`] for every
+/// other byte.
+const DIGITS: [u8; 256] = {
+    let mut digits = [NOT_HEX; 256];
+    let mut d = 0;
+    while d < 16 {
+        digits[b"0123456789abcdef"[d] as usize] = d as u8;
+        d += 1;
+    }
+    digits
+};
+
+/// The bit [`DIGITS`] sets for a byte that is not a lowercase hex digit,
+/// and no digit's value has.
+const NOT_HEX: u8 = 0x10;
+
+/// Reads up to 16 lowercase hex digits (none reads 0): one table lookup
+/// per byte, with the lookups OR-ed so that one test refuses any other
+/// byte.
+fn hex_digits(digits: &[u8]) -> Option<u64> {
+    if digits.len() > 16 {
         return None;
     }
-    digits.iter().try_fold(0, |acc: u64, &b| {
-        let digit = match b {
-            b'0'..=b'9' => b - b'0',
-            b'a'..=b'f' => b - b'a' + 10,
-            _ => return None,
-        };
-        Some(acc << 4 | u64::from(digit))
-    })
+    let (mut x, mut seen) = (0u64, 0u8);
+    for &b in digits {
+        let digit = DIGITS[usize::from(b)];
+        seen |= digit;
+        x = x << 4 | u64::from(digit);
+    }
+    (seen & NOT_HEX == 0).then_some(x)
+}
+
+/// Reads exactly 16 lowercase hex digits.
+fn hex16(digits: &[u8]) -> Option<u64> {
+    let digits: &[u8; 16] = digits.try_into().ok()?;
+    hex_digits(digits)
+}
+
+/// The float `bits` encodes if the cold path can write it: finite, with
+/// the sign bit clear. Delays, instruction counts and CPIs are never
+/// negative, and gate simulation folds every arrival from +0.0, so a
+/// checksum-valid entry holding anything else was not written by
+/// [`encode_entry`].
+fn plain(bits: u64) -> Option<f64> {
+    (bits < f64::INFINITY.to_bits()).then(|| f64::from_bits(bits))
 }
 
 /// Serializes one entry: the magic line, the key line, the body checksum
@@ -793,69 +829,146 @@ fn encode_entry(key: &CacheKey, data: &BenchmarkData) -> String {
     text
 }
 
-/// Verifies and parses one entry text (local file or remote payload).
-/// The magic, then the key (compared structurally), then the body
-/// checksum are each checked before anything after them is read, so
-/// version drift, hash collisions, torn writes, flipped bytes and lying
-/// remote tiers all read as a miss without parsing a damaged body.
-fn decode_entry(text: &str, key: &CacheKey) -> Option<BenchmarkData> {
-    let mut parts = text.splitn(4, '\n');
-    if parts.next()? != MAGIC || CacheKey::parse(parts.next()?)? != *key {
+/// Verifies and decodes one entry (a local file's bytes or a remote
+/// payload), with each thread's delays decoded on `pool`.
+///
+/// The magic, then the key (compared structurally; only the key line is
+/// read as UTF-8), then the body checksum are each checked before
+/// anything after them is read. One walk over the body's line structure
+/// then checks every count and run length and the final newline, and
+/// only then is any delay decoded: each thread's run of delays, and the
+/// [`ErrorCurve`] sorted from a copy of it, is one pool task. Version
+/// drift, hash collisions, torn writes, flipped bytes and lying remote
+/// tiers all read as a miss, and so does a checksum-valid body holding a
+/// number the cold path never writes (see [`plain`]): the checksum is no
+/// MAC, so a tier or an editor that recomputes it is not trusted with
+/// NaN, infinities or negative values.
+fn decode_entry(bytes: &[u8], key: &CacheKey, pool: ThreadPool) -> Option<BenchmarkData> {
+    let mut header = Lines(bytes);
+    if header.next()? != MAGIC.as_bytes()
+        || CacheKey::parse(std::str::from_utf8(header.next()?).ok()?)? != *key
+    {
         return None;
     }
-    let sum = hex16(parts.next()?.as_bytes())?;
-    let body = parts.next()?;
-    if checksum(body.as_bytes()) != sum {
+    let sum = hex16(header.next()?)?;
+    let body = header.0;
+    if checksum(body) != sum {
         return None;
     }
-    let mut lines = body.split('\n');
-    let (tnom, n_intervals) = lines.next()?.split_once(' ')?;
-    let tnom_v1 = f64::from_bits(hex16(tnom.as_bytes())?);
-    if tnom_v1.is_nan() || tnom_v1 <= 0.0 {
-        return None;
-    }
-    let mut intervals = Vec::new();
-    for _ in 0..parse_hex(n_intervals)? {
-        let mut threads = Vec::new();
-        for _ in 0..parse_hex(lines.next()?)? {
-            let mut head = lines.next()?.split(' ');
-            let mut float = || hex16(head.next()?.as_bytes()).map(f64::from_bits);
-            let (instructions, cpi_base) = (float()?, float()?);
-            let n = parse_hex(head.next()?)?;
-            let run = lines.next()?.as_bytes();
-            if head.next().is_some() || run.len() as u64 != n.checked_mul(16)? {
-                return None;
-            }
-            // `n` is checked against the run's length, so the delays are
-            // allocated once at their exact size.
-            let mut normalized_delays = Vec::with_capacity(run.len() / 16);
-            for d in run.chunks_exact(16) {
-                normalized_delays.push(hex16(d).map(f64::from_bits).filter(|x| x.is_finite())?);
-            }
-            // Mirror `experiments::thread_data`: a stage-idle thread
-            // carries an empty trace and the zero-delay activity curve.
-            let curve = if normalized_delays.is_empty() {
-                ErrorCurve::from_normalized_delays(vec![0.0])
-            } else {
-                ErrorCurve::from_normalized_delays(normalized_delays.clone())
-            }
-            .ok()?;
-            threads.push(ThreadData {
-                curve,
-                normalized_delays,
-                instructions,
-                cpi_base,
-            });
-        }
-        intervals.push(IntervalData { threads });
-    }
-    // The body ends with its last line's newline, and nothing follows.
-    (lines.next() == Some("") && lines.next().is_none()).then_some(BenchmarkData {
+    let (tnom_v1, threads_per_interval, runs) = walk_body(body)?;
+    let mut threads = pool
+        .map(&runs, |_, run| run.decode())
+        .into_iter()
+        .collect::<Option<Vec<ThreadData>>>()?
+        .into_iter();
+    let intervals = threads_per_interval
+        .iter()
+        .map(|&n| IntervalData {
+            threads: threads.by_ref().take(n).collect(),
+        })
+        .collect();
+    Some(BenchmarkData {
         benchmark: key.benchmark,
         stage: key.stage,
         tnom_v1,
         intervals,
     })
+}
+
+/// The lines of an entry, each without its newline; [`Lines::next`] is
+/// `None` at a final line without one. `.0` is what follows the lines
+/// read so far.
+struct Lines<'a>(&'a [u8]);
+
+impl<'a> Lines<'a> {
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let end = self.0.iter().position(|&b| b == b'\n')?;
+        let line = &self.0[..end];
+        self.0 = &self.0[end + 1..];
+        Some(line)
+    }
+
+    /// The next `len` bytes, which must end a line.
+    fn run(&mut self, len: usize) -> Option<&'a [u8]> {
+        let (run, rest) = self.0.split_at_checked(len)?;
+        self.0 = rest.strip_prefix(b"\n")?;
+        Some(run)
+    }
+}
+
+/// One walk over an entry body's line structure (the layout is in
+/// [`encode_entry`]): `tnom_v1`, the thread count of every interval and
+/// every thread's undecoded run, in order. `None` unless every count
+/// matches what follows it, every run is 16 bytes per delay, the body
+/// ends with its last line's newline and every number outside the runs
+/// is one the cold path writes.
+fn walk_body(body: &[u8]) -> Option<(f64, Vec<usize>, Vec<Run<'_>>)> {
+    let mut lines = Lines(body);
+    let mut head = lines.next()?.split(|&b| b == b' ');
+    let tnom_v1 = plain(hex16(head.next()?)?).filter(|&t| t > 0.0)?;
+    let n_intervals = parse_hex(head.next()?)?;
+    if head.next().is_some() {
+        return None;
+    }
+    let (mut threads_per_interval, mut runs) = (Vec::new(), Vec::new());
+    for _ in 0..n_intervals {
+        let n_threads = parse_hex(lines.next()?)?;
+        for _ in 0..n_threads {
+            let mut head = lines.next()?.split(|&b| b == b' ');
+            let instructions = plain(hex16(head.next()?)?)?;
+            let cpi_base = plain(hex16(head.next()?)?)?;
+            let delays = parse_hex(head.next()?)?;
+            if head.next().is_some() {
+                return None;
+            }
+            let len = usize::try_from(delays.checked_mul(16)?).ok()?;
+            runs.push(Run {
+                delays: lines.run(len)?,
+                instructions,
+                cpi_base,
+            });
+        }
+        threads_per_interval.push(usize::try_from(n_threads).ok()?);
+    }
+    // The body ends with its last line's newline, and nothing follows.
+    lines
+        .0
+        .is_empty()
+        .then_some((tnom_v1, threads_per_interval, runs))
+}
+
+/// One thread of an entry body whose structure is checked but whose
+/// delays are not yet decoded.
+struct Run<'a> {
+    /// 16 hex digits per delay.
+    delays: &'a [u8],
+    instructions: f64,
+    cpi_base: f64,
+}
+
+impl Run<'_> {
+    /// Decodes the delays (`None` if any is not hex or not [`plain`]) and
+    /// sorts a copy of them into the thread's curve.
+    fn decode(&self) -> Option<ThreadData> {
+        let mut normalized_delays = Vec::with_capacity(self.delays.len() / 16);
+        for digits in self.delays.chunks_exact(16) {
+            normalized_delays.push(plain(hex16(digits)?)?);
+        }
+        // Mirror `experiments::thread_data`: a stage-idle thread carries
+        // an empty trace and the zero-delay activity curve.
+        let curve = if normalized_delays.is_empty() {
+            ErrorCurve::from_normalized_delays(vec![0.0])
+        } else {
+            ErrorCurve::from_normalized_delays(normalized_delays.clone())
+        }
+        .ok()?;
+        Some(ThreadData {
+            curve,
+            normalized_delays,
+            instructions: self.instructions,
+            cpi_base: self.cpi_base,
+        })
+    }
 }
 
 /// Writes a cache entry file the way every cache writer does: into a
@@ -964,13 +1077,13 @@ enum Probe {
     Miss(CacheEntry, Option<CoalesceGuard>),
 }
 
-/// Probes one slot without blocking on another thread. A verified local
-/// entry is a hit even while another thread holds the key: an entry never
-/// changes once it is renamed into place. Otherwise the key is taken if
-/// free, and the leader probes again with [`CacheEntry::load`] (local,
-/// then the remote tier) before it computes.
-fn probe(entry: CacheEntry) -> Probe {
-    if let Some(data) = entry.probe_local() {
+/// Probes one slot without blocking on another thread, decoding a hit on
+/// `pool`. A verified local entry is a hit even while another thread
+/// holds the key: an entry never changes once it is renamed into place.
+/// Otherwise the key is taken if free, and the leader probes again with
+/// [`CacheEntry::load`] (local, then the remote tier) before it computes.
+fn probe(entry: CacheEntry, pool: ThreadPool) -> Probe {
+    if let Some(data) = entry.probe_local(pool) {
         return Probe::Hit(data);
     }
     let guard = match entry.token() {
@@ -983,7 +1096,7 @@ fn probe(entry: CacheEntry) -> Probe {
         },
         None => None,
     };
-    match entry.load() {
+    match entry.load_on(pool) {
         Some(data) => Probe::Hit(data),
         None => Probe::Miss(entry, guard),
     }
@@ -998,7 +1111,10 @@ fn probe(entry: CacheEntry) -> Probe {
 /// Each distinct stage is built once; its netlist names the keys. One
 /// pass over the pairs, on `pool`, probes every slot. The slot is named by
 /// the recipe, so a hit builds no workload trace and runs no STA or gate
-/// simulation. Hits never wait, while a miss takes its key without
+/// simulation. A hit decodes each thread's delays as a task of its own:
+/// on `pool` for a one-pair call, whose probe runs on the caller, and in
+/// its probe's worker otherwise, since those probes already run in
+/// parallel. Hits never wait, while a miss takes its key without
 /// blocking; if another thread holds the key, the pair is deferred (counted
 /// in [`CacheStats::coalesced`]). The misses are then characterized on one
 /// pool pass and stored, each releasing its key as it lands. Only then,
@@ -1075,9 +1191,15 @@ pub fn characterize_pairs(
                 slot.insert(circuit);
             }
         }
+        let decode_on = if todo.len() == 1 {
+            pool
+        } else {
+            ThreadPool::sequential()
+        };
         let probes = pool.map(&todo, |_, &p| {
             let (benchmark, stage) = pairs[p];
-            probe(cache.recipe_entry(benchmark, stage, cfg, built[&stage].netlist()))
+            let entry = cache.recipe_entry(benchmark, stage, cfg, built[&stage].netlist());
+            probe(entry, decode_on)
         });
         let (mut misses, mut held) = (Vec::new(), Vec::new());
         for (&p, probe) in todo.iter().zip(probes) {
@@ -1442,10 +1564,13 @@ mod tests {
         assert_eq!(CacheKey::parse(&key.line()), Some(key.clone()));
         let text = encode_entry(&key, &fresh);
         assert!(text.is_ascii());
-        assert_same(&fresh, &decode_entry(&text, &key).expect("decodes"));
+        assert_same(
+            &fresh,
+            &decode_entry(text.as_bytes(), &key, ThreadPool::sequential()).expect("decodes"),
+        );
         // The same body under another key never decodes.
         let other = CacheKey::new(Benchmark::Fmm, StageKind::SimpleAlu, &cfg, &netlist);
-        assert!(decode_entry(&text, &other).is_none());
+        assert!(decode_entry(text.as_bytes(), &other, ThreadPool::sequential()).is_none());
     }
 
     #[test]
@@ -1482,22 +1607,18 @@ mod tests {
         let dir = tmp_dir("warm");
         let cache = CharCache::at_dir(&dir);
         let cfg = HarnessConfig::quick();
-        let run = || {
-            characterize_cached(
-                Benchmark::Fmm,
-                StageKind::Decode,
-                &cfg,
-                &cache,
-                ThreadPool::sequential(),
-            )
-        };
-        let cold = run().expect("cold");
+        let run = |pool| characterize_cached(Benchmark::Fmm, StageKind::Decode, &cfg, &cache, pool);
+        let cold = run(ThreadPool::sequential()).expect("cold");
         assert_eq!(cache.stats().misses, 1, "cold run misses");
         assert_eq!(cache.stats().hits, 0);
-        let warm = run().expect("warm");
-        assert_eq!(cache.stats().hits, 1, "warm run hits");
-        assert_eq!(cache.stats().misses, 1);
-        assert_same(&cold, &warm);
+        // A one-pair call decodes its hit on the call's pool.
+        for workers in [1, 2, 8] {
+            let before = cache.stats();
+            let warm = run(ThreadPool::new(workers)).expect("warm");
+            let counted = cache.stats().since(before);
+            assert_eq!((counted.hits, counted.misses), (1, 0), "{workers} workers");
+            assert_same(&cold, &warm);
+        }
         // The trace-holding form resolves the very slot that was filled.
         let trace = Benchmark::Fmm.run(&cfg.workload);
         let netlist = netlist_for(StageKind::Decode, cfg.workload.width);
@@ -1506,7 +1627,7 @@ mod tests {
         assert!(valid_entry_name(&name));
         assert!(dir.join(&name).is_file());
         assert_same(&cold, &entry.load().expect("hit"));
-        assert_eq!(cache.stats().hits, 2);
+        assert_eq!(cache.stats().hits, 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1540,15 +1661,42 @@ mod tests {
             full[..full.len() / 2].to_string(),
             format!("{full}0"),
         ];
-        // A body whose checksum was recomputed but whose counts lie.
+        // Bodies whose checksums were recomputed but which lie: about a
+        // count, or with numbers the cold path never writes.
         let (header, body) = full.split_at(full.find("\n").expect("magic line") + 1);
         let (key_line, rest) = body.split_at(body.find("\n").expect("key line") + 1);
-        let lying_body = rest[17..].replacen(" 3\n", " 2\n", 1);
-        let mut lying = format!("{header}{key_line}");
-        push_hex16(&mut lying, checksum(lying_body.as_bytes()));
-        lying.push('\n');
-        lying.push_str(&lying_body);
-        cases.push(lying);
+        let body = &rest[17..];
+        let lying = |lying_body: String| {
+            let mut lying = format!("{header}{key_line}");
+            push_hex16(&mut lying, checksum(lying_body.as_bytes()));
+            lying.push('\n');
+            lying.push_str(&lying_body);
+            lying
+        };
+        let hex = |x: f64| {
+            let mut digits = String::new();
+            push_hex16(&mut digits, x.to_bits());
+            digits
+        };
+        // Line 2 is the first thread's `<instructions> <cpi_base> <n>`,
+        // line 3 its delays.
+        let with_line = |i: usize, edit: &dyn Fn(&str) -> String| {
+            let mut lines: Vec<String> = body.split('\n').map(String::from).collect();
+            lines[i] = edit(&lines[i]);
+            lines.join("\n")
+        };
+        assert!(body.split('\n').nth(3).is_some_and(|run| run.len() >= 16));
+        cases.extend([
+            lying(body.replacen(" 3\n", " 2\n", 1)),
+            lying(with_line(2, &|head| {
+                format!("{} {}{}", &head[..16], hex(f64::NAN), &head[33..])
+            })),
+            lying(with_line(2, &|head| {
+                format!("{}{}", hex(f64::INFINITY), &head[16..])
+            })),
+            lying(with_line(3, &|run| format!("{}{}", hex(-1.0), &run[16..]))),
+            lying(with_line(3, &|run| format!("{}{}", hex(-0.0), &run[16..]))),
+        ]);
         for (i, garbage) in cases.iter().enumerate() {
             std::fs::write(&entry, garbage).expect("write");
             let before = cache.stats();
@@ -1557,6 +1705,96 @@ mod tests {
             assert_same(&cold, &again);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `hex16` and `parse_hex` against `u64::from_str_radix` restricted to
+    /// what the encoder writes (lowercase digits; for `parse_hex` the
+    /// `{:x}` spelling): every byte value at every position of a valid
+    /// string, then random values.
+    #[test]
+    fn hex_decoding_agrees_with_a_reference_parser() {
+        let reference = |digits: &[u8]| {
+            let lower = digits.iter().all(|b| b"0123456789abcdef".contains(b));
+            let text = std::str::from_utf8(digits).ok().filter(|_| lower)?;
+            u64::from_str_radix(text, 16).ok()
+        };
+        let canonical =
+            |digits: &[u8]| reference(digits).filter(|x| format!("{x:x}").as_bytes() == digits);
+        let mut x = 0x243f_6a88_85a3_08d3_u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut bases = vec![*b"0123456789abcdef", *b"fedcba9876543210"];
+        for _ in 0..2000 {
+            let value = next();
+            let mut digits = String::new();
+            push_hex16(&mut digits, value);
+            assert_eq!(hex16(digits.as_bytes()), Some(value));
+            assert_eq!(parse_hex(format!("{value:x}").as_bytes()), Some(value));
+            bases.extend(<[u8; 16]>::try_from(digits.as_bytes()));
+        }
+        for base in &bases[..4] {
+            for at in 0..16 {
+                for byte in 0..=u8::MAX {
+                    let mut digits = *base;
+                    digits[at] = byte;
+                    assert_eq!(hex16(&digits), reference(&digits), "{digits:?}");
+                    let short = &digits[at..];
+                    assert_eq!(parse_hex(short), canonical(short), "{short:?}");
+                }
+            }
+        }
+        for len in 0..40 {
+            let zeros = vec![b'0'; len];
+            assert_eq!(hex16(&zeros), (len == 16).then_some(0), "{len} zeros");
+            assert_eq!(parse_hex(&zeros), (len == 1).then_some(0), "{len} zeros");
+        }
+    }
+
+    /// Every damaged copy of an entry decodes to `None` without a panic:
+    /// cut at every byte, and every bit flipped at a 16-byte stride and
+    /// on every newline. A flip in the body always changes the word-wise
+    /// checksum; one in the header breaks the magic, the key or the
+    /// stored sum. The intact copy decodes bit-identically.
+    #[test]
+    fn damaged_entries_never_decode() {
+        let cfg = HarnessConfig::quick();
+        // The smallest quick entry among those with delays; two of its
+        // threads are idle on the stage, so empty runs are covered too.
+        let (benchmark, stage) = (Benchmark::Cholesky, StageKind::ComplexAlu);
+        let fresh = characterize(benchmark, stage, &cfg).expect("ok");
+        let key = CacheKey::new(
+            benchmark,
+            stage,
+            &cfg,
+            &netlist_for(stage, cfg.workload.width),
+        );
+        let bytes = encode_entry(&key, &fresh).into_bytes();
+        let decode = |bytes: &[u8]| decode_entry(bytes, &key, ThreadPool::sequential());
+        for workers in [1, 2] {
+            let pool = ThreadPool::new(workers);
+            assert_same(&fresh, &decode_entry(&bytes, &key, pool).expect("intact"));
+        }
+        assert!(fresh
+            .intervals
+            .iter()
+            .flat_map(|iv| &iv.threads)
+            .any(|t| t.normalized_delays.is_empty()));
+        for cut in 0..bytes.len() {
+            assert!(decode(&bytes[..cut]).is_none(), "cut at {cut}");
+        }
+        let newlines = (0..bytes.len()).filter(|&i| bytes[i] == b'\n');
+        let positions: BTreeSet<usize> = (0..bytes.len()).step_by(16).chain(newlines).collect();
+        for pos in positions {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[pos] ^= 1 << bit;
+                assert!(decode(&flipped).is_none(), "bit {bit} of byte {pos}");
+            }
+        }
     }
 
     #[test]

@@ -4,13 +4,17 @@
 //! The runner owns the whole data-driven path: characterize (or accept a
 //! pre-characterized [`BenchmarkData`]), select intervals, resolve the θ
 //! grid, dispatch every scheme through the default
-//! [`SolverRegistry`](crate::SolverRegistry), fan the
-//! per-interval batched solves across the [`ThreadPool`], and assemble
-//! typed records with Pareto fronts and invariant checks. Results are
-//! bit-identical at any worker count: intervals are mapped in index
-//! order and each interval runs its whole θ grid through one
-//! [`crate::Solver::solve_batch`] call, exactly as the sequential loop
-//! would.
+//! [`SolverRegistry`](crate::SolverRegistry), solve on the [`ThreadPool`],
+//! and assemble typed records with Pareto fronts and invariant checks.
+//!
+//! The solving is one pool pass: one task per (baseline or scheme,
+//! selected interval), each running its whole θ list through one
+//! [`crate::Solver::solve_batch`] call, plus one task for the
+//! model-vs-simulation check. The exponential exact solvers and the check
+//! are claimed first. Results are bit-identical at any worker count:
+//! every task is a pure function of its inputs, and the results are read
+//! back in the order a sequential loop would produce them, per-θ sums in
+//! interval order and the first error the one that loop would meet.
 
 use std::sync::Arc;
 
@@ -92,6 +96,11 @@ impl Experiment {
     /// (the spec's `quality` only governs [`Experiment::run`]'s own
     /// characterization; `data` is taken as-is).
     ///
+    /// The baseline, every scheme over every selected interval and the
+    /// model-vs-simulation check are solved in one pass on the spec's
+    /// pool, heaviest tasks first (see the [module docs](self)); the
+    /// report and any error are those of the sequential loop.
+    ///
     /// # Errors
     ///
     /// [`OptError::BadConfig`] if `data` is for a different
@@ -112,25 +121,72 @@ impl Experiment {
         // any solving starts, with the registered keys in the message.
         let (solvers, normalize_to) = spec.solvers()?;
 
-        let baseline = match normalize_to {
-            Some(solver) => {
-                let (sums, _) =
-                    run_scheme(pool, &cfg, &profile_sets, &*solver, &[theta_center], false)?;
-                Some(sums[0])
+        // The tasks in the order a sequential loop runs them: the baseline
+        // at the equal-weight θ, then every scheme over the grid, each over
+        // every selected interval, then the check.
+        let center = [theta_center];
+        let n_intervals = profile_sets.len();
+        let mut tasks: Vec<Task<'_>> = normalize_to
+            .iter()
+            .map(|solver| (&**solver, &center[..]))
+            .chain(solvers.iter().map(|solver| (&**solver, &theta_grid[..])))
+            .flat_map(|(solver, thetas)| {
+                (0..n_intervals).map(move |interval| Task::Solve {
+                    solver,
+                    thetas,
+                    interval,
+                })
+            })
+            .collect();
+        if spec.verify_model {
+            // Verify the first *speculating* scheme so the simulation
+            // actually exercises the Razor error/replay path; a
+            // zero-speculation baseline would pass vacuously.
+            let first = solvers.iter().position(|s| s.capabilities().speculates);
+            tasks.push(Task::Check(&*solvers[first.unwrap_or(0)]));
+        }
+        // Heaviest first: the exponential exact solvers and the check
+        // start at once, and the light tasks fill in around them. Within
+        // each class the tasks keep their order.
+        let mut order: Vec<usize> = (0..tasks.len()).collect();
+        order.sort_by_key(|&t| match tasks[t] {
+            Task::Solve { solver, .. } => solver.capabilities().polynomial,
+            Task::Check(_) => false,
+        });
+        let ran = pool.map(&order, |_, &t| match tasks[t] {
+            Task::Solve {
+                solver,
+                thetas,
+                interval,
+            } => solve_interval(&cfg, &profile_sets[interval], solver, thetas).map(Done::Solved),
+            Task::Check(solver) => {
+                model_vs_sim_check(&cfg, data, intervals_used[0], solver, theta_grid[0])
+                    .map(Done::Checked)
             }
-            None => None,
+        });
+        // Read every result back in task order, so the first error is the
+        // one a sequential loop would meet first.
+        let mut done: Vec<(usize, Result<Done, OptError>)> = order.into_iter().zip(ran).collect();
+        done.sort_by_key(|&(t, _)| t);
+        let mut done = done.into_iter().map(|(_, result)| result);
+        let mut pass = || -> Result<Vec<Vec<(Assignment, EnergyDelay)>>, OptError> {
+            done.by_ref()
+                .take(n_intervals)
+                .map(|result| match result? {
+                    Done::Solved(interval) => Ok(interval),
+                    Done::Checked(_) => unreachable!("the check is the last task"),
+                })
+                .collect()
         };
 
+        let baseline = match normalize_to {
+            Some(_) => Some(interval_sums(&pass()?, 1)[0]),
+            None => None,
+        };
         let mut datasets = Vec::with_capacity(solvers.len());
         for (key, solver) in spec.schemes.iter().zip(&solvers) {
-            let (sums, assignments) = run_scheme(
-                pool,
-                &cfg,
-                &profile_sets,
-                &**solver,
-                &theta_grid,
-                spec.record_assignments,
-            )?;
+            let per_interval = pass()?;
+            let sums = interval_sums(&per_interval, theta_grid.len());
             let records: Vec<Record> = theta_grid
                 .iter()
                 .enumerate()
@@ -138,9 +194,9 @@ impl Experiment {
                     theta,
                     ed: sums[j],
                     normalized: baseline.map(|base| sums[j].normalized_to(base)),
-                    assignments: assignments
-                        .as_ref()
-                        .map(|per_interval| per_interval.iter().map(|iv| iv[j].clone()).collect()),
+                    assignments: spec
+                        .record_assignments
+                        .then(|| per_interval.iter().map(|iv| iv[j].0.clone()).collect()),
                 })
                 .collect();
             let pareto = pareto_front(&sums);
@@ -153,21 +209,11 @@ impl Experiment {
         }
 
         let mut checks = dominance_checks(&solvers, &theta_grid, &datasets);
-        if spec.verify_model {
-            // Verify the first *speculating* scheme so the simulation
-            // actually exercises the Razor error/replay path; a
-            // zero-speculation baseline would pass vacuously.
-            let verify_idx = solvers
-                .iter()
-                .position(|s| s.capabilities().speculates)
-                .unwrap_or(0);
-            checks.push(model_vs_sim_check(
-                &cfg,
-                data,
-                intervals_used[0],
-                &*solvers[verify_idx],
-                theta_grid[0],
-            )?);
+        if let Some(result) = done.next() {
+            match result? {
+                Done::Checked(check) => checks.push(check),
+                Done::Solved(_) => unreachable!("every solve task was read"),
+            }
         }
 
         Ok(Report {
@@ -181,6 +227,26 @@ impl Experiment {
             checks,
         })
     }
+}
+
+/// One task of [`Experiment::run_on`]'s pool pass.
+enum Task<'a> {
+    /// One solver's θ list over one selected interval: one
+    /// [`Solver::solve_batch`] call.
+    Solve {
+        solver: &'a dyn Solver<ErrorCurve>,
+        thetas: &'a [f64],
+        interval: usize,
+    },
+    /// The model-vs-simulation check of this scheme.
+    Check(&'a dyn Solver<ErrorCurve>),
+}
+
+/// What one [`Task`] returned.
+enum Done {
+    /// Per θ, the assignment and its energy and time.
+    Solved(Vec<(Assignment, EnergyDelay)>),
+    Checked(ReportCheck),
 }
 
 impl std::fmt::Debug for Experiment {
@@ -295,51 +361,45 @@ fn select_intervals(spec: &ScenarioSpec, data: &BenchmarkData) -> Result<Vec<usi
     })
 }
 
-/// Runs one solver over `intervals × thetas`: intervals fan out across
-/// the pool, each interval runs its whole θ grid through one
-/// `solve_batch` call (one table build per interval for the
-/// table-driven solvers), and per-θ energy/time is summed in interval
-/// order — numerically identical to the sequential nested loop.
-#[allow(clippy::type_complexity)]
-fn run_scheme(
-    pool: ThreadPool,
+/// Runs one interval's whole θ grid through one `solve_batch` call (one
+/// table build for the table-driven solvers) and evaluates each
+/// assignment.
+fn solve_interval(
     cfg: &SystemConfig,
-    profile_sets: &[Vec<ThreadProfile<ErrorCurve>>],
+    profiles: &[ThreadProfile<ErrorCurve>],
     solver: &dyn Solver<ErrorCurve>,
     thetas: &[f64],
-    keep_assignments: bool,
-) -> Result<(Vec<EnergyDelay>, Option<Vec<Vec<Assignment>>>), OptError> {
-    let per_interval: Vec<Vec<(Assignment, EnergyDelay)>> =
-        pool.try_map(profile_sets, |_, profiles| {
-            let requests: Vec<SolveRequest<'_, ErrorCurve>> = thetas
-                .iter()
-                .map(|&theta| SolveRequest::new(cfg, profiles, theta))
-                .collect();
-            solver
-                .solve_batch(&requests)
-                .into_iter()
-                .map(|result| {
-                    result.map(|a| {
-                        let ed = evaluate(cfg, profiles, &a);
-                        (a, ed)
-                    })
-                })
-                .collect::<Result<Vec<(Assignment, EnergyDelay)>, OptError>>()
-        })?;
-    let mut sums = vec![EnergyDelay::new(0.0, 0.0); thetas.len()];
-    for interval in &per_interval {
+) -> Result<Vec<(Assignment, EnergyDelay)>, OptError> {
+    let requests: Vec<SolveRequest<'_, ErrorCurve>> = thetas
+        .iter()
+        .map(|&theta| SolveRequest::new(cfg, profiles, theta))
+        .collect();
+    solver
+        .solve_batch(&requests)
+        .into_iter()
+        .map(|result| {
+            result.map(|a| {
+                let ed = evaluate(cfg, profiles, &a);
+                (a, ed)
+            })
+        })
+        .collect()
+}
+
+/// Per-θ energy and time summed over the intervals in interval order,
+/// as the sequential nested loop sums them.
+fn interval_sums(
+    per_interval: &[Vec<(Assignment, EnergyDelay)>],
+    thetas: usize,
+) -> Vec<EnergyDelay> {
+    let mut sums = vec![EnergyDelay::new(0.0, 0.0); thetas];
+    for interval in per_interval {
         for (acc, (_, ed)) in sums.iter_mut().zip(interval) {
             acc.energy += ed.energy;
             acc.time += ed.time;
         }
     }
-    let assignments = keep_assignments.then(|| {
-        per_interval
-            .into_iter()
-            .map(|iv| iv.into_iter().map(|(a, _)| a).collect())
-            .collect()
-    });
-    Ok((sums, assignments))
+    sums
 }
 
 /// For every exact solver of the weighted objective, checks that its
@@ -380,8 +440,9 @@ pub(crate) fn dominance_checks(
 
 /// Checks that the analytic Eq 4.1–4.3 evaluation agrees with the
 /// instruction-by-instruction Razor simulator on one interval, for the
-/// first scheme's assignment. Profiles are rebuilt over the subsampled
-/// trace population so the simulator and the model see the same `N`.
+/// first scheme's assignment. Each profile takes the thread's curve, its
+/// subsampled delays sorted, with `N` the number of those delays, so the
+/// simulator and the model see the same population.
 fn model_vs_sim_check(
     cfg: &SystemConfig,
     data: &BenchmarkData,
@@ -405,13 +466,13 @@ fn model_vs_sim_check(
         .threads
         .iter()
         .map(|t| {
-            Ok(ThreadProfile::new(
+            ThreadProfile::new(
                 t.normalized_delays.len() as f64,
                 t.cpi_base,
-                ErrorCurve::from_normalized_delays(t.normalized_delays.clone())?,
-            ))
+                t.curve.clone(),
+            )
         })
-        .collect::<Result<_, OptError>>()?;
+        .collect();
     let assignment = solver.solve(cfg, &profiles, theta)?;
     let predicted = evaluate(cfg, &profiles, &assignment);
     let settings: Vec<CoreSetting> = assignment

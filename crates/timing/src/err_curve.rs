@@ -33,6 +33,15 @@ impl<T: ErrorModel + ?Sized> ErrorModel for &T {
 }
 
 /// Exact empirical error-probability curve from a delay trace.
+///
+/// Both constructors sort by one rule: [`f64::total_cmp`], unstable. On
+/// input without −0.0 it leaves the same bits as a stable sort by value,
+/// since equal keys then have equal bits; the two differ only where −0.0
+/// meets +0.0 (a NaN panics). Gate simulation never yields −0.0: every
+/// arrival folds from +0.0 and adds positive cell delays, and a
+/// normalized delay divides that by a positive period. The
+/// characterization cache refuses an entry holding −0.0, so every curve
+/// it serves equals the one computed cold, bit for bit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ErrorCurve {
     /// Normalized delays, ascending.
@@ -41,11 +50,15 @@ pub struct ErrorCurve {
 
 impl ErrorCurve {
     /// Builds the curve from a delay trace.
+    ///
+    /// # Panics
+    ///
+    /// If a delay is NaN.
     #[must_use]
     pub fn from_trace(trace: &DelayTrace) -> ErrorCurve {
-        let mut sorted = trace.normalized();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("delays are finite"));
-        ErrorCurve { sorted }
+        ErrorCurve {
+            sorted: sorted(trace.normalized()),
+        }
     }
 
     /// Builds the curve from pre-normalized delays (`d / t_nom`).
@@ -53,12 +66,17 @@ impl ErrorCurve {
     /// # Errors
     ///
     /// Returns [`TimingError::EmptyTrace`] if `normalized` is empty.
-    pub fn from_normalized_delays(mut normalized: Vec<f64>) -> Result<ErrorCurve, TimingError> {
+    ///
+    /// # Panics
+    ///
+    /// If a delay is NaN.
+    pub fn from_normalized_delays(normalized: Vec<f64>) -> Result<ErrorCurve, TimingError> {
         if normalized.is_empty() {
             return Err(TimingError::EmptyTrace);
         }
-        normalized.sort_by(|a, b| a.partial_cmp(b).expect("delays are finite"));
-        Ok(ErrorCurve { sorted: normalized })
+        Ok(ErrorCurve {
+            sorted: sorted(normalized),
+        })
     }
 
     /// Number of instructions backing the curve.
@@ -80,6 +98,14 @@ impl ErrorModel for ErrorCurve {
         let idx = self.sorted.partition_point(|&d| d <= r);
         (self.sorted.len() - idx) as f64 / self.sorted.len() as f64
     }
+}
+
+/// The one sort rule of [`ErrorCurve`]: ascending by [`f64::total_cmp`],
+/// unstable.
+fn sorted(mut delays: Vec<f64>) -> Vec<f64> {
+    assert!(!delays.iter().any(|d| d.is_nan()), "delays are finite");
+    delays.sort_unstable_by(f64::total_cmp);
+    delays
 }
 
 /// Online estimate of `err` from error counts observed at discrete TSR

@@ -216,32 +216,63 @@ fn grid_records_match_a_pareto_sweep() {
 /// The worker count must not change a single byte of the report: the
 /// CI matrix re-runs this whole file at `SYNTS_THREADS=1` and `8`
 /// against the same golden fixture, and this test additionally pins
-/// explicit 1-vs-8 worker specs against each other in-process.
+/// explicit 1-, 2-, 3- and 8-worker specs against each other
+/// in-process, with the exact solvers and the model check in the pass.
 #[test]
 fn reports_are_identical_at_any_worker_count() {
     let data = quick_data(Benchmark::Radix, StageKind::Decode);
+    // The spec embeds its worker count; the rest of the report must not
+    // depend on it, down to the byte.
     let run_with = |workers: usize| {
         let spec = ScenarioSpec::new("det", Benchmark::Radix, StageKind::Decode)
-            .schemes(["synts_poly", "per_core_ts", "no_ts"])
+            .schemes([
+                "synts_poly",
+                "per_core_ts",
+                "no_ts",
+                "synts_milp",
+                "synts_exhaustive",
+            ])
             .thetas(ThetaSpec::LogAroundEqualWeight {
                 points: 7,
                 decades: 2.0,
             })
             .normalize_to("nominal")
             .record_assignments(true)
+            .verify_model(true)
             .workers(workers);
-        Experiment::new(spec).run_on(&data).expect("runs")
+        let mut report = Experiment::new(spec).run_on(&data).expect("runs");
+        report.spec.workers = None;
+        report.to_json_string()
     };
     let sequential = run_with(1);
-    for workers in [2, 8] {
-        let parallel = run_with(workers);
-        assert_eq!(
-            sequential.datasets, parallel.datasets,
-            "datasets drift at {workers} workers"
+    for workers in [2, 3, 8] {
+        assert!(
+            sequential == run_with(workers),
+            "the report drifts at {workers} workers"
         );
-        assert_eq!(sequential.checks, parallel.checks);
-        assert_eq!(sequential.theta_grid, parallel.theta_grid);
-        assert_eq!(sequential.baseline, parallel.baseline);
+    }
+    // The first error is the one a sequential loop meets first, whichever
+    // task fails first on the pool.
+    let data = quick_data(Benchmark::Radix, StageKind::SimpleAlu);
+    let err_with = |workers: usize| {
+        let spec = ScenarioSpec::new("wide", Benchmark::Radix, StageKind::SimpleAlu)
+            .schemes(["no_ts", "synts_exhaustive", "synts_poly"])
+            .thetas(ThetaSpec::LogAroundEqualWeight {
+                points: 9,
+                decades: 400.0,
+            })
+            .normalize_to("nominal")
+            .verify_model(true)
+            .workers(workers);
+        Experiment::new(spec)
+            .run_on(&data)
+            .expect_err("θ = +∞ is outside Eq 4.4's domain")
+            .to_string()
+    };
+    let first = err_with(1);
+    assert!(first.contains("theta must be finite"), "{first}");
+    for workers in [2, 3, 8] {
+        assert_eq!(err_with(workers), first, "{workers} workers");
     }
 }
 
