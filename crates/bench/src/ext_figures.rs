@@ -1,9 +1,12 @@
 //! Extension experiments beyond the paper's own tables and figures: the
-//! ablations DESIGN.md calls out for the generalizations this repository
-//! adds (process variation / aging, leakage-aware optimization, the
-//! power-capped variant, thrifty-barrier comparison, and online `N_i`
-//! prediction). Same [`Figure`] contract as [`crate::figures`]: a data
-//! table, a CSV, and shape checks.
+//! ablations of the generalizations this repository adds (process
+//! variation / aging, leakage-aware optimization, the power-capped
+//! variant, thrifty-barrier comparison, and online `N_i` prediction).
+//! The paper makes no claim about them; README's "Known deviations"
+//! (under "Reproducing the paper") says so, next to the two places
+//! where the reproduction departs from a paper claim. Same [`Figure`]
+//! contract as [`crate::figures`]: a data table, a CSV, and shape
+//! checks.
 
 use circuits::{build_stage, AluEvent, AluOp, StageKind};
 use gatelib::variation::{guard_band, AgingModel, VariationModel};

@@ -61,21 +61,16 @@ pub struct Figure {
     pub checks: Vec<Check>,
 }
 
-fn missing(bench: Benchmark, stage: StageKind) -> OptError {
-    // Corpus misses manifest as empty trace errors upstream; use BadConfig
-    // to make the message actionable.
-    let _ = (bench, stage);
-    OptError::BadConfig("corpus does not contain the requested benchmark/stage")
-}
-
 fn corpus_data(
     corpus: &Corpus,
     bench: Benchmark,
     stage: StageKind,
 ) -> Result<&BenchmarkData, OptError> {
-    corpus
-        .get(bench, stage)
-        .ok_or_else(|| missing(bench, stage))
+    // Corpus misses manifest as empty trace errors upstream; use BadConfig
+    // to make the message actionable.
+    corpus.get(bench, stage).ok_or(OptError::BadConfig(
+        "corpus does not contain the requested benchmark/stage",
+    ))
 }
 
 /// Profiles over the subsampled trace population (N = trace length), the
@@ -632,7 +627,8 @@ pub fn fig_6_17(corpus: &Corpus) -> Result<Figure, OptError> {
         }
         checks.push(Check::new(
             format!(
-                "{bench}: estimates track the actual error probabilities                  (max gap {max_gap:.3}, noise budget {gap_budget:.3})"
+                "{bench}: estimates track the actual error probabilities \
+                 (max gap {max_gap:.3}, noise budget {gap_budget:.3})"
             ),
             max_gap < gap_budget,
         ));
@@ -789,7 +785,7 @@ pub fn fig_6_18(corpus: &Corpus) -> Result<Figure, OptError> {
             format!(
                 "SynTS(online) wins on most benchmark/stage pairs \
                  ({wins_count}/{total_count}; rows marked * lose to a baseline — \
-                 interval-prefix bias at reproduction scale, see EXPERIMENTS.md)"
+                 interval-prefix bias at reproduction scale, see README: Known deviations)"
             ),
             wins_count * 2 > total_count,
         ));
@@ -958,8 +954,8 @@ pub fn headline(corpus: &Corpus) -> Result<Figure, OptError> {
 ///
 /// Propagates [`OptError`] from characterization.
 pub fn ablation_adders(corpus: &Corpus) -> Result<Figure, OptError> {
-    let data = corpus_data(corpus, Benchmark::Radix, StageKind::SimpleAlu)?;
-    let _ = data; // corpus presence check; events come from a fresh run
+    // Corpus presence check; events come from a fresh run.
+    corpus_data(corpus, Benchmark::Radix, StageKind::SimpleAlu)?;
     let cfg = corpus.effort().harness();
     let trace = Benchmark::Radix.run(&cfg.workload);
     let events = &trace.intervals[trace.intervals.len() - 1].thread(0).events;
@@ -990,7 +986,8 @@ pub fn ablation_adders(corpus: &Corpus) -> Result<Figure, OptError> {
     let checks = vec![
         Check::new(
             format!(
-                "the log-depth adder shortens the stage's nominal period                  ({ks_tnom:.1} vs {ripple_tnom:.1})"
+                "the log-depth adder shortens the stage's nominal period \
+                 ({ks_tnom:.1} vs {ripple_tnom:.1})"
             ),
             ks_tnom < 0.9 * ripple_tnom,
         ),
@@ -1038,7 +1035,6 @@ pub fn ablation_adders(corpus: &Corpus) -> Result<Figure, OptError> {
 ///
 /// Propagates characterization failures.
 pub fn sec_5_4(corpus: &Corpus) -> Result<Figure, OptError> {
-    use crate::corpus::Effort;
     let effort = corpus.effort();
     // The shared corpus holds the seven reported benchmarks; characterize
     // the three homogeneous ones on demand.
@@ -1047,7 +1043,6 @@ pub fn sec_5_4(corpus: &Corpus) -> Result<Figure, OptError> {
         &[Benchmark::Fft, Benchmark::Ocean, Benchmark::WaterSp],
         &[StageKind::SimpleAlu],
     )?;
-    let _ = Effort::Quick; // effort is threaded through build_subset
     let spread_of = |data: &BenchmarkData| -> f64 {
         let grid = [0.64, 0.7, 0.78, 0.86];
         let mut spread = 0.0f64;
@@ -1064,7 +1059,6 @@ pub fn sec_5_4(corpus: &Corpus) -> Result<Figure, OptError> {
     let mut rows = Vec::new();
     let mut homog = Vec::new();
     let mut het = Vec::new();
-    let mut fft_gentle_err = 0.0f64;
     for bench in workloads::Benchmark::ALL {
         let data = if bench.paper_homogeneous() {
             extra.get(bench, StageKind::SimpleAlu)
@@ -1085,9 +1079,6 @@ pub fn sec_5_4(corpus: &Corpus) -> Result<Figure, OptError> {
             .flat_map(|iv| iv.threads.iter())
             .map(|t| t.curve.err(0.928))
             .fold(0.0f64, f64::max);
-        if bench == Benchmark::Fft {
-            fft_gentle_err = gentle;
-        }
         rows.push(vec![
             bench.name().to_string(),
             if bench.paper_homogeneous() {
@@ -1123,9 +1114,9 @@ pub fn sec_5_4(corpus: &Corpus) -> Result<Figure, OptError> {
     // Note: the paper additionally reports that FFT's error probabilities
     // are too high to permit any speculation; our substrate's FFT
     // butterflies do not sensitize near-critical SimpleALU paths at gentle
-    // ratios (worst err(0.928) = {fft_gentle_err:.4}), so that particular
-    // magnitude claim does not transfer — recorded in EXPERIMENTS.md.
-    let _ = fft_gentle_err;
+    // ratios (FFT's row in the worst err(0.928) column), so that
+    // particular magnitude claim does not transfer — see README,
+    // "Reproducing the paper", Known deviations.
     Ok(Figure {
         id: "sec-5-4",
         title: "Sec 5.4: benchmark classification by thread heterogeneity (SimpleALU)".into(),

@@ -12,7 +12,8 @@
 //! Coordinator mode binds the HTTP front end, prints the resolved
 //! address, and serves until `POST /v1/shutdown` (or Ctrl-C, which
 //! skips the drain). Executor mode registers with a coordinator and
-//! pulls shard work over HTTP until the coordinator shuts down.
+//! pulls shard work over HTTP until 50 polls in a row go unanswered
+//! (its coordinator is gone), then exits 1.
 //!
 //! With `--journal-dir` the service journals every job durably to
 //! `DIR/journal.log` and, on startup, replays (and compacts) that file:
@@ -204,20 +205,15 @@ fn main() -> ExitCode {
             println!("synts-serve: fault injection armed: {}", plan.source());
         }
         println!("synts-serve: executor {name} joining fleet at {coordinator}");
-        return match run_executor(&ExecutorConfig {
+        let gone = run_executor(&ExecutorConfig {
             coordinator,
             name,
             cache: args.cache,
             faults,
             poll: Duration::from_millis(args.poll_ms),
-            max_offline_polls: 50,
-        }) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("synts-serve: executor: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        });
+        eprintln!("synts-serve: executor: {gone}");
+        return ExitCode::FAILURE;
     }
     let journal = match args.journal_dir.as_deref().map(Journal::open).transpose() {
         Ok(journal) => journal,

@@ -25,6 +25,15 @@
 //! executor identity, so fault ledgers do not depend on the worker
 //! count.
 //!
+//! A remote executor is one [`Executor::step`] repeated: poll,
+//! re-register if the coordinator no longer knows its id, draw
+//! `exec.kill`, run the shard, complete it. The step talks to the
+//! coordinator through a [`Transport`]: a socket for the `--executor`
+//! process ([`run_executor`]), or the coordinator's HTTP router called
+//! in process. The fleet and chaos property tests drive the shipped
+//! step and its wire bodies over the in-process transport, with no
+//! socket and no clock.
+//!
 //! # Leases, in logical time
 //!
 //! Every leased shard carries a **lease** measured in logical ticks,
@@ -53,8 +62,9 @@
 //!   `/v1/stats` and `/v1/healthz` as `degraded`).
 //! * A partially-dead fleet converges: live executors absorb the
 //!   reassigned shards of dead ones.
-//! * A dead coordinator ends the fleet (executors exit after bounded
-//!   offline polls); its journal replays on restart.
+//! * A dead coordinator ends the fleet: an executor exits 1 after 50
+//!   failed polls in a row. The coordinator's journal replays on
+//!   restart.
 //!
 //! # Fault sites
 //!
@@ -66,6 +76,7 @@
 
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, PoisonError};
 use std::time::Duration;
 
@@ -74,7 +85,7 @@ use synts_core::faults::{site, FaultPlan};
 use synts_core::scenario::{Experiment, Json, Report, ScenarioSpec};
 use synts_core::{CharCache, OptError};
 
-use crate::client::{Client, RetryPolicy};
+use crate::client::{Client, HttpReply, RetryPolicy};
 use crate::queue::{
     panic_error, JobState, Service, ShardState, Shutdown, Store, SvcState, Task, TerminalRecord,
 };
@@ -239,10 +250,9 @@ pub struct Dispatch {
 pub enum PollOutcome {
     /// A shard, under a fresh lease.
     Dispatch(Box<Dispatch>),
-    /// Nothing claimable right now; poll again.
+    /// Nothing claimable right now, or the coordinator is shutting down;
+    /// poll again.
     Idle,
-    /// The coordinator is shutting down; exit cleanly.
-    Stop,
     /// The registration lapsed (or the coordinator restarted):
     /// re-register and poll again.
     UnknownExecutor,
@@ -509,9 +519,10 @@ fn lease(
     None
 }
 
-/// The one shard runner, shared by in-process, simulated and remote
-/// executors: the `exec.*` fault hooks for `token`, then the shard's
-/// complete `Experiment::run`, with a panic contained as an error.
+/// The one shard runner, shared by in-process and remote executors:
+/// the `exec.slow` and `exec.panic` hooks for `token` (each executor
+/// draws `exec.kill` itself), then the shard's complete
+/// `Experiment::run`, with a panic contained as an error.
 fn execute_shard(
     spec: ScenarioSpec,
     cache: CharCache,
@@ -520,7 +531,6 @@ fn execute_shard(
 ) -> Result<Report, String> {
     std::panic::catch_unwind(AssertUnwindSafe(|| {
         if let Some(plan) = faults {
-            plan.maybe_kill(token);
             plan.maybe_slow(token);
             plan.maybe_panic(token);
         }
@@ -571,6 +581,9 @@ pub(crate) fn run_in_process(state: &SvcState) {
                     ..
                 } = *dispatch;
                 let token = format!("{}#a{attempt}", spec.name);
+                if let Some(plan) = &faults {
+                    plan.maybe_kill(&token);
+                }
                 let cache = state.task_cache(faults.as_ref());
                 let result = execute_shard(spec, cache, faults.as_deref(), &token);
                 let _ = state.complete(None, &lease, result);
@@ -703,14 +716,15 @@ impl Service {
     }
 
     /// A remote executor asks for work: renews its registration and
-    /// leases it the first shard it may run (see the module docs).
+    /// leases it the first shard it may run (see the module docs). Under
+    /// [`Shutdown::Now`] it leases nothing.
     #[must_use]
     pub fn fleet_poll(&self, executor: &str) -> PollOutcome {
         let mut staged = Vec::new();
         let outcome = {
             let mut store = self.state.locked();
             if store.shutdown == Some(Shutdown::Now) {
-                return PollOutcome::Stop;
+                return PollOutcome::Idle;
             }
             if !store.fleet.renew(executor) {
                 return PollOutcome::UnknownExecutor;
@@ -921,6 +935,15 @@ impl Service {
     }
 }
 
+/// Held-claim re-probes before [`HttpCacheTier`] stops waiting for
+/// another executor's publish and computes the entry locally.
+const CLAIM_WAIT_PROBES: u32 = 300;
+
+/// Consecutive failed steps (a register, poll or completion the
+/// coordinator did not answer) before [`run_executor`] gives the
+/// coordinator up for dead.
+const MAX_OFFLINE_POLLS: u32 = 50;
+
 /// The executor-side view of the coordinator's shared cache tier:
 /// `GET /v1/cache/<key>?claim=<self>` on a local miss, `PUT` after a
 /// local store. A held claim polls (bounded) for the other executor's
@@ -930,29 +953,20 @@ pub struct HttpCacheTier {
     client: Client,
     claimant: String,
     poll: Duration,
-    max_polls: u32,
 }
 
 impl HttpCacheTier {
     /// A tier talking to `coordinator` (`host:port`), identifying as
-    /// `claimant` in characterization claims.
+    /// `claimant` in characterization claims. While another claimant
+    /// holds a key it re-probes every `poll`, up to 300 times, then
+    /// computes the entry locally.
     #[must_use]
-    pub fn new(coordinator: &str, claimant: &str) -> HttpCacheTier {
+    pub fn new(coordinator: &str, claimant: &str, poll: Duration) -> HttpCacheTier {
         HttpCacheTier {
             client: Client::new(coordinator).with_policy(RetryPolicy::none()),
             claimant: claimant.to_string(),
-            poll: Duration::from_millis(100),
-            max_polls: 300,
+            poll,
         }
-    }
-
-    /// Tunes the held-claim wait loop (interval between re-probes and
-    /// the probe budget before giving up and computing locally).
-    #[must_use]
-    pub fn with_wait(mut self, poll: Duration, max_polls: u32) -> HttpCacheTier {
-        self.poll = poll;
-        self.max_polls = max_polls;
-        self
     }
 }
 
@@ -970,7 +984,7 @@ impl RemoteCacheTier for HttpCacheTier {
                 // the work. Claims expire server-side, so a dead
                 // claimant cannot wedge this loop past its budget.
                 let plain = format!("/v1/cache/{name}");
-                for _ in 0..self.max_polls {
+                for _ in 0..CLAIM_WAIT_PROBES {
                     std::thread::sleep(self.poll);
                     match self.client.request("GET", &plain, None) {
                         Ok(r) if r.status == 200 => return RemoteFetch::Hit(r.body),
@@ -993,110 +1007,215 @@ impl RemoteCacheTier for HttpCacheTier {
     }
 }
 
-/// What one [`SimExecutor::step`] did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SimStep {
-    /// The executor was killed earlier and does nothing.
-    Dead,
-    /// No work was dispatched.
-    Idle,
-    /// A shard ran and its report was submitted.
-    Completed { shard: usize },
-    /// An injected `exec.kill` halted the executor mid-shard: it holds
-    /// a lease it will never complete — expiry must reassign it.
-    Killed { shard: usize },
-    /// The shard errored and the failure was reported.
-    FailedShard { shard: usize },
+/// How a remote executor reaches its coordinator's HTTP API.
+#[derive(Debug)]
+pub enum Transport {
+    /// A socket to the coordinator. While a shard runs, the executor
+    /// heartbeats its lease every `beat`.
+    Socket {
+        /// The coordinator's client (one attempt per request).
+        client: Client,
+        /// Heartbeat interval.
+        beat: Duration,
+    },
+    /// The coordinator's router, called in process: the same request
+    /// and reply bodies without a socket. It never heartbeats, so a
+    /// fleet driven over it is a function of its steps and
+    /// [`Service::fleet_tick`]s alone.
+    InProcess(Arc<Service>),
 }
 
-/// A deterministic simulated remote executor for tests: drives the real
-/// coordinator API ([`Service::fleet_poll`] / [`Service::fleet_complete`])
-/// synchronously, with `exec.kill` modelled as *silently halting* (the
-/// lease is abandoned, exactly like an aborted process) instead of
-/// aborting the test process. Round-robin stepping + explicit
-/// [`Service::fleet_tick`]s make whole fleet schedules reproducible.
+impl Transport {
+    /// Sends one request and returns the coordinator's reply: an error
+    /// only for a socket's transport failure.
+    fn request(&self, method: &str, path: &str, body: Option<&str>) -> Result<HttpReply, OptError> {
+        match self {
+            Transport::Socket { client, .. } => client.request(method, path, body),
+            Transport::InProcess(service) => Ok(crate::http::respond(
+                service,
+                method,
+                path,
+                body.unwrap_or(""),
+            )),
+        }
+    }
+}
+
+/// What one [`Executor::step`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// The executor registered: on its first step, or because the
+    /// coordinator no longer knew its id. It polls on its next step.
+    Registered,
+    /// The poll leased nothing.
+    Idle,
+    /// A shard ran and its report, or its error, was sent back.
+    Ran,
+    /// An injected `exec.kill` halted this in-process executor before
+    /// its shard ran. It keeps the lease, which only expiry frees, and
+    /// must not be stepped again. (Over a socket the process aborts.)
+    Killed,
+}
+
+/// A remote executor. Each [`Executor::step`] polls the coordinator,
+/// re-registers when the coordinator no longer knows it, draws
+/// `exec.kill`, runs the dispatched shard through the one shard runner
+/// and completes it. The `synts-serve --executor` process steps one
+/// over a socket ([`run_executor`]); the fleet and chaos tests step
+/// several over the in-process transport.
 #[derive(Debug)]
-pub struct SimExecutor {
-    service: Arc<Service>,
+pub struct Executor {
+    transport: Transport,
+    /// Self-reported display name: the `@<name>` of its fault tokens.
     name: String,
-    id: String,
+    /// The service-assigned id; `None` until a registration lands.
+    id: Option<String>,
     cache: CharCache,
     faults: Option<Arc<FaultPlan>>,
-    dead: bool,
 }
 
-impl SimExecutor {
-    /// Registers a fresh executor with the coordinator.
+impl Executor {
+    /// An executor that registers on its first step.
     #[must_use]
-    pub fn register(
-        service: &Arc<Service>,
+    pub fn new(
+        transport: Transport,
         name: &str,
         cache: CharCache,
         faults: Option<Arc<FaultPlan>>,
-    ) -> SimExecutor {
-        let r = service.fleet_register(name);
-        SimExecutor {
-            service: Arc::clone(service),
+    ) -> Executor {
+        Executor {
+            transport,
             name: name.to_string(),
-            id: r.executor,
+            id: None,
             cache,
             faults,
-            dead: false,
         }
     }
 
-    /// The service-assigned executor id.
+    /// The service-assigned executor id (`exec-<n>`), once registered.
     #[must_use]
-    pub fn id(&self) -> &str {
-        &self.id
+    pub fn id(&self) -> Option<&str> {
+        self.id.as_deref()
     }
 
-    /// True once an injected kill halted this executor.
-    #[must_use]
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-
-    /// One poll→execute→complete round.
-    pub fn step(&mut self) -> SimStep {
-        if self.dead {
-            return SimStep::Dead;
+    /// One round of the protocol (see [`Executor`]). A poll reply that
+    /// carries no dispatch is idle; a rejected completion (the lease
+    /// expired and the shard was reassigned) is logged.
+    ///
+    /// # Errors
+    ///
+    /// A register, poll or completion the coordinator did not answer,
+    /// or a reply that is not JSON.
+    pub fn step(&mut self) -> Result<Step, OptError> {
+        let Some(id) = self.id.clone() else {
+            return self.register();
+        };
+        let body = Json::obj().field("executor", Json::str(&id));
+        let reply = self.post("/v1/fleet/poll", body)?;
+        if reply.status == 404 {
+            return self.register();
         }
-        match self.service.fleet_poll(&self.id) {
-            PollOutcome::UnknownExecutor => {
-                let r = self.service.fleet_register(&self.name);
-                self.id = r.executor;
-                SimStep::Idle
-            }
-            PollOutcome::Stop | PollOutcome::Idle => SimStep::Idle,
-            PollOutcome::Dispatch(d) => {
-                let Dispatch {
-                    lease,
-                    shard,
-                    attempt,
-                    spec,
-                    ..
-                } = *d;
+        let poll = reply.json()?;
+        let (Some(lease), Some(attempt), Some(spec)) = (
+            poll.get("lease").and_then(Json::as_str),
+            poll.get("attempt").and_then(Json::as_usize),
+            poll.get("spec"),
+        ) else {
+            return Ok(Step::Idle);
+        };
+        let result = match ScenarioSpec::from_json(spec) {
+            Err(e) => Err(format!("bad dispatched spec: {e}")),
+            Ok(spec) => {
                 let token = format!("{}#a{attempt}@{}", spec.name, self.name);
                 let faults = self.faults.as_deref();
-                // The in-process stand-in for `maybe_kill`: halt forever
-                // with the lease still held. The runner's own kill hook
-                // then draws the same (negative) decision.
                 if faults.is_some_and(|plan| plan.should(site::EXEC_KILL, &token)) {
-                    self.dead = true;
-                    return SimStep::Killed { shard };
+                    if let Transport::Socket { .. } = self.transport {
+                        eprintln!("fault injected: {} at {token}; aborting", site::EXEC_KILL);
+                        std::process::abort();
+                    }
+                    return Ok(Step::Killed);
                 }
-                let result = execute_shard(spec, self.cache.clone(), faults, &token);
-                let failed = result.is_err();
-                let _ = self.service.fleet_complete(&self.id, &lease, result);
-                if failed {
-                    SimStep::FailedShard { shard }
-                } else {
-                    SimStep::Completed { shard }
+                eprintln!("synts-serve: executor {id}: running {token}");
+                let run = || execute_shard(spec, self.cache.clone(), faults, &token);
+                match &self.transport {
+                    Transport::Socket { client, beat } => {
+                        heartbeating(client, &id, lease, *beat, faults, run)
+                    }
+                    Transport::InProcess(_) => run(),
                 }
             }
+        };
+        let (field, value) = match result {
+            Ok(report) => ("report", report.to_json()),
+            Err(msg) => ("error", Json::str(msg)),
+        };
+        let body = Json::obj()
+            .field("executor", Json::str(&id))
+            .field("lease", Json::str(lease))
+            .field(field, value);
+        let reply = self.post("/v1/fleet/complete", body).inspect_err(|e| {
+            eprintln!("synts-serve: executor {id}: completion for {lease} lost: {e}");
+        })?;
+        if reply.status != 200 {
+            let why = reply.error_message().unwrap_or_default();
+            eprintln!("synts-serve: executor {id}: completion for {lease} rejected: {why}");
         }
+        Ok(Step::Ran)
     }
+
+    fn register(&mut self) -> Result<Step, OptError> {
+        let body = Json::obj().field("name", Json::str(&self.name));
+        let reply = self.post("/v1/fleet/register", body)?;
+        let json = reply.json()?;
+        let Some(id) = json.get("executor").and_then(Json::as_str) else {
+            let (name, status) = (&self.name, reply.status);
+            return Err(OptError::Spec(format!(
+                "executor {name}: register refused: HTTP {status}"
+            )));
+        };
+        eprintln!("synts-serve: executor {} registered as {id}", self.name);
+        self.id = Some(id.to_string());
+        Ok(Step::Registered)
+    }
+
+    fn post(&self, path: &str, body: Json) -> Result<HttpReply, OptError> {
+        self.transport
+            .request("POST", path, Some(&body.render_pretty()))
+    }
+}
+
+/// Runs `shard` while a scoped thread heartbeats `lease` every `beat`.
+/// Each beat passes the `fleet.heartbeat` site as `<lease>#h<n>@<id>`:
+/// on a tight lease a dropped beat is how the chaos suite forces the
+/// reassignment of a live executor's shard.
+fn heartbeating<T>(
+    client: &Client,
+    id: &str,
+    lease: &str,
+    beat: Duration,
+    faults: Option<&FaultPlan>,
+    shard: impl FnOnce() -> T,
+) -> T {
+    let (done, stopped) = mpsc::channel::<()>();
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            let body = Json::obj()
+                .field("executor", Json::str(id))
+                .field("lease", Json::str(lease))
+                .render_pretty();
+            let mut n = 0u64;
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(beat) {
+                n += 1;
+                let token = format!("{lease}#h{n}@{id}");
+                if !faults.is_some_and(|plan| plan.should(site::FLEET_HEARTBEAT, &token)) {
+                    let _ = client.request("POST", "/v1/fleet/heartbeat", Some(&body));
+                }
+            }
+        });
+        let out = shard();
+        drop(done);
+        out
+    })
 }
 
 /// Configuration of one remote executor process
@@ -1113,205 +1232,42 @@ pub struct ExecutorConfig {
     pub cache: CharCache,
     /// Process-level fault plan (`--faults` / `SYNTS_FAULTS`).
     pub faults: Option<Arc<FaultPlan>>,
-    /// Idle-poll and heartbeat interval.
+    /// Idle-poll, heartbeat and held-claim re-probe interval.
     pub poll: Duration,
-    /// Consecutive failed polls before the executor gives the
-    /// coordinator up for dead and exits.
-    pub max_offline_polls: u32,
 }
 
-impl Default for ExecutorConfig {
-    fn default() -> ExecutorConfig {
-        ExecutorConfig {
-            coordinator: "127.0.0.1:7070".to_string(),
-            name: "executor".to_string(),
-            cache: CharCache::from_env(),
-            faults: None,
-            poll: Duration::from_millis(200),
-            max_offline_polls: 50,
-        }
-    }
-}
-
-/// Runs the remote-executor loop: register, poll for shards, execute
-/// them with the shared cache tier attached, heartbeat while running,
-/// report completions. Returns when the coordinator says stop, or after
-/// `max_offline_polls` consecutive failed polls.
-///
-/// # Errors
-///
-/// [`OptError::Spec`] when the coordinator never answered registration
-/// or went away for good.
-pub fn run_executor(cfg: &ExecutorConfig) -> Result<(), OptError> {
-    let client = Client::new(cfg.coordinator.clone()).with_policy(RetryPolicy::none());
-    let tier: Arc<dyn RemoteCacheTier> =
-        Arc::new(HttpCacheTier::new(&cfg.coordinator, &cfg.name).with_wait(cfg.poll, 300));
+/// The remote-executor process: steps an [`Executor`] over a socket,
+/// with the coordinator's shared cache tier behind its local cache,
+/// and sleeps `poll` after an idle or failed step. It runs until 50
+/// steps in a row fail, which is how it notices that its coordinator
+/// has gone, and returns the last failure.
+#[must_use]
+pub fn run_executor(cfg: &ExecutorConfig) -> OptError {
+    let tier = HttpCacheTier::new(&cfg.coordinator, &cfg.name, cfg.poll);
     let cache = cfg
         .cache
         .clone()
         .with_faults(cfg.faults.clone())
-        .with_remote(Some(tier));
-    let register =
-        |offline_budget: u32| -> Result<String, OptError> {
-            let body = Json::obj()
-                .field("name", Json::str(&cfg.name))
-                .render_pretty();
-            let mut last = None;
-            for _ in 0..offline_budget.max(1) {
-                match client.request("POST", "/v1/fleet/register", Some(&body)) {
-                    Ok(r) if r.status == 200 => {
-                        if let Some(id) = r.json().ok().and_then(|j| {
-                            j.get("executor").and_then(Json::as_str).map(String::from)
-                        }) {
-                            return Ok(id);
-                        }
-                        last = Some(OptError::Spec(
-                            "executor: register reply names no executor id".to_string(),
-                        ));
-                    }
-                    Ok(r) => {
-                        last = Some(OptError::Spec(format!(
-                            "executor: register rejected: HTTP {}",
-                            r.status
-                        )));
-                    }
-                    Err(e) => last = Some(e),
-                }
-                std::thread::sleep(cfg.poll);
-            }
-            Err(last.unwrap_or_else(|| OptError::Spec("executor: register never ran".to_string())))
-        };
-    let mut id = register(cfg.max_offline_polls)?;
-    eprintln!(
-        "synts-serve: executor {} registered as {id} with {}",
-        cfg.name, cfg.coordinator
-    );
-    let mut offline = 0u32;
+        .with_remote(Some(Arc::new(tier)));
+    let client = Client::new(cfg.coordinator.clone()).with_policy(RetryPolicy::none());
+    let transport = Transport::Socket {
+        client,
+        beat: cfg.poll,
+    };
+    let mut executor = Executor::new(transport, &cfg.name, cache, cfg.faults.clone());
+    let mut offline = 0;
     loop {
-        let poll_body = Json::obj()
-            .field("executor", Json::str(&id))
-            .render_pretty();
-        let reply = match client.request("POST", "/v1/fleet/poll", Some(&poll_body)) {
-            Ok(r) => r,
-            Err(e) => {
-                offline += 1;
-                if offline >= cfg.max_offline_polls {
-                    return Err(OptError::Spec(format!(
-                        "executor {id}: coordinator unreachable after {offline} poll(s): {e}"
-                    )));
-                }
-                std::thread::sleep(cfg.poll);
-                continue;
+        let step = executor.step();
+        offline = if step.is_ok() { 0 } else { offline + 1 };
+        match step {
+            Err(e) if offline == MAX_OFFLINE_POLLS => {
+                return OptError::Spec(format!(
+                    "executor {}: coordinator unreachable after {offline} poll(s): {e}",
+                    cfg.name
+                ))
             }
-        };
-        offline = 0;
-        if reply.status == 404 {
-            // Coordinator restarted (or our registration lapsed).
-            id = register(cfg.max_offline_polls)?;
-            continue;
-        }
-        let Ok(json) = reply.json() else {
-            std::thread::sleep(cfg.poll);
-            continue;
-        };
-        if json.get("stop").and_then(Json::as_bool) == Some(true) {
-            eprintln!("synts-serve: executor {id}: coordinator shutting down; exiting");
-            return Ok(());
-        }
-        if json.get("work").and_then(Json::as_bool) != Some(true) {
-            std::thread::sleep(cfg.poll);
-            continue;
-        }
-        let (Some(lease), Some(shard), Some(attempt), Some(spec_json)) = (
-            json.get("lease").and_then(Json::as_str).map(String::from),
-            json.get("shard").and_then(Json::as_usize),
-            json.get("attempt").and_then(Json::as_usize),
-            json.get("spec"),
-        ) else {
-            std::thread::sleep(cfg.poll);
-            continue;
-        };
-        let spec = match ScenarioSpec::from_json(spec_json) {
-            Ok(spec) => spec,
-            Err(e) => {
-                let _ = complete(
-                    &client,
-                    &id,
-                    &lease,
-                    &Err(format!("bad dispatched spec: {e}")),
-                );
-                continue;
-            }
-        };
-        let token = format!("{}#a{attempt}@{}", spec.name, cfg.name);
-        eprintln!("synts-serve: executor {id}: running shard {shard} ({token})");
-        // Heartbeat while the shard runs, on the poll cadence. An
-        // injected fleet.heartbeat fault drops individual beats — on a
-        // tight lease that is how the chaos suite forces reassignment
-        // of a *live* executor's shard.
-        let hb_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let hb = {
-            let stop = Arc::clone(&hb_stop);
-            let client = client.clone();
-            let id = id.clone();
-            let lease = lease.clone();
-            let faults = cfg.faults.clone();
-            let interval = cfg.poll;
-            std::thread::spawn(move || {
-                let mut beat = 0u64;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    std::thread::sleep(interval);
-                    beat += 1;
-                    let dropped = faults.as_ref().is_some_and(|plan| {
-                        plan.should(site::FLEET_HEARTBEAT, &format!("{lease}#h{beat}@{id}"))
-                    });
-                    if dropped {
-                        continue;
-                    }
-                    let body = Json::obj()
-                        .field("executor", Json::str(&id))
-                        .field("lease", Json::str(&lease))
-                        .render_pretty();
-                    let _ = client.request("POST", "/v1/fleet/heartbeat", Some(&body));
-                }
-            })
-        };
-        // An armed exec.kill is the real kill here: the process aborts
-        // mid-shard with the lease still held.
-        let result = execute_shard(spec, cache.clone(), cfg.faults.as_deref(), &token);
-        hb_stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        let _ = hb.join();
-        match complete(&client, &id, &lease, &result) {
-            Ok(true) => {}
-            Ok(false) => eprintln!(
-                "synts-serve: executor {id}: completion for {lease} rejected \
-                 (lease expired; shard was reassigned)"
-            ),
-            Err(e) => eprintln!("synts-serve: executor {id}: completion for {lease} lost: {e}"),
+            Ok(Step::Registered | Step::Ran) => {}
+            _ => std::thread::sleep(cfg.poll),
         }
     }
-}
-
-/// Reports a shard outcome; `Ok(accepted)` distinguishes a rejected
-/// (expired) lease from a delivered result.
-fn complete(
-    client: &Client,
-    id: &str,
-    lease: &str,
-    result: &Result<Report, String>,
-) -> Result<bool, OptError> {
-    let body = match result {
-        Ok(report) => Json::obj()
-            .field("executor", Json::str(id))
-            .field("lease", Json::str(lease))
-            .field("report", Json::parse(&report.to_json_string())?)
-            .render_pretty(),
-        Err(msg) => Json::obj()
-            .field("executor", Json::str(id))
-            .field("lease", Json::str(lease))
-            .field("error", Json::str(msg))
-            .render_pretty(),
-    };
-    let reply = client.request("POST", "/v1/fleet/complete", Some(&body))?;
-    Ok(reply.status == 200)
 }

@@ -21,7 +21,7 @@
 //! | `GET /v1/stats`                | 200 + service counters                       |
 //! | `POST /v1/shutdown`            | 200, then winds the server down (`{"mode": "drain"\|"now"}`) |
 //! | `POST /v1/fleet/register`      | 200 + assigned executor id and lease ticks (body: `{"name": ..}`) |
-//! | `POST /v1/fleet/poll`          | 200 + a leased shard dispatch, or idle/stop; 404 if the registration lapsed |
+//! | `POST /v1/fleet/poll`          | 200 + a leased shard dispatch, or idle; 404 if the registration lapsed |
 //! | `POST /v1/fleet/heartbeat`     | 200 renews the registration (and the named lease); 404 if lapsed |
 //! | `POST /v1/fleet/complete`      | 200 lands a shard result; 409 if the lease expired (shard reassigned) |
 //! | `POST /v1/fleet/tick`          | 200, advances the logical lease clock one tick |
@@ -33,6 +33,10 @@
 //! stalls past the [`ServerConfig::read_deadline`] gets a 408; nothing a
 //! client sends can panic the server ([`std::panic::catch_unwind`]
 //! backstops every connection thread).
+//!
+//! Every route but `/v1/shutdown` needs only the [`Service`], so the
+//! fleet's in-process transport ([`crate::fleet::Transport::InProcess`])
+//! calls the same router without a socket.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -45,6 +49,7 @@ use std::time::{Duration, Instant};
 use synts_core::faults::{site, FaultPlan};
 use synts_core::scenario::{Json, ScenarioSpec};
 
+use crate::client::HttpReply;
 use crate::queue::{JobStatus, ReportOutcome, Service, Shutdown};
 
 /// Longest accepted request head (request line + headers), bytes.
@@ -242,9 +247,19 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
 
 struct Request {
     method: String,
-    path: String,
-    query: Option<String>,
+    /// The path, then `?` and the query string if there is one.
+    target: String,
     body: String,
+}
+
+impl Request {
+    fn path(&self) -> &str {
+        self.target.split_once('?').map_or(&self.target, |(p, _)| p)
+    }
+
+    fn query(&self) -> Option<&str> {
+        self.target.split_once('?').map(|(_, q)| q)
+    }
 }
 
 enum ReadError {
@@ -305,7 +320,10 @@ fn handle_connection(stream: TcpStream, inner: &Inner) {
     let budget = ReadBudget::new(inner.cfg.read_deadline);
     let request_n = inner.requests.fetch_add(1, Ordering::SeqCst);
     let response = match read_request(&mut reader, &budget) {
-        Ok(req) => route(&req, inner),
+        Ok(req) if req.method == "POST" && req.path() == "/v1/shutdown" => {
+            shutdown_route(&req, inner)
+        }
+        Ok(req) => route(&req, &inner.service),
         Err(ReadError::Malformed(what)) => error_response(400, what),
         Err(ReadError::TooLarge(what)) => error_response(413, what),
         Err(ReadError::Timeout) => error_response(408, "request read deadline exceeded"),
@@ -363,10 +381,6 @@ fn read_request(
     if !version.starts_with("HTTP/1.") {
         return Err(ReadError::Malformed("unsupported HTTP version"));
     }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), Some(q.to_string())),
-        None => (target.to_string(), None),
-    };
 
     let mut content_length = 0usize;
     loop {
@@ -395,8 +409,7 @@ fn read_request(
     let body = String::from_utf8(body).map_err(|_| ReadError::Malformed("body is not UTF-8"))?;
     Ok(Request {
         method,
-        path,
-        query,
+        target: target.to_string(),
         body,
     })
 }
@@ -419,9 +432,23 @@ fn error_response(status: u16, message: &str) -> Response {
     json_response(status, &Json::obj().field("error", Json::str(message)))
 }
 
-fn route(req: &Request, inner: &Inner) -> Response {
-    let service = &inner.service;
-    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
+/// Answers one request without a socket: the in-process transport's
+/// path to the router, with the same request and reply bodies a socket
+/// carries.
+pub(crate) fn respond(service: &Service, method: &str, target: &str, body: &str) -> HttpReply {
+    let req = Request {
+        method: method.to_string(),
+        target: target.to_string(),
+        body: body.to_string(),
+    };
+    let Response { status, body, .. } = route(&req, service);
+    HttpReply { status, body }
+}
+
+/// Every route that needs only the [`Service`]; `POST /v1/shutdown`
+/// needs the [`Server`] and is answered by [`handle_connection`].
+fn route(req: &Request, service: &Service) -> Response {
+    let segments: Vec<&str> = req.path().split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segments.as_slice()) {
         ("GET", ["v1", "healthz"]) => {
             // A real readiness probe: 503 once the journal stops
@@ -494,7 +521,7 @@ fn route(req: &Request, inner: &Inner) -> Response {
                 // `?key=<token>` makes the submit idempotent: a client
                 // retrying a dropped 202 gets the same job back. 202
                 // either way, so retries cannot tell a replay apart.
-                let key = query_value(req.query.as_deref(), "key");
+                let key = query_value(req.query(), "key");
                 match service.submit_keyed(spec, key) {
                     Ok(status) => json_response(202, &status.to_json()),
                     Err(e) => error_response(400, &e.to_string()),
@@ -514,34 +541,35 @@ fn route(req: &Request, inner: &Inner) -> Response {
             Some(status) => json_response(200, &status.to_json()),
             None => error_response(404, &format!("no such job: {id}")),
         },
-        ("GET", ["v1", "jobs", id, "report"]) => report_route(req, inner, id),
-        ("POST", ["v1", "shutdown"]) => {
-            let mode = match Json::parse(&req.body) {
-                Ok(json) => match json.get("mode").and_then(Json::as_str) {
-                    Some("now") => Shutdown::Now,
-                    _ => Shutdown::Drain,
-                },
-                Err(_) if req.body.trim().is_empty() => Shutdown::Drain,
-                Err(e) => return error_response(400, &e.to_string()),
-            };
-            inner.request_stop(mode);
-            json_response(
-                200,
-                &Json::obj().field(
-                    "stopping",
-                    Json::str(match mode {
-                        Shutdown::Drain => "drain",
-                        Shutdown::Now => "now",
-                    }),
-                ),
-            )
-        }
-        (_, ["v1", ..]) => error_response(404, &format!("no route: {} {}", req.method, req.path)),
+        ("GET", ["v1", "jobs", id, "report"]) => report_route(req, service, id),
+        (_, ["v1", ..]) => error_response(404, &format!("no route: {} {}", req.method, req.path())),
         _ => error_response(404, "unknown path (the API lives under /v1/)"),
     }
 }
 
-fn fleet_poll_route(req: &Request, service: &Arc<Service>) -> Response {
+fn shutdown_route(req: &Request, inner: &Inner) -> Response {
+    let mode = match Json::parse(&req.body) {
+        Ok(json) => match json.get("mode").and_then(Json::as_str) {
+            Some("now") => Shutdown::Now,
+            _ => Shutdown::Drain,
+        },
+        Err(_) if req.body.trim().is_empty() => Shutdown::Drain,
+        Err(e) => return error_response(400, &e.to_string()),
+    };
+    inner.request_stop(mode);
+    json_response(
+        200,
+        &Json::obj().field(
+            "stopping",
+            Json::str(match mode {
+                Shutdown::Drain => "drain",
+                Shutdown::Now => "now",
+            }),
+        ),
+    )
+}
+
+fn fleet_poll_route(req: &Request, service: &Service) -> Response {
     let json = match Json::parse(&req.body) {
         Ok(json) => json,
         Err(e) => return error_response(400, &e.to_string()),
@@ -560,25 +588,16 @@ fn fleet_poll_route(req: &Request, service: &Arc<Service>) -> Response {
                 .field("attempt", Json::num(f64::from(d.attempt)))
                 .field("spec", d.spec.to_json()),
         ),
-        crate::fleet::PollOutcome::Idle => json_response(
-            200,
-            &Json::obj()
-                .field("work", Json::Bool(false))
-                .field("stop", Json::Bool(false)),
-        ),
-        crate::fleet::PollOutcome::Stop => json_response(
-            200,
-            &Json::obj()
-                .field("work", Json::Bool(false))
-                .field("stop", Json::Bool(true)),
-        ),
+        crate::fleet::PollOutcome::Idle => {
+            json_response(200, &Json::obj().field("work", Json::Bool(false)))
+        }
         crate::fleet::PollOutcome::UnknownExecutor => {
             error_response(404, &format!("unknown executor: {executor}"))
         }
     }
 }
 
-fn fleet_complete_route(req: &Request, service: &Arc<Service>) -> Response {
+fn fleet_complete_route(req: &Request, service: &Service) -> Response {
     let json = match Json::parse(&req.body) {
         Ok(json) => json,
         Err(e) => return error_response(400, &e.to_string()),
@@ -607,11 +626,11 @@ fn fleet_complete_route(req: &Request, service: &Arc<Service>) -> Response {
     }
 }
 
-fn cache_fetch_route(req: &Request, service: &Arc<Service>, name: &str) -> Response {
+fn cache_fetch_route(req: &Request, service: &Service, name: &str) -> Response {
     if !crate::fleet::valid_entry_name(name) {
         return error_response(400, "cache entry names are <16 hex>.char");
     }
-    let claimant = query_value(req.query.as_deref(), "claim");
+    let claimant = query_value(req.query(), "claim");
     match service.cache_fetch(name, claimant) {
         crate::fleet::CacheFetchOutcome::Hit(text) => Response {
             status: 200,
@@ -642,12 +661,11 @@ fn cache_fetch_route(req: &Request, service: &Arc<Service>, name: &str) -> Respo
     }
 }
 
-fn report_route(req: &Request, inner: &Inner, id: &str) -> Response {
+fn report_route(req: &Request, service: &Service, id: &str) -> Response {
     let csv = req
-        .query
-        .as_deref()
+        .query()
         .is_some_and(|q| q.split('&').any(|kv| kv == "format=csv"));
-    match inner.service.report(id) {
+    match service.report(id) {
         ReportOutcome::Unknown => error_response(404, &format!("no such job: {id}")),
         ReportOutcome::Pending(status) => json_response(202, &status.to_json()),
         ReportOutcome::Unavailable(status) => json_response(410, &status.to_json()),

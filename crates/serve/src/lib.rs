@@ -41,9 +41,9 @@ pub mod queue;
 
 pub use client::{Client, HttpReply, RetryPolicy};
 pub use fleet::{
-    run_executor, CompleteOutcome, Dispatch, ExecutorConfig, FleetSnapshot, Health,
-    HeartbeatOutcome, HttpCacheTier, JournalHealth, PollOutcome, RegisterOutcome, SimExecutor,
-    SimStep, TickOutcome,
+    run_executor, CompleteOutcome, Dispatch, Executor, ExecutorConfig, FleetSnapshot, Health,
+    HeartbeatOutcome, HttpCacheTier, JournalHealth, PollOutcome, RegisterOutcome, Step,
+    TickOutcome, Transport,
 };
 pub use http::{Server, ServerConfig};
 pub use journal::{Journal, RecoveredJob, Replay, Terminal};

@@ -2,12 +2,13 @@
 //!
 //! Three escalation levels:
 //!
-//! 1. **Deterministic in-process fleets** ([`SimExecutor`] +
-//!    explicit [`Service::fleet_tick`]s): lease grant/renewal/expiry,
-//!    shard reassignment after an injected `exec.kill` or a starved
-//!    in-process lease, bounded attempts, and graceful degradation to
-//!    local execution — all in logical time, so every schedule is
-//!    exactly reproducible.
+//! 1. **Deterministic in-process fleets** (the shipped [`Executor`]
+//!    stepped over [`Transport::InProcess`], between explicit
+//!    [`Service::fleet_tick`]s): lease grant/renewal/expiry, shard
+//!    reassignment after an injected `exec.kill` or a starved
+//!    in-process lease, re-registration after a lapse, bounded
+//!    attempts, and graceful degradation to local execution — all in
+//!    logical time, so every schedule is exactly reproducible.
 //! 2. **Property**: a seeded kill of any executor, at 1, 2 and 4
 //!    nodes, converges to the byte-exact monolithic report with a
 //!    reproducible fired-fault ledger.
@@ -29,8 +30,8 @@ use synts_core::cache::{RemoteCacheTier, RemoteFetch};
 use synts_core::scenario::{Experiment, Json, Quality, ScenarioSpec, ThetaSpec};
 use synts_core::{CharCache, FaultPlan};
 use synts_serve::{
-    Client, CompleteOutcome, HeartbeatOutcome, JobState, PollOutcome, ReportOutcome, RetryPolicy,
-    Server, Service, ServiceConfig, Shutdown, SimExecutor,
+    Client, CompleteOutcome, Executor, HeartbeatOutcome, JobState, PollOutcome, ReportOutcome,
+    RetryPolicy, Server, Service, ServiceConfig, Shutdown, Step, Transport,
 };
 use workloads::Benchmark;
 
@@ -68,13 +69,37 @@ fn fleet_service(tag: &str, faults: Option<Arc<FaultPlan>>) -> Arc<Service> {
     }))
 }
 
-/// Drives a sim fleet round-robin (one step per executor, then one
-/// tick) until the job's report is ready, and returns its bytes.
-fn drive_to_report(service: &Arc<Service>, sims: &mut [SimExecutor], id: &str) -> String {
+/// An executor named `name` on the in-process transport, registered
+/// with `service` by its first step.
+fn executor(
+    service: &Arc<Service>,
+    name: &str,
+    cache: CharCache,
+    faults: Option<Arc<FaultPlan>>,
+) -> Executor {
+    let transport = Transport::InProcess(Arc::clone(service));
+    let mut executor = Executor::new(transport, name, cache, faults);
+    assert_eq!(executor.step().expect("registers"), Step::Registered);
+    executor
+}
+
+/// Steps `executor` until an injected `exec.kill` halts it on a
+/// dispatched shard.
+fn step_until_killed(mut executor: Executor) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !matches!(executor.step().expect("in-process steps"), Step::Killed) {
+        assert!(Instant::now() < deadline, "the victim never saw work");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Drives a fleet round-robin (one step per executor, then one tick)
+/// until the job's report is ready, and returns its bytes.
+fn drive_to_report(service: &Arc<Service>, executors: &mut [Executor], id: &str) -> String {
     let deadline = Instant::now() + Duration::from_secs(300);
     loop {
-        for sim in sims.iter_mut() {
-            let _ = sim.step();
+        for executor in executors.iter_mut() {
+            executor.step().expect("in-process steps");
         }
         let _ = service.fleet_tick();
         match service.report(id) {
@@ -87,17 +112,17 @@ fn drive_to_report(service: &Arc<Service>, sims: &mut [SimExecutor], id: &str) -
     }
 }
 
-/// One complete deterministic fleet scenario: `nodes` sim executors,
-/// an armed plan that kills `node<victim>` on its first dispatched
-/// shard. Returns (report bytes, fired-fault ledger render).
+/// One complete deterministic fleet scenario: `nodes` in-process
+/// executors, an armed plan that kills `node<victim>` on its first
+/// dispatched shard. Returns (report bytes, fired-fault ledger render).
 fn fleet_run(tag: &str, seed: u64, nodes: usize, victim: usize) -> (String, String) {
     let plan =
         Arc::new(FaultPlan::parse(&format!("seed={seed};exec.kill=~@node{victim}")).expect("plan"));
     let service = fleet_service(tag, Some(Arc::clone(&plan)));
     let shared_cache = CharCache::at_dir(temp_dir(&format!("{tag}-sim-cache")));
-    let mut sims: Vec<SimExecutor> = (1..=nodes)
+    let mut executors: Vec<Executor> = (1..=nodes)
         .map(|n| {
-            SimExecutor::register(
+            executor(
                 &service,
                 &format!("node{n}"),
                 shared_cache.clone(),
@@ -108,21 +133,13 @@ fn fleet_run(tag: &str, seed: u64, nodes: usize, victim: usize) -> (String, Stri
     let id = service.submit(quick_spec("fleet")).expect("submits").id;
     // Step only the victim until it claims (and dies on) the first
     // planned shard: otherwise the racing survivors can drain the queue
-    // before the victim ever holds work, and the kill never fires.
+    // before the victim ever holds work, and the kill never fires. The
+    // dead victim is never stepped again.
     if victim <= nodes {
-        let deadline = Instant::now() + Duration::from_secs(60);
-        while !sims[victim - 1].is_dead() {
-            let _ = sims[victim - 1].step();
-            assert!(Instant::now() < deadline, "the victim never saw work");
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        step_until_killed(executors.remove(victim - 1));
     }
-    let report = drive_to_report(&service, &mut sims, &id);
+    let report = drive_to_report(&service, &mut executors, &id);
     if victim <= nodes {
-        assert!(
-            sims.get(victim - 1).is_some_and(SimExecutor::is_dead),
-            "the victim must have been killed"
-        );
         let stats = service.stats();
         assert!(
             stats.fleet.expired >= 1,
@@ -390,6 +407,50 @@ fn dead_fleet_degrades_to_local_execution() {
     service.shutdown(Shutdown::Now);
 }
 
+/// A lapsed registration, in logical time: `lease_ticks` ticks with no
+/// poll evict the executor, its next step's poll gets the
+/// unknown-executor reply, and it registers again under the next id.
+/// The re-registered executor then runs every shard of a job, which
+/// merges to the monolithic report.
+#[test]
+fn lapsed_executor_reregisters_under_the_next_id_and_finishes_the_job() {
+    let service = fleet_service("lapsed", None);
+    let cache = CharCache::at_dir(temp_dir("lapsed-exec-cache"));
+    let mut exec = executor(&service, "lapsing", cache, None);
+    assert_eq!(exec.id(), Some("exec-1"));
+    for _ in 0..3 {
+        let _ = service.fleet_tick();
+    }
+    assert_eq!(service.stats().fleet.executors, 0, "exec-1 lapsed");
+    assert_eq!(exec.step().expect("re-registers"), Step::Registered);
+    assert_eq!(exec.id(), Some("exec-2"));
+    assert_eq!(service.stats().fleet.executors, 1);
+
+    let id = service.submit(quick_spec("lapsed")).expect("submits").id;
+    let deadline = Instant::now() + Duration::from_secs(300);
+    let mut ran = 0;
+    let report = loop {
+        if let Step::Ran = exec.step().expect("in-process steps") {
+            ran += 1;
+        }
+        let _ = service.fleet_tick();
+        match service.report(&id) {
+            ReportOutcome::Ready(report) => break report.to_json_string(),
+            ReportOutcome::Pending(_) => {
+                assert!(Instant::now() < deadline, "the job never finished");
+            }
+            other => panic!("the job went sideways: {other:?}"),
+        }
+    };
+    let monolithic = Experiment::new(quick_spec("lapsed"))
+        .run()
+        .expect("monolithic run");
+    assert_eq!(report, monolithic.to_json_string());
+    assert_eq!(ran, 3, "the re-registered executor ran all three shards");
+    assert_eq!(service.stats().fleet.expired, 0);
+    service.shutdown(Shutdown::Now);
+}
+
 /// The fleet wire protocol end-to-end over real HTTP: register, poll,
 /// heartbeat, complete, tick, stats — plus the shared cache tier's
 /// GET/PUT/claim endpoints.
@@ -621,7 +682,7 @@ fn killed_executor_process_is_reassigned_and_report_matches_golden() {
         &temp_dir("proc-victim-cache"),
         Some("seed=7;exec.kill=~@victim"),
     );
-    let _survivor = spawn_executor(&addr, "survivor", &temp_dir("proc-survivor-cache"), None);
+    let mut survivor = spawn_executor(&addr, "survivor", &temp_dir("proc-survivor-cache"), None);
 
     let client = Client::new(addr.clone());
     let id = client.submit(&spec.to_json_string()).expect("submits");
@@ -629,6 +690,12 @@ fn killed_executor_process_is_reassigned_and_report_matches_golden() {
         .wait_report(&id, false, Duration::from_secs(600))
         .expect("fleet job completes despite the killed executor");
     assert_eq!(body, golden, "fleet report drifted from the golden fixture");
+    // With both executors dead, degraded mode would finish the job in
+    // the coordinator: the survivor must still be running.
+    assert!(
+        matches!(survivor.child.try_wait(), Ok(None)),
+        "the survivor must outlive the job"
+    );
 
     // The victim must actually have died (abort, not a clean exit) —
     // otherwise this test proved nothing about reassignment.

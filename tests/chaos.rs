@@ -22,8 +22,8 @@ use std::time::Duration;
 use proptest::prelude::*;
 use synts::prelude::*;
 use synts_serve::{
-    Client, Journal, ReportOutcome, RetryPolicy, Server, ServerConfig, Service, ServiceConfig,
-    Shutdown, SimExecutor,
+    Client, Executor, Journal, ReportOutcome, RetryPolicy, Server, ServerConfig, Service,
+    ServiceConfig, Shutdown, Step, Transport,
 };
 
 /// A plan that exercises the cache and executor sites: half the cache
@@ -139,10 +139,11 @@ fn fixed_seed_matrix_is_deterministic() {
     save_artifacts(&tag, &journal_a, &fired_a);
 }
 
-/// A fleet-mode chaos scenario for the matrix: every shard goes to sim
-/// executors, the plan kills `node1` on its first dispatched shard AND
-/// drops a quarter of all dispatches (`fleet.dispatch` — the attempt is
-/// charged and the shard requeued). Returns (report, ledger, journal).
+/// A fleet-mode chaos scenario for the matrix: every shard goes to
+/// executors stepped over the in-process transport, the plan kills
+/// `node1` on its first dispatched shard AND drops a quarter of all
+/// dispatches (`fleet.dispatch` — the attempt is charged and the shard
+/// requeued). Returns (report, ledger, journal).
 fn chaos_fleet_run(tag: &str, seed: u64) -> (String, String, PathBuf) {
     let plan = Arc::new(
         FaultPlan::parse(&format!("seed={seed};fleet.dispatch=1/4;exec.kill=~@node1"))
@@ -160,27 +161,28 @@ fn chaos_fleet_run(tag: &str, seed: u64) -> (String, String, PathBuf) {
         lease_ticks: 3,
     }));
     let shared_cache = CharCache::at_dir(fresh_dir(&format!("{tag}-sim-cache")));
-    let mut sims: Vec<SimExecutor> = (1..=2)
-        .map(|n| {
-            SimExecutor::register(
-                &service,
-                &format!("node{n}"),
-                shared_cache.clone(),
-                Some(Arc::clone(&plan)),
-            )
-        })
-        .collect();
+    let [mut victim, mut survivor] = ["node1", "node2"].map(|name| {
+        let transport = Transport::InProcess(Arc::clone(&service));
+        let mut exec = Executor::new(
+            transport,
+            name,
+            shared_cache.clone(),
+            Some(Arc::clone(&plan)),
+        );
+        assert_eq!(exec.step().expect("registers"), Step::Registered);
+        exec
+    });
     let id = service
         .submit(quick_spec("chaos-fleet"))
         .expect("submits")
         .id;
     // Step only the victim until it claims (and dies on) its first
     // shard: the node→shard assignment is then a pure function of the
-    // seed, so the fired-fault ledger can't drift between runs.
+    // seed, so the fired-fault ledger can't drift between runs. The
+    // dead victim is never stepped again.
     {
         let deadline = std::time::Instant::now() + Duration::from_secs(60);
-        while !sims[0].is_dead() {
-            let _ = sims[0].step();
+        while !matches!(victim.step().expect("in-process steps"), Step::Killed) {
             assert!(
                 std::time::Instant::now() < deadline,
                 "the victim never saw work"
@@ -189,9 +191,7 @@ fn chaos_fleet_run(tag: &str, seed: u64) -> (String, String, PathBuf) {
         }
     }
     let report = loop {
-        for sim in sims.iter_mut() {
-            let _ = sim.step();
-        }
+        survivor.step().expect("in-process steps");
         let _ = service.fleet_tick();
         match service.report(&id) {
             ReportOutcome::Ready(report) => break report.to_json_string(),
@@ -199,10 +199,6 @@ fn chaos_fleet_run(tag: &str, seed: u64) -> (String, String, PathBuf) {
             other => panic!("fleet chaos job must survive its faults: {other:?}"),
         }
     };
-    assert!(
-        sims[0].is_dead(),
-        "seed {seed}: node1 must have been killed"
-    );
     service.shutdown(Shutdown::Now);
     (report, plan.report().render(), journal_dir)
 }
