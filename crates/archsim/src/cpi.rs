@@ -25,7 +25,9 @@ impl InstrStream<'_> {
     }
 }
 
-/// The stall model of the in-order core (matching [`crate::Core`]).
+/// The stall model of an in-order core: one cycle per instruction, plus
+/// the L1 miss penalty, a 2-cycle multiply tail and a 2-cycle redirect on
+/// the 40% of branches taken ([`CpiModel::paper_default`]).
 #[derive(Debug, Clone, Copy)]
 pub struct CpiModel {
     /// L1 data-cache geometry and miss penalty.

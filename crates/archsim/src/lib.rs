@@ -6,16 +6,16 @@
 //! errors and pays the 5-cycle replay. This crate provides all three,
 //! at the abstraction the SynTS models consume:
 //!
-//! * [`Program`] / [`Core`] — a tiny Alpha-flavoured register ISA with a
-//!   functional + cycle-counting in-order core, used to validate the CPI
-//!   model against real instruction streams;
 //! * [`Cache`] — a set-associative L1 data-cache model;
 //! * [`CpiModel`] / [`InstrStream`] — trace-driven CPI estimation for the
-//!   instrumented workload traces;
+//!   instrumented workload traces (Eq 4.1's `CPI_base`);
 //! * [`RazorCore`] / [`simulate_barrier`] — cycle-accounting execution of a
 //!   barrier interval under per-core voltage/frequency/TSR settings with
 //!   error injection from real sensitized-delay traces. Integration tests
-//!   verify it agrees with the paper's closed-form Eq 4.1–4.3.
+//!   verify it agrees with the paper's closed-form Eq 4.1–4.3;
+//! * [`simulate_barrier_with_leakage`] / [`SleepPolicy`] — the same walk
+//!   with static power and a barrier sleep policy, which the integration
+//!   tests hold against the leakage and thrifty-barrier closed forms.
 //!
 //! ```
 //! use archsim::{Cache, CacheConfig};
@@ -27,17 +27,11 @@
 #![forbid(unsafe_code)]
 
 mod cache;
-mod core;
 mod cpi;
-mod isa;
-mod multicore;
 mod razor;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use core::{Core, CoreStats, ExecError};
 pub use cpi::{CpiModel, InstrStream};
-pub use isa::{Instr, Program, Reg};
-pub use multicore::{MultiCore, MultiCoreRun};
 pub use razor::{
     simulate_barrier, simulate_barrier_with_leakage, CoreSetting, IntervalSim, RazorCore,
     SleepPolicy,

@@ -13,10 +13,11 @@
 
 use std::process::ExitCode;
 
-use synts_bench::corpus::{Corpus, Effort};
+use synts_bench::corpus::Corpus;
 use synts_bench::ext_figures;
 use synts_bench::figures::{self, Figure};
 use synts_bench::render::save_csv;
+use synts_core::Quality;
 
 const TARGETS: &[&str] = &[
     "table-5-1",
@@ -84,10 +85,10 @@ fn generate(target: &str, corpus: Option<&Corpus>) -> Result<Figure, synts_core:
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut effort = Effort::Paper;
+    let mut quality = Quality::Paper;
     args.retain(|a| {
         if a == "--quick" {
-            effort = Effort::Quick;
+            quality = Quality::Quick;
             false
         } else {
             true
@@ -109,8 +110,8 @@ fn main() -> ExitCode {
     }
 
     let corpus = if targets.iter().any(|t| needs_corpus(t)) {
-        eprintln!("[repro] characterizing workloads ({effort:?} effort)...");
-        match Corpus::build(effort) {
+        eprintln!("[repro] characterizing workloads ({quality:?} effort)...");
+        match Corpus::build(quality) {
             Ok(c) => Some(c),
             Err(e) => {
                 eprintln!("corpus build failed: {e}");

@@ -12,34 +12,14 @@
 use std::collections::BTreeMap;
 
 use circuits::StageKind;
-use synts_core::experiments::{BenchmarkData, HarnessConfig};
-use synts_core::{characterize_pairs, CharCache, OptError, ThreadPool};
+use synts_core::experiments::BenchmarkData;
+use synts_core::{characterize_pairs, CharCache, OptError, Quality, ThreadPool};
 use workloads::Benchmark;
-
-/// How much work the reproduction run does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Effort {
-    /// Test-sized workloads, few hundred timed instructions per thread.
-    Quick,
-    /// Paper-shaped workloads (Sec 6.2 scale).
-    Paper,
-}
-
-impl Effort {
-    /// The harness configuration for this effort level.
-    #[must_use]
-    pub fn harness(self) -> HarnessConfig {
-        match self {
-            Effort::Quick => HarnessConfig::quick(),
-            Effort::Paper => HarnessConfig::paper_default(),
-        }
-    }
-}
 
 /// Characterization results for every (benchmark, stage) pair needed by the
 /// result figures.
 pub struct Corpus {
-    effort: Effort,
+    quality: Quality,
     data: BTreeMap<(Benchmark, StageKind), BenchmarkData>,
 }
 
@@ -51,8 +31,8 @@ impl Corpus {
     /// # Errors
     ///
     /// Propagates [`OptError`] from the harness.
-    pub fn build(effort: Effort) -> Result<Corpus, OptError> {
-        Corpus::build_subset(effort, &Benchmark::REPORTED, &StageKind::ALL)
+    pub fn build(quality: Quality) -> Result<Corpus, OptError> {
+        Corpus::build_subset(quality, &Benchmark::REPORTED, &StageKind::ALL)
     }
 
     /// Characterizes an arbitrary subset (each workload runs once and is
@@ -63,12 +43,12 @@ impl Corpus {
     ///
     /// Propagates [`OptError`] from the harness.
     pub fn build_subset(
-        effort: Effort,
+        quality: Quality,
         benchmarks: &[Benchmark],
         stages: &[StageKind],
     ) -> Result<Corpus, OptError> {
         Corpus::build_subset_with(
-            effort,
+            quality,
             benchmarks,
             stages,
             &CharCache::from_env(),
@@ -87,7 +67,7 @@ impl Corpus {
     /// Propagates [`OptError`] from the harness, surfacing the
     /// lowest-unit-index failure deterministically at any worker count.
     pub fn build_subset_with(
-        effort: Effort,
+        quality: Quality,
         benchmarks: &[Benchmark],
         stages: &[StageKind],
         cache: &CharCache,
@@ -98,17 +78,17 @@ impl Corpus {
             .iter()
             .flat_map(|&stage| benchmarks.iter().map(move |&benchmark| (benchmark, stage)))
             .collect();
-        let data = characterize_pairs(&pairs, &effort.harness(), cache, pool)?;
+        let data = characterize_pairs(&pairs, &quality.harness(), cache, pool)?;
         Ok(Corpus {
-            effort,
+            quality,
             data: pairs.into_iter().zip(data).collect(),
         })
     }
 
-    /// The effort level this corpus was built at.
+    /// The quality level this corpus was built at.
     #[must_use]
-    pub fn effort(&self) -> Effort {
-        self.effort
+    pub fn quality(&self) -> Quality {
+        self.quality
     }
 
     /// Characterization for one (benchmark, stage) pair, if present.
@@ -133,12 +113,12 @@ mod tests {
     #[test]
     fn subset_build_and_lookup() {
         let corpus =
-            Corpus::build_subset(Effort::Quick, &[Benchmark::Radix], &[StageKind::SimpleAlu])
+            Corpus::build_subset(Quality::Quick, &[Benchmark::Radix], &[StageKind::SimpleAlu])
                 .expect("builds");
         assert!(corpus.get(Benchmark::Radix, StageKind::SimpleAlu).is_some());
         assert!(corpus.get(Benchmark::Fmm, StageKind::SimpleAlu).is_none());
         assert_eq!(corpus.iter().count(), 1);
-        assert_eq!(corpus.effort(), Effort::Quick);
+        assert_eq!(corpus.quality(), Quality::Quick);
     }
 
     fn assert_same(a: &BenchmarkData, b: &BenchmarkData) {
@@ -164,7 +144,7 @@ mod tests {
     fn unit_task_build_matches_coarse_path_at_any_worker_count() {
         let benchmarks = [Benchmark::Radix, Benchmark::Fmm];
         let stages = [StageKind::SimpleAlu, StageKind::Decode];
-        let cfg = Effort::Quick.harness();
+        let cfg = Quality::Quick.harness();
         let mut reference: Vec<BenchmarkData> = Vec::new();
         for &s in &stages {
             for &bench in &benchmarks {
@@ -178,7 +158,7 @@ mod tests {
         }
         for workers in [1, 2, 4, 8] {
             let corpus = Corpus::build_subset_with(
-                Effort::Quick,
+                Quality::Quick,
                 &benchmarks,
                 &stages,
                 &CharCache::disabled(),
@@ -205,7 +185,7 @@ mod tests {
         let benchmarks = [Benchmark::Radix];
         let stages = [StageKind::SimpleAlu, StageKind::Decode];
         let cold = Corpus::build_subset_with(
-            Effort::Quick,
+            Quality::Quick,
             &benchmarks,
             &stages,
             &cache,
@@ -215,7 +195,7 @@ mod tests {
         assert_eq!(cache.stats().misses, 2, "one miss per pair");
         assert_eq!(cache.stats().hits, 0);
         let warm = Corpus::build_subset_with(
-            Effort::Quick,
+            Quality::Quick,
             &benchmarks,
             &stages,
             &cache,
@@ -236,7 +216,7 @@ mod tests {
     fn build_populates_phase_breakdown() {
         let before = PhaseStats::snapshot();
         let _ = Corpus::build_subset_with(
-            Effort::Quick,
+            Quality::Quick,
             &[Benchmark::Fft],
             &[StageKind::SimpleAlu],
             &CharCache::disabled(),

@@ -402,7 +402,7 @@ pub fn ablation_predictor(corpus: &Corpus) -> Result<Figure, OptError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::Effort;
+    use synts_core::Quality;
 
     #[test]
     fn variation_ablation_passes_checks() {
@@ -420,7 +420,7 @@ mod tests {
     #[test]
     fn corpus_backed_ablations_pass_checks() {
         let corpus = Corpus::build_subset(
-            Effort::Quick,
+            Quality::Quick,
             &[Benchmark::Fmm, Benchmark::Radix],
             &[StageKind::SimpleAlu],
         )

@@ -9,7 +9,7 @@ use circuits::{AdderKind, SimpleAlu, StageKind};
 use gpgpu::{GpuKernel, SimdConfig, SimdUnit};
 use synts_core::experiments::BenchmarkData;
 use synts_core::{
-    estimate_overhead_defaults, run_interval, run_interval_offline, Experiment, OptError,
+    estimate_overhead_defaults, run_interval, run_interval_offline, Experiment, OptError, Quality,
     SamplingPlan, ScenarioSpec, Solver, SolverRegistry, ThreadPool, ThreadProfile,
 };
 use timing::{EnergyDelay, ErrorCurve, ErrorModel, StageCharacterizer, VOLTAGE_TABLE_POINTS};
@@ -757,10 +757,10 @@ pub fn fig_6_18(corpus: &Corpus) -> Result<Figure, OptError> {
         }
     }
     let avg_overhead = overheads.iter().sum::<f64>() / overheads.len().max(1) as f64;
-    // Sampling fidelity scales with trace depth: at Quick effort the
+    // Sampling fidelity scales with trace depth: at Quick quality the
     // sampling phase gets only a handful of instructions per TSR level, so
     // the estimate-driven results carry the corresponding noise.
-    let paper_fidelity = corpus.effort() == crate::corpus::Effort::Paper;
+    let paper_fidelity = corpus.quality() == Quality::Paper;
     let overhead_bound = if paper_fidelity { 0.35 } else { 0.90 };
     checks.push(Check::new(
         format!(
@@ -956,7 +956,7 @@ pub fn headline(corpus: &Corpus) -> Result<Figure, OptError> {
 pub fn ablation_adders(corpus: &Corpus) -> Result<Figure, OptError> {
     // Corpus presence check; events come from a fresh run.
     corpus_data(corpus, Benchmark::Radix, StageKind::SimpleAlu)?;
-    let cfg = corpus.effort().harness();
+    let cfg = corpus.quality().harness();
     let trace = Benchmark::Radix.run(&cfg.workload);
     let events = &trace.intervals[trace.intervals.len() - 1].thread(0).events;
 
@@ -1035,11 +1035,10 @@ pub fn ablation_adders(corpus: &Corpus) -> Result<Figure, OptError> {
 ///
 /// Propagates characterization failures.
 pub fn sec_5_4(corpus: &Corpus) -> Result<Figure, OptError> {
-    let effort = corpus.effort();
     // The shared corpus holds the seven reported benchmarks; characterize
     // the three homogeneous ones on demand.
     let extra = Corpus::build_subset(
-        effort,
+        corpus.quality(),
         &[Benchmark::Fft, Benchmark::Ocean, Benchmark::WaterSp],
         &[StageKind::SimpleAlu],
     )?;

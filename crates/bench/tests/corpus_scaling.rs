@@ -11,8 +11,8 @@
 use std::time::{Duration, Instant};
 
 use circuits::StageKind;
-use synts_bench::corpus::{Corpus, Effort};
-use synts_core::{CharCache, ThreadPool};
+use synts_bench::corpus::Corpus;
+use synts_core::{CharCache, Quality, ThreadPool};
 use workloads::Benchmark;
 
 /// Builds the corpus cold with `workers` workers and returns its wall
@@ -27,7 +27,7 @@ fn cold_build(workers: usize) -> Duration {
     let cache = CharCache::at_dir(&dir);
     let start = Instant::now();
     let built = Corpus::build_subset_with(
-        Effort::Quick,
+        Quality::Quick,
         &[Benchmark::Radix, Benchmark::Cholesky, Benchmark::Fmm],
         &StageKind::ALL,
         &cache,

@@ -96,7 +96,6 @@ pub mod criticality;
 mod error;
 mod exhaustive;
 pub mod experiments;
-pub mod extensions;
 pub mod faults;
 pub mod leakage;
 mod milp_formulation;

@@ -14,10 +14,18 @@
 //! * **full round-trip** — the parser accepts everything the writer
 //!   emits (and standard JSON generally), so committed spec files are
 //!   plain JSON editable by hand.
+//!
+//! The parser recurses once per array or object, so it refuses a
+//! document nested deeper than 64 levels rather than let one request
+//! overflow a connection thread's stack. The deepest document the system
+//! writes nests 8 levels (a report), or 9 inside a journal record.
 
 use std::fmt::Write as _;
 
 use crate::error::OptError;
+
+/// Deepest array/object nesting [`Json::parse`] accepts.
+const MAX_DEPTH: usize = 64;
 
 /// A JSON value tree. Object fields keep insertion order (no map
 /// re-sorting), which is what makes rendering deterministic.
@@ -198,9 +206,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// [`OptError::Spec`] with a byte offset on malformed input.
+    /// [`OptError::Spec`] with a line and column on malformed input or
+    /// on nesting deeper than 64 levels.
     pub fn parse(src: &str) -> Result<Json, OptError> {
-        let mut p = Parser { src, pos: 0 };
+        let mut p = Parser {
+            src,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -253,6 +266,8 @@ struct Parser<'a> {
     /// The document; valid UTF-8, since [`Json::parse`] takes `&str`.
     src: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -306,11 +321,23 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing the level
+    /// past `MAX_DEPTH` before it recurses.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, OptError>) -> Result<Json, OptError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, OptError> {
@@ -460,6 +487,21 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
+    /// `levels` arrays (`open` = `[`) or objects, each the only element
+    /// of the one around it.
+    fn nest(open: &str, levels: usize) -> String {
+        let (empty, close) = if open == "[" {
+            ("[]", "]")
+        } else {
+            ("{}", "}")
+        };
+        format!(
+            "{}{empty}{}",
+            open.repeat(levels - 1),
+            close.repeat(levels - 1)
+        )
+    }
+
     #[test]
     fn round_trips_typical_documents() {
         for src in [
@@ -468,6 +510,9 @@ mod tests {
             r#""just a string""#,
             "[]",
             "{}",
+            &nest("[", 64),
+            &nest("{\"k\":", 64),
+            &format!("[{}]", vec![nest("[", 63); 3].join(",")),
         ] {
             let parsed = Json::parse(src).expect(src);
             let rendered = parsed.render();
@@ -515,6 +560,9 @@ mod tests {
             "{\"a\" 1}",
             "[1] 2",
             "tru",
+            &nest("[", 65),
+            &nest("{\"k\":", 65),
+            &"[".repeat(100_000),
         ] {
             assert!(Json::parse(src).is_err(), "{src} should fail");
         }
@@ -528,6 +576,16 @@ mod tests {
         assert!(msg.contains("column 8"), "{msg}");
         let err = Json::parse("[1, 2,]").expect_err("trailing comma");
         assert!(err.to_string().contains("line 1"), "{err}");
+        // The 65th level is refused where it opens.
+        let err = Json::parse(&nest("[", 65)).expect_err("65 levels");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("line 1, column 65): nested deeper than 64 levels"),
+            "{msg}"
+        );
+        let err = Json::parse(&format!("[1,\n {}]", nest("{\"a\":", 64))).expect_err("65 levels");
+        let msg = err.to_string();
+        assert!(msg.contains("line 2, column 317): nested deeper"), "{msg}");
     }
 
     #[test]

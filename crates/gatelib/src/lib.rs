@@ -55,6 +55,6 @@ pub use error::NetlistError;
 pub use netlist::{Cell, CellId, NetId, Netlist, NetlistBuilder};
 pub use sim::{Step, TimingSim, Transition};
 pub use sta::{CriticalPath, StaticTiming};
-pub use stats::{NetlistStats, PowerEstimate};
+pub use stats::NetlistStats;
 pub use voltage::{Voltage, VoltageTable, VOLTAGE_TABLE_POINTS};
 pub use wide::{transpose_lanes, WideStep, WideTimingSim, LANES};

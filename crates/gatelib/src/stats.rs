@@ -1,4 +1,4 @@
-//! Netlist statistics: cell counts, area and power estimates.
+//! Netlist statistics: cell counts, area and switching energy.
 //!
 //! These feed the Sec 6.3 overhead analysis: SynTS's added hardware (Razor
 //! shadow latches, sampling counters, the per-core controller) is sized in
@@ -11,7 +11,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::cell::CellKind;
 use crate::netlist::Netlist;
-use crate::voltage::Voltage;
 
 /// Static structural statistics of a netlist.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -55,49 +54,6 @@ impl NetlistStats {
     }
 }
 
-/// Average-activity dynamic power estimate for a simulated run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PowerEstimate {
-    /// Normalized switching energy consumed over the run.
-    pub energy: f64,
-    /// Number of vectors (cycles) in the run.
-    pub cycles: u64,
-    /// Energy per cycle — proportional to dynamic power at fixed frequency.
-    pub energy_per_cycle: f64,
-}
-
-impl PowerEstimate {
-    /// Builds an estimate from accumulated simulator counters.
-    ///
-    /// `switch_energy` should come from
-    /// [`crate::TimingSim::total_switch_energy`], `cycles` from
-    /// [`crate::TimingSim::applied_vectors`].
-    #[must_use]
-    pub fn from_counters(switch_energy: f64, cycles: u64) -> PowerEstimate {
-        PowerEstimate {
-            energy: switch_energy,
-            cycles,
-            energy_per_cycle: if cycles == 0 {
-                0.0
-            } else {
-                switch_energy / cycles as f64
-            },
-        }
-    }
-
-    /// Rescales the estimate to a different supply voltage
-    /// (dynamic energy ∝ V²).
-    #[must_use]
-    pub fn at_voltage(self, from: Voltage, to: Voltage) -> PowerEstimate {
-        let k = to.energy_scale() / from.energy_scale();
-        PowerEstimate {
-            energy: self.energy * k,
-            cycles: self.cycles,
-            energy_per_cycle: self.energy_per_cycle * k,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,21 +79,5 @@ mod tests {
         assert!((s.total_area - expected_area).abs() < 1e-12);
         assert_eq!(s.inputs, 2);
         assert_eq!(s.outputs, 1);
-    }
-
-    #[test]
-    fn power_estimate_per_cycle() {
-        let p = PowerEstimate::from_counters(10.0, 5);
-        assert!((p.energy_per_cycle - 2.0).abs() < 1e-12);
-        let zero = PowerEstimate::from_counters(0.0, 0);
-        assert_eq!(zero.energy_per_cycle, 0.0);
-    }
-
-    #[test]
-    fn voltage_rescale_is_quadratic() {
-        let p = PowerEstimate::from_counters(10.0, 5);
-        let v08 = Voltage::new(0.8).expect("ok");
-        let q = p.at_voltage(Voltage::NOMINAL, v08);
-        assert!((q.energy - 6.4).abs() < 1e-12);
     }
 }

@@ -32,7 +32,10 @@
 //! invalid JSON, unknown routes) get 4xx JSON errors; a connection that
 //! stalls past the [`ServerConfig::read_deadline`] gets a 408; nothing a
 //! client sends can panic the server ([`std::panic::catch_unwind`]
-//! backstops every connection thread).
+//! backstops every connection thread). A body nested deeper than 64
+//! levels of arrays and objects is invalid JSON too (400): [`Json::parse`]
+//! refuses it before recursing further, since a stack overflow aborts the
+//! process and no `catch_unwind` can catch it.
 //!
 //! Every route but `/v1/shutdown` needs only the [`Service`], so the
 //! fleet's in-process transport ([`crate::fleet::Transport::InProcess`])

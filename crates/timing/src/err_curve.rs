@@ -84,12 +84,6 @@ impl ErrorCurve {
     pub fn samples(&self) -> usize {
         self.sorted.len()
     }
-
-    /// Evaluates the curve at several ratios at once.
-    #[must_use]
-    pub fn sample_points(&self, ratios: &[f64]) -> Vec<(f64, f64)> {
-        ratios.iter().map(|&r| (r, self.err(r))).collect()
-    }
 }
 
 impl ErrorModel for ErrorCurve {

@@ -24,7 +24,7 @@ use proptest::prelude::*;
 use synts::core_api::characterize_pairs;
 use synts::core_api::experiments::characterize_workload_on;
 use synts::prelude::*;
-use synts_bench::corpus::{Corpus, Effort};
+use synts_bench::corpus::Corpus;
 
 const BENCHES: [Benchmark; 3] = [Benchmark::Radix, Benchmark::Cholesky, Benchmark::Fmm];
 
@@ -209,12 +209,12 @@ proptest! {
         let benchmarks = [bench];
         let cache = CharCache::disabled();
         let reference = Corpus::build_subset_with(
-            Effort::Quick, &benchmarks, &StageKind::ALL, &cache, ThreadPool::sequential(),
+            Quality::Quick, &benchmarks, &StageKind::ALL, &cache, ThreadPool::sequential(),
         )
         .expect("sequential corpus");
         for workers in [2usize, 8] {
             let pooled = Corpus::build_subset_with(
-                Effort::Quick, &benchmarks, &StageKind::ALL, &cache, ThreadPool::new(workers),
+                Quality::Quick, &benchmarks, &StageKind::ALL, &cache, ThreadPool::new(workers),
             )
             .expect("pooled corpus");
             prop_assert_eq!(pooled.iter().count(), reference.iter().count());

@@ -1,7 +1,7 @@
 //! Property-based certification of the extension modules: the leakage
 //! and power-cap generalizations keep their solvers exact, the thrifty
-//! barrier and task-queue models obey their defining inequalities, and
-//! the `N_i` predictors stay inside the envelope of their observations.
+//! barrier model obeys its defining inequalities, and the `N_i`
+//! predictors stay inside the envelope of their observations.
 
 use proptest::prelude::*;
 use synts::core_api::criticality::{NiPredictor, PredictorKind};

@@ -15,7 +15,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use synts::prelude::*;
-use synts_bench::corpus::{Corpus, Effort};
+use synts_bench::corpus::Corpus;
 use synts_bench::figures::{self, Figure};
 
 fn fixture_path(id: &str) -> PathBuf {
@@ -94,7 +94,7 @@ fn fig_5_10_matches_golden() {
 #[test]
 fn fig_pareto_quick_matches_golden() {
     let corpus = Corpus::build_subset(
-        Effort::Quick,
+        Quality::Quick,
         &[Benchmark::Cholesky],
         &[StageKind::SimpleAlu],
     )

@@ -3,7 +3,7 @@
 //! effort.
 
 use synts::prelude::*;
-use synts_bench::corpus::{Corpus, Effort};
+use synts_bench::corpus::Corpus;
 use synts_bench::figures;
 
 #[test]
@@ -27,7 +27,7 @@ fn fig_5_10_lane_homogeneity() {
 
 #[test]
 fn radix_figures_generate_with_passing_checks() {
-    let corpus = Corpus::build_subset(Effort::Quick, &[Benchmark::Radix], &[StageKind::Decode])
+    let corpus = Corpus::build_subset(Quality::Quick, &[Benchmark::Radix], &[StageKind::Decode])
         .expect("corpus");
     let fig = figures::fig_3_5(&corpus).expect("generates");
     assert!(
@@ -46,7 +46,7 @@ fn radix_figures_generate_with_passing_checks() {
 #[test]
 fn pareto_figure_generates_with_passing_checks() {
     let corpus = Corpus::build_subset(
-        Effort::Quick,
+        Quality::Quick,
         &[Benchmark::Cholesky],
         &[StageKind::SimpleAlu],
     )
@@ -58,7 +58,7 @@ fn pareto_figure_generates_with_passing_checks() {
 
 #[test]
 fn missing_corpus_entry_is_a_clean_error() {
-    let corpus = Corpus::build_subset(Effort::Quick, &[], &[]).expect("empty corpus");
+    let corpus = Corpus::build_subset(Quality::Quick, &[], &[]).expect("empty corpus");
     let err = figures::fig_3_5(&corpus).expect_err("no data");
     assert!(err.to_string().contains("corpus"));
 }

@@ -1,7 +1,8 @@
 //! Integration tests for the declarative scenario layer: spec JSON
 //! round-trips, committed spec files, runner correctness against the
-//! direct solver API, worker-count determinism, and a golden canonical
-//! JSON report fixture.
+//! direct solver API, worker-count determinism, a golden canonical JSON
+//! report fixture, and seeded JSON round-trip and garbage-input
+//! properties of the parser every spec, report and request goes through.
 //!
 //! To regenerate the fixture after an intentional change:
 //! `SYNTS_REGEN_FIXTURES=1 cargo test --test scenario`
@@ -9,6 +10,7 @@
 use std::fs;
 use std::path::PathBuf;
 
+use proptest::prelude::*;
 use synts::prelude::*;
 use synts_bench::figures;
 
@@ -379,5 +381,213 @@ fn overflowing_log_grid_fails_cleanly_with_the_theta_message() {
             err.to_string().contains("theta must be finite"),
             "{scheme}: {err}"
         );
+    }
+}
+
+/// A splitmix64 stream: each generated document is a pure function of
+/// its seed.
+struct Seeded(u64);
+
+impl Seeded {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, bound: u64) -> u64 {
+        self.next() % bound
+    }
+}
+
+/// A finite number: an edge case, a subnormal or any finite bit pattern.
+fn json_number(rng: &mut Seeded) -> f64 {
+    const EDGES: [f64; 10] = [
+        0.0,
+        -0.0,
+        f64::MAX,
+        -f64::MAX,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        5e-324,
+        -5e-324,
+        1.0,
+        0.1,
+    ];
+    let sign = rng.next() & (1 << 63);
+    match rng.below(4) {
+        0 => EDGES[rng.below(EDGES.len() as u64) as usize],
+        1 => f64::from_bits(sign | (1 + rng.below((1 << 52) - 1))),
+        _ => loop {
+            let x = f64::from_bits(rng.next());
+            if x.is_finite() {
+                break x;
+            }
+        },
+    }
+}
+
+/// A string mixing every character the writer escapes (`"`, `\`, `\n`,
+/// `\r`, `\t`, and the other control characters as `\u00XX`, backspace
+/// and form feed among them), `/`, DEL, multi-byte text and any other
+/// scalar value.
+fn json_string(rng: &mut Seeded) -> String {
+    const PICKS: [char; 16] = [
+        '"',
+        '\\',
+        '/',
+        '\n',
+        '\r',
+        '\t',
+        '\u{8}',
+        '\u{c}',
+        '\u{0}',
+        '\u{1f}',
+        '\u{7f}',
+        'é',
+        '∑',
+        '🚀',
+        '\u{ffff}',
+        '\u{10ffff}',
+    ];
+    (0..rng.below(12))
+        .map(|_| match rng.below(3) {
+            0 => PICKS[rng.below(PICKS.len() as u64) as usize],
+            1 => char::from(b' ' + rng.below(95) as u8),
+            _ => loop {
+                if let Some(c) = char::from_u32(rng.below(0x11_0000) as u32) {
+                    break c;
+                }
+            },
+        })
+        .collect()
+}
+
+/// An object key; drawn from a small pool half the time, so objects
+/// repeat keys.
+fn json_key(rng: &mut Seeded) -> String {
+    if rng.next() & 1 == 0 {
+        ["a", "k", "", "é"][rng.below(4) as usize].to_string()
+    } else {
+        json_string(rng)
+    }
+}
+
+/// A tree whose deepest path opens exactly `levels` arrays or objects.
+fn json_tree(rng: &mut Seeded, levels: u64) -> Json {
+    if levels == 0 {
+        return match rng.below(6) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.next() & 1 == 1),
+            2 | 3 => Json::Num(json_number(rng)),
+            _ => Json::Str(json_string(rng)),
+        };
+    }
+    let items: Vec<Json> = if levels == 1 && rng.below(4) == 0 {
+        Vec::new()
+    } else {
+        let siblings = rng.below(4);
+        let spine = rng.below(siblings + 1);
+        (0..=siblings)
+            .map(|i| {
+                let sub = if i == spine {
+                    levels - 1
+                } else {
+                    rng.below(levels.min(3))
+                };
+                json_tree(rng, sub)
+            })
+            .collect()
+    };
+    if rng.next() & 1 == 0 {
+        Json::Arr(items)
+    } else {
+        Json::Obj(items.into_iter().map(|v| (json_key(rng), v)).collect())
+    }
+}
+
+/// Structural equality with numbers compared by bits: `Json`'s `==`
+/// treats −0.0 and 0.0 as equal.
+fn same_bits(a: &Json, b: &Json) -> bool {
+    match (a, b) {
+        (Json::Num(x), Json::Num(y)) => x.to_bits() == y.to_bits(),
+        (Json::Arr(xs), Json::Arr(ys)) => {
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_bits(x, y))
+        }
+        (Json::Obj(xs), Json::Obj(ys)) => {
+            xs.len() == ys.len()
+                && xs
+                    .iter()
+                    .zip(ys)
+                    .all(|((kx, x), (ky, y))| kx == ky && same_bits(x, y))
+        }
+        _ => a == b,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `parse(render(x))` and `parse(render_pretty(x))` reproduce `x`
+    /// bit for bit, up to the parser's 64-level nesting bound.
+    #[test]
+    fn json_round_trips_bit_for_bit(seed in any::<u64>()) {
+        let mut rng = Seeded(seed);
+        let levels = if rng.below(4) == 0 { 64 } else { rng.below(65) };
+        let tree = json_tree(&mut rng, levels);
+        for text in [tree.render(), tree.render_pretty()] {
+            let back = Json::parse(&text)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e} parsing {text}"));
+            prop_assert!(same_bits(&back, &tree), "seed {seed}: {text}");
+        }
+    }
+
+    /// Arbitrary bytes, read as lossy UTF-8, never panic the parser:
+    /// random bytes, bytes from JSON's alphabet, and rendered documents
+    /// cut, spliced, corrupted and given stray `\u` escapes. A document
+    /// it accepts renders to one it accepts again.
+    #[test]
+    fn json_parser_never_panics_on_arbitrary_bytes(seed in any::<u64>()) {
+        const ALPHABET: &[u8] = b"[]{}\":,\\/ \n-+.0123456789eEnulltruefalse\"u";
+        let mut rng = Seeded(seed);
+        let mut bytes: Vec<u8> = match rng.below(3) {
+            0 => (0..rng.below(512)).map(|_| rng.next() as u8).collect(),
+            1 => (0..rng.below(512))
+                .map(|_| ALPHABET[rng.below(ALPHABET.len() as u64) as usize])
+                .collect(),
+            _ => {
+                let levels = rng.below(66);
+                json_tree(&mut rng, levels).render().into_bytes()
+            }
+        };
+        for _ in 0..rng.below(8) {
+            if bytes.is_empty() {
+                break;
+            }
+            let at = rng.below(bytes.len() as u64) as usize;
+            match rng.below(5) {
+                0 => bytes.truncate(at),
+                1 => bytes[at] ^= 1 << rng.below(8),
+                2 => {
+                    let run = rng.below(128) as usize;
+                    let open = if rng.next() & 1 == 0 { b'[' } else { b'{' };
+                    bytes.splice(at..at, std::iter::repeat_n(open, run));
+                }
+                // A `\u` escape whose four digits run into what follows.
+                3 => {
+                    bytes.splice(at..at, *b"\\u");
+                }
+                _ => {
+                    let byte = ALPHABET[rng.below(ALPHABET.len() as u64) as usize];
+                    bytes.insert(at, byte);
+                }
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(value) = Json::parse(&text) {
+            prop_assert!(Json::parse(&value.render()).is_ok(), "seed {seed}: {text}");
+        }
     }
 }

@@ -152,8 +152,9 @@ fn raw_request(addr: std::net::SocketAddr, payload: &[u8]) -> String {
 }
 
 /// Nothing a client sends may take the server down: garbage request
-/// lines, non-JSON bodies, unknown routes, oversized payloads — each
-/// gets a 4xx and the server keeps answering.
+/// lines, non-JSON bodies, bodies nested past the parser's bound,
+/// unknown routes, oversized payloads — each gets a 4xx and the server
+/// keeps answering.
 #[test]
 fn malformed_requests_get_4xx_and_never_kill_the_server() {
     let service = test_service("malformed", 1);
@@ -193,6 +194,19 @@ fn malformed_requests_get_4xx_and_never_kill_the_server() {
             String::from_utf8_lossy(payload)
         );
     }
+    // A body nested 100,000 levels deep is refused at the parser's
+    // 64-level bound; recursing into it would overflow the connection
+    // thread's stack, which aborts the process.
+    let mut deep = b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 100000\r\n\r\n".to_vec();
+    deep.resize(deep.len() + 100_000, b'[');
+    let reply = raw_request(addr, &deep);
+    assert_eq!(
+        reply.split_whitespace().nth(1),
+        Some("400"),
+        "deep body: {reply:?}"
+    );
+    assert!(reply.contains("nested deeper than 64 levels"), "{reply}");
+
     // An oversized request head is cut off at the limit, too.
     let mut huge = b"GET /v1/healthz HTTP/1.1\r\n".to_vec();
     for i in 0..2000 {
