@@ -14,73 +14,14 @@
 use std::process::ExitCode;
 
 use synts_bench::corpus::Corpus;
-use synts_bench::ext_figures;
-use synts_bench::figures::{self, Figure};
 use synts_bench::render::save_csv;
+use synts_bench::{generate, needs_corpus, TARGETS};
 use synts_core::Quality;
-
-const TARGETS: &[&str] = &[
-    "table-5-1",
-    "fig-1-2",
-    "fig-3-5",
-    "fig-3-6",
-    "fig-5-10",
-    "fig-6-11",
-    "fig-6-12",
-    "fig-6-13",
-    "fig-6-14",
-    "fig-6-15",
-    "fig-6-16",
-    "fig-6-17",
-    "fig-6-18",
-    "sec-5-4",
-    "sec-6-3",
-    "headline",
-    "ablation-adders",
-    "ablation-variation",
-    "ablation-aging",
-    "ablation-leakage",
-    "ablation-power-cap",
-    "ablation-predictor",
-];
 
 fn usage() -> ExitCode {
     eprintln!("usage: repro [--quick] <target>... | all");
     eprintln!("targets: {}", TARGETS.join(", "));
     ExitCode::from(2)
-}
-
-fn needs_corpus(target: &str) -> bool {
-    !matches!(
-        target,
-        "table-5-1" | "fig-5-10" | "sec-6-3" | "ablation-variation" | "ablation-aging"
-    )
-}
-
-fn generate(target: &str, corpus: Option<&Corpus>) -> Result<Figure, synts_core::OptError> {
-    let c = || corpus.expect("corpus built for corpus-dependent targets");
-    match target {
-        "table-5-1" => figures::table_5_1(),
-        "fig-1-2" => figures::fig_1_2(c()),
-        "fig-3-5" => figures::fig_3_5(c()),
-        "fig-3-6" => figures::fig_3_6(c()),
-        "fig-5-10" => figures::fig_5_10(),
-        "fig-6-11" | "fig-6-12" | "fig-6-13" | "fig-6-14" | "fig-6-15" | "fig-6-16" => {
-            figures::fig_pareto(c(), target)
-        }
-        "fig-6-17" => figures::fig_6_17(c()),
-        "fig-6-18" => figures::fig_6_18(c()),
-        "sec-5-4" => figures::sec_5_4(c()),
-        "sec-6-3" => figures::sec_6_3(),
-        "headline" => figures::headline(c()),
-        "ablation-adders" => figures::ablation_adders(c()),
-        "ablation-variation" => ext_figures::ablation_variation(),
-        "ablation-aging" => ext_figures::ablation_aging(),
-        "ablation-leakage" => ext_figures::ablation_leakage(c()),
-        "ablation-power-cap" => ext_figures::ablation_power_cap(c()),
-        "ablation-predictor" => ext_figures::ablation_predictor(c()),
-        _ => Err(synts_core::OptError::BadConfig("unknown repro target")),
-    }
 }
 
 fn main() -> ExitCode {

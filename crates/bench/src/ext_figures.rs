@@ -16,14 +16,14 @@ use synts_core::leakage::{evaluate_with_leakage, synts_poly_leakage, LeakageMode
 use synts_core::power_cap::synts_poly_power_capped;
 use synts_core::thrifty::{thrifty_barrier, ThriftyConfig};
 use synts_core::{
-    evaluate, nominal, run_interval, synts_poly, OptError, SamplingPlan, SystemConfig,
+    evaluate, nominal, run_interval, synts_poly, OptError, ReportCheck, SamplingPlan, SystemConfig,
     ThreadProfile,
 };
 use timing::{DieTiming, ErrorCurve, ErrorModel, StageCharacterizer};
 use workloads::Benchmark;
 
 use crate::corpus::Corpus;
-use crate::figures::{solver, Check, Figure};
+use crate::figures::{solver, Figure};
 use crate::render::{f, table};
 
 /// A deterministic mixed-op operand stream for the corpus-free ablations.
@@ -80,12 +80,12 @@ pub fn ablation_variation() -> Result<Figure, OptError> {
     let header = ["sigma", "guard_band", "err08_min", "err08_max"];
     let monotone = bands.windows(2).all(|w| w[1] >= w[0] - 1e-12);
     let checks = vec![
-        Check::new("guard band grows with variation strength", monotone),
-        Check::new(
+        ReportCheck::new("guard band grows with variation strength", monotone),
+        ReportCheck::new(
             "zero variation needs no guard band",
             (bands[0] - 1.0).abs() < 1e-9,
         ),
-        Check::new(
+        ReportCheck::new(
             "strong variation demands >5% guard band",
             *bands.last().expect("non-empty") > 1.05,
         ),
@@ -154,11 +154,11 @@ pub fn ablation_aging() -> Result<Figure, OptError> {
         "edp",
     ];
     let checks = vec![
-        Check::new(
+        ReportCheck::new(
             "error probability at r = 0.9 never falls as the die ages",
             err09.windows(2).all(|w| w[1] >= w[0] - 1e-12),
         ),
-        Check::new(
+        ReportCheck::new(
             "SynTS backs off speculation on aged dies (min TSR index non-decreasing)",
             min_tsr.windows(2).all(|w| w[1] >= w[0]),
         ),
@@ -242,15 +242,15 @@ pub fn ablation_leakage(corpus: &Corpus) -> Result<Figure, OptError> {
         .collect();
     let header = ["scheme", "energy", "time", "edp_vs_nominal"];
     let checks = vec![
-        Check::new(
+        ReportCheck::new(
             "leakage-aware SynTS never costs more than leakage-blind SynTS",
             cost_aware <= cost_blind * (1.0 + 1e-9),
         ),
-        Check::new(
+        ReportCheck::new(
             "leakage-aware SynTS beats the thrifty barrier",
             edp(0) < edp(2),
         ),
-        Check::new("the thrifty barrier beats Nominal", edp(2) < edp(3)),
+        ReportCheck::new("the thrifty barrier beats Nominal", edp(2) < edp(3)),
     ];
     Ok(Figure {
         id: "ablation-leakage",
@@ -302,11 +302,11 @@ pub fn ablation_power_cap(corpus: &Corpus) -> Result<Figure, OptError> {
         "power_vs_nominal",
     ];
     let checks = vec![
-        Check::new(
+        ReportCheck::new(
             "loosening the cap never slows the barrier",
             times.windows(2).all(|w| w[1] <= w[0] * (1.0 + 1e-12)),
         ),
-        Check::new(
+        ReportCheck::new(
             "a generous cap lets timing speculation beat the nominal time",
             times.last().is_some_and(|&t| t < ed_nom.time),
         ),
@@ -386,7 +386,7 @@ pub fn ablation_predictor(corpus: &Corpus) -> Result<Figure, OptError> {
     }
     let header = ["ni_source", "edp_vs_oracle", "mean_mape"];
     let worst = ratios.iter().copied().fold(0.0f64, f64::max);
-    let checks = vec![Check::new(
+    let checks = vec![ReportCheck::new(
         "history-predicted Ni stays within 25% EDP of the oracle",
         worst < 1.25,
     )];

@@ -10,7 +10,7 @@ use gpgpu::{GpuKernel, SimdConfig, SimdUnit};
 use synts_core::experiments::BenchmarkData;
 use synts_core::{
     estimate_overhead_defaults, run_interval, run_interval_offline, Experiment, OptError, Quality,
-    SamplingPlan, ScenarioSpec, Solver, SolverRegistry, ThreadPool, ThreadProfile,
+    ReportCheck, SamplingPlan, ScenarioSpec, Solver, SolverRegistry, ThreadPool, ThreadProfile,
 };
 use timing::{EnergyDelay, ErrorCurve, ErrorModel, StageCharacterizer, VOLTAGE_TABLE_POINTS};
 use workloads::Benchmark;
@@ -27,25 +27,6 @@ pub(crate) fn solver(key: &str) -> Arc<dyn Solver<ErrorCurve>> {
         .expect("default registry key")
 }
 
-/// One qualitative claim and whether the reproduction satisfies it.
-#[derive(Debug, Clone)]
-pub struct Check {
-    /// The claim, phrased as in the paper.
-    pub claim: String,
-    /// Whether the measured data satisfies it.
-    pub pass: bool,
-}
-
-impl Check {
-    /// Creates a check from a claim and its measured outcome.
-    pub fn new(claim: impl Into<String>, pass: bool) -> Check {
-        Check {
-            claim: claim.into(),
-            pass,
-        }
-    }
-}
-
 /// A regenerated table or figure.
 #[derive(Debug, Clone)]
 pub struct Figure {
@@ -58,7 +39,7 @@ pub struct Figure {
     /// CSV payload (header, rows) for `results/<id>.csv`.
     pub csv: Option<(Vec<&'static str>, Vec<Vec<String>>)>,
     /// Shape checks against the paper's claims.
-    pub checks: Vec<Check>,
+    pub checks: Vec<ReportCheck>,
 }
 
 fn corpus_data(
@@ -123,7 +104,7 @@ pub fn table_5_1() -> Result<Figure, OptError> {
             .nominal_period();
         let measured = period / base;
         rows.push(vec![f(v, 2), f(published, 2), f(measured, 4)]);
-        checks.push(Check::new(
+        checks.push(ReportCheck::new(
             format!("ring oscillator at {v:.2} V reproduces multiplier {published}"),
             (measured - published).abs() < 1e-9,
         ));
@@ -167,15 +148,15 @@ pub fn fig_1_2(corpus: &Corpus) -> Result<Figure, OptError> {
         nominal_spi / (r * (p * c_pen + td.cpi_base))
     };
     let checks = vec![
-        Check::new(
+        ReportCheck::new(
             "an optimal speculative clock f_s exists below f_0",
             best.0 < 1.0,
         ),
-        Check::new(
+        ReportCheck::new(
             "clocking past f_s degrades performance (recovery dominates)",
             best.1 > perf_at_min,
         ),
-        Check::new("speculation at f_s beats nominal", best.1 > 1.0),
+        ReportCheck::new("speculation at f_s beats nominal", best.1 > 1.0),
     ];
     let mut text = table(&["r", "err(r)", "perf (x nominal)"], &rows);
     text.push_str(&format!(
@@ -234,15 +215,15 @@ pub fn fig_3_5(corpus: &Corpus) -> Result<Figure, OptError> {
             == Some(0)
     };
     let checks = vec![
-        Check::new(
+        ReportCheck::new(
             format!("thread error curves are heterogeneous (worst/best = {factor:.1}x, paper ~4x)"),
             factor > 2.0,
         ),
-        Check::new(
+        ReportCheck::new(
             "thread 0 consistently has the highest error probability",
             t0_critical,
         ),
-        Check::new(
+        ReportCheck::new(
             "error probability decreases with the clock period",
             iv.threads
                 .iter()
@@ -372,12 +353,12 @@ pub fn fig_3_6(corpus: &Corpus) -> Result<Figure, OptError> {
         cfg.tsr_levels[best_k]
     ));
     let checks = vec![
-        Check::new("step 1 speculation shortens the barrier interval", dt > 0.0),
-        Check::new(
+        ReportCheck::new("step 1 speculation shortens the barrier interval", dt > 0.0),
+        ReportCheck::new(
             "step 2 voltage scaling cuts energy without hurting time",
             de > 0.0,
         ),
-        Check::new(
+        ReportCheck::new(
             "slack exists: some non-critical thread runs below nominal voltage",
             step2_points
                 .iter()
@@ -416,12 +397,12 @@ pub fn fig_5_10() -> Result<Figure, OptError> {
             row.push(f(report.mean_distances[lane], 2));
         }
         rows.push(row);
-        checks.push(Check::new(
+        checks.push(ReportCheck::new(
             format!("{kernel}: 16 VALUs have qualitatively similar hamming histograms"),
             report.min_similarity > 0.85,
         ));
     }
-    checks.push(Check::new(
+    checks.push(ReportCheck::new(
         "homogeneity holds for every kernel (per-core TS suffices on this GPGPU)",
         worst > 0.85,
     ));
@@ -542,15 +523,15 @@ pub fn fig_pareto(corpus: &Corpus, id: &str) -> Result<Figure, OptError> {
     let fastest_nots = nots.iter().map(|p| p.time).fold(f64::INFINITY, f64::min);
     let min_energy_synts = synts.iter().map(|p| p.energy).fold(f64::INFINITY, f64::min);
     let checks = vec![
-        Check::new(
+        ReportCheck::new(
             "SynTS's weighted cost lower-bounds Per-core TS and No-TS at every theta",
             theta_dominant,
         ),
-        Check::new(
+        ReportCheck::new(
             "timing speculation reaches shorter execution times than No-TS",
             fastest_synts < fastest_nots - 1e-9,
         ),
-        Check::new(
+        ReportCheck::new(
             "voltage scaling reaches well below nominal energy",
             min_energy_synts < 0.9,
         ),
@@ -625,14 +606,14 @@ pub fn fig_6_17(corpus: &Corpus) -> Result<Figure, OptError> {
                 }
             }
         }
-        checks.push(Check::new(
+        checks.push(ReportCheck::new(
             format!(
                 "{bench}: estimates track the actual error probabilities \
                  (max gap {max_gap:.3}, noise budget {gap_budget:.3})"
             ),
             max_gap < gap_budget,
         ));
-        checks.push(Check::new(
+        checks.push(ReportCheck::new(
             format!(
                 "{bench}: the speculation-critical thread is identified whenever distinguishable"
             ),
@@ -762,7 +743,7 @@ pub fn fig_6_18(corpus: &Corpus) -> Result<Figure, OptError> {
     // the estimate-driven results carry the corresponding noise.
     let paper_fidelity = corpus.quality() == Quality::Paper;
     let overhead_bound = if paper_fidelity { 0.35 } else { 0.90 };
-    checks.push(Check::new(
+    checks.push(ReportCheck::new(
         format!(
             "online-vs-offline EDP overhead is modest (avg {:.1}%, paper ~10.3%)",
             100.0 * avg_overhead
@@ -771,7 +752,7 @@ pub fn fig_6_18(corpus: &Corpus) -> Result<Figure, OptError> {
     ));
     if paper_fidelity {
         let n = total_count.max(1) as f64;
-        checks.push(Check::new(
+        checks.push(ReportCheck::new(
             format!(
                 "SynTS(online) beats No-TS and Nominal in aggregate \
                  (mean EDP {:.2} vs {:.2} vs {:.2})",
@@ -781,7 +762,7 @@ pub fn fig_6_18(corpus: &Corpus) -> Result<Figure, OptError> {
             ),
             sums.0 < sums.1 && sums.0 < sums.2,
         ));
-        checks.push(Check::new(
+        checks.push(ReportCheck::new(
             format!(
                 "SynTS(online) wins on most benchmark/stage pairs \
                  ({wins_count}/{total_count}; rows marked * lose to a baseline — \
@@ -790,7 +771,7 @@ pub fn fig_6_18(corpus: &Corpus) -> Result<Figure, OptError> {
             wins_count * 2 > total_count,
         ));
     } else {
-        checks.push(Check::new(
+        checks.push(ReportCheck::new(
             "(quick effort: cross-scheme comparison skipped — sampling phase too short)",
             true,
         ));
@@ -838,21 +819,21 @@ pub fn sec_6_3() -> Result<Figure, OptError> {
         ],
     ];
     let checks = vec![
-        Check::new(
+        ReportCheck::new(
             format!(
                 "power overhead is a few percent ({:.2}%, paper 3.41%)",
                 report.power_pct()
             ),
             report.power_pct() > 0.5 && report.power_pct() < 8.0,
         ),
-        Check::new(
+        ReportCheck::new(
             format!(
                 "area overhead is a few percent ({:.2}%, paper 2.7%)",
                 report.area_pct()
             ),
             report.area_pct() > 0.5 && report.area_pct() < 8.0,
         ),
-        Check::new(
+        ReportCheck::new(
             "power overhead exceeds area overhead (shadow latches clock every cycle)",
             report.power_fraction > report.area_fraction,
         ),
@@ -914,7 +895,7 @@ pub fn headline(corpus: &Corpus) -> Result<Figure, OptError> {
             ),
             f(best, 1),
         ]);
-        checks.push(Check::new(
+        checks.push(ReportCheck::new(
             format!("{stage}: SynTS beats per-core TS (best {best:.1}%, paper up to {paper}%)"),
             best > 1.0,
         ));
@@ -930,7 +911,7 @@ pub fn headline(corpus: &Corpus) -> Result<Figure, OptError> {
         .filter(|(s, _, _)| *s != StageKind::ComplexAlu)
         .map(|&(_, b, _)| b)
         .fold(0.0f64, f64::max);
-    checks.push(Check::new(
+    checks.push(ReportCheck::new(
         "the ComplexALU shows the smallest best-case gain (paper: 7.5% vs 25-26%)",
         complex_best < others_best,
     ));
@@ -984,14 +965,14 @@ pub fn ablation_adders(corpus: &Corpus) -> Result<Figure, OptError> {
     let ripple_tnom = tnoms[0].1;
     let ks_tnom = tnoms[2].1; // AdderKind::ALL order: ripple, cla, ks, ...
     let checks = vec![
-        Check::new(
+        ReportCheck::new(
             format!(
                 "the log-depth adder shortens the stage's nominal period \
                  ({ks_tnom:.1} vs {ripple_tnom:.1})"
             ),
             ks_tnom < 0.9 * ripple_tnom,
         ),
-        Check::new(
+        ReportCheck::new(
             format!(
                 "topology reshapes the delay distribution (mean {:.3} vs {:.3} of tnom)",
                 means[0], means[2]
@@ -1092,7 +1073,7 @@ pub fn sec_5_4(corpus: &Corpus) -> Result<Figure, OptError> {
     }
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     let checks = vec![
-        Check::new(
+        ReportCheck::new(
             format!(
                 "homogeneous benchmarks show less thread spread than reported ones (mean {:.3} vs {:.3})",
                 mean(&homog),
@@ -1100,7 +1081,7 @@ pub fn sec_5_4(corpus: &Corpus) -> Result<Figure, OptError> {
             ),
             mean(&homog) < mean(&het),
         ),
-        Check::new(
+        ReportCheck::new(
             format!(
                 "the widest thread spread sits in the reported group ({:.3} vs {:.3})",
                 het.iter().copied().fold(0.0f64, f64::max),

@@ -20,8 +20,8 @@
 //! let alu = SimpleAlu::new(8)?;
 //! let mut sim = TimingSim::new(alu.netlist(), Voltage::NOMINAL)?;
 //! let ev = AluEvent::new(AluOp::Add, 200, 100);
-//! let t = sim.apply(&alu.encode(&ev))?;
-//! assert_eq!(t.output_bits() & 0xFF, (200 + 100) & 0xFF);
+//! sim.step(&alu.encode(&ev))?;
+//! assert_eq!(sim.output_word() & 0xFF, (200 + 100) & 0xFF);
 //! # Ok(())
 //! # }
 //! ```

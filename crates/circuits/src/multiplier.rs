@@ -278,12 +278,12 @@ mod tests {
         use gatelib::{TimingSim, Voltage};
         let n = build(8);
         let mut sim = TimingSim::new(&n, Voltage::NOMINAL).expect("sim");
-        sim.apply(&encode(8, 0xAB, 0xCD)).expect("init");
+        sim.step(&encode(8, 0xAB, 0xCD)).expect("init");
         // Transition to multiply-by-zero: output collapses quickly compared
         // with a full-magnitude multiply from the same starting state.
-        let to_zero = sim.apply(&encode(8, 0xAB, 0)).expect("ok").delay;
-        sim.apply(&encode(8, 0xAB, 0xCD)).expect("restore");
-        let to_big = sim.apply(&encode(8, 0xFF, 0xFF)).expect("ok").delay;
+        let to_zero = sim.step(&encode(8, 0xAB, 0)).expect("ok");
+        sim.step(&encode(8, 0xAB, 0xCD)).expect("restore");
+        let to_big = sim.step(&encode(8, 0xFF, 0xFF)).expect("ok");
         assert!(to_big > to_zero, "big {to_big} vs zero {to_zero}");
     }
 

@@ -272,18 +272,16 @@ mod tests {
         // data-dependent sensitized delay.
         let alu = SimpleAlu::with_adder(16, AdderKind::Ripple).expect("build");
         let mut sim = TimingSim::new(alu.netlist(), Voltage::NOMINAL).expect("sim");
-        sim.apply(&alu.encode(&AluEvent::new(AluOp::Add, 0, 0)))
+        sim.step(&alu.encode(&AluEvent::new(AluOp::Add, 0, 0)))
             .expect("init");
         let long = sim
-            .apply(&alu.encode(&AluEvent::new(AluOp::Add, 0xFFFF, 1)))
-            .expect("ok")
-            .delay;
-        sim.apply(&alu.encode(&AluEvent::new(AluOp::Add, 0, 0)))
+            .step(&alu.encode(&AluEvent::new(AluOp::Add, 0xFFFF, 1)))
+            .expect("ok");
+        sim.step(&alu.encode(&AluEvent::new(AluOp::Add, 0, 0)))
             .expect("reset");
         let short = sim
-            .apply(&alu.encode(&AluEvent::new(AluOp::Add, 1, 2)))
-            .expect("ok")
-            .delay;
+            .step(&alu.encode(&AluEvent::new(AluOp::Add, 1, 2)))
+            .expect("ok");
         assert!(long > short, "long-carry add must be slower");
     }
 

@@ -18,7 +18,6 @@
 //! interval workload with predicted `N_i`, charging everything against
 //! the true traces — the end-to-end "no oracles left" configuration.
 
-use serde::{Deserialize, Serialize};
 use timing::EnergyDelay;
 
 use crate::error::OptError;
@@ -27,7 +26,7 @@ use crate::online::{run_interval_with, IntervalOutcome, SamplingPlan, ThreadTrac
 use crate::solver::Poly;
 
 /// Forecasting rule for per-thread interval instruction counts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PredictorKind {
     /// Next interval repeats the last observed count (one-interval lag;
     /// exact for stationary workloads after one observation).
@@ -40,7 +39,7 @@ pub enum PredictorKind {
 }
 
 /// Per-thread `N_i` predictor with interval-granularity history.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NiPredictor {
     kind: PredictorKind,
     /// Per-thread observation history (windowed predictors keep only what
@@ -158,7 +157,7 @@ impl NiPredictor {
 
 /// Prediction quality over a driven sequence: mean absolute percentage
 /// error of the `N_i` forecasts, per interval they were used in.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PredictionStats {
     /// MAPE of each predicted interval (intervals with no prediction —
     /// the first — are skipped).

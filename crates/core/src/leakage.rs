@@ -27,7 +27,6 @@
 //! exploits this and remains provably optimal — certified against
 //! [`synts_exhaustive_leakage`] in the tests.
 
-use serde::{Deserialize, Serialize};
 use timing::{EnergyDelay, ErrorModel};
 
 use crate::error::OptError;
@@ -35,7 +34,7 @@ use crate::exhaustive::EXHAUSTIVE_LIMIT;
 use crate::model::{Assignment, OperatingPoint, SystemConfig, ThreadProfile};
 
 /// Voltage-dependent static (leakage) power: `P_leak(V) = P₀ · Vᵞ`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeakageModel {
     /// Leakage power at the nominal 1.0 V, in the model's energy unit per
     /// delay unit (the same time base as [`SystemConfig::tnom_v1`]).

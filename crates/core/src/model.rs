@@ -2,7 +2,6 @@
 //! per-thread workload profiles, and the performance/energy equations
 //! 4.1–4.3 that everything else optimizes.
 
-use serde::{Deserialize, Serialize};
 use timing::{ErrorModel, Voltage, VoltageTable};
 
 use crate::error::OptError;
@@ -13,7 +12,7 @@ pub const RAZOR_PENALTY_CYCLES: f64 = 5.0;
 
 /// Static system parameters: the sets `V` and `R`, the stage's nominal
 /// period, the recovery penalty and the switching-capacitance scalar α.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Available voltage levels (the paper's `V`, `Q` entries).
     pub voltages: VoltageTable,
@@ -143,7 +142,7 @@ impl<M: ErrorModel> ThreadProfile<M> {
 
 /// One thread's chosen operating point: indices into the config's voltage
 /// and TSR tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OperatingPoint {
     /// Index into [`SystemConfig::voltages`].
     pub voltage_idx: usize,
@@ -152,7 +151,7 @@ pub struct OperatingPoint {
 }
 
 /// A complete per-thread operating-point assignment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
     /// One operating point per thread.
     pub points: Vec<OperatingPoint>,

@@ -9,7 +9,6 @@
 //! ratios are library-consistent.
 
 use gatelib::{Netlist, NetlistStats};
-use serde::{Deserialize, Serialize};
 
 /// Normalized area of a standard D flip-flop (INV = 1.0).
 const DFF_AREA: f64 = 6.0;
@@ -43,7 +42,7 @@ const STAGE_FRACTION_OF_CORE: f64 = 0.22;
 const SAMPLING_DUTY: f64 = 0.10;
 
 /// Itemized overhead report, relative to the core (Sec 6.3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverheadReport {
     /// Core area in normalized units (stage netlists scaled to a full core).
     pub core_area: f64,

@@ -19,7 +19,6 @@
 //! (ties broken toward lower energy). Certified against the exhaustive
 //! reference in the tests.
 
-use serde::{Deserialize, Serialize};
 use timing::ErrorModel;
 
 use crate::error::OptError;
@@ -28,7 +27,7 @@ use crate::model::{evaluate, Assignment, OperatingPoint, SystemConfig, ThreadPro
 use crate::poly::Tables;
 
 /// An optimal power-capped operating decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerCappedSolution {
     /// The chosen per-thread operating points.
     pub assignment: Assignment,

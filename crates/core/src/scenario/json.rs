@@ -1,10 +1,10 @@
 //! A minimal, deterministic JSON value — the serialization substrate of
 //! the scenario layer.
 //!
-//! The workspace builds hermetically against a no-op `serde` stand-in
-//! (see `vendor/README.md`), so the spec/report types serialize through
-//! this hand-rolled tree instead of derives. Two properties matter more
-//! than generality here:
+//! The workspace builds hermetically, with no serialization crate (the
+//! vendored `serde` is a no-op stand-in nothing derives, see
+//! `vendor/README.md`), so the spec/report types serialize through this
+//! hand-rolled tree. Two properties matter more than generality here:
 //!
 //! * **byte stability** — object keys keep insertion order and numbers
 //!   render via Rust's shortest-round-trip `f64` formatting, so the same

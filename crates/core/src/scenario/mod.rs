@@ -13,7 +13,7 @@
 //!   text-free JSON/CSV sinks, so golden fixtures pin canonical JSON
 //!   rather than prose;
 //! * [`Json`] — the deterministic serialization substrate (the vendored
-//!   `serde` stand-in is derive-only, see `vendor/README.md`);
+//!   `serde` stand-in serializes nothing, see `vendor/README.md`);
 //! * [`ShardPlan`] / [`Shard`] — the service-facing decomposition of one
 //!   spec into independently runnable θ-chunks, with [`Report::merge`]
 //!   reassembling the partial reports bit-identically.

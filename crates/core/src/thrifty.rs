@@ -16,7 +16,6 @@
 //! savings by lowering voltage — on heterogeneous workloads SynTS
 //! (leakage-aware) dominates the thrifty barrier in EDP.
 
-use serde::{Deserialize, Serialize};
 use timing::{EnergyDelay, ErrorModel};
 
 use crate::error::OptError;
@@ -24,7 +23,7 @@ use crate::leakage::LeakageModel;
 use crate::model::{Assignment, OperatingPoint, SystemConfig, ThreadProfile};
 
 /// Thrifty-barrier hardware parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThriftyConfig {
     /// Fraction of leakage power still burned in the sleep state
     /// (drowsy retention; 0 = perfect power gating).

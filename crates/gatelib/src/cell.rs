@@ -7,8 +7,6 @@
 //! magnitudes matter for SynTS — the paper's analysis is entirely in terms of
 //! delay ratios (timing-speculation ratio r = t_clk / t_nom).
 
-use serde::{Deserialize, Serialize};
-
 /// Name of the bundled cell library (used in reports and stats).
 pub const CELL_LIBRARY_NAME: &str = "synts-ptm22-norm";
 
@@ -18,7 +16,7 @@ pub const CELL_LIBRARY_NAME: &str = "synts-ptm22-norm";
 /// simple-ALU and complex-ALU stage netlists of the reproduction — but each
 /// entry carries calibrated physical parameters so STA, dynamic timing and
 /// the Sec 6.3 overhead model all read from one source of truth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[non_exhaustive]
 pub enum CellKind {
     /// Inverter.
@@ -62,7 +60,7 @@ pub enum CellKind {
 }
 
 /// Physical parameters of a cell, normalized to an FO1 inverter at 1.0 V.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellParams {
     /// Intrinsic propagation delay at fanout 1, Vdd = 1.0 V.
     pub intrinsic_delay: f64,

@@ -8,8 +8,6 @@
 //! and a similarity metric used by the `gpgpu` crate and the Fig 5.10
 //! reproduction.
 
-use serde::{Deserialize, Serialize};
-
 /// Hamming distance between two output words.
 ///
 /// ```
@@ -23,7 +21,7 @@ pub fn distance(a: u64, b: u64) -> u32 {
 /// Histogram of hamming distances between consecutive outputs of a unit.
 ///
 /// Bin `d` counts transitions whose outputs differed in exactly `d` bits.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HammingHistogram {
     bins: Vec<u64>,
     samples: u64,

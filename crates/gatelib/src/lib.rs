@@ -30,9 +30,10 @@
 //! let netlist = b.finish()?;
 //!
 //! let mut sim = TimingSim::new(&netlist, Voltage::NOMINAL)?;
-//! let _first = sim.apply(&[true, true, false])?;
-//! let step = sim.apply(&[true, false, false])?;
-//! assert!(step.delay > 0.0); // the NAND -> XOR path was sensitized
+//! assert_eq!(sim.step(&[true, true, false])?, 0.0); // sets up the state
+//! let delay = sim.step(&[true, false, false])?;
+//! assert!(delay > 0.0); // the NAND -> XOR path was sensitized
+//! assert_eq!(sim.outputs(), [true]); // !(1 & 0) ^ 0
 //! # Ok(())
 //! # }
 //! ```
@@ -53,8 +54,8 @@ mod wide;
 pub use cell::{CellKind, CellParams, CELL_LIBRARY_NAME};
 pub use error::NetlistError;
 pub use netlist::{Cell, CellId, NetId, Netlist, NetlistBuilder};
-pub use sim::{Step, TimingSim, Transition};
+pub use sim::TimingSim;
 pub use sta::{CriticalPath, StaticTiming};
 pub use stats::NetlistStats;
 pub use voltage::{Voltage, VoltageTable, VOLTAGE_TABLE_POINTS};
-pub use wide::{transpose_lanes, WideStep, WideTimingSim, LANES};
+pub use wide::{transpose_lanes, WideTimingSim, LANES};

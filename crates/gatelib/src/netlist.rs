@@ -8,10 +8,9 @@
 
 use crate::cell::CellKind;
 use crate::error::NetlistError;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a net (wire) in a [`Netlist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NetId(pub(crate) u32);
 
 impl NetId {
@@ -23,7 +22,7 @@ impl NetId {
 }
 
 /// Identifier of a cell instance in a [`Netlist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellId(pub(crate) u32);
 
 impl CellId {
@@ -35,7 +34,7 @@ impl CellId {
 }
 
 /// A cell instance: a library gate with bound input nets and one output net.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     kind: CellKind,
     inputs: Vec<NetId>,
@@ -63,7 +62,7 @@ impl Cell {
 }
 
 /// What drives a net.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Driver {
     PrimaryInput,
     Cell(CellId),
@@ -73,7 +72,7 @@ enum Driver {
 ///
 /// Construct with [`NetlistBuilder`]; query with the accessors here; analyze
 /// with [`crate::StaticTiming`]; simulate with [`crate::TimingSim`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Netlist {
     name: String,
     cells: Vec<Cell>,

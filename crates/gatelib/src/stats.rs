@@ -7,13 +7,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::cell::CellKind;
 use crate::netlist::Netlist;
 
 /// Static structural statistics of a netlist.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetlistStats {
     /// Instance count per cell kind.
     pub cell_counts: BTreeMap<CellKind, usize>,

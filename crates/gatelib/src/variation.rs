@@ -40,8 +40,6 @@
 //! # }
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::NetlistError;
 use crate::netlist::{CellId, Netlist};
 use crate::sta::StaticTiming;
@@ -57,7 +55,7 @@ pub const FACTOR_CLAMP: (f64, f64) = (0.5, 2.0);
 /// A factor of 1.0 leaves the library delay unchanged; 1.1 makes that cell
 /// 10% slower. Apply with [`StaticTiming::analyze_with_factors`] or
 /// [`crate::TimingSim::with_factors`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DelayFactors {
     factors: Vec<f64>,
 }
@@ -154,7 +152,7 @@ impl DelayFactors {
 /// Lognormal process-variation model: a global (die-to-die) component
 /// shared by every cell on the die and an independent local (within-die)
 /// component per cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VariationModel {
     /// Die-to-die sigma of `ln(delay factor)`.
     pub sigma_global: f64,
@@ -222,7 +220,7 @@ impl VariationModel {
 
 /// Power-law aging model, NBTI-shaped: fractional delay degradation
 /// `δ(t) = δ_ref · (t / t_ref)^n`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgingModel {
     /// Degradation fraction after `t_ref` years of full-stress operation.
     pub delta_ref: f64,
@@ -640,10 +638,10 @@ mod tests {
         let slow = DelayFactors::new(vec![1.5; n.cell_count()]).expect("ok");
         let mut base = TimingSim::new(&n, Voltage::NOMINAL).expect("ok");
         let mut slowed = TimingSim::with_factors(&n, Voltage::NOMINAL, &slow).expect("ok");
-        base.apply(&[false]).expect("width ok");
-        slowed.apply(&[false]).expect("width ok");
-        let d0 = base.apply(&[true]).expect("width ok").delay;
-        let d1 = slowed.apply(&[true]).expect("width ok").delay;
+        base.step(&[false]).expect("width ok");
+        slowed.step(&[false]).expect("width ok");
+        let d0 = base.step(&[true]).expect("width ok");
+        let d1 = slowed.step(&[true]).expect("width ok");
         assert!((d1 - 1.5 * d0).abs() < 1e-9, "{d1} vs 1.5×{d0}");
     }
 

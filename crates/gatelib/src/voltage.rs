@@ -8,7 +8,6 @@
 //! published points (`repro table-5-1` checks this).
 
 use crate::error::NetlistError;
-use serde::{Deserialize, Serialize};
 
 /// The seven `(Vdd, t_nom multiplier)` points of the paper's Table 5.1.
 pub const VOLTAGE_TABLE_POINTS: [(f64, f64); 7] = [
@@ -25,7 +24,7 @@ pub const VOLTAGE_TABLE_POINTS: [(f64, f64); 7] = [
 ///
 /// Newtype so voltages cannot be confused with timing-speculation ratios or
 /// normalized delays, which are also `f64` in this codebase.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Voltage(f64);
 
 impl Voltage {
@@ -106,7 +105,7 @@ impl std::fmt::Display for Voltage {
 
 /// The discrete voltage levels available to the DVFS controller — the set
 /// `V` of the paper's system model (Sec 4.1), defaulting to Table 5.1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VoltageTable {
     levels: Vec<Voltage>,
 }

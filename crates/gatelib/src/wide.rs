@@ -15,18 +15,16 @@
 //! A batch whose delays nobody reads — the seed vector that sets up the
 //! state a recorded transition starts from — can be applied with
 //! [`WideTimingSim::settle`] instead of [`WideTimingSim::step`]: one full
-//! logic sweep, with no arrival arithmetic at all and nothing added to the
-//! lanes' toggle and energy totals.
+//! logic sweep, with no arrival arithmetic at all.
 //!
 //! Lanes are perfectly isolated: under the settled single-transition delay
 //! model the circuit state after a vector is a pure function of that
 //! vector, so lane `l` of a [`WideTimingSim`] is **bit-identical** — same
-//! delays, same toggle counts, same switching energy, same outputs — to a
-//! scalar [`crate::TimingSim`] stepped through lane `l`'s vector sequence
-//! alone (property-tested in `tests/bitparallel_sim.rs`). A lane that
-//! re-applies its previous vector toggles nothing and costs nothing, which
-//! is how callers idle lanes in ragged final batches of fewer than 64
-//! vectors.
+//! delays, same outputs — to a scalar [`crate::TimingSim`] stepped through
+//! lane `l`'s vector sequence alone (property-tested in
+//! `tests/bitparallel_sim.rs`). A lane that re-applies its previous vector
+//! toggles nothing and reports zero delay, which is how callers idle lanes
+//! in ragged final batches of fewer than 64 vectors.
 //!
 //! The simulator borrows its netlist (no clone per construction): it is a
 //! short-lived engine the characterization pipeline instantiates per
@@ -40,17 +38,6 @@ use crate::voltage::Voltage;
 /// step — the machine word width.
 pub const LANES: usize = 64;
 
-/// Outcome of applying one 64-lane input batch to a [`WideTimingSim`]:
-/// per-lane sensitized delays and toggle counts, exactly what
-/// [`crate::Step`] reports for one lane.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WideStep {
-    /// Per-lane sensitized path delay (see [`crate::Transition::delay`]).
-    pub delays: [f64; LANES],
-    /// Per-lane count of nets that toggled during this transition.
-    pub toggles: [u32; LANES],
-}
-
 /// Event-driven timing simulator evaluating 64 independent trace vectors
 /// per machine word: one `u64` per net, one bit per lane. Lane `l` is
 /// bit-identical to a scalar [`crate::TimingSim`] stepped through lane
@@ -58,7 +45,6 @@ pub struct WideStep {
 #[derive(Debug)]
 pub struct WideTimingSim<'n> {
     netlist: &'n Netlist,
-    voltage: Voltage,
     /// Per-cell propagation delay at the simulation voltage.
     delay: Vec<f64>,
     /// Per-net lane values: bit `l` of `values[net]` is net's value in
@@ -79,8 +65,6 @@ pub struct WideTimingSim<'n> {
     dirty_hi: usize,
     cycle: u64,
     initialized: bool,
-    total_toggles: [u64; LANES],
-    total_switch_energy: [f64; LANES],
 }
 
 impl<'n> WideTimingSim<'n> {
@@ -93,7 +77,7 @@ impl<'n> WideTimingSim<'n> {
     pub fn new(netlist: &'n Netlist, voltage: Voltage) -> Result<WideTimingSim<'n>, NetlistError> {
         let scale = voltage.delay_scale();
         let delay = netlist.cell_delays_v1().iter().map(|d| d * scale).collect();
-        WideTimingSim::with_delays(netlist, voltage, delay)
+        WideTimingSim::with_delays(netlist, delay)
     }
 
     /// Creates a simulator whose per-cell delays carry the multiplicative
@@ -123,17 +107,15 @@ impl<'n> WideTimingSim<'n> {
             .zip(factors.as_slice())
             .map(|(d, f)| d * scale * f)
             .collect();
-        WideTimingSim::with_delays(netlist, voltage, delay)
+        WideTimingSim::with_delays(netlist, delay)
     }
 
     fn with_delays(
         netlist: &'n Netlist,
-        voltage: Voltage,
         delay: Vec<f64>,
     ) -> Result<WideTimingSim<'n>, NetlistError> {
         netlist.check_invariants()?;
         Ok(WideTimingSim {
-            voltage,
             delay,
             values: vec![0; netlist.net_count()],
             arrival: vec![0.0; netlist.net_count() * LANES],
@@ -144,66 +126,8 @@ impl<'n> WideTimingSim<'n> {
             dirty_hi: 0,
             cycle: 0,
             initialized: false,
-            total_toggles: [0; LANES],
-            total_switch_energy: [0.0; LANES],
             netlist,
         })
-    }
-
-    /// The netlist being simulated.
-    #[must_use]
-    pub fn netlist(&self) -> &Netlist {
-        self.netlist
-    }
-
-    /// Current supply voltage.
-    #[must_use]
-    pub fn voltage(&self) -> Voltage {
-        self.voltage
-    }
-
-    /// Cumulative net toggles of one lane over its [`Self::step`]s since
-    /// construction ([`Self::settle`] adds nothing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= LANES`.
-    #[must_use]
-    pub fn total_toggles(&self, lane: usize) -> u64 {
-        check_lane(lane);
-        self.total_toggles[lane]
-    }
-
-    /// Cumulative normalized switching energy of one lane over its
-    /// [`Self::step`]s since construction ([`Self::settle`] adds nothing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= LANES`.
-    #[must_use]
-    pub fn total_switch_energy(&self, lane: usize) -> f64 {
-        check_lane(lane);
-        self.total_switch_energy[lane]
-    }
-
-    #[inline]
-    fn lane_bit(&self, net: usize, lane: usize) -> bool {
-        (self.values[net] >> lane) & 1 == 1
-    }
-
-    /// One lane's current primary output values, in declaration order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= LANES`.
-    #[must_use]
-    pub fn outputs_lane(&self, lane: usize) -> Vec<bool> {
-        check_lane(lane);
-        self.netlist
-            .primary_outputs()
-            .iter()
-            .map(|n| self.lane_bit(n.index(), lane))
-            .collect()
     }
 
     /// Packs up to 64 primary outputs of one lane into a word, output 0 in
@@ -221,15 +145,14 @@ impl<'n> WideTimingSim<'n> {
             .take(64)
             .enumerate()
             .fold(0u64, |acc, (i, n)| {
-                acc | u64::from(self.lane_bit(n.index(), lane)) << i
+                acc | ((self.values[n.index()] >> lane) & 1) << i
             })
     }
 
     /// Applies one input batch for its logic values only: every lane's
     /// nets settle to the values `inputs` (laid out as for [`Self::step`])
     /// drive, exactly as after a `step` of the same batch, but no delay is
-    /// computed. It adds nothing to the per-lane toggle and energy totals
-    /// ([`Self::total_toggles`], [`Self::total_switch_energy`]).
+    /// computed.
     ///
     /// The delay [`Self::step`] reports for a transition depends only on
     /// the vector it starts from and the one it applies, so a batch whose
@@ -247,31 +170,27 @@ impl<'n> WideTimingSim<'n> {
         Ok(())
     }
 
-    /// Applies one input batch: `inputs[i]` carries primary input `i`'s
-    /// value for all 64 lanes (bit `l` = lane `l`). The first call
-    /// initializes every lane's electrical state (as [`Self::settle`]
-    /// does) and reports zero delay and zero toggles, like
-    /// [`crate::TimingSim::step`]'s first call.
+    /// Applies one input batch and returns each lane's sensitized path
+    /// delay, exactly what [`crate::TimingSim::step`] returns for that
+    /// lane's vector: `inputs[i]` carries primary input `i`'s value for
+    /// all 64 lanes (bit `l` = lane `l`). The first call initializes every
+    /// lane's electrical state (as [`Self::settle`] does) and reports zero
+    /// delay in every lane.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::InputWidthMismatch`] if `inputs` does not
     /// supply one word per primary input.
-    pub fn step(&mut self, inputs: &[u64]) -> Result<WideStep, NetlistError> {
+    pub fn step(&mut self, inputs: &[u64]) -> Result<[f64; LANES], NetlistError> {
         self.check_width(inputs)?;
         if !self.initialized {
             self.settle_words(inputs);
-            return Ok(WideStep {
-                delays: [0.0; LANES],
-                toggles: [0; LANES],
-            });
+            return Ok([0.0; LANES]);
         }
         let n_pi = inputs.len();
 
         self.cycle += 1;
         let cycle = self.cycle;
-        let energy_scale = self.voltage.energy_scale();
-        let mut toggles = [0u32; LANES];
         self.dirty_lo = usize::MAX;
         self.dirty_hi = 0;
 
@@ -285,7 +204,6 @@ impl<'n> WideTimingSim<'n> {
                 self.net_stamp[pi] = cycle;
                 for lane in lanes_of(diff) {
                     self.arrival[pi * LANES + lane] = 0.0;
-                    toggles[lane] += 1;
                 }
                 self.mark_fanout(pi, cycle);
             }
@@ -309,7 +227,6 @@ impl<'n> WideTimingSim<'n> {
                     let out = cell.output().index();
                     let diff = new_word ^ self.values[out];
                     if diff != 0 {
-                        let switch_energy = cell.kind().params().switch_energy * energy_scale;
                         let cell_delay = self.delay[idx];
                         // The inputs that toggled this cycle in a lane where
                         // the output toggles too, as (offset of the input's
@@ -347,17 +264,12 @@ impl<'n> WideTimingSim<'n> {
                         }
                         for lane in lanes_of(diff) {
                             self.arrival[out_base + lane] += cell_delay;
-                            toggles[lane] += 1;
-                            self.total_switch_energy[lane] += switch_energy;
                         }
                         self.mark_fanout(out, cycle);
                     }
                 }
                 idx += 1;
             }
-        }
-        for lane in 0..LANES {
-            self.total_toggles[lane] += u64::from(toggles[lane]);
         }
 
         // Stage 3: per lane, delay = latest-settling changed primary
@@ -373,7 +285,7 @@ impl<'n> WideTimingSim<'n> {
             }
         }
 
-        Ok(WideStep { delays, toggles })
+        Ok(delays)
     }
 
     #[inline]
@@ -401,7 +313,7 @@ impl<'n> WideTimingSim<'n> {
     }
 
     /// Drives the primary inputs and re-evaluates every cell in id (a
-    /// topological) order: values only, no arrivals, stamps or totals.
+    /// topological) order: values only, no arrivals or stamps.
     fn settle_words(&mut self, inputs: &[u64]) {
         for (pi, &word) in self.netlist.primary_inputs().iter().zip(inputs) {
             self.values[pi.index()] = word;
@@ -559,17 +471,13 @@ mod tests {
                 }
                 lane_inputs.push(v);
             }
-            let ws = wide.step(&words).expect("wide step");
+            let delays = wide.step(&words).expect("wide step");
             for (lane, inputs) in lane_inputs.iter().enumerate() {
-                let ss = scalars[lane].step(inputs).expect("scalar step");
+                let delay = scalars[lane].step(inputs).expect("scalar step");
                 assert_eq!(
-                    ws.delays[lane].to_bits(),
-                    ss.delay.to_bits(),
+                    delays[lane].to_bits(),
+                    delay.to_bits(),
                     "delay, lane {lane} step {t}"
-                );
-                assert_eq!(
-                    ws.toggles[lane], ss.toggles,
-                    "toggles, lane {lane} step {t}"
                 );
                 assert_eq!(
                     wide.output_word(lane),
@@ -577,14 +485,6 @@ mod tests {
                     "outputs, lane {lane} step {t}"
                 );
             }
-        }
-        for lane in 0..LANES {
-            assert_eq!(wide.total_toggles(lane), scalars[lane].total_toggles());
-            assert_eq!(
-                wide.total_switch_energy(lane).to_bits(),
-                scalars[lane].total_switch_energy().to_bits(),
-                "energy, lane {lane}"
-            );
         }
     }
 
@@ -603,15 +503,14 @@ mod tests {
                 .collect()
         };
         wide.step(&pack(&v0, &v1)).expect("init");
+        let idle_outputs = wide.output_word(1);
         for t in 1..10 {
-            let ws = wide
+            let delays = wide
                 .step(&pack(&lane_vector(n_pi, 0, t), &v1))
                 .expect("step");
-            assert_eq!(ws.delays[1], 0.0, "idle lane has no delay");
-            assert_eq!(ws.toggles[1], 0, "idle lane toggles nothing");
+            assert_eq!(delays[1], 0.0, "idle lane has no delay");
+            assert_eq!(wide.output_word(1), idle_outputs, "idle lane holds");
         }
-        assert_eq!(wide.total_toggles(1), 0);
-        assert_eq!(wide.total_switch_energy(1), 0.0);
     }
 
     #[test]
@@ -644,33 +543,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "lane 64 is out of range")]
-    fn outputs_lane_rejects_lane_past_the_word() {
-        let n = ripple_adder(4);
-        let _ = WideTimingSim::new(&n, Voltage::NOMINAL)
-            .expect("wide")
-            .outputs_lane(LANES);
-    }
-
-    #[test]
-    #[should_panic(expected = "lane 64 is out of range")]
-    fn total_toggles_rejects_lane_past_the_word() {
-        let n = ripple_adder(4);
-        let _ = WideTimingSim::new(&n, Voltage::NOMINAL)
-            .expect("wide")
-            .total_toggles(LANES);
-    }
-
-    #[test]
-    #[should_panic(expected = "lane 64 is out of range")]
-    fn total_switch_energy_rejects_lane_past_the_word() {
-        let n = ripple_adder(4);
-        let _ = WideTimingSim::new(&n, Voltage::NOMINAL)
-            .expect("wide")
-            .total_switch_energy(LANES);
-    }
-
-    #[test]
     fn die_factors_match_scalar_with_factors() {
         let n = ripple_adder(4);
         let n_pi = n.primary_inputs().len();
@@ -681,9 +553,9 @@ mod tests {
         for t in 0..20 {
             let v = lane_vector(n_pi, 7, t);
             let words: Vec<u64> = v.iter().map(|&b| u64::from(b)).collect();
-            let ws = wide.step(&words).expect("wide");
-            let ss = scalar.step(&v).expect("scalar");
-            assert_eq!(ws.delays[0].to_bits(), ss.delay.to_bits(), "step {t}");
+            let delays = wide.step(&words).expect("wide");
+            let delay = scalar.step(&v).expect("scalar");
+            assert_eq!(delays[0].to_bits(), delay.to_bits(), "step {t}");
         }
     }
 }

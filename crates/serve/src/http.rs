@@ -28,10 +28,11 @@
 //! | `GET /v1/cache/<key>[?claim=who]` | shared characterization tier: 200 + entry, 404 miss (`claim` granted on miss), 409 while another executor computes the key |
 //! | `PUT /v1/cache/<key>`          | 200, publishes an entry into the shared tier |
 //!
-//! Malformed requests (bad request line, oversized headers/bodies,
-//! invalid JSON, unknown routes) get 4xx JSON errors; a connection that
-//! stalls past the [`ServerConfig::read_deadline`] gets a 408; nothing a
-//! client sends can panic the server ([`std::panic::catch_unwind`]
+//! Malformed requests (bad request line, a head that is not UTF-8,
+//! oversized headers/bodies, invalid JSON, unknown routes) get 4xx JSON
+//! errors; a connection that stalls past the
+//! [`ServerConfig::read_deadline`] gets a 408; nothing a client sends
+//! can panic the server ([`std::panic::catch_unwind`]
 //! backstops every connection thread). A body nested deeper than 64
 //! levels of arrays and objects is invalid JSON too (400): [`Json::parse`]
 //! refuses it before recursing further, since a stack overflow aborts the
@@ -344,24 +345,28 @@ fn handle_connection(stream: TcpStream, inner: &Inner) {
 /// head budget, so a peer streaming an endless line (no newline) can
 /// never grow the buffer past [`MAX_HEAD`] — the size check must fire
 /// *during* the read, not after a complete line lands.
+///
+/// The line is read as bytes and decoded only after the size check: the
+/// cap can cut a multi-byte character in two, and that head must still
+/// get its 413, not a dropped connection.
 fn read_head_line(
     reader: &mut BufReader<TcpStream>,
     budget: &ReadBudget,
     remaining: &mut usize,
 ) -> Result<String, ReadError> {
     budget.arm(reader)?;
-    let mut line = String::new();
+    let mut line = Vec::new();
     // +1 so a line that exactly fills the budget keeps its newline and
     // an over-budget one is detectable by length.
     (&mut *reader)
         .take(*remaining as u64 + 1)
-        .read_line(&mut line)
+        .read_until(b'\n', &mut line)
         .map_err(|_| budget.classify())?;
     if line.len() > *remaining {
         return Err(ReadError::TooLarge("request head exceeds 16 KiB"));
     }
     *remaining -= line.len();
-    Ok(line)
+    String::from_utf8(line).map_err(|_| ReadError::Malformed("request head is not UTF-8"))
 }
 
 fn read_request(

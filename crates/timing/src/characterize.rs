@@ -380,9 +380,9 @@ impl StageCharacterizer {
                 sim.settle(&inputs)?;
                 continue;
             }
-            let step = sim.step(&inputs)?;
+            let lane_delays = sim.step(&inputs)?;
             for l in (0..lanes).filter(|&l| vector(l, t).is_some()) {
-                delays[slot(l, t)] = step.delays[l];
+                delays[slot(l, t)] = lane_delays[l];
             }
         }
         Ok(())
@@ -431,8 +431,7 @@ impl StageCharacterizer {
             sim.step(&buf)?;
             for ev in accepted {
                 self.stage.encode_into(ev, &mut buf);
-                let t = sim.step(&buf)?;
-                delays.push(t.delay);
+                delays.push(sim.step(&buf)?);
                 if delays.len() >= wanted {
                     break;
                 }
@@ -452,8 +451,7 @@ impl StageCharacterizer {
                     }
                     1 => {
                         self.stage.encode_into(ev, &mut buf);
-                        let t = sim.step(&buf)?;
-                        delays.push(t.delay);
+                        delays.push(sim.step(&buf)?);
                     }
                     _ => {}
                 }

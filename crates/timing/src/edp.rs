@@ -1,9 +1,7 @@
 //! Energy/execution-time metrics and Pareto utilities for the evaluation.
 
-use serde::{Deserialize, Serialize};
-
 /// An (energy, execution time) operating point — the axes of Figs 6.11–6.16.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyDelay {
     /// Total energy of the barrier interval (Eq 4.3 summed over threads).
     pub energy: f64,

@@ -12,8 +12,6 @@
 //!
 //! Both implement [`ErrorModel`], so the optimizer is agnostic.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TimingError;
 use crate::trace::DelayTrace;
 
@@ -42,7 +40,7 @@ impl<T: ErrorModel + ?Sized> ErrorModel for &T {
 /// normalized delay divides that by a positive period. The
 /// characterization cache refuses an entry holding −0.0, so every curve
 /// it serves equals the one computed cold, bit for bit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ErrorCurve {
     /// Normalized delays, ascending.
     sorted: Vec<f64>,
@@ -104,7 +102,7 @@ fn sorted(mut delays: Vec<f64>) -> Vec<f64> {
 
 /// Online estimate of `err` from error counts observed at discrete TSR
 /// levels during the sampling phase; linear interpolation in between.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampledCurve {
     /// `(r, err)` points, ascending in `r`.
     points: Vec<(f64, f64)>,

@@ -1,7 +1,5 @@
 //! Sensitized-delay traces: the raw product of the cross-layer methodology.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TimingError;
 
 /// A trace of per-instruction sensitized path delays for one thread on one
@@ -11,7 +9,7 @@ use crate::error::TimingError;
 /// Because all gate delays scale with the same Table 5.1 factor, the
 /// *normalized* delays (`delay / t_nom`) — and therefore the error curve —
 /// are voltage-independent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DelayTrace {
     delays: Vec<f64>,
     tnom_v1: f64,

@@ -6,13 +6,12 @@
 //! Two layers are pinned:
 //!
 //! * [`gatelib::WideTimingSim`] lane-for-lane against 64 independent
-//!   [`gatelib::TimingSim`] runs — delays, toggle counts, outputs and
-//!   cumulative energy, including *ragged* batches that drive fewer than
-//!   64 lanes and leave the rest idle;
+//!   [`gatelib::TimingSim`] runs — delay bits and output words, including
+//!   *ragged* batches that drive fewer than 64 lanes and leave the rest
+//!   idle;
 //! * [`gatelib::WideTimingSim::settle`] interleaved with `step` against
 //!   scalar runs that always step: a settle leaves the logic state a step
-//!   would, so the next step's delays do not change, and it adds nothing
-//!   to the toggle and energy totals;
+//!   would, so the next step's delays do not change;
 //! * [`timing::StageCharacterizer::delay_trace_into`] (the lane-batched
 //!   entry point) against `delay_trace_into_scalar` (the sequential
 //!   reference) across random event streams, stage kinds and sampling
@@ -126,8 +125,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Every active lane of one wide sim equals its own scalar sim,
-    /// transition for transition; idle lanes (ragged batches < 64) toggle
-    /// nothing and cost nothing.
+    /// transition for transition; idle lanes (ragged batches < 64) report
+    /// zero delay.
     #[test]
     fn wide_sim_matches_independent_scalar_sims(
         stage_choice in 0usize..3,
@@ -149,9 +148,16 @@ proptest! {
             .collect();
         let mut words = vec![0u64; n_pi];
         let mut vector = vec![false; n_pi];
+        // What every idle lane settles to: the outputs of the all-zero
+        // vector.
+        let idle_outputs = {
+            let mut zero = TimingSim::new(netlist, Voltage::NOMINAL).expect("scalar");
+            zero.step(&vector).expect("scalar");
+            zero.output_word()
+        };
         for t in 0..steps {
             // Idle lanes (active..64) keep their initial all-zero vector:
-            // never toggled, never counted.
+            // they never toggle.
             let mut expected = Vec::with_capacity(active);
             for lane in 0..active {
                 for (i, slot) in vector.iter_mut().enumerate() {
@@ -162,17 +168,12 @@ proptest! {
                 expected.push(scalars[lane].step(&vector).expect("scalar"));
             }
             // One wide step advances all lanes at once.
-            let ws = wide.step(&words).expect("wide");
+            let delays = wide.step(&words).expect("wide");
             for (lane, exp) in expected.iter().enumerate() {
                 prop_assert_eq!(
-                    ws.delays[lane].to_bits(),
-                    exp.delay.to_bits(),
+                    delays[lane].to_bits(),
+                    exp.to_bits(),
                     "delay diverges: lane {} step {}", lane, t
-                );
-                prop_assert_eq!(
-                    ws.toggles[lane],
-                    exp.toggles,
-                    "toggles diverge: lane {} step {}", lane, t
                 );
                 prop_assert_eq!(
                     wide.output_word(lane),
@@ -181,29 +182,14 @@ proptest! {
                 );
             }
             for lane in active..LANES {
-                prop_assert_eq!(ws.toggles[lane], 0, "idle lane {} toggled", lane);
-                prop_assert_eq!(ws.delays[lane].to_bits(), 0f64.to_bits());
+                prop_assert_eq!(delays[lane].to_bits(), 0f64.to_bits(), "idle lane {}", lane);
+                prop_assert_eq!(wide.output_word(lane), idle_outputs, "idle lane {}", lane);
             }
-        }
-        for (lane, scalar) in scalars.iter().enumerate() {
-            prop_assert_eq!(
-                wide.total_toggles(lane),
-                scalar.total_toggles(),
-                "toggle totals diverge: lane {}", lane
-            );
-            prop_assert_eq!(
-                wide.total_switch_energy(lane).to_bits(),
-                scalar.total_switch_energy().to_bits(),
-                "energy totals diverge: lane {}", lane
-            );
-        }
-        for lane in active..LANES {
-            prop_assert_eq!(wide.total_toggles(lane), 0);
         }
     }
 
-    /// Per-step delays and toggles, lane for lane: the wide step's result
-    /// arrays equal the scalar step results exactly.
+    /// Per-step delays, lane for lane: the wide step's result array
+    /// equals the scalar step results exactly.
     #[test]
     fn wide_step_results_match_scalar_step_results(
         stage_choice in 0usize..2,
@@ -231,18 +217,13 @@ proptest! {
                     words[i] = (words[i] & mask) | (u64::from(*slot) << lane);
                 }
             }
-            let ws = wide.step(&words).expect("wide");
+            let delays = wide.step(&words).expect("wide");
             for (lane, vector) in lane_vectors.iter().enumerate() {
-                let ss = scalars[lane].step(vector).expect("scalar");
+                let delay = scalars[lane].step(vector).expect("scalar");
                 prop_assert_eq!(
-                    ws.delays[lane].to_bits(),
-                    ss.delay.to_bits(),
+                    delays[lane].to_bits(),
+                    delay.to_bits(),
                     "delay diverges: lane {} step {}", lane, t
-                );
-                prop_assert_eq!(
-                    ws.toggles[lane],
-                    ss.toggles,
-                    "toggles diverge: lane {} step {}", lane, t
                 );
             }
         }
@@ -250,10 +231,10 @@ proptest! {
 
     /// A random mix of settle and step batches on one wide sim tracks
     /// per-lane scalar sims that step every batch: after a settle each
-    /// active lane's outputs match, after a step its delay, toggles and
-    /// outputs do, and only the step batches count toward the totals.
+    /// active lane's outputs match, and after a step its delay and outputs
+    /// do.
     #[test]
-    fn settle_leaves_the_state_a_step_would_and_counts_nothing(
+    fn settle_leaves_the_state_a_step_would(
         stage_choice in 0usize..3,
         active in 1usize..65,
         steps in 2usize..30,
@@ -272,7 +253,6 @@ proptest! {
             .collect();
         let mut words = vec![0u64; n_pi];
         let mut vector = vec![false; n_pi];
-        let mut step_toggles = vec![0u64; active];
         for t in 0..steps {
             let mut expected = Vec::with_capacity(active);
             for lane in 0..active {
@@ -284,9 +264,6 @@ proptest! {
                 expected.push(scalars[lane].step(&vector).expect("scalar"));
             }
             if (settles >> t) & 1 == 1 {
-                let toggles: Vec<u64> = (0..LANES).map(|l| wide.total_toggles(l)).collect();
-                let energy: Vec<u64> =
-                    (0..LANES).map(|l| wide.total_switch_energy(l).to_bits()).collect();
                 wide.settle(&words).expect("settle");
                 for (lane, scalar) in scalars.iter().enumerate() {
                     prop_assert_eq!(
@@ -295,46 +272,21 @@ proptest! {
                         "outputs diverge after a settle: lane {} batch {}", lane, t
                     );
                 }
-                prop_assert_eq!(
-                    (0..LANES).map(|l| wide.total_toggles(l)).collect::<Vec<_>>(),
-                    toggles,
-                    "a settle counted toggles at batch {}", t
-                );
-                prop_assert_eq!(
-                    (0..LANES)
-                        .map(|l| wide.total_switch_energy(l).to_bits())
-                        .collect::<Vec<_>>(),
-                    energy,
-                    "a settle counted energy at batch {}", t
-                );
                 continue;
             }
-            let ws = wide.step(&words).expect("wide");
+            let delays = wide.step(&words).expect("wide");
             for (lane, exp) in expected.iter().enumerate() {
                 prop_assert_eq!(
-                    ws.delays[lane].to_bits(),
-                    exp.delay.to_bits(),
+                    delays[lane].to_bits(),
+                    exp.to_bits(),
                     "delay diverges: lane {} batch {}", lane, t
-                );
-                prop_assert_eq!(
-                    ws.toggles[lane],
-                    exp.toggles,
-                    "toggles diverge: lane {} batch {}", lane, t
                 );
                 prop_assert_eq!(
                     wide.output_word(lane),
                     scalars[lane].output_word(),
                     "outputs diverge: lane {} batch {}", lane, t
                 );
-                step_toggles[lane] += u64::from(exp.toggles);
             }
-        }
-        for (lane, &total) in step_toggles.iter().enumerate() {
-            prop_assert_eq!(
-                wide.total_toggles(lane),
-                total,
-                "toggle total is not the step batches' sum: lane {}", lane
-            );
         }
     }
 

@@ -242,7 +242,7 @@ fn aging_makes_synts_more_conservative() {
         };
         events
             .iter()
-            .map(|ev| sim.apply(&alu.encode(ev)).expect("ok").delay / tnom)
+            .map(|ev| sim.step(&alu.encode(ev)).expect("ok") / tnom)
             .collect()
     };
     let fresh: Vec<f64> = run(None);
@@ -259,7 +259,7 @@ fn aging_makes_synts_more_conservative() {
     let mut sim = TimingSim::with_factors(alu.netlist(), Voltage::NOMINAL, &factors).expect("sim");
     let aged: Vec<f64> = events
         .iter()
-        .map(|ev| (sim.apply(&alu.encode(ev)).expect("ok").delay / fresh_tnom).min(1.0))
+        .map(|ev| (sim.step(&alu.encode(ev)).expect("ok") / fresh_tnom).min(1.0))
         .collect();
 
     let cfg = SystemConfig::paper_default(fresh_tnom);

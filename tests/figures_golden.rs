@@ -1,12 +1,14 @@
-//! Golden snapshot tests for the bench figure generators.
+//! Golden snapshot tests for every `repro` target.
 //!
-//! Each covered figure is rendered (title, data table, CSV payload, shape
-//! checks) and diffed against a committed fixture under
-//! `tests/fixtures/`, so a rewrite of the sweep/solve plumbing — like the
-//! parallel θ-sweep engine — cannot silently perturb the numbers. The
-//! corpus-backed snapshot doubles as a cross-`SYNTS_THREADS` determinism
-//! check: the CI matrix runs these tests at 1 and 8 workers against the
-//! same fixtures.
+//! Each target of [`synts_bench::TARGETS`] is regenerated at quick
+//! quality, rendered (title, data table, CSV payload, shape checks) and
+//! diffed against its committed fixture `tests/fixtures/<id>.golden.txt`,
+//! so a rewrite of the gate-sim, sweep or solve plumbing cannot silently
+//! perturb a number `repro --quick all` prints. The corpus-free figures
+//! and the single-benchmark Pareto snapshot have tests of their own; the
+//! table-driven test covers the rest from one shared corpus. The
+//! snapshots double as a cross-`SYNTS_THREADS` determinism check: the CI
+//! matrix runs them at 1 and 8 workers against the same fixtures.
 //!
 //! To regenerate after an intentional change:
 //! `SYNTS_REGEN_FIXTURES=1 cargo test --test figures_golden`
@@ -17,6 +19,10 @@ use std::path::PathBuf;
 use synts::prelude::*;
 use synts_bench::corpus::Corpus;
 use synts_bench::figures::{self, Figure};
+use synts_bench::{generate, TARGETS};
+
+/// Targets pinned by a test of their own below.
+const OWN_TESTS: &[&str] = &["table-5-1", "sec-6-3", "fig-5-10"];
 
 fn fixture_path(id: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -89,8 +95,9 @@ fn fig_5_10_matches_golden() {
 }
 
 /// The corpus-backed Pareto figure runs the full parallel sweep path
-/// (θ batches fanned across the pool), so this snapshot is the one that
-/// pins the parallel rewrite to the sequential numbers.
+/// (θ batches fanned across the pool). Built from a one-benchmark,
+/// one-stage corpus, it must print the same fixture as the full quick
+/// corpus that [`every_other_repro_target_matches_its_golden`] uses.
 #[test]
 fn fig_pareto_quick_matches_golden() {
     let corpus = Corpus::build_subset(
@@ -101,4 +108,15 @@ fn fig_pareto_quick_matches_golden() {
     .expect("corpus");
     let fig = figures::fig_pareto(&corpus, "fig-6-12").expect("generates");
     assert_matches_golden(&fig);
+}
+
+#[test]
+fn every_other_repro_target_matches_its_golden() {
+    let corpus = Corpus::build(Quality::Quick).expect("corpus");
+    for &target in TARGETS.iter().filter(|t| !OWN_TESTS.contains(t)) {
+        let fig = generate(target, Some(&corpus))
+            .unwrap_or_else(|e| panic!("`{target}` fails to generate: {e}"));
+        assert_eq!(fig.id, target, "a target names its own fixture");
+        assert_matches_golden(&fig);
+    }
 }

@@ -9,6 +9,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use proptest::prelude::*;
+use proptest::TestRng;
 use synts::prelude::*;
 use synts_serve::{Client, Server, ServerConfig, Service, ServiceConfig, Shutdown};
 
@@ -138,6 +139,8 @@ fn http_round_trip_matches_in_process_run() {
     assert_eq!(jobs.get("done").and_then(Json::as_f64), Some(1.0));
 }
 
+/// Writes `payload` on a fresh connection, half-closes it and reads the
+/// reply to EOF.
 fn raw_request(addr: std::net::SocketAddr, payload: &[u8]) -> String {
     let mut stream = TcpStream::connect(addr).expect("connects");
     stream
@@ -146,9 +149,17 @@ fn raw_request(addr: std::net::SocketAddr, payload: &[u8]) -> String {
     // The server may reply-and-close before the full payload lands
     // (oversized requests), so a broken pipe here is expected.
     let _ = stream.write_all(payload);
-    let mut reply = String::new();
-    let _ = stream.read_to_string(&mut reply);
-    reply
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let mut reply = Vec::new();
+    let _ = stream.read_to_end(&mut reply);
+    String::from_utf8_lossy(&reply).into_owned()
+}
+
+/// A raw reply's status code, `None` when the server closed without
+/// replying.
+fn status_of(reply: &str) -> Option<u16> {
+    let status = reply.split_whitespace().nth(1)?;
+    Some(status.parse().expect("a status code"))
 }
 
 /// Nothing a client sends may take the server down: garbage request
@@ -231,6 +242,187 @@ fn malformed_requests_get_4xx_and_never_kill_the_server() {
     // The server is still alive and serving.
     let client = Client::new(addr.to_string());
     assert!(client.healthy(), "server survived the abuse");
+}
+
+/// Whether the server reads `stream`'s first line as a request line:
+/// method, target and an `HTTP/1.x` version.
+fn starts_with_request_line(stream: &[u8]) -> bool {
+    let end = stream
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(stream.len(), |i| i + 1);
+    std::str::from_utf8(&stream[..end]).is_ok_and(|line| {
+        line.split_whitespace()
+            .nth(2)
+            .is_some_and(|v| v.starts_with("HTTP/1."))
+    })
+}
+
+/// Random text of `len` characters drawn from ASCII, two-, three- and
+/// four-byte UTF-8, without line breaks.
+fn random_text(rng: &mut TestRng, len: usize) -> String {
+    const CHARS: [char; 8] = ['a', 'Z', '7', ' ', '-', '\u{e9}', '\u{20ac}', '\u{1d11e}'];
+    (0..len)
+        .map(|_| CHARS[rng.below(CHARS.len() as u64) as usize])
+        .collect()
+}
+
+fn random_bytes(rng: &mut TestRng, len: usize) -> Vec<u8> {
+    (0..len).map(|_| rng.next_u64() as u8).collect()
+}
+
+/// Every path the adversarial streams use: each route family and an
+/// unknown one, never `/v1/shutdown`.
+const PATHS: [&str; 7] = [
+    "/v1/healthz",
+    "/v1/jobs",
+    "/v1/jobs/job-1/report",
+    "/v1/stats",
+    "/v1/fleet/poll",
+    "/v1/cache/0123456789abcdef.char",
+    "/nowhere",
+];
+
+/// Arbitrary bytes whose first line is not a request line.
+fn garbage_stream(rng: &mut TestRng) -> Vec<u8> {
+    let len = rng.below(2048) as usize;
+    let mut stream = match rng.below(3) {
+        0 => random_bytes(rng, len),
+        1 => random_text(rng, len).into_bytes(),
+        // A request line one token short, or with a foreign version.
+        _ => {
+            let path = PATHS[rng.below(PATHS.len() as u64) as usize];
+            let version = ["", "HTTP/2.0", "SMTP/1.0", "http/1.1"][rng.below(4) as usize];
+            let mut s = format!("GET {path} {version}\r\n").into_bytes();
+            s.extend(random_bytes(rng, len));
+            s
+        }
+    };
+    if starts_with_request_line(&stream) {
+        stream.insert(0, b'\n');
+    }
+    stream
+}
+
+/// A valid request line, then header lines past the 16 KiB head limit.
+fn oversized_head(rng: &mut TestRng) -> Vec<u8> {
+    let method = ["GET", "POST", "PUT", "DELETE"][rng.below(4) as usize];
+    let path = PATHS[rng.below(PATHS.len() as u64) as usize];
+    let mut head = format!("{method} {path} HTTP/1.1\r\n");
+    let limit = 16 * 1024 + rng.below(32 * 1024) as usize;
+    let mut i = 0;
+    while head.len() <= limit {
+        // Mostly short lines, now and then one that crosses the limit.
+        let cap = if rng.below(4) == 0 { 20_000 } else { 200 };
+        let value_len = rng.below(cap) as usize;
+        head.push_str(&format!("X-Pad-{i}: {}\r\n", random_text(rng, value_len)));
+        i += 1;
+    }
+    head.push_str("\r\n");
+    head.into_bytes()
+}
+
+/// A `POST /v1/jobs` head whose `Content-Length` promises more body
+/// than is sent.
+fn short_body(rng: &mut TestRng) -> Vec<u8> {
+    let sent = rng.below(4096) as usize;
+    let declared = sent + 1 + rng.below(1 << 20) as usize;
+    let mut stream =
+        format!("POST /v1/jobs HTTP/1.1\r\nContent-Length: {declared}\r\n\r\n").into_bytes();
+    stream.extend(random_bytes(rng, sent));
+    stream
+}
+
+/// A `POST /v1/jobs` with an exact `Content-Length` over random bytes.
+fn garbage_body(rng: &mut TestRng) -> Vec<u8> {
+    let len = rng.below(4096) as usize;
+    let body = if rng.below(2) == 0 {
+        random_bytes(rng, len)
+    } else {
+        random_text(rng, len).into_bytes()
+    };
+    let mut stream = format!(
+        "POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    stream.extend(body);
+    stream
+}
+
+/// Seeded adversarial streams, one connection at a time: garbage
+/// request lines get a 4xx or a close, heads past 16 KiB get 413, short
+/// bodies get a close or 408, garbage job bodies get 400, and the
+/// server keeps answering.
+#[test]
+fn adversarial_http_streams_get_4xx_or_a_close_and_never_kill_the_server() {
+    let service = test_service("adversarial", 1);
+    let server = Server::bind_with(
+        "127.0.0.1:0",
+        Arc::clone(&service),
+        ServerConfig {
+            read_deadline: Duration::from_millis(400),
+            faults: None,
+        },
+    )
+    .expect("binds");
+    let addr = server.addr();
+    for case in 0..48 {
+        let mut rng = TestRng::for_case("service::adversarial_http_streams", case);
+
+        let stream = garbage_stream(&mut rng);
+        let status = status_of(&raw_request(addr, &stream));
+        assert!(
+            status.is_none_or(|s| (400..500).contains(&s)),
+            "case {case}: garbage got {status:?}: {:?}",
+            String::from_utf8_lossy(&stream[..stream.len().min(200)])
+        );
+
+        let stream = oversized_head(&mut rng);
+        let status = status_of(&raw_request(addr, &stream));
+        assert_eq!(status, Some(413), "case {case}: {}-byte head", stream.len());
+
+        let stream = short_body(&mut rng);
+        let status = status_of(&raw_request(addr, &stream));
+        assert!(
+            matches!(status, None | Some(408)),
+            "case {case}: short body got {status:?}"
+        );
+
+        let stream = garbage_body(&mut rng);
+        let status = status_of(&raw_request(addr, &stream));
+        assert_eq!(status, Some(400), "case {case}: garbage body");
+    }
+    assert!(Client::new(addr.to_string()).healthy(), "server survived");
+}
+
+/// The 16 KiB head cap can cut a multi-byte UTF-8 character in two, and
+/// that head still gets its 413, not a dropped connection (a case the
+/// adversarial streams above found). A head that is not UTF-8 at all
+/// gets a 400, not a silent close.
+#[test]
+fn a_head_cut_inside_a_utf8_character_still_gets_413() {
+    let service = test_service("utf8-head", 1);
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&service)).expect("binds");
+    let addr = server.addr();
+    // One prefix of each parity, so the cap falls between the two bytes
+    // of an `é` for one of them.
+    for prefix in ["X-Pad: ", "X-Pad: a"] {
+        let head = format!(
+            "GET /v1/healthz HTTP/1.1\r\n{prefix}{}\r\n\r\n",
+            "\u{e9}".repeat(10_000)
+        );
+        assert_eq!(
+            status_of(&raw_request(addr, head.as_bytes())),
+            Some(413),
+            "prefix {prefix:?}"
+        );
+    }
+    assert_eq!(
+        status_of(&raw_request(addr, b"\xff\xfe /v1/healthz HTTP/1.1\r\n\r\n")),
+        Some(400)
+    );
+    assert!(Client::new(addr.to_string()).healthy(), "server survived");
 }
 
 /// Pins the exact bytes the CI service smoke diffs against: the
