@@ -3,9 +3,12 @@
 //! This crate provides the circuit layer of the SynTS reproduction: a small
 //! standard-cell library, a structural netlist graph with a builder API,
 //! a voltage-aware delay model calibrated against the paper's Table 5.1,
-//! static timing analysis (STA), and an event-driven *dynamic* timing
-//! simulator that computes the **sensitized path delay** of each input
-//! vector transition — the quantity timing speculation gambles on.
+//! static timing analysis (STA), and *dynamic* timing simulation that
+//! computes the **sensitized path delay** of each input vector transition
+//! — the quantity timing speculation gambles on. [`TimingSim`] is the
+//! event-driven scalar simulator and the oracle; [`WideTimingSim`] runs
+//! 64 vectors per machine word in one levelized sweep per step, bit for
+//! bit what 64 scalar simulators report.
 //!
 //! The original paper obtained these delays from Synopsys Design Compiler
 //! netlists (Illinois Verilog Model of an Alpha core) annotated with HSPICE

@@ -4,10 +4,13 @@
 //! combinational loops unrepresentable: a cell can only consume nets that
 //! already exist, so creation order is a topological order and every fanout
 //! edge points forward. This invariant is what lets the dynamic timing
-//! simulator ([`crate::TimingSim`]) process dirty cells in plain id order.
+//! simulators ([`crate::TimingSim`], [`crate::WideTimingSim`]) visit
+//! cells in plain id order.
 
 use crate::cell::CellKind;
 use crate::error::NetlistError;
+use crate::variation::DelayFactors;
+use crate::voltage::Voltage;
 
 /// Identifier of a net (wire) in a [`Netlist`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -175,6 +178,36 @@ impl Netlist {
     #[must_use]
     pub fn cell_delays_v1(&self) -> &[f64] {
         &self.cell_delay_v1
+    }
+
+    /// Per-cell propagation delays at `voltage`, cell id order: each 1.0 V
+    /// delay times [`Voltage::delay_scale`], then times the cell's factor
+    /// of a die instance when `factors` are given — the one delay rule
+    /// [`crate::TimingSim`], [`crate::WideTimingSim`] and
+    /// [`crate::StaticTiming`] share.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::FactorCountMismatch`] if `factors` does not
+    /// cover exactly the netlist's cells.
+    pub fn cell_delays(
+        &self,
+        voltage: Voltage,
+        factors: Option<&DelayFactors>,
+    ) -> Result<Vec<f64>, NetlistError> {
+        if let Some(f) = factors.filter(|f| f.len() != self.cell_count()) {
+            return Err(NetlistError::FactorCountMismatch {
+                expected: self.cell_count(),
+                got: f.len(),
+            });
+        }
+        let scale = voltage.delay_scale();
+        Ok(self
+            .cell_delay_v1
+            .iter()
+            .enumerate()
+            .map(|(i, d)| d * scale * factors.map_or(1.0, |f| f.as_slice()[i]))
+            .collect())
     }
 
     /// Verifies the structural invariants a hand-built or deserialized

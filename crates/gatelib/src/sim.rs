@@ -64,9 +64,7 @@ impl TimingSim {
     /// [`Netlist::check_invariants`] — in particular
     /// [`NetlistError::NoOutputs`] when there is nothing to time.
     pub fn new(netlist: &Netlist, voltage: Voltage) -> Result<TimingSim, NetlistError> {
-        let scale = voltage.delay_scale();
-        let delay = netlist.cell_delays_v1().iter().map(|d| d * scale).collect();
-        TimingSim::with_delays(netlist, delay)
+        TimingSim::with_delays(netlist, netlist.cell_delays(voltage, None)?)
     }
 
     /// Creates a simulator whose per-cell delays carry the multiplicative
@@ -82,20 +80,7 @@ impl TimingSim {
         voltage: Voltage,
         factors: &crate::variation::DelayFactors,
     ) -> Result<TimingSim, NetlistError> {
-        if factors.len() != netlist.cell_count() {
-            return Err(NetlistError::FactorCountMismatch {
-                expected: netlist.cell_count(),
-                got: factors.len(),
-            });
-        }
-        let scale = voltage.delay_scale();
-        let delay = netlist
-            .cell_delays_v1()
-            .iter()
-            .zip(factors.as_slice())
-            .map(|(d, f)| d * scale * f)
-            .collect();
-        TimingSim::with_delays(netlist, delay)
+        TimingSim::with_delays(netlist, netlist.cell_delays(voltage, Some(factors))?)
     }
 
     fn with_delays(netlist: &Netlist, delay: Vec<f64>) -> Result<TimingSim, NetlistError> {

@@ -70,12 +70,6 @@ impl StaticTiming {
         voltage: Voltage,
         factors: &crate::variation::DelayFactors,
     ) -> Result<StaticTiming, NetlistError> {
-        if factors.len() != netlist.cell_count() {
-            return Err(NetlistError::FactorCountMismatch {
-                expected: netlist.cell_count(),
-                got: factors.len(),
-            });
-        }
         StaticTiming::analyze_impl(netlist, voltage, Some(factors))
     }
 
@@ -84,8 +78,8 @@ impl StaticTiming {
         voltage: Voltage,
         factors: Option<&crate::variation::DelayFactors>,
     ) -> Result<StaticTiming, NetlistError> {
+        let delay = netlist.cell_delays(voltage, factors)?;
         netlist.check_invariants()?;
-        let scale = voltage.delay_scale();
         let mut arrival = vec![0.0f64; netlist.net_count()];
         // `from[net]` = cell producing the worst arrival at that net.
         let mut from: Vec<Option<CellId>> = vec![None; netlist.net_count()];
@@ -96,9 +90,7 @@ impl StaticTiming {
                 .iter()
                 .map(|n| arrival[n.index()])
                 .fold(0.0f64, f64::max);
-            let f = factors.map_or(1.0, |fs| fs.as_slice()[idx]);
-            let d = netlist.cell_delay_v1(cid) * scale * f;
-            arrival[cell.output().index()] = worst_in + d;
+            arrival[cell.output().index()] = worst_in + delay[idx];
             from[cell.output().index()] = Some(cid);
         }
         // Critical endpoint = worst primary output.

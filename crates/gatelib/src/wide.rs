@@ -4,18 +4,27 @@
 //! rotates that layout 90°: [`WideTimingSim`] keeps one `u64` **per net**,
 //! whose 64 bits are 64 *independent* trace vectors ("lanes") marching
 //! through the circuit together. Logic evaluation becomes one bitwise
-//! [`CellKind::eval_word`] per visited cell instead of 64 scalar evals, and
-//! all the event-driven bookkeeping — dirty-set maintenance, fanout
-//! marking, topological cell visits, pin gathering — is paid once per cell
-//! instead of once per cell *per lane*. Only the floating-point arrival
-//! arithmetic remains per-lane: each toggled cell reads its inputs'
-//! toggle masks once, and each input that toggled then folds its arrival
-//! into only the lanes in which it and the output both toggled.
+//! [`CellKind::eval_word`](crate::CellKind::eval_word) per cell instead of
+//! 64 scalar evals.
+//!
+//! A step is one levelized sweep, not an event-driven one: every cell in
+//! id (a topological) order, every net's value and toggle mask rewritten.
+//! Across 64 lanes little is quiet: averaged over each of the paper's six
+//! figure pairs, 39–100% of the cells have an input that toggles in some
+//! lane of a timed step, and a cell that toggles does so in 8.5–20 of its
+//! 64 lanes. A dirty set would mark nearly every cell, and per-lane bit
+//! loops over sparse toggle masks would cost most of the step. Instead a
+//! toggled cell folds the whole 64-lane arrival row of each toggled
+//! input with a `max` and masks only its own store. That is exact
+//! because of one invariant: a net's arrival row holds +0.0 in every lane
+//! in which the net did not toggle. Every arrival is non-negative and
+//! never NaN (cell delays and die factors are positive), so folding a
+//! +0.0 lane changes nothing.
 //!
 //! A batch whose delays nobody reads — the seed vector that sets up the
 //! state a recorded transition starts from — can be applied with
-//! [`WideTimingSim::settle`] instead of [`WideTimingSim::step`]: one full
-//! logic sweep, with no arrival arithmetic at all.
+//! [`WideTimingSim::settle`] instead of [`WideTimingSim::step`]: the same
+//! sweep, with no arrival arithmetic at all.
 //!
 //! Lanes are perfectly isolated: under the settled single-transition delay
 //! model the circuit state after a vector is a pure function of that
@@ -31,15 +40,34 @@
 //! delay-trace batch, not a long-lived state machine.
 
 use crate::error::NetlistError;
-use crate::netlist::{NetId, Netlist};
+use crate::netlist::Netlist;
 use crate::voltage::Voltage;
 
 /// Number of independent trace vectors one [`WideTimingSim`] advances per
 /// step — the machine word width.
 pub const LANES: usize = 64;
 
-/// Event-driven timing simulator evaluating 64 independent trace vectors
-/// per machine word: one `u64` per net, one bit per lane. Lane `l` is
+/// `NIBBLE_KEEP[n][j]` keeps all bits of a lane's `f64` when bit `j` of the
+/// nibble `n` is set and none otherwise: four lanes of a toggle mask at a
+/// time, as masks a plain `and` applies. Shifting each lane's bit out of
+/// the mask instead takes a per-lane variable shift, which does not
+/// vectorize on the baseline x86-64 target.
+const NIBBLE_KEEP: [[u64; 4]; 16] = {
+    let mut table = [[0u64; 4]; 16];
+    let mut n = 0;
+    while n < 16 {
+        let mut j = 0;
+        while j < 4 {
+            table[n][j] = 0u64.wrapping_sub(((n >> j) & 1) as u64);
+            j += 1;
+        }
+        n += 1;
+    }
+    table
+};
+
+/// Levelized timing simulator evaluating 64 independent trace vectors per
+/// machine word: one `u64` per net, one bit per lane. Lane `l` is
 /// bit-identical to a scalar [`crate::TimingSim`] stepped through lane
 /// `l`'s vectors alone.
 #[derive(Debug)]
@@ -50,20 +78,15 @@ pub struct WideTimingSim<'n> {
     /// Per-net lane values: bit `l` of `values[net]` is net's value in
     /// lane `l`.
     values: Vec<u64>,
-    /// Per-(net, lane) arrival time, lane-minor (`net * 64 + lane`);
-    /// meaningful when `net_stamp[net] == cycle` and the lane's bit is set
-    /// in `changed[net]`.
-    arrival: Vec<f64>,
-    /// Lanes in which the net toggled this cycle (valid when
-    /// `net_stamp[net] == cycle`).
+    /// Per-net lanes that toggled in the last sweep. Every sweep rewrites
+    /// every net's word before any cell reads it.
     changed: Vec<u64>,
-    /// Cycle at which the net last toggled in any lane.
-    net_stamp: Vec<u64>,
-    /// Reusable dirty set, stamped like [`crate::TimingSim`]'s.
-    cell_stamp: Vec<u64>,
-    dirty_lo: usize,
-    dirty_hi: usize,
-    cycle: u64,
+    /// Per-net arrival row, one time per lane. After a step, a net whose
+    /// `changed` word is nonzero holds its arrival in each toggled lane
+    /// and +0.0 in every other lane; the rows of nets that did not toggle
+    /// are stale and never read. Primary-input rows are never written, so
+    /// they stay +0.0: a toggled input arrives at time zero.
+    arrival: Vec<[f64; LANES]>,
     initialized: bool,
 }
 
@@ -75,9 +98,7 @@ impl<'n> WideTimingSim<'n> {
     ///
     /// Returns any [`NetlistError`] from [`Netlist::check_invariants`].
     pub fn new(netlist: &'n Netlist, voltage: Voltage) -> Result<WideTimingSim<'n>, NetlistError> {
-        let scale = voltage.delay_scale();
-        let delay = netlist.cell_delays_v1().iter().map(|d| d * scale).collect();
-        WideTimingSim::with_delays(netlist, delay)
+        WideTimingSim::with_delays(netlist, netlist.cell_delays(voltage, None)?)
     }
 
     /// Creates a simulator whose per-cell delays carry the multiplicative
@@ -94,20 +115,7 @@ impl<'n> WideTimingSim<'n> {
         voltage: Voltage,
         factors: &crate::variation::DelayFactors,
     ) -> Result<WideTimingSim<'n>, NetlistError> {
-        if factors.len() != netlist.cell_count() {
-            return Err(NetlistError::FactorCountMismatch {
-                expected: netlist.cell_count(),
-                got: factors.len(),
-            });
-        }
-        let scale = voltage.delay_scale();
-        let delay = netlist
-            .cell_delays_v1()
-            .iter()
-            .zip(factors.as_slice())
-            .map(|(d, f)| d * scale * f)
-            .collect();
-        WideTimingSim::with_delays(netlist, delay)
+        WideTimingSim::with_delays(netlist, netlist.cell_delays(voltage, Some(factors))?)
     }
 
     fn with_delays(
@@ -118,13 +126,8 @@ impl<'n> WideTimingSim<'n> {
         Ok(WideTimingSim {
             delay,
             values: vec![0; netlist.net_count()],
-            arrival: vec![0.0; netlist.net_count() * LANES],
             changed: vec![0; netlist.net_count()],
-            net_stamp: vec![0; netlist.net_count()],
-            cell_stamp: vec![0; netlist.cell_count()],
-            dirty_lo: 0,
-            dirty_hi: 0,
-            cycle: 0,
+            arrival: vec![[0.0; LANES]; netlist.net_count()],
             initialized: false,
             netlist,
         })
@@ -158,7 +161,6 @@ impl<'n> WideTimingSim<'n> {
     /// the vector it starts from and the one it applies, so a batch whose
     /// delays would be thrown away can settle instead, and the next `step`
     /// reports exactly what it would have after stepping that batch.
-    /// Settling costs one full logic sweep, like the first `step`.
     ///
     /// # Errors
     ///
@@ -166,7 +168,7 @@ impl<'n> WideTimingSim<'n> {
     /// supply one word per primary input.
     pub fn settle(&mut self, inputs: &[u64]) -> Result<(), NetlistError> {
         self.check_width(inputs)?;
-        self.settle_words(inputs);
+        self.sweep(inputs, false);
         Ok(())
     }
 
@@ -183,121 +185,22 @@ impl<'n> WideTimingSim<'n> {
     /// supply one word per primary input.
     pub fn step(&mut self, inputs: &[u64]) -> Result<[f64; LANES], NetlistError> {
         self.check_width(inputs)?;
-        if !self.initialized {
-            self.settle_words(inputs);
-            return Ok([0.0; LANES]);
-        }
-        let n_pi = inputs.len();
-
-        self.cycle += 1;
-        let cycle = self.cycle;
-        self.dirty_lo = usize::MAX;
-        self.dirty_hi = 0;
-
-        // Stage 1: primary input transitions, per lane.
-        for i in 0..n_pi {
-            let pi = self.netlist.primary_inputs()[i].index();
-            let diff = self.values[pi] ^ inputs[i];
-            if diff != 0 {
-                self.values[pi] = inputs[i];
-                self.changed[pi] = diff;
-                self.net_stamp[pi] = cycle;
-                for lane in lanes_of(diff) {
-                    self.arrival[pi * LANES + lane] = 0.0;
-                }
-                self.mark_fanout(pi, cycle);
-            }
-        }
-
-        // Stage 2: sweep dirty cells in id order (a topological order).
-        // A cell is dirty when any lane of any input toggled; its output
-        // can only toggle in lanes where an input toggled, so the bitwise
-        // diff below is exact per lane.
-        if self.dirty_lo != usize::MAX {
-            let mut pins: [u64; 3] = [0; 3];
-            let mut idx = self.dirty_lo;
-            while idx <= self.dirty_hi {
-                if self.cell_stamp[idx] == cycle {
-                    let cell = &self.netlist.cells()[idx];
-                    let n_in = cell.inputs().len();
-                    for (slot, n) in pins.iter_mut().zip(cell.inputs()) {
-                        *slot = self.values[n.index()];
-                    }
-                    let new_word = cell.kind().eval_word(&pins[..n_in]);
-                    let out = cell.output().index();
-                    let diff = new_word ^ self.values[out];
-                    if diff != 0 {
-                        let cell_delay = self.delay[idx];
-                        // The inputs that toggled this cycle in a lane where
-                        // the output toggles too, as (offset of the input's
-                        // lane arrivals, those lanes): read once per cell.
-                        let mut sources: [(usize, u64); 3] = [(0, 0); 3];
-                        let mut n_sources = 0;
-                        for n in cell.inputs() {
-                            let net = n.index();
-                            let mask = if self.net_stamp[net] == cycle {
-                                self.changed[net] & diff
-                            } else {
-                                0
-                            };
-                            if mask != 0 {
-                                sources[n_sources] = (net * LANES, mask);
-                                n_sources += 1;
-                            }
-                        }
-                        self.values[out] = new_word;
-                        self.changed[out] = diff;
-                        self.net_stamp[out] = cycle;
-                        // Arrival = gate delay + latest *changed* input of
-                        // the lane, folded from 0.0 in input order like the
-                        // scalar sweep, each input visiting only its lanes.
-                        let out_base = out * LANES;
-                        for lane in lanes_of(diff) {
-                            self.arrival[out_base + lane] = 0.0;
-                        }
-                        for &(base, mask) in &sources[..n_sources] {
-                            for lane in lanes_of(mask) {
-                                let arrival = self.arrival[base + lane];
-                                let worst_in = &mut self.arrival[out_base + lane];
-                                *worst_in = worst_in.max(arrival);
-                            }
-                        }
-                        for lane in lanes_of(diff) {
-                            self.arrival[out_base + lane] += cell_delay;
-                        }
-                        self.mark_fanout(out, cycle);
-                    }
-                }
-                idx += 1;
-            }
-        }
-
-        // Stage 3: per lane, delay = latest-settling changed primary
-        // output (same fold order as the scalar sweep).
         let mut delays = [0.0f64; LANES];
+        if !self.initialized {
+            self.sweep(inputs, false);
+            return Ok(delays);
+        }
+        self.sweep(inputs, true);
+        // Per lane, delay = latest-settling toggled primary output; a
+        // toggled output's quiet lanes read +0.0.
         for n in self.netlist.primary_outputs() {
-            let net = n.index();
-            if self.net_stamp[net] != cycle {
-                continue;
-            }
-            for lane in lanes_of(self.changed[net]) {
-                delays[lane] = delays[lane].max(self.arrival[net * LANES + lane]);
+            if self.changed[n.index()] != 0 {
+                for (delay, &arrival) in delays.iter_mut().zip(&self.arrival[n.index()]) {
+                    *delay = later(*delay, arrival);
+                }
             }
         }
-
         Ok(delays)
-    }
-
-    #[inline]
-    fn mark_fanout(&mut self, net: usize, cycle: u64) {
-        for &cid in self.netlist.fanout_of(NetId(net as u32)) {
-            let idx = cid.index();
-            if self.cell_stamp[idx] != cycle {
-                self.cell_stamp[idx] = cycle;
-                self.dirty_lo = self.dirty_lo.min(idx);
-                self.dirty_hi = self.dirty_hi.max(idx);
-            }
-        }
     }
 
     fn check_width(&self, inputs: &[u64]) -> Result<(), NetlistError> {
@@ -313,19 +216,48 @@ impl<'n> WideTimingSim<'n> {
     }
 
     /// Drives the primary inputs and re-evaluates every cell in id (a
-    /// topological) order: values only, no arrivals or stamps.
-    fn settle_words(&mut self, inputs: &[u64]) {
+    /// topological) order, rewriting every net's value and toggle mask. A
+    /// `timed` sweep also writes the arrival row of every net that
+    /// toggled: the gate delay plus the latest toggled input, in the
+    /// lanes where the output toggled, and +0.0 in the rest.
+    fn sweep(&mut self, inputs: &[u64], timed: bool) {
         for (pi, &word) in self.netlist.primary_inputs().iter().zip(inputs) {
-            self.values[pi.index()] = word;
+            let pi = pi.index();
+            self.changed[pi] = self.values[pi] ^ word;
+            self.values[pi] = word;
         }
         let mut pins: [u64; 3] = [0; 3];
-        for idx in 0..self.netlist.cell_count() {
-            let cell = &self.netlist.cells()[idx];
+        for (cell, &cell_delay) in self.netlist.cells().iter().zip(&self.delay) {
             let n_in = cell.inputs().len();
             for (slot, n) in pins.iter_mut().zip(cell.inputs()) {
                 *slot = self.values[n.index()];
             }
-            self.values[cell.output().index()] = cell.kind().eval_word(&pins[..n_in]);
+            let new_word = cell.kind().eval_word(&pins[..n_in]);
+            let out = cell.output().index();
+            let diff = new_word ^ self.values[out];
+            self.values[out] = new_word;
+            self.changed[out] = diff;
+            if !timed || diff == 0 {
+                continue;
+            }
+            // An input that toggled in no lane holds a stale row; every
+            // other input's row is +0.0 wherever it did not toggle, so
+            // folding all 64 lanes of it is exact.
+            let mut worst_in = [0.0f64; LANES];
+            for n in cell.inputs() {
+                if self.changed[n.index()] != 0 {
+                    for (worst, &arrival) in worst_in.iter_mut().zip(&self.arrival[n.index()]) {
+                        *worst = later(*worst, arrival);
+                    }
+                }
+            }
+            let row = self.arrival[out].chunks_exact_mut(4);
+            for (k, (dst, worst)) in row.zip(worst_in.chunks_exact(4)).enumerate() {
+                let keep = &NIBBLE_KEEP[(diff >> (4 * k)) as usize & 0xF];
+                for ((dst, &worst), &keep) in dst.iter_mut().zip(worst).zip(keep) {
+                    *dst = f64::from_bits((worst + cell_delay).to_bits() & keep);
+                }
+            }
         }
         self.initialized = true;
     }
@@ -391,16 +323,15 @@ fn transpose64(rows: &mut [u64; LANES]) {
     }
 }
 
-/// The lanes whose bits are set in `mask`, lowest first.
+/// The later of two arrival times. Arrivals are never NaN, so this is
+/// `f64::max` without its NaN handling, one `maxpd` per lane pair.
 #[inline]
-fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (mask != 0).then(|| {
-            let lane = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            lane
-        })
-    })
+fn later(a: f64, b: f64) -> f64 {
+    if b > a {
+        b
+    } else {
+        a
+    }
 }
 
 /// Rejects a lane index past the word, which a shift would otherwise

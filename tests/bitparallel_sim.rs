@@ -3,12 +3,18 @@
 //! 64 trace vectors per machine word without perturbing a single golden
 //! fixture.
 //!
-//! Two layers are pinned:
+//! These layers are pinned:
 //!
 //! * [`gatelib::WideTimingSim`] lane-for-lane against 64 independent
 //!   [`gatelib::TimingSim`] runs — delay bits and output words, including
 //!   *ragged* batches that drive fewer than 64 lanes and leave the rest
 //!   idle;
+//! * the same on seeded random netlists, plain and on a varied or aged
+//!   die: every cell kind, one net on two pins of a cell, a primary
+//!   input and a tie net among the outputs, nets that drive nothing, and
+//!   batches that settle, move a ragged number of lanes, or repeat every
+//!   lane's vector (all-zero delays, and no stale arrival read by the
+//!   next step);
 //! * [`gatelib::WideTimingSim::settle`] interleaved with `step` against
 //!   scalar runs that always step: a settle leaves the logic state a step
 //!   would, so the next step's delays do not change;
@@ -25,7 +31,11 @@
 
 use proptest::prelude::*;
 use synts::circuits::{build_stage, AluEvent, AluOp, DecodeStage, StageKind};
-use synts::gatelib::{transpose_lanes, TimingSim, Voltage, WideTimingSim, LANES};
+use synts::gatelib::variation::{AgingModel, DelayFactors, VariationModel};
+use synts::gatelib::{
+    transpose_lanes, CellKind, NetId, Netlist, NetlistBuilder, TimingSim, Voltage, WideTimingSim,
+    LANES,
+};
 use synts::timing::StageCharacterizer;
 
 /// Deterministic pseudo-random bit stream (the tests' only entropy
@@ -44,6 +54,11 @@ impl Lcg {
     fn next_bool(&mut self) -> bool {
         self.next_u64() >> 63 == 1
     }
+
+    /// A draw in `0..n` from the high bits, whose period is long.
+    fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() >> 32) as usize % n
+    }
 }
 
 fn stage_for(choice: usize) -> StageKind {
@@ -52,6 +67,42 @@ fn stage_for(choice: usize) -> StageKind {
         StageKind::Decode,
         StageKind::ComplexAlu,
     ][choice % 3]
+}
+
+/// A seeded random DAG that holds shapes the stage netlists never build:
+/// every [`CellKind`] (ties and 3-input kinds included), pins drawn from
+/// any earlier net (so a cell can read one net on two pins, and does at
+/// least twice), a primary input and a tie net among the primary outputs,
+/// and nets that drive nothing.
+fn random_netlist(rng: &mut Lcg, n_inputs: usize, n_cells: usize) -> Netlist {
+    let mut b = NetlistBuilder::new("random");
+    let mut nets: Vec<NetId> = b.input_bus("x", n_inputs);
+    let pick = |rng: &mut Lcg, nets: &[NetId]| nets[rng.below(nets.len())];
+    for k in 0..n_cells {
+        let kind = CellKind::ALL[if k < CellKind::ALL.len() {
+            k
+        } else {
+            rng.below(CellKind::ALL.len())
+        }];
+        let pins: Vec<NetId> = (0..kind.arity()).map(|_| pick(rng, &nets)).collect();
+        nets.push(b.cell(kind, &pins).expect("pins exist"));
+    }
+    let (n, m) = (pick(rng, &nets), pick(rng, &nets));
+    nets.push(b.cell(CellKind::Xor2, &[n, n]).expect("pins exist"));
+    nets.push(b.cell(CellKind::Maj3, &[n, m, n]).expect("pins exist"));
+    let tie = b.const1().expect("tie");
+    b.output(nets[0], "pi");
+    b.output(tie, "tie");
+    for (i, &net) in nets[n_inputs..].iter().enumerate() {
+        if rng.below(3) == 0 {
+            b.output(net, format!("y{i}"));
+        }
+    }
+    b.output(*nets.last().expect("cells built"), "last");
+    // Read by nothing and driving no output.
+    let (n, m) = (pick(rng, &nets), pick(rng, &nets));
+    b.cell(CellKind::Nand2, &[n, m]).expect("pins exist");
+    b.finish().expect("outputs declared")
 }
 
 /// A stage's input vector for `ev`, built bit by bit from the layout its
@@ -116,6 +167,89 @@ fn packed_encoders_match_the_documented_layouts_at_every_width() {
                 assert_eq!(stage.encode(&ev), expect, "{kind}/{width} encode");
                 stage.encode_into(&ev, &mut buf);
                 assert_eq!(buf, expect, "{kind}/{width} encode_into");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On random netlists ([`random_netlist`]), plain and on an aged or
+    /// varied die, every lane of one wide sim equals its own scalar sim
+    /// through a random mix of batches: steps in which a ragged number of
+    /// lanes move, settles, and repeats of every lane's last vector, which
+    /// report +0.0 in every lane and leave no stale arrival for the next
+    /// step to read.
+    #[test]
+    fn wide_sim_matches_scalar_sims_on_random_netlists(
+        n_inputs in 1usize..9,
+        n_cells in CellKind::ALL.len()..140,
+        die in 0usize..3,
+        batches in 2usize..40,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = Lcg(seed);
+        let netlist = random_netlist(&mut rng, n_inputs, n_cells);
+        let voltage = Voltage::new([1.0, 0.8, 0.7][die]).expect("characterized voltage");
+        let factors: Option<DelayFactors> = match die {
+            0 => None,
+            1 => Some(VariationModel::ptm22_typical().sample(netlist.cell_count(), seed)),
+            _ => Some(
+                AgingModel::nbti_ptm22()
+                    .factors(netlist.cell_count(), 7.0, None)
+                    .expect("aging factors"),
+            ),
+        };
+        let (mut wide, mut scalars) = match &factors {
+            None => (
+                WideTimingSim::new(&netlist, voltage).expect("wide"),
+                vec![TimingSim::new(&netlist, voltage).expect("scalar"); LANES],
+            ),
+            Some(f) => (
+                WideTimingSim::with_factors(&netlist, voltage, f).expect("wide"),
+                vec![TimingSim::with_factors(&netlist, voltage, f).expect("scalar"); LANES],
+            ),
+        };
+        let mut vectors = vec![vec![false; n_inputs]; LANES];
+        let mut words = vec![0u64; n_inputs];
+        for t in 0..batches {
+            // 0: settle, 1: repeat every lane's vector, else: step with
+            // lanes 0..moving on new vectors and the rest repeating.
+            let kind = rng.below(5);
+            let moving = if kind == 1 { 0 } else { 1 + rng.below(LANES) };
+            for (lane, vector) in vectors.iter_mut().enumerate().take(moving) {
+                for (i, bit) in vector.iter_mut().enumerate() {
+                    *bit = rng.next_bool();
+                    words[i] = (words[i] & !(1u64 << lane)) | (u64::from(*bit) << lane);
+                }
+            }
+            let expected: Vec<f64> = scalars
+                .iter_mut()
+                .zip(&vectors)
+                .map(|(scalar, vector)| scalar.step(vector).expect("scalar"))
+                .collect();
+            if kind == 0 {
+                wide.settle(&words).expect("settle");
+            } else {
+                let delays = wide.step(&words).expect("wide");
+                for (lane, exp) in expected.iter().enumerate() {
+                    prop_assert_eq!(
+                        delays[lane].to_bits(),
+                        exp.to_bits(),
+                        "delay diverges: lane {} batch {}", lane, t
+                    );
+                }
+                if kind == 1 {
+                    prop_assert!(delays.iter().all(|d| d.to_bits() == 0), "repeat batch {}", t);
+                }
+            }
+            for (lane, scalar) in scalars.iter().enumerate() {
+                prop_assert_eq!(
+                    wide.output_word(lane),
+                    scalar.output_word(),
+                    "outputs diverge: lane {} batch {}", lane, t
+                );
             }
         }
     }
