@@ -14,6 +14,7 @@ use gatelib::Voltage;
 use synts_core::criticality::{run_sequence, NiPredictor, PredictorKind};
 use synts_core::leakage::{evaluate_with_leakage, synts_poly_leakage, LeakageModel};
 use synts_core::power_cap::synts_poly_power_capped;
+use synts_core::solver::Poly;
 use synts_core::thrifty::{thrifty_barrier, ThriftyConfig};
 use synts_core::{
     evaluate, nominal, run_interval, synts_poly, OptError, ReportCheck, SamplingPlan, SystemConfig,
@@ -341,13 +342,9 @@ pub fn ablation_predictor(corpus: &Corpus) -> Result<Figure, OptError> {
             "predictor ablation needs >= 2 intervals",
         ));
     }
-    let intervals: Vec<Vec<synts_core::ThreadTrace>> = data
-        .intervals
-        .iter()
-        .map(synts_core::experiments::IntervalData::thread_traces)
-        .collect();
-    let threads = intervals[0].len();
-    let mean_len = intervals[0]
+    let first = &data.intervals[0].threads;
+    let threads = first.len();
+    let mean_len = first
         .iter()
         .map(|t| t.normalized_delays.len())
         .sum::<usize>()
@@ -360,8 +357,8 @@ pub fn ablation_predictor(corpus: &Corpus) -> Result<Figure, OptError> {
     // Oracle: per-interval controller with trace-derived Ni.
     let mut oracle_energy = 0.0;
     let mut oracle_time = 0.0;
-    for traces in &intervals {
-        let out = run_interval(&cfg, traces, theta, plan)?;
+    for iv in &data.intervals {
+        let out = run_interval(&cfg, &iv.threads, theta, plan, &Poly, None)?;
         oracle_energy += out.total.energy;
         oracle_time += out.total.time;
     }
@@ -375,7 +372,7 @@ pub fn ablation_predictor(corpus: &Corpus) -> Result<Figure, OptError> {
     let mut ratios = Vec::new();
     for (name, kind) in kinds {
         let mut predictor = NiPredictor::new(threads, kind)?;
-        let seq = run_sequence(&cfg, &intervals, theta, plan, &mut predictor)?;
+        let seq = run_sequence(&cfg, &data.intervals, theta, plan, &mut predictor)?;
         let ratio = seq.total.edp() / oracle_edp;
         ratios.push(ratio);
         rows.push(vec![

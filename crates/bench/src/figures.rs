@@ -7,10 +7,11 @@ use std::sync::Arc;
 
 use circuits::{AdderKind, SimpleAlu, StageKind};
 use gpgpu::{GpuKernel, SimdConfig, SimdUnit};
-use synts_core::experiments::BenchmarkData;
+use synts_core::experiments::{BenchmarkData, IntervalData};
+use synts_core::solver::Poly;
 use synts_core::{
-    estimate_overhead_defaults, run_interval, run_interval_offline, Experiment, OptError, Quality,
-    ReportCheck, SamplingPlan, ScenarioSpec, Solver, SolverRegistry, ThreadPool, ThreadProfile,
+    estimate_overhead_defaults, run_interval, Experiment, OptError, Quality, ReportCheck,
+    SamplingPlan, ScenarioSpec, Solver, SolverRegistry, ThreadPool, ThreadProfile,
 };
 use timing::{EnergyDelay, ErrorCurve, ErrorModel, StageCharacterizer, VOLTAGE_TABLE_POINTS};
 use workloads::Benchmark;
@@ -52,23 +53,6 @@ fn corpus_data(
     corpus.get(bench, stage).ok_or(OptError::BadConfig(
         "corpus does not contain the requested benchmark/stage",
     ))
-}
-
-/// Profiles over the subsampled trace population (N = trace length), the
-/// common basis for every Fig 6.18 bar.
-fn trace_profiles(
-    iv: &synts_core::experiments::IntervalData,
-) -> Result<Vec<ThreadProfile<ErrorCurve>>, OptError> {
-    iv.thread_traces()
-        .iter()
-        .map(|tr| {
-            Ok(ThreadProfile::new(
-                tr.normalized_delays.len() as f64,
-                tr.cpi_base,
-                tr.exact_curve()?,
-            ))
-        })
-        .collect()
 }
 
 /// Table 5.1: voltage vs nominal clock period, via a ring oscillator built
@@ -560,9 +544,8 @@ pub fn fig_6_17(corpus: &Corpus) -> Result<Figure, OptError> {
     for bench in [Benchmark::Radix, Benchmark::Fmm] {
         let data = corpus_data(corpus, bench, StageKind::SimpleAlu)?;
         let cfg = data.system_config();
-        let iv = &data.intervals[data.most_heterogeneous_interval()];
-        let traces = iv.thread_traces();
-        let longest = traces
+        let threads = &data.intervals[data.most_heterogeneous_interval()].threads;
+        let longest = threads
             .iter()
             .map(|t| t.normalized_delays.len())
             .max()
@@ -576,10 +559,10 @@ pub fn fig_6_17(corpus: &Corpus) -> Result<Figure, OptError> {
         let mut critical_match = true;
         for &r in &cfg.tsr_levels {
             let mut ranked: Vec<(usize, f64, f64)> = Vec::new(); // (tid, actual, est)
-            for (t, tr) in traces.iter().enumerate() {
-                let est = synts_core::online::estimate_curve(&cfg, &tr.normalized_delays, plan)?;
-                let actual = tr.exact_curve()?;
-                let (ea, ee) = (actual.err(r), est.err(r));
+            for (t, thread) in threads.iter().enumerate() {
+                let est =
+                    synts_core::online::estimate_curve(&cfg, &thread.normalized_delays, plan)?;
+                let (ea, ee) = (thread.curve.err(r), est.err(r));
                 max_gap = max_gap.max((ea - ee).abs());
                 ranked.push((t, ea, ee));
                 rows.push(vec![
@@ -659,19 +642,18 @@ pub fn fig_6_18(corpus: &Corpus) -> Result<Figure, OptError> {
             let mut nots_ed = EnergyDelay::new(0.0, 0.0);
             let mut offline_ed = EnergyDelay::new(0.0, 0.0);
             let mut online_ed = EnergyDelay::new(0.0, 0.0);
-            // Re-characterize each interval exactly once (profiles and
-            // traces come off the batched characterization products) and
-            // share the result between the equal-weight θ derivation and
-            // all four schemes — intervals fan out across the pool.
+            // Build each interval's profiles once and share them between
+            // the equal-weight θ derivation and all four schemes —
+            // intervals fan out across the pool.
             let prepared = ThreadPool::from_env().try_map(&data.intervals, |_, iv| {
-                let profiles = trace_profiles(iv)?;
+                let profiles = iv.trace_profiles();
                 let (_, ed) = nominal.solve_evaluated(&cfg, &profiles, 1.0)?;
-                Ok::<_, OptError>((profiles, iv.thread_traces(), ed))
+                Ok::<_, OptError>((profiles, ed))
             })?;
             // Equal-weight theta over the trace population.
             let mut theta_en = 0.0;
             let mut theta_t = 0.0;
-            for (_, _, ed) in &prepared {
+            for (_, ed) in &prepared {
                 theta_en += ed.energy;
                 theta_t += ed.time;
             }
@@ -689,20 +671,20 @@ pub fn fig_6_18(corpus: &Corpus) -> Result<Figure, OptError> {
             }
             let theta = theta_en / theta_t;
             // One task per barrier interval: the four schemes of one
-            // interval reuse the profiles/traces prepared above, and
-            // intervals are independent, so they fan out across the pool.
-            let per_interval = ThreadPool::from_env().try_map(&prepared, |_, item| {
-                let (profiles, traces, _) = item;
+            // interval reuse the profiles prepared above, and intervals
+            // are independent, so they fan out across the pool.
+            let per_interval = ThreadPool::from_env().try_map(&prepared, |i, (profiles, _)| {
+                let threads = &data.intervals[i].threads;
                 let (_, nom) = nominal.solve_evaluated(&cfg, profiles, theta)?;
                 let (_, nots) = no_ts.solve_evaluated(&cfg, profiles, theta)?;
-                let (_, off) = run_interval_offline(&cfg, traces, theta)?;
-                let longest = traces
+                let (_, off) = Poly.solve_evaluated(&cfg, profiles, theta)?;
+                let longest = threads
                     .iter()
                     .map(|t| t.normalized_delays.len())
                     .max()
                     .unwrap_or(0);
                 let plan = SamplingPlan::paper_default(longest, cfg.s());
-                let out = run_interval(&cfg, traces, theta, plan)?;
+                let out = run_interval(&cfg, threads, theta, plan, &Poly, None)?;
                 Ok::<_, OptError>((nom, nots, off, out.total))
             })?;
             for (nom, nots, off, online) in per_interval {
@@ -1023,19 +1005,6 @@ pub fn sec_5_4(corpus: &Corpus) -> Result<Figure, OptError> {
         &[Benchmark::Fft, Benchmark::Ocean, Benchmark::WaterSp],
         &[StageKind::SimpleAlu],
     )?;
-    let spread_of = |data: &BenchmarkData| -> f64 {
-        let grid = [0.64, 0.7, 0.78, 0.86];
-        let mut spread = 0.0f64;
-        for iv in &data.intervals {
-            for &r in &grid {
-                let errs: Vec<f64> = iv.threads.iter().map(|t| t.curve.err(r)).collect();
-                let max = errs.iter().copied().fold(0.0f64, f64::max);
-                let min = errs.iter().copied().fold(f64::INFINITY, f64::min);
-                spread = spread.max(max - min);
-            }
-        }
-        spread
-    };
     let mut rows = Vec::new();
     let mut homog = Vec::new();
     let mut het = Vec::new();
@@ -1046,7 +1015,11 @@ pub fn sec_5_4(corpus: &Corpus) -> Result<Figure, OptError> {
             corpus.get(bench, StageKind::SimpleAlu)
         }
         .ok_or(OptError::BadConfig("benchmark missing from corpus"))?;
-        let s = spread_of(data);
+        let s = data
+            .intervals
+            .iter()
+            .map(IntervalData::error_spread)
+            .fold(0.0f64, f64::max);
         if bench.paper_homogeneous() {
             homog.push(s);
         } else {

@@ -16,13 +16,14 @@
 //!
 //! [`run_sequence`] drives the full online controller over a multi-
 //! interval workload with predicted `N_i`, charging everything against
-//! the true traces — the end-to-end "no oracles left" configuration.
+//! the true delays — the end-to-end "no oracles left" configuration.
 
 use timing::EnergyDelay;
 
 use crate::error::OptError;
+use crate::experiments::IntervalData;
 use crate::model::SystemConfig;
-use crate::online::{run_interval_with, IntervalOutcome, SamplingPlan, ThreadTrace};
+use crate::online::{run_interval, IntervalOutcome, SamplingPlan};
 use crate::solver::Poly;
 
 /// Forecasting rule for per-thread interval instruction counts.
@@ -190,13 +191,12 @@ pub struct SequenceOutcome {
 
 /// Runs the sampling-based online controller (Sec 4.3) over a sequence of
 /// barrier intervals, forecasting each interval's `N_i` with `predictor`
-/// instead of reading it from the trace (the paper's remaining oracle).
+/// instead of reading it from the delays (the paper's remaining oracle).
 ///
 /// The first interval has no history; the controller falls back to a
 /// uniform `N_i` guess, which — by the ratio-invariance of Eq 4.4 — is
-/// the assumption-free default. Sampling, optimization and accounting
-/// against the true traces proceed exactly as in
-/// [`run_interval`](crate::online::run_interval).
+/// the assumption-free default. Sampling, SynTS-Poly and accounting
+/// against the true delays proceed exactly as in [`run_interval`].
 ///
 /// # Errors
 ///
@@ -205,7 +205,7 @@ pub struct SequenceOutcome {
 /// predictor's.
 pub fn run_sequence(
     cfg: &SystemConfig,
-    intervals: &[Vec<ThreadTrace>],
+    intervals: &[IntervalData],
     theta: f64,
     plan: SamplingPlan,
     predictor: &mut NiPredictor,
@@ -218,11 +218,12 @@ pub fn run_sequence(
     let mut total_energy = 0.0;
     let mut total_time = 0.0;
     let mut mapes = Vec::new();
-    for traces in intervals {
-        if traces.len() != m {
+    for iv in intervals {
+        if iv.threads.len() != m {
             return Err(OptError::BadConfig("interval thread count mismatch"));
         }
-        let truth: Vec<f64> = traces
+        let truth: Vec<f64> = iv
+            .threads
             .iter()
             .map(|t| t.normalized_delays.len() as f64)
             .collect();
@@ -236,15 +237,15 @@ pub fn run_sequence(
                 / m as f64;
             mapes.push(mape);
         }
-        // Substitute predicted counts by rescaling each thread's trace
-        // weight: run the controller on traces truncated/extended is not
-        // physical — instead pass the prediction through the profile Ni.
+        // Substitute predicted counts by rescaling each thread's weight:
+        // truncating or extending the delays is not physical, so pass the
+        // prediction through the profile Ni.
         // Without history, every thread is assumed to run the mean length.
         let ni = predicted.unwrap_or_else(|| {
             let mean = truth.iter().sum::<f64>() / m as f64;
             vec![mean.max(1.0); m]
         });
-        let outcome = run_interval_with(cfg, traces, theta, plan, &Poly, Some(&ni))?;
+        let outcome = run_interval(cfg, &iv.threads, theta, plan, &Poly, Some(&ni))?;
         total_energy += outcome.total.energy;
         total_time += outcome.total.time;
         outcomes.push(outcome);
@@ -262,19 +263,24 @@ pub fn run_sequence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::online::run_interval;
-    use timing::Voltage;
+    use crate::experiments::ThreadData;
+    use timing::{ErrorCurve, Voltage};
 
-    fn trace(seed: u64, n: usize, lo: f64, hi: f64) -> ThreadTrace {
+    fn thread(seed: u64, n: usize, lo: f64, hi: f64) -> ThreadData {
         let mut state = seed;
-        let delays = (0..n)
+        let delays: Vec<f64> = (0..n)
             .map(|_| {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
                 let u = (state >> 33) as f64 / (1u64 << 31) as f64;
                 lo + (hi - lo) * u
             })
             .collect();
-        ThreadTrace::new(delays, 1.0)
+        ThreadData {
+            curve: ErrorCurve::from_normalized_delays(delays.clone()).expect("non-empty"),
+            instructions: n as f64,
+            normalized_delays: delays,
+            cpi_base: 1.0,
+        }
     }
 
     fn cfg() -> SystemConfig {
@@ -359,13 +365,13 @@ mod tests {
     fn sequence_with_stationary_workload_matches_oracle_closely() {
         let cfg = cfg();
         // 4 threads, stable per-interval lengths and delay bands.
-        let make_interval = |k: u64| {
-            vec![
-                trace(k * 10 + 1, 6000, 0.70, 1.00),
-                trace(k * 10 + 2, 3000, 0.45, 0.90),
-                trace(k * 10 + 3, 4500, 0.50, 0.92),
-                trace(k * 10 + 4, 3600, 0.40, 0.88),
-            ]
+        let make_interval = |k: u64| IntervalData {
+            threads: vec![
+                thread(k * 10 + 1, 6000, 0.70, 1.00),
+                thread(k * 10 + 2, 3000, 0.45, 0.90),
+                thread(k * 10 + 3, 4500, 0.50, 0.92),
+                thread(k * 10 + 4, 3600, 0.40, 0.88),
+            ],
         };
         let intervals: Vec<_> = (0..4).map(make_interval).collect();
         let plan = SamplingPlan {
@@ -381,8 +387,8 @@ mod tests {
         // Oracle comparison: per-interval oracle Ni.
         let mut oracle_energy = 0.0;
         let mut oracle_time = 0.0;
-        for traces in &intervals {
-            let out = run_interval(&cfg, traces, 1.0, plan).expect("ok");
+        for iv in &intervals {
+            let out = run_interval(&cfg, &iv.threads, 1.0, plan, &Poly, None).expect("ok");
             oracle_energy += out.total.energy;
             oracle_time += out.total.time;
         }
@@ -398,7 +404,9 @@ mod tests {
     #[test]
     fn sequence_rejects_mismatched_thread_counts() {
         let cfg = cfg();
-        let intervals = vec![vec![trace(1, 1000, 0.4, 0.9)]];
+        let intervals = [IntervalData {
+            threads: vec![thread(1, 1000, 0.4, 0.9)],
+        }];
         let mut predictor = NiPredictor::new(2, PredictorKind::LastValue).expect("ok");
         let plan = SamplingPlan {
             n_samp: 100,
@@ -411,7 +419,9 @@ mod tests {
     #[test]
     fn uniform_fallback_used_on_first_interval() {
         let cfg = cfg();
-        let intervals = vec![vec![trace(1, 4000, 0.6, 1.0), trace(2, 4000, 0.4, 0.9)]];
+        let intervals = [IntervalData {
+            threads: vec![thread(1, 4000, 0.6, 1.0), thread(2, 4000, 0.4, 0.9)],
+        }];
         let plan = SamplingPlan {
             n_samp: 400,
             v_samp: Voltage::NOMINAL,
@@ -430,7 +440,6 @@ mod tests {
         // of Eq 4.4 depends on relative, not absolute, Ni.
         use crate::model::ThreadProfile;
         use crate::poly::synts_poly;
-        use timing::ErrorCurve;
         let cfg = cfg();
         let curve = |lo: f64, hi: f64| {
             let d: Vec<f64> = (0..100)

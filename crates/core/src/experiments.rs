@@ -16,7 +16,6 @@ use workloads::{
 
 use crate::error::OptError;
 use crate::model::{SystemConfig, ThreadProfile};
-use crate::online::ThreadTrace;
 
 /// Knobs for the characterization harness.
 #[derive(Debug, Clone)]
@@ -84,13 +83,41 @@ impl IntervalData {
             .collect()
     }
 
-    /// Thread traces for the online controller.
+    /// Thread profiles over the timed delay population: `N` is the
+    /// number of subsampled delays, not the interval's full instruction
+    /// count, so the model sees the same instructions as the online
+    /// controller and the cycle-level simulator.
     #[must_use]
-    pub fn thread_traces(&self) -> Vec<ThreadTrace> {
+    pub fn trace_profiles(&self) -> Vec<ThreadProfile<ErrorCurve>> {
         self.threads
             .iter()
-            .map(|t| ThreadTrace::new(t.normalized_delays.clone(), t.cpi_base))
+            .map(|t| {
+                ThreadProfile::new(
+                    t.normalized_delays.len() as f64,
+                    t.cpi_base,
+                    t.curve.clone(),
+                )
+            })
             .collect()
+    }
+
+    /// The widest per-thread error spread of the interval: the largest
+    /// `max − min` of the threads' error probabilities at
+    /// r ∈ {0.64, 0.7, 0.78, 0.86}.
+    #[must_use]
+    pub fn error_spread(&self) -> f64 {
+        let mut spread = 0.0f64;
+        for r in [0.64, 0.7, 0.78, 0.86] {
+            let (max, min) = self
+                .threads
+                .iter()
+                .map(|t| t.curve.err(r))
+                .fold((0.0f64, f64::INFINITY), |(max, min), e| {
+                    (max.max(e), min.min(e))
+                });
+            spread = spread.max(max - min);
+        }
+        spread
     }
 }
 
@@ -114,22 +141,15 @@ impl BenchmarkData {
         SystemConfig::paper_default(self.tnom_v1)
     }
 
-    /// The barrier interval with the widest per-thread error spread —
-    /// the "illustrative barrier interval" the paper's per-interval
-    /// figures show (for Radix, the rank-reduction interval). Returns 0
-    /// when there are no intervals.
+    /// The barrier interval with the widest per-thread error spread
+    /// ([`IntervalData::error_spread`]) — the "illustrative barrier
+    /// interval" the paper's per-interval figures show (for Radix, the
+    /// rank-reduction interval). Returns 0 when there are no intervals.
     #[must_use]
     pub fn most_heterogeneous_interval(&self) -> usize {
-        let grid = [0.64, 0.7, 0.78, 0.86];
         let mut best = (0usize, 0.0f64);
         for (i, iv) in self.intervals.iter().enumerate() {
-            let mut spread = 0.0f64;
-            for &r in &grid {
-                let errs: Vec<f64> = iv.threads.iter().map(|t| t.curve.err(r)).collect();
-                let max = errs.iter().copied().fold(0.0f64, f64::max);
-                let min = errs.iter().copied().fold(f64::INFINITY, f64::min);
-                spread = spread.max(max - min);
-            }
+            let spread = iv.error_spread();
             if spread > best.1 {
                 best = (i, spread);
             }
@@ -327,25 +347,6 @@ mod tests {
             .collect()
     }
 
-    /// The interval with the widest per-thread error spread.
-    fn most_heterogeneous(data: &BenchmarkData) -> usize {
-        let grid = [0.64, 0.7, 0.78, 0.86];
-        let mut best = (0usize, 0.0f64);
-        for (i, iv) in data.intervals.iter().enumerate() {
-            let mut spread = 0.0f64;
-            for &r in &grid {
-                let errs: Vec<f64> = iv.threads.iter().map(|t| t.curve.err(r)).collect();
-                let max = errs.iter().copied().fold(0.0f64, f64::max);
-                let min = errs.iter().copied().fold(f64::INFINITY, f64::min);
-                spread = spread.max(max - min);
-            }
-            if spread > best.1 {
-                best = (i, spread);
-            }
-        }
-        best.0
-    }
-
     #[test]
     fn radix_decode_shows_strong_thread_heterogeneity() {
         // The paper's motivating observation (Fig 3.5): Radix's worst
@@ -353,7 +354,7 @@ mod tests {
         // error probability of the best thread.
         let cfg = HarnessConfig::quick();
         let data = characterize(Benchmark::Radix, StageKind::Decode, &cfg).expect("ok");
-        let curves = interval_curves(&data, most_heterogeneous(&data));
+        let curves = interval_curves(&data, data.most_heterogeneous_interval());
         let h = max_heterogeneity(&curves);
         assert!(h > 2.0, "Radix decode heterogeneity, got {h}");
         // And thread 0 is the critical one, as in the paper.
@@ -371,7 +372,7 @@ mod tests {
     fn radix_simple_alu_is_heterogeneous() {
         let cfg = HarnessConfig::quick();
         let data = characterize(Benchmark::Radix, StageKind::SimpleAlu, &cfg).expect("ok");
-        let curves = interval_curves(&data, most_heterogeneous(&data));
+        let curves = interval_curves(&data, data.most_heterogeneous_interval());
         let h = max_heterogeneity(&curves);
         assert!(h > 1.2, "Radix SimpleALU heterogeneity, got {h}");
     }
@@ -393,15 +394,16 @@ mod tests {
     }
 
     #[test]
-    fn thread_traces_align_with_profiles() {
+    fn trace_profiles_count_the_timed_delays() {
         let cfg = HarnessConfig::quick();
         let data = characterize(Benchmark::Ocean, StageKind::Decode, &cfg).expect("ok");
         let iv = &data.intervals[0];
-        let traces = iv.thread_traces();
-        assert_eq!(traces.len(), iv.threads.len());
-        for (tr, td) in traces.iter().zip(&iv.threads) {
-            assert_eq!(tr.normalized_delays.len(), td.normalized_delays.len());
-            assert!((tr.cpi_base - td.cpi_base).abs() < 1e-12);
+        let profiles = iv.trace_profiles();
+        assert_eq!(profiles.len(), iv.threads.len());
+        for (p, t) in profiles.iter().zip(&iv.threads) {
+            assert_eq!(p.instructions, t.normalized_delays.len() as f64);
+            assert_eq!(p.cpi_base.to_bits(), t.cpi_base.to_bits());
+            assert_eq!(p.err, t.curve);
         }
     }
 }

@@ -62,15 +62,15 @@
 //! * [`synts_poly`] — Algorithm 1, the exact polynomial-time solver;
 //! * [`nominal`], [`no_ts`], [`per_core_ts`] — the evaluation baselines;
 //! * [`online`] — the sampling-based online controller (Sec 4.3), which
-//!   dispatches its optimization step through the [`Solver`] trait
-//!   ([`run_interval_with`]);
+//!   reads a characterized interval's threads in place and dispatches its
+//!   optimization step through the [`Solver`] trait ([`run_interval`]);
 //! * [`overhead`] — the Sec 6.3 hardware-overhead accounting;
 //! * [`leakage`] — the Sec 4.1-suggested leakage-power extension;
 //! * [`power_cap`] — the Sec 4.1-suggested power-constrained variant;
 //! * [`criticality`] — online `N_i` prediction (the Sec 6.2 assumption);
 //! * [`thrifty`] — the thrifty-barrier baseline (related work, ref \[4\]);
-//! * [`parallel`] — the scoped thread pool fanning θ sweeps, batched
-//!   interval re-optimization and gate-level characterization across
+//! * [`parallel`] — the scoped thread pool fanning θ sweeps, per-interval
+//!   solves and gate-level characterization across
 //!   cores (`SYNTS_THREADS`, or `ThreadPool::new(worker_count(Some(n)))`),
 //!   with deterministic index-ordered collection;
 //! * [`cache`] — the persistent, recipe-keyed characterization cache
@@ -124,10 +124,7 @@ pub use model::{
     evaluate, thread_energy, thread_time, weighted_cost, Assignment, OperatingPoint, SystemConfig,
     ThreadProfile, RAZOR_PENALTY_CYCLES,
 };
-pub use online::{
-    run_interval, run_interval_offline, run_interval_with, run_intervals_batched, IntervalOutcome,
-    SamplingPlan, ThreadTrace,
-};
+pub use online::{run_interval, IntervalOutcome, SamplingPlan};
 pub use overhead::{estimate_overhead, estimate_overhead_defaults, OverheadReport};
 pub use parallel::{worker_count, ThreadPool, THREADS_ENV};
 pub use pareto::{

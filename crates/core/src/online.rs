@@ -12,23 +12,32 @@
 //! charged to the interval, which is exactly the online-vs-offline overhead
 //! Fig 6.18 quantifies.
 //!
-//! [`run_interval`] is the paper's setting. [`run_interval_with`] runs
-//! any [`Solver`] on the estimates, optionally with predicted `N_i`, and
-//! [`run_intervals_batched`] fans a sequence of intervals across a pool:
+//! [`run_interval`] runs one characterized interval's threads
+//! ([`ThreadData`]) through the controller with any [`Solver`] on the
+//! estimates ([`Poly`](crate::solver::Poly) is the paper's setting),
+//! optionally with predicted `N_i`. Intervals are independent, so a
+//! sequence of them fans out with [`ThreadPool::try_map`](crate::ThreadPool::try_map):
 //!
 //! ```
-//! use synts_core::{run_interval_with, SamplingPlan, SolverRegistry, SystemConfig, ThreadTrace};
-//! use timing::SampledCurve;
+//! use synts_core::experiments::ThreadData;
+//! use synts_core::{run_interval, SamplingPlan, SolverRegistry, SystemConfig};
+//! use timing::{ErrorCurve, SampledCurve};
 //!
 //! # fn main() -> Result<(), synts_core::OptError> {
 //! let cfg = SystemConfig::paper_default(10.0);
-//! let trace = |lo: f64| {
-//!     ThreadTrace::new((0..600).map(|i| lo + (1.0 - lo) * i as f64 / 600.0).collect(), 1.0)
+//! let thread = |lo: f64| -> Result<ThreadData, synts_core::OptError> {
+//!     let delays: Vec<f64> = (0..600).map(|i| lo + (1.0 - lo) * i as f64 / 600.0).collect();
+//!     Ok(ThreadData {
+//!         curve: ErrorCurve::from_normalized_delays(delays.clone())?,
+//!         instructions: delays.len() as f64,
+//!         normalized_delays: delays,
+//!         cpi_base: 1.0,
+//!     })
 //! };
-//! let traces = vec![trace(0.7), trace(0.4)];
+//! let threads = [thread(0.7)?, thread(0.4)?];
 //! let plan = SamplingPlan::paper_default(600, cfg.s());
 //! let solver = SolverRegistry::<SampledCurve>::with_defaults().get("per_core_ts")?;
-//! let outcome = run_interval_with(&cfg, &traces, 1.0, plan, &*solver, None)?;
+//! let outcome = run_interval(&cfg, &threads, 1.0, plan, &*solver, None)?;
 //! assert_eq!(outcome.assignment.len(), 2);
 //! # Ok(())
 //! # }
@@ -37,10 +46,9 @@
 use timing::{EnergyDelay, ErrorCurve, SampledCurve, Voltage};
 
 use crate::error::OptError;
-use crate::model::{evaluate, thread_energy, thread_time, Assignment, SystemConfig, ThreadProfile};
-use crate::parallel::ThreadPool;
-use crate::poly::synts_poly;
-use crate::solver::{Poly, Solver};
+use crate::experiments::ThreadData;
+use crate::model::{thread_energy, thread_time, Assignment, SystemConfig, ThreadProfile};
+use crate::solver::Solver;
 
 /// Sampling-phase knobs (Sec 4.3): how many instructions to spend, at
 /// what voltage, and what a frequency switch costs.
@@ -169,84 +177,37 @@ fn sampling_cost(
     EnergyDelay::new(energy, time)
 }
 
-/// One thread's input to the online controller: its full-interval delay
-/// trace (normalized) and its error-free CPI.
-#[derive(Debug, Clone)]
-pub struct ThreadTrace {
-    /// Per-instruction normalized sensitized delays, instruction order.
-    pub normalized_delays: Vec<f64>,
-    /// Error-free CPI of the thread.
-    pub cpi_base: f64,
-}
-
-impl ThreadTrace {
-    /// Creates a thread trace.
-    #[must_use]
-    pub fn new(normalized_delays: Vec<f64>, cpi_base: f64) -> ThreadTrace {
-        ThreadTrace {
-            normalized_delays,
-            cpi_base,
-        }
-    }
-
-    /// The exact error curve of the whole interval (the offline oracle).
-    /// An empty trace (no activity on the stage) yields the zero curve.
-    ///
-    /// # Errors
-    ///
-    /// Never fails in practice; kept fallible for interface symmetry.
-    pub fn exact_curve(&self) -> Result<ErrorCurve, OptError> {
-        if self.normalized_delays.is_empty() {
-            return Ok(ErrorCurve::from_normalized_delays(vec![0.0])?);
-        }
-        Ok(ErrorCurve::from_normalized_delays(
-            self.normalized_delays.clone(),
-        )?)
-    }
-}
-
-/// Runs one barrier interval under the online scheme, optimizing the
-/// post-sampling remainder with SynTS-Poly (the paper's configuration).
-///
-/// # Errors
-///
-/// Propagates [`OptError`] from estimation and optimization; fails on empty
-/// trace sets.
-pub fn run_interval(
-    cfg: &SystemConfig,
-    traces: &[ThreadTrace],
-    theta: f64,
-    plan: SamplingPlan,
-) -> Result<IntervalOutcome, OptError> {
-    run_interval_with(cfg, traces, theta, plan, &Poly, None)
-}
-
 /// Runs one barrier interval under the online scheme with `solver`
 /// choosing the operating points from the sampled estimates — the online
 /// controller's dispatch point onto the unified solver interface. The
 /// solver sees [`timing::SampledCurve`] profiles, exactly what the
 /// sampling hardware produces.
 ///
+/// Each thread is read in place: its subsampled `normalized_delays` are
+/// the instruction stream the sampling phase and the remainder run, and
+/// `cpi_base` its error-free CPI.
+///
 /// `ni` supplies whole-interval `N_i` estimates (per-thread instruction
 /// counts) for the optimization step, as the [`crate::criticality`]
-/// predictors do; `None` reads the true counts from the traces.
-/// Accounting always runs against the true traces.
+/// predictors do; `None` reads the true counts from the delays.
+/// Accounting always runs against the true delays.
 ///
 /// # Errors
 ///
-/// As [`run_interval`], plus [`OptError::BadConfig`] if `ni` has a
-/// thread count different from `traces` or an entry that is not finite
+/// Propagates [`OptError`] from estimation and optimization; fails on an
+/// empty thread set, and with [`OptError::BadConfig`] if `ni` has a
+/// thread count different from `threads` or an entry that is not finite
 /// and positive.
-pub fn run_interval_with(
+pub fn run_interval(
     cfg: &SystemConfig,
-    traces: &[ThreadTrace],
+    threads: &[ThreadData],
     theta: f64,
     plan: SamplingPlan,
     solver: &dyn Solver<SampledCurve>,
     ni: Option<&[f64]>,
 ) -> Result<IntervalOutcome, OptError> {
     if let Some(est) = ni {
-        if est.len() != traces.len() {
+        if est.len() != threads.len() {
             return Err(OptError::BadConfig("Ni estimate thread count mismatch"));
         }
         if est.iter().any(|&n| !n.is_finite() || n <= 0.0) {
@@ -254,16 +215,16 @@ pub fn run_interval_with(
         }
     }
     cfg.validate()?;
-    if traces.is_empty() {
+    if threads.is_empty() {
         return Err(OptError::NoThreads);
     }
     // 1. Sampling phase: estimates + overhead.
-    let mut estimates = Vec::with_capacity(traces.len());
+    let mut estimates = Vec::with_capacity(threads.len());
     let mut sampling_energy = 0.0;
     let mut sampling_time = 0.0f64;
-    for tr in traces {
-        estimates.push(estimate_curve(cfg, &tr.normalized_delays, plan)?);
-        let cost = sampling_cost(cfg, &tr.normalized_delays, tr.cpi_base, plan);
+    for t in threads {
+        estimates.push(estimate_curve(cfg, &t.normalized_delays, plan)?);
+        let cost = sampling_cost(cfg, &t.normalized_delays, t.cpi_base, plan);
         sampling_energy += cost.energy;
         // All threads sample concurrently; the phase ends when the slowest
         // finishes.
@@ -272,25 +233,25 @@ pub fn run_interval_with(
     let sampling = EnergyDelay::new(sampling_energy, sampling_time);
 
     // 2. Optimize the remainder of the interval on the estimates.
-    let est_profiles: Vec<ThreadProfile<SampledCurve>> = traces
+    let est_profiles: Vec<ThreadProfile<SampledCurve>> = threads
         .iter()
         .zip(&estimates)
         .enumerate()
-        .map(|(i, (tr, est))| {
+        .map(|(i, (t, est))| {
             // With an external workload estimate, the remainder is the
             // predicted interval length minus what sampling consumed;
-            // otherwise read the truth from the trace.
+            // otherwise read the truth from the delays.
             let remaining = match ni {
                 Some(est_ni) => {
-                    (est_ni[i] - plan.n_samp.min(tr.normalized_delays.len()) as f64).max(1.0)
+                    (est_ni[i] - plan.n_samp.min(t.normalized_delays.len()) as f64).max(1.0)
                 }
-                None => tr
+                None => t
                     .normalized_delays
                     .len()
-                    .saturating_sub(plan.n_samp.min(tr.normalized_delays.len()))
+                    .saturating_sub(plan.n_samp.min(t.normalized_delays.len()))
                     .max(1) as f64,
             };
-            ThreadProfile::new(remaining, tr.cpi_base, est.clone())
+            ThreadProfile::new(remaining, t.cpi_base, est.clone())
         })
         .collect();
     let assignment = solver.solve(cfg, &est_profiles, theta)?;
@@ -299,14 +260,14 @@ pub fn run_interval_with(
     //    happens on silicon once the estimate-driven points are applied).
     let mut total_energy = sampling.energy;
     let mut remainder_time = 0.0f64;
-    for (i, tr) in traces.iter().enumerate() {
-        let n_used = plan.n_samp.min(tr.normalized_delays.len());
-        let rest = &tr.normalized_delays[n_used..];
+    for (i, t) in threads.iter().enumerate() {
+        let n_used = plan.n_samp.min(t.normalized_delays.len());
+        let rest = &t.normalized_delays[n_used..];
         if rest.is_empty() {
             continue;
         }
         let true_curve = ErrorCurve::from_normalized_delays(rest.to_vec())?;
-        let prof = ThreadProfile::new(rest.len() as f64, tr.cpi_base, true_curve);
+        let prof = ThreadProfile::new(rest.len() as f64, t.cpi_base, true_curve);
         total_energy += thread_energy(cfg, &prof, assignment.points[i]);
         remainder_time = remainder_time.max(thread_time(cfg, &prof, assignment.points[i]));
     }
@@ -320,80 +281,30 @@ pub fn run_interval_with(
     })
 }
 
-/// Runs a whole sequence of barrier intervals under the online scheme,
-/// fanning the per-interval work (sampling simulation, estimate-driven
-/// optimization, true-curve accounting) out across `pool`.
-///
-/// Intervals are independent: each thread re-samples at its barrier, so
-/// interval `k+1` never depends on interval `k`'s outcome. That makes
-/// this the batched counterpart of calling [`run_interval_with`] (with
-/// the traces' own `N_i`) in a loop — and the index-ordered collection
-/// guarantees the outcome vector is identical to that loop at any worker
-/// count.
-///
-/// # Errors
-///
-/// As [`run_interval`]; the first failing interval (in input order) wins,
-/// exactly as the sequential loop would report.
-pub fn run_intervals_batched(
-    cfg: &SystemConfig,
-    intervals: &[Vec<ThreadTrace>],
-    theta: f64,
-    plan: SamplingPlan,
-    solver: &dyn Solver<SampledCurve>,
-    pool: ThreadPool,
-) -> Result<Vec<IntervalOutcome>, OptError> {
-    pool.try_map(intervals, |_, traces| {
-        run_interval_with(cfg, traces, theta, plan, solver, None)
-    })
-}
-
-/// Runs the same interval with oracle (offline) knowledge: full traces,
-/// no sampling overhead — the normalization baseline of Fig 6.18.
-///
-/// # Errors
-///
-/// Propagates [`OptError`] from optimization.
-pub fn run_interval_offline(
-    cfg: &SystemConfig,
-    traces: &[ThreadTrace],
-    theta: f64,
-) -> Result<(Assignment, EnergyDelay), OptError> {
-    cfg.validate()?;
-    if traces.is_empty() {
-        return Err(OptError::NoThreads);
-    }
-    let profiles: Vec<ThreadProfile<ErrorCurve>> = traces
-        .iter()
-        .map(|tr| {
-            Ok(ThreadProfile::new(
-                tr.normalized_delays.len() as f64,
-                tr.cpi_base,
-                tr.exact_curve()?,
-            ))
-        })
-        .collect::<Result<_, OptError>>()?;
-    let assignment = synts_poly(cfg, &profiles, theta)?;
-    let ed = evaluate(cfg, &profiles, &assignment);
-    Ok((assignment, ed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::IntervalData;
+    use crate::solver::Poly;
     use timing::{max_abs_gap, ErrorModel};
 
-    /// Deterministic pseudo-random trace with a given delay band.
-    fn trace(seed: u64, n: usize, lo: f64, hi: f64, cpi: f64) -> ThreadTrace {
+    /// A thread of deterministic pseudo-random delays in a given band,
+    /// with the curve characterization stores for them.
+    fn thread(seed: u64, n: usize, lo: f64, hi: f64, cpi: f64) -> ThreadData {
         let mut state = seed;
-        let delays = (0..n)
+        let delays: Vec<f64> = (0..n)
             .map(|_| {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
                 let u = (state >> 33) as f64 / (1u64 << 31) as f64;
                 lo + (hi - lo) * u
             })
             .collect();
-        ThreadTrace::new(delays, cpi)
+        ThreadData {
+            curve: ErrorCurve::from_normalized_delays(delays.clone()).expect("non-empty"),
+            instructions: n as f64,
+            normalized_delays: delays,
+            cpi_base: cpi,
+        }
     }
 
     fn cfg() -> SystemConfig {
@@ -401,28 +312,27 @@ mod tests {
     }
 
     #[test]
-    fn estimate_tracks_exact_curve() {
+    fn estimate_tracks_the_true_curve() {
         let cfg = cfg();
         // 50 K instructions (the paper's N_samp scale): each TSR level gets
         // ~830 samples, so binomial noise stays within a few percent.
-        let tr = trace(42, 50_000, 0.5, 1.0, 1.0);
-        let plan = SamplingPlan::paper_default(tr.normalized_delays.len(), cfg.s());
-        let est = estimate_curve(&cfg, &tr.normalized_delays, plan).expect("ok");
-        let exact = tr.exact_curve().expect("ok");
-        let gap = max_abs_gap(&est, &exact, &cfg.tsr_levels);
+        let t = thread(42, 50_000, 0.5, 1.0, 1.0);
+        let plan = SamplingPlan::paper_default(t.normalized_delays.len(), cfg.s());
+        let est = estimate_curve(&cfg, &t.normalized_delays, plan).expect("ok");
+        let gap = max_abs_gap(&est, &t.curve, &cfg.tsr_levels);
         assert!(gap < 0.05, "estimate should track exact curve, gap {gap}");
     }
 
     #[test]
     fn estimate_requires_enough_samples() {
         let cfg = cfg();
-        let tr = trace(1, 3, 0.5, 1.0, 1.0); // 3 instructions, 6 levels
+        let t = thread(1, 3, 0.5, 1.0, 1.0); // 3 instructions, 6 levels
         let plan = SamplingPlan {
             n_samp: 3,
             v_samp: Voltage::NOMINAL,
             transition_cycles: 0.0,
         };
-        assert!(estimate_curve(&cfg, &tr.normalized_delays, plan).is_err());
+        assert!(estimate_curve(&cfg, &t.normalized_delays, plan).is_err());
     }
 
     #[test]
@@ -431,14 +341,14 @@ mod tests {
         // aggressive r must be the largest — the property the paper calls
         // out in Fig 6.17 ("the critical thread is always identified").
         let cfg = cfg();
-        let traces = [
-            trace(7, 5_000, 0.75, 1.0, 1.0),
-            trace(8, 5_000, 0.40, 0.85, 1.0),
-            trace(9, 5_000, 0.45, 0.88, 1.0),
-            trace(10, 5_000, 0.42, 0.86, 1.0),
+        let threads = [
+            thread(7, 5_000, 0.75, 1.0, 1.0),
+            thread(8, 5_000, 0.40, 0.85, 1.0),
+            thread(9, 5_000, 0.45, 0.88, 1.0),
+            thread(10, 5_000, 0.42, 0.86, 1.0),
         ];
         let plan = SamplingPlan::paper_default(5_000, cfg.s());
-        let ests: Vec<SampledCurve> = traces
+        let ests: Vec<SampledCurve> = threads
             .iter()
             .map(|t| estimate_curve(&cfg, &t.normalized_delays, plan).expect("ok"))
             .collect();
@@ -455,28 +365,19 @@ mod tests {
     #[test]
     fn online_overhead_is_positive_but_bounded() {
         let cfg = cfg();
-        let traces = vec![
-            trace(21, 8_000, 0.70, 1.0, 1.2),
-            trace(22, 8_000, 0.45, 0.9, 1.0),
-            trace(23, 8_000, 0.50, 0.92, 1.1),
-            trace(24, 8_000, 0.40, 0.88, 1.0),
-        ];
-        let theta = {
-            let profiles: Vec<ThreadProfile<ErrorCurve>> = traces
-                .iter()
-                .map(|t| {
-                    ThreadProfile::new(
-                        t.normalized_delays.len() as f64,
-                        t.cpi_base,
-                        t.exact_curve().expect("ok"),
-                    )
-                })
-                .collect();
-            crate::pareto::theta_equal_weight(&cfg, &profiles).expect("ok")
+        let iv = IntervalData {
+            threads: vec![
+                thread(21, 8_000, 0.70, 1.0, 1.2),
+                thread(22, 8_000, 0.45, 0.9, 1.0),
+                thread(23, 8_000, 0.50, 0.92, 1.1),
+                thread(24, 8_000, 0.40, 0.88, 1.0),
+            ],
         };
+        let profiles = iv.trace_profiles();
+        let theta = crate::pareto::theta_equal_weight(&cfg, &profiles).expect("ok");
         let plan = SamplingPlan::paper_default(8_000, cfg.s());
-        let online = run_interval(&cfg, &traces, theta, plan).expect("ok");
-        let (_, offline) = run_interval_offline(&cfg, &traces, theta).expect("ok");
+        let online = run_interval(&cfg, &iv.threads, theta, plan, &Poly, None).expect("ok");
+        let (_, offline) = Poly.solve_evaluated(&cfg, &profiles, theta).expect("ok");
         let edp_ratio = online.total.edp() / offline.edp();
         // The paper reports ~10% average overhead; allow a generous band
         // but insist the online scheme is not catastrophically worse and
@@ -493,14 +394,14 @@ mod tests {
     #[test]
     fn transition_cost_charges_sampling_overhead() {
         let cfg = cfg();
-        let traces = vec![
-            trace(5, 6_000, 0.5, 1.0, 1.0),
-            trace(6, 6_000, 0.4, 0.9, 1.0),
+        let threads = [
+            thread(5, 6_000, 0.5, 1.0, 1.0),
+            thread(6, 6_000, 0.4, 0.9, 1.0),
         ];
         let free = SamplingPlan::paper_default(6_000, cfg.s());
         let costly = free.with_transition_cycles(500.0);
-        let out_free = run_interval(&cfg, &traces, 1.0, free).expect("ok");
-        let out_costly = run_interval(&cfg, &traces, 1.0, costly).expect("ok");
+        let out_free = run_interval(&cfg, &threads, 1.0, free, &Poly, None).expect("ok");
+        let out_costly = run_interval(&cfg, &threads, 1.0, costly, &Poly, None).expect("ok");
         assert!(out_costly.sampling.time > out_free.sampling.time);
         assert!(out_costly.sampling.energy > out_free.sampling.energy);
         assert!(out_costly.total.time > out_free.total.time);
@@ -518,12 +419,12 @@ mod tests {
     #[test]
     fn outcome_contains_assignment_per_thread() {
         let cfg = cfg();
-        let traces = vec![
-            trace(3, 4_000, 0.5, 1.0, 1.0),
-            trace(4, 4_000, 0.4, 0.9, 1.0),
+        let threads = [
+            thread(3, 4_000, 0.5, 1.0, 1.0),
+            thread(4, 4_000, 0.4, 0.9, 1.0),
         ];
         let plan = SamplingPlan::paper_default(4_000, cfg.s());
-        let out = run_interval(&cfg, &traces, 1.0, plan).expect("ok");
+        let out = run_interval(&cfg, &threads, 1.0, plan, &Poly, None).expect("ok");
         assert_eq!(out.assignment.len(), 2);
         assert_eq!(out.estimates.len(), 2);
         assert!(out.total.time >= out.sampling.time);

@@ -1,5 +1,5 @@
-//! A hand-rolled scoped thread pool for θ sweeps and batched interval
-//! re-optimization.
+//! A hand-rolled scoped thread pool for θ sweeps, per-interval
+//! re-optimization and gate-level characterization.
 //!
 //! The synergistic-θ formulation is embarrassingly parallel: every θ point
 //! of a Pareto sweep and every barrier-interval re-optimization is an

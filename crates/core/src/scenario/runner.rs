@@ -440,9 +440,10 @@ pub(crate) fn dominance_checks(
 
 /// Checks that the analytic Eq 4.1–4.3 evaluation agrees with the
 /// instruction-by-instruction Razor simulator on one interval, for the
-/// first scheme's assignment. Each profile takes the thread's curve, its
-/// subsampled delays sorted, with `N` the number of those delays, so the
-/// simulator and the model see the same population.
+/// first scheme's assignment. The model reads the interval's
+/// [`IntervalData::trace_profiles`](crate::experiments::IntervalData::trace_profiles),
+/// whose `N` counts the subsampled delays the simulator replays, so both
+/// see the same population.
 fn model_vs_sim_check(
     cfg: &SystemConfig,
     data: &BenchmarkData,
@@ -462,17 +463,7 @@ fn model_vs_sim_check(
         .iter()
         .map(|t| t.normalized_delays.as_slice())
         .collect();
-    let profiles: Vec<ThreadProfile<ErrorCurve>> = iv
-        .threads
-        .iter()
-        .map(|t| {
-            ThreadProfile::new(
-                t.normalized_delays.len() as f64,
-                t.cpi_base,
-                t.curve.clone(),
-            )
-        })
-        .collect();
+    let profiles = iv.trace_profiles();
     let assignment = solver.solve(cfg, &profiles, theta)?;
     let predicted = evaluate(cfg, &profiles, &assignment);
     let settings: Vec<CoreSetting> = assignment

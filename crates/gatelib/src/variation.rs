@@ -306,13 +306,9 @@ impl AgingModel {
 /// `samples` Monte Carlo die instances.
 ///
 /// Always ≥ 1 when any sampled die is slower than nominal; exactly the
-/// slack that timing speculation later reclaims on typical dies.
-///
-/// The Monte Carlo loop fans out across `SYNTS_THREADS` workers (or the
-/// machine's available parallelism) — every die is seeded independently
-/// and the result is a max-reduction, so the answer is bit-identical at
-/// any worker count. Use [`guard_band_with_workers`] for an explicit
-/// count.
+/// slack that timing speculation later reclaims on typical dies. Die `k`
+/// is seeded with `seed + k`, and the dies run in order on the caller's
+/// thread.
 ///
 /// # Errors
 ///
@@ -325,86 +321,16 @@ pub fn guard_band(
     samples: u32,
     seed: u64,
 ) -> Result<f64, NetlistError> {
-    guard_band_with_workers(netlist, voltage, model, samples, seed, workers_from_env())
-}
-
-/// [`guard_band`] with an explicit Monte Carlo worker count (callers
-/// with a pool of their own pass its width). `workers <= 1` runs inline
-/// on the caller.
-///
-/// # Errors
-///
-/// As [`guard_band`].
-pub fn guard_band_with_workers(
-    netlist: &Netlist,
-    voltage: Voltage,
-    model: &VariationModel,
-    samples: u32,
-    seed: u64,
-    workers: usize,
-) -> Result<f64, NetlistError> {
     let nominal = StaticTiming::analyze(netlist, voltage)?
         .critical_path()
         .delay;
-    let die_ratio = |k: u32| -> Result<f64, NetlistError> {
+    let mut worst: f64 = 1.0;
+    for k in 0..samples {
         let die = model.sample(netlist.cell_count(), seed.wrapping_add(u64::from(k)));
         let sta = StaticTiming::analyze_with_factors(netlist, voltage, &die)?;
-        Ok(sta.critical_path().delay / nominal)
-    };
-    let workers = workers.max(1).min(samples.max(1) as usize);
-    let mut worst: f64 = 1.0;
-    if workers <= 1 {
-        for k in 0..samples {
-            worst = worst.max(die_ratio(k)?);
-        }
-        return Ok(worst);
-    }
-    // Contiguous chunks per worker; the reduction is a max, so chunk
-    // boundaries and worker scheduling cannot change the result.
-    let chunk = (samples as usize).div_ceil(workers);
-    let results: Vec<Result<f64, NetlistError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let die_ratio = &die_ratio;
-                scope.spawn(move || {
-                    let lo = (w * chunk) as u32;
-                    let hi = (((w + 1) * chunk).min(samples as usize)) as u32;
-                    let mut local: f64 = 1.0;
-                    for k in lo..hi {
-                        local = local.max(die_ratio(k)?);
-                    }
-                    Ok(local)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(panic) => std::panic::resume_unwind(panic),
-            })
-            .collect()
-    });
-    // Surface the lowest-chunk error first, like a sequential loop would.
-    for r in results {
-        worst = worst.max(r?);
+        worst = worst.max(sta.critical_path().delay / nominal);
     }
     Ok(worst)
-}
-
-/// Worker count for [`guard_band`]: `SYNTS_THREADS` if set (0 meaning
-/// sequential, clamped to 1), otherwise the machine's parallelism —
-/// the same resolution order as the optimizer's thread pool.
-fn workers_from_env() -> usize {
-    // synts-lint: allow(env-read) — SYNTS_THREADS is the sanctioned worker-count knob; results are bit-identical at any count
-    if let Ok(raw) = std::env::var("SYNTS_THREADS") {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 /// SplitMix64 with a Box–Muller Gaussian tap — deterministic, seedable,

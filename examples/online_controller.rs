@@ -1,14 +1,15 @@
 //! The online SynTS controller in action (paper Sec 4.3).
 //!
-//! Runs the sampling phase on real delay traces, shows the estimated vs
-//! actual error curves, and quantifies the energy/time the online scheme
-//! gives up relative to the offline oracle — first for one interval in
-//! detail, then for the whole benchmark via the batched multi-interval
-//! path (`run_intervals_batched`), which fans intervals out across the
-//! `SYNTS_THREADS` pool.
+//! Runs the sampling phase on a characterized interval's delays, shows
+//! the estimated vs actual error curves, and quantifies the energy/time
+//! the online scheme gives up relative to the offline oracle — first for
+//! one interval in detail, then for the whole benchmark, with the
+//! intervals fanned out across the `SYNTS_THREADS` pool by
+//! `ThreadPool::try_map`.
 //!
 //! Run with: `cargo run --release --example online_controller`
 
+use synts::core_api::solver::Poly;
 use synts::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -16,8 +17,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let data = characterize(Benchmark::Fmm, StageKind::SimpleAlu, &harness)?;
     let cfg = data.system_config();
     let iv = &data.intervals[0];
-    let traces = iv.thread_traces();
-    let longest = traces
+    let longest = iv
+        .threads
         .iter()
         .map(|t| t.normalized_delays.len())
         .max()
@@ -32,22 +33,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Estimated vs actual error curves per thread.
     println!("estimated ~err(r) vs actual err(r):");
-    for (t, tr) in traces.iter().enumerate() {
-        let est = estimate_curve(&cfg, &tr.normalized_delays, plan)?;
-        let actual = tr.exact_curve()?;
+    for (t, thread) in iv.threads.iter().enumerate() {
+        let est = estimate_curve(&cfg, &thread.normalized_delays, plan)?;
         print!("  T{t}:");
         for &r in &cfg.tsr_levels {
-            print!(" r={r:.2}: {:.3}/{:.3}", est.err(r), actual.err(r));
+            print!(" r={r:.2}: {:.3}/{:.3}", est.err(r), thread.curve.err(r));
         }
         println!();
     }
 
-    // Run the interval online and compare with the offline oracle.
+    // Run the interval online and compare with the offline oracle:
+    // SynTS-Poly on the exact curves of the same delays.
     let theta = 1.0;
-    let online = run_interval(&cfg, &traces, theta, plan)?;
-    let (oracle_assignment, offline) = run_interval_offline(&cfg, &traces, theta)?;
+    let online = run_interval(&cfg, &iv.threads, theta, plan, &Poly, None)?;
+    let (oracle_assignment, offline) = Poly.solve_evaluated(&cfg, &iv.trace_profiles(), theta)?;
     println!("\nchosen operating points (online | oracle):");
-    for t in 0..traces.len() {
+    for t in 0..iv.threads.len() {
         let op = online.assignment.points[t];
         let or = oracle_assignment.points[t];
         println!(
@@ -68,18 +69,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         online.total.edp() / offline.edp()
     );
 
-    // The whole benchmark at once: every barrier interval re-optimized
-    // through the batched path, fanned out across the pool. Outcomes are
-    // index-ordered and identical to a sequential per-interval loop.
+    // The whole benchmark at once: intervals are independent (each thread
+    // re-samples at its barrier), so they fan out across the pool, with
+    // the solver looked up by key. Outcomes are index-ordered and
+    // identical to a sequential per-interval loop.
     let pool = ThreadPool::from_env();
-    let intervals: Vec<Vec<ThreadTrace>> = data
-        .intervals
-        .iter()
-        .map(IntervalData::thread_traces)
-        .collect();
     let registry = SolverRegistry::<SampledCurve>::with_defaults();
-    let solver = registry.get("synts_poly").expect("registered");
-    let outcomes = run_intervals_batched(&cfg, &intervals, theta, plan, &*solver, pool)?;
+    let solver = registry.get("synts_poly")?;
+    let outcomes = pool.try_map(&data.intervals, |_, iv| {
+        run_interval(&cfg, &iv.threads, theta, plan, &*solver, None)
+    })?;
     let mut total = EnergyDelay::new(0.0, 0.0);
     let mut sampling = EnergyDelay::new(0.0, 0.0);
     for out in &outcomes {
@@ -89,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sampling.time += out.sampling.time;
     }
     println!(
-        "\nbatched run: {} interval(s) on {} worker(s) -> total energy {:.1}, time {:.1} \
+        "\nall intervals: {} interval(s) on {} worker(s) -> total energy {:.1}, time {:.1} \
          (sampling overhead {:.1}% of energy)",
         outcomes.len(),
         pool.workers(),

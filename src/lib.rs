@@ -88,13 +88,12 @@ pub use synts_core::reference;
 // The optimization API, flattened to the facade root.
 pub use synts_core::{
     characterize_cached, characterize_pairs, default_theta_sweep, evaluate, log_theta_grid, no_ts,
-    nominal, pareto_sweep, per_core_ts, pruning_stats, run_interval, run_interval_offline,
-    run_interval_with, run_intervals_batched, synts_exhaustive, synts_milp, synts_poly,
-    theta_equal_weight, thread_energy, thread_time, weighted_cost, worker_count, Assignment,
-    CacheStats, Capabilities, CharCache, Dataset, Experiment, FaultPlan, IntervalOutcome,
-    IntervalSelection, Objective, OperatingPoint, OptError, PruningStats, Quality, Record, Report,
-    ReportCheck, SamplingPlan, ScenarioSpec, SolveRequest, Solver, SolverRegistry, SweepPoint,
-    SystemConfig, ThetaSpec, ThreadPool, ThreadProfile, ThreadTrace, CACHE_DIR_ENV, FAULTS_ENV,
+    nominal, pareto_sweep, per_core_ts, pruning_stats, run_interval, synts_exhaustive, synts_milp,
+    synts_poly, theta_equal_weight, thread_energy, thread_time, weighted_cost, worker_count,
+    Assignment, CacheStats, Capabilities, CharCache, Dataset, Experiment, FaultPlan,
+    IntervalOutcome, IntervalSelection, Objective, OperatingPoint, OptError, PruningStats, Quality,
+    Record, Report, ReportCheck, SamplingPlan, ScenarioSpec, SolveRequest, Solver, SolverRegistry,
+    SweepPoint, SystemConfig, ThetaSpec, ThreadPool, ThreadProfile, CACHE_DIR_ENV, FAULTS_ENV,
     THREADS_ENV,
 };
 
@@ -114,14 +113,13 @@ pub mod prelude {
     pub use synts_core::thrifty::{thrifty_barrier, ThriftyConfig};
     pub use synts_core::{
         characterize_cached, characterize_pairs, default_theta_sweep, evaluate, log_theta_grid,
-        no_ts, nominal, pareto_sweep, per_core_ts, pruning_stats, run_interval,
-        run_interval_offline, run_interval_with, run_intervals_batched, synts_exhaustive,
+        no_ts, nominal, pareto_sweep, per_core_ts, pruning_stats, run_interval, synts_exhaustive,
         synts_milp, synts_poly, theta_equal_weight, thread_energy, thread_time, weighted_cost,
         worker_count, Assignment, CacheStats, Capabilities, CharCache, Dataset, Experiment,
         FaultPlan, IntervalOutcome, IntervalSelection, Objective, OperatingPoint, OptError,
         PruningStats, Quality, Record, Report, ReportCheck, SamplingPlan, ScenarioSpec, Shard,
         ShardPlan, SolveRequest, Solver, SolverRegistry, SweepPoint, SystemConfig, ThetaSpec,
-        ThreadPool, ThreadProfile, ThreadTrace, CACHE_DIR_ENV, FAULTS_ENV, THREADS_ENV,
+        ThreadPool, ThreadProfile, CACHE_DIR_ENV, FAULTS_ENV, THREADS_ENV,
     };
 
     pub use circuits::StageKind;

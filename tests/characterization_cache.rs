@@ -16,7 +16,9 @@
 //!   and one benchmark or several per call, at 1, 2, 3 and 8 workers;
 //! * the zero-alloc batched `delay_trace_into` entry point reproduces
 //!   `delay_trace_sampled` exactly, including across buffer reuse;
-//! * `guard_band` is worker-count-invariant.
+//! * every stored curve is the sort of the stored delays, cold and warm
+//!   (the zero-delay curve for a stage-idle thread), so readers of
+//!   `curve` and of `normalized_delays` see one population.
 
 use std::path::PathBuf;
 
@@ -384,24 +386,43 @@ fn delay_trace_into_matches_sampled_with_reused_buffer() {
     }
 }
 
-/// The Monte Carlo guard-band fan-out is a max-reduction: bit-identical
-/// at any worker count.
+/// A thread's `curve` is `ErrorCurve::from_normalized_delays` of its
+/// `normalized_delays`, whether characterized cold or decoded warm, for
+/// every benchmark and stage of [`BENCHES`]; a thread that never reaches
+/// the stage (radix on the ComplexALU) carries the zero-delay curve.
 #[test]
-fn guard_band_is_worker_count_invariant() {
-    use synts::gatelib::variation::{guard_band_with_workers, VariationModel};
-    use synts::gatelib::Voltage;
-    let stage = synts::circuits::build_stage(StageKind::SimpleAlu, 8).expect("stage");
-    let netlist = stage.netlist();
-    let model = VariationModel::ptm22_typical();
-    let reference =
-        guard_band_with_workers(netlist, Voltage::NOMINAL, &model, 24, 7, 1).expect("sequential");
-    for workers in [2usize, 3, 8, 64] {
-        let pooled = guard_band_with_workers(netlist, Voltage::NOMINAL, &model, 24, 7, workers)
-            .expect("pooled");
-        assert_eq!(
-            reference.to_bits(),
-            pooled.to_bits(),
-            "guard band drifted at {workers} workers"
-        );
+fn curves_are_the_sorted_delays_cold_and_warm() {
+    let cfg = HarnessConfig::quick();
+    let dir = tmp_cache("curves");
+    let cache = CharCache::at_dir(&dir);
+    let zero = ErrorCurve::from_normalized_delays(vec![0.0]).expect("one delay");
+    let mut idle = 0;
+    for bench in BENCHES {
+        for stage in StageKind::ALL {
+            for pass in ["cold", "warm"] {
+                let data = characterize_cached(bench, stage, &cfg, &cache, ThreadPool::new(2))
+                    .expect(pass);
+                for t in data.intervals.iter().flat_map(|iv| &iv.threads) {
+                    if t.normalized_delays.is_empty() {
+                        idle += 1;
+                        assert_eq!(t.curve, zero, "{bench} {stage:?} {pass}: idle thread");
+                    } else {
+                        let sorted =
+                            ErrorCurve::from_normalized_delays(t.normalized_delays.clone())
+                                .expect("non-empty");
+                        assert_eq!(t.curve, sorted, "{bench} {stage:?} {pass}");
+                    }
+                }
+            }
+        }
     }
+    let stats = cache.stats();
+    let pairs = (BENCHES.len() * StageKind::ALL.len()) as u64;
+    assert_eq!(
+        (stats.hits, stats.misses),
+        (pairs, pairs),
+        "cold, then warm"
+    );
+    assert!(idle > 0, "radix leaves the ComplexALU idle");
+    let _ = std::fs::remove_dir_all(&dir);
 }

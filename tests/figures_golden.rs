@@ -6,7 +6,10 @@
 //! so a rewrite of the gate-sim, sweep or solve plumbing cannot silently
 //! perturb a number `repro --quick all` prints. The corpus-free figures
 //! and the single-benchmark Pareto snapshot have tests of their own; the
-//! table-driven test covers the rest from one shared corpus. The
+//! table-driven test covers the rest from one shared corpus. The online
+//! controller's targets ([`PAPER_TARGETS`]) are also pinned at paper
+//! quality, in `tests/fixtures/<id>-paper.golden.txt`, where fig-6-18
+//! runs the cross-scheme checks that quick quality skips. The
 //! snapshots double as a cross-`SYNTS_THREADS` determinism check: the CI
 //! matrix runs them at 1 and 8 workers against the same fixtures.
 //!
@@ -24,10 +27,19 @@ use synts_bench::{generate, TARGETS};
 /// Targets pinned by a test of their own below.
 const OWN_TESTS: &[&str] = &["table-5-1", "sec-6-3", "fig-5-10"];
 
-fn fixture_path(id: &str) -> PathBuf {
+/// Targets pinned at paper quality as well as quick.
+const PAPER_TARGETS: [&str; 3] = ["fig-6-17", "fig-6-18", "ablation-predictor"];
+
+/// `tests/fixtures/<id>.golden.txt` at quick quality,
+/// `<id>-paper.golden.txt` at paper quality.
+fn fixture_path(id: &str, quality: Quality) -> PathBuf {
+    let suffix = match quality {
+        Quality::Quick => "",
+        Quality::Paper => "-paper",
+    };
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
-        .join(format!("{id}.golden.txt"))
+        .join(format!("{id}{suffix}.golden.txt"))
 }
 
 /// Serializes everything observable about a figure: title, rendered
@@ -56,8 +68,8 @@ fn render(fig: &Figure) -> String {
     out
 }
 
-fn assert_matches_golden(fig: &Figure) {
-    let path = fixture_path(fig.id);
+fn assert_matches_golden(fig: &Figure, quality: Quality) {
+    let path = fixture_path(fig.id, quality);
     let rendered = render(fig);
     if std::env::var("SYNTS_REGEN_FIXTURES").is_ok() {
         fs::create_dir_all(path.parent().expect("fixture dir")).expect("mkdir");
@@ -81,17 +93,17 @@ fn assert_matches_golden(fig: &Figure) {
 
 #[test]
 fn table_5_1_matches_golden() {
-    assert_matches_golden(&figures::table_5_1().expect("generates"));
+    assert_matches_golden(&figures::table_5_1().expect("generates"), Quality::Quick);
 }
 
 #[test]
 fn sec_6_3_matches_golden() {
-    assert_matches_golden(&figures::sec_6_3().expect("generates"));
+    assert_matches_golden(&figures::sec_6_3().expect("generates"), Quality::Quick);
 }
 
 #[test]
 fn fig_5_10_matches_golden() {
-    assert_matches_golden(&figures::fig_5_10().expect("generates"));
+    assert_matches_golden(&figures::fig_5_10().expect("generates"), Quality::Quick);
 }
 
 /// The corpus-backed Pareto figure runs the full parallel sweep path
@@ -107,7 +119,7 @@ fn fig_pareto_quick_matches_golden() {
     )
     .expect("corpus");
     let fig = figures::fig_pareto(&corpus, "fig-6-12").expect("generates");
-    assert_matches_golden(&fig);
+    assert_matches_golden(&fig, Quality::Quick);
 }
 
 #[test]
@@ -117,6 +129,16 @@ fn every_other_repro_target_matches_its_golden() {
         let fig = generate(target, Some(&corpus))
             .unwrap_or_else(|e| panic!("`{target}` fails to generate: {e}"));
         assert_eq!(fig.id, target, "a target names its own fixture");
-        assert_matches_golden(&fig);
+        assert_matches_golden(&fig, Quality::Quick);
+    }
+}
+
+#[test]
+fn online_targets_match_their_paper_quality_goldens() {
+    let corpus = Corpus::build(Quality::Paper).expect("corpus");
+    for target in PAPER_TARGETS {
+        let fig = generate(target, Some(&corpus))
+            .unwrap_or_else(|e| panic!("`{target}` fails to generate: {e}"));
+        assert_matches_golden(&fig, Quality::Paper);
     }
 }

@@ -1,8 +1,9 @@
 //! Determinism and Pareto-front invariants of the parallel θ-sweep
 //! engine: for every registered solver, a pooled sweep is bit-identical
 //! at 1, 2, 4 and 8 workers; sweep points come back in θ-grid order; the
-//! Pareto front of any sweep is mutually non-dominated; and the batched
-//! online path equals the sequential per-interval loop.
+//! Pareto front of any sweep is mutually non-dominated; and online
+//! intervals fanned out across a pool equal the sequential per-interval
+//! loop.
 
 mod common;
 
@@ -94,14 +95,15 @@ proptest! {
         }
     }
 
-    /// `run_intervals_batched` equals the sequential per-interval loop at
-    /// every worker count, interval by interval.
+    /// `run_interval` fanned out with `ThreadPool::try_map` equals the
+    /// sequential per-interval loop at every worker count, interval by
+    /// interval.
     #[test]
     fn batched_online_intervals_match_sequential_loop(
         seeds in prop::collection::vec(1u64..1_000_000, 2..5),
     ) {
         let cfg = SystemConfig::paper_default(10.0);
-        let intervals: Vec<Vec<ThreadTrace>> = seeds
+        let intervals: Vec<Vec<ThreadData>> = seeds
             .iter()
             .map(|&seed| {
                 (0..3u64)
@@ -115,7 +117,13 @@ proptest! {
                                 0.3 + 0.7 * ((state >> 33) as f64 / (1u64 << 31) as f64)
                             })
                             .collect();
-                        ThreadTrace::new(delays, 1.0 + 0.1 * t as f64)
+                        ThreadData {
+                            curve: ErrorCurve::from_normalized_delays(delays.clone())
+                                .expect("non-empty"),
+                            instructions: delays.len() as f64,
+                            normalized_delays: delays,
+                            cpi_base: 1.0 + 0.1 * t as f64,
+                        }
                     })
                     .collect()
             })
@@ -125,13 +133,14 @@ proptest! {
         let solver = registry.get("synts_poly").expect("registered");
         let sequential: Vec<IntervalOutcome> = intervals
             .iter()
-            .map(|traces| run_interval_with(&cfg, traces, 1.0, plan, &*solver, None).expect("runs"))
+            .map(|threads| run_interval(&cfg, threads, 1.0, plan, &*solver, None).expect("runs"))
             .collect();
         for workers in WORKER_GRID {
-            let batched = run_intervals_batched(
-                &cfg, &intervals, 1.0, plan, &*solver, ThreadPool::new(workers),
-            )
-            .expect("runs");
+            let batched = ThreadPool::new(workers)
+                .try_map(&intervals, |_, threads| {
+                    run_interval(&cfg, threads, 1.0, plan, &*solver, None)
+                })
+                .expect("runs");
             prop_assert_eq!(batched.len(), sequential.len());
             for (b, s) in batched.iter().zip(&sequential) {
                 prop_assert_eq!(&b.assignment, &s.assignment, "{} workers", workers);

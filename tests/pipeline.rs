@@ -3,6 +3,7 @@
 //! justifies optimizing the closed form.
 
 use synts::archsim::{simulate_barrier, CoreSetting, RazorCore};
+use synts::core_api::solver::Poly;
 use synts::prelude::*;
 
 #[test]
@@ -45,17 +46,7 @@ fn analytic_model_matches_cycle_level_simulation() {
         .iter()
         .map(|t| t.normalized_delays.as_slice())
         .collect();
-    let profiles: Vec<ThreadProfile<ErrorCurve>> = iv
-        .threads
-        .iter()
-        .map(|t| {
-            ThreadProfile::new(
-                t.normalized_delays.len() as f64,
-                t.cpi_base,
-                ErrorCurve::from_normalized_delays(t.normalized_delays.clone()).expect("non-empty"),
-            )
-        })
-        .collect();
+    let profiles = iv.trace_profiles();
     let assignment = synts_poly(&cfg, &profiles, 1.0).expect("solves");
 
     let predicted = evaluate(&cfg, &profiles, &assignment);
@@ -102,15 +93,17 @@ fn online_controller_close_to_oracle_on_stationary_workload() {
         characterize(Benchmark::Ocean, StageKind::SimpleAlu, &harness).expect("characterizes");
     let cfg = data.system_config();
     let iv = &data.intervals[0];
-    let traces = iv.thread_traces();
-    let longest = traces
+    let longest = iv
+        .threads
         .iter()
         .map(|t| t.normalized_delays.len())
         .max()
         .unwrap_or(0);
     let plan = SamplingPlan::paper_default(longest, cfg.s());
-    let online = run_interval(&cfg, &traces, 1.0, plan).expect("online");
-    let (_, offline) = run_interval_offline(&cfg, &traces, 1.0).expect("offline");
+    let online = run_interval(&cfg, &iv.threads, 1.0, plan, &Poly, None).expect("online");
+    let (_, offline) = Poly
+        .solve_evaluated(&cfg, &iv.trace_profiles(), 1.0)
+        .expect("offline");
     let ratio = online.total.edp() / offline.edp();
     assert!(
         (0.9..1.8).contains(&ratio),
@@ -195,17 +188,7 @@ fn leakage_model_matches_cycle_level_simulation() {
         .iter()
         .map(|t| t.normalized_delays.as_slice())
         .collect();
-    let profiles: Vec<ThreadProfile<ErrorCurve>> = iv
-        .threads
-        .iter()
-        .map(|t| {
-            ThreadProfile::new(
-                t.normalized_delays.len() as f64,
-                t.cpi_base,
-                ErrorCurve::from_normalized_delays(t.normalized_delays.clone()).expect("non-empty"),
-            )
-        })
-        .collect();
+    let profiles = iv.trace_profiles();
     let leak = LeakageModel::fraction_of_dynamic(&cfg, 0.3).expect("valid");
     let assignment = synts_poly_leakage(&cfg, &profiles, 1.0, &leak).expect("solves");
     let predicted = evaluate_with_leakage(&cfg, &profiles, &assignment, &leak);
@@ -264,17 +247,7 @@ fn thrifty_model_matches_cycle_level_simulation() {
         .iter()
         .map(|t| t.normalized_delays.as_slice())
         .collect();
-    let profiles: Vec<ThreadProfile<ErrorCurve>> = iv
-        .threads
-        .iter()
-        .map(|t| {
-            ThreadProfile::new(
-                t.normalized_delays.len() as f64,
-                t.cpi_base,
-                ErrorCurve::from_normalized_delays(t.normalized_delays.clone()).expect("non-empty"),
-            )
-        })
-        .collect();
+    let profiles = iv.trace_profiles();
     let leak = LeakageModel::fraction_of_dynamic(&cfg, 0.3).expect("valid");
     let thrifty = ThriftyConfig::classic();
     let model = thrifty_barrier(&cfg, &profiles, &leak, &thrifty).expect("evaluates");
