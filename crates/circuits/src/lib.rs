@@ -44,7 +44,7 @@ pub use adder::{
 pub use complex_alu::ComplexAlu;
 pub use decode::DecodeStage;
 pub use multiplier::{array_multiplier, dadda_multiplier, wallace_multiplier};
-pub use ops::{AluEvent, AluOp, OpSet};
+pub use ops::{AluEvent, AluOp, OpSet, Width};
 pub use prims::{
     and_tree, eq_comparator, full_adder, ltu_comparator, mux_word, onehot_decoder, or_tree,
     priority_chain,

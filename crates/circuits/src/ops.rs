@@ -6,6 +6,8 @@
 //! events; stage circuits encode them into input vectors; the timing layer
 //! turns consecutive vectors into sensitized delays.
 
+use std::num::NonZeroU32;
+
 /// Integer operations executed by the pipeline's functional units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[non_exhaustive]
@@ -49,6 +51,7 @@ impl AluOp {
 
     /// Opcode index (position in [`AluOp::ALL`]): the declaration order,
     /// which `opcode_indices_are_stable` pins.
+    #[inline]
     #[must_use]
     pub const fn index(self) -> usize {
         self as usize
@@ -63,21 +66,31 @@ impl AluOp {
 
     /// Reference semantics at the given datapath width (1..=64 bits):
     /// the golden model the gate-level stages are tested against.
+    /// [`AluOp::apply`] at [`Width::new`]`(width)`.
     ///
     /// # Panics
     ///
     /// Panics if `width` is 0 or greater than 64.
     #[must_use]
     pub fn eval(self, a: u64, b: u64, width: usize) -> u64 {
-        assert!((1..=64).contains(&width), "width must be in 1..=64");
-        let mask = if width == 64 {
-            u64::MAX
+        self.apply(a, b, Width::new(width))
+    }
+
+    /// The result at a checked `width`, the one definition of every op's
+    /// result: operands are masked to the width, shift amounts are
+    /// `b mod width`, and the result is masked again.
+    #[inline]
+    #[must_use]
+    pub fn apply(self, a: u64, b: u64, width: Width) -> u64 {
+        let a = a & width.mask;
+        let b = b & width.mask;
+        // A power-of-two width, such as the paper's 16 bits, reduces
+        // shift amounts by a mask rather than a division.
+        let sh = if width.bits.is_power_of_two() {
+            b as u32 & (width.bits.get() - 1)
         } else {
-            (1u64 << width) - 1
+            b as u32 % width.bits
         };
-        let a = a & mask;
-        let b = b & mask;
-        let sh = (b as u32) % (width as u32);
         let r = match self {
             AluOp::Add => a.wrapping_add(b),
             AluOp::Sub => a.wrapping_sub(b),
@@ -88,9 +101,48 @@ impl AluOp {
             AluOp::Shr => a >> sh,
             AluOp::Sltu => u64::from(a < b),
             AluOp::Mul => (a as u128).wrapping_mul(b as u128) as u64,
-            AluOp::MulHi => (((a as u128) * (b as u128)) >> width) as u64,
+            AluOp::MulHi => (((a as u128) * (b as u128)) >> width.bits.get()) as u64,
         };
-        r & mask
+        r & width.mask
+    }
+}
+
+/// A datapath width checked once: its bit count (1..=64), which is also
+/// the modulus of shift amounts, and the mask of those bits. A caller
+/// that evaluates many ops at one width builds it once and passes it to
+/// [`AluOp::apply`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Width {
+    bits: NonZeroU32,
+    mask: u64,
+}
+
+impl Width {
+    /// The `bits`-bit width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is 0 or greater than 64.
+    #[must_use]
+    pub fn new(bits: usize) -> Width {
+        assert!((1..=64).contains(&bits), "width must be in 1..=64");
+        Width {
+            bits: NonZeroU32::new(bits as u32).expect("checked above"),
+            mask: u64::MAX >> (64 - bits),
+        }
+    }
+
+    /// The bit count.
+    #[must_use]
+    pub const fn bits(self) -> usize {
+        self.bits.get() as usize
+    }
+
+    /// The mask of the width's bits, to which operands and results are
+    /// reduced.
+    #[must_use]
+    pub const fn mask(self) -> u64 {
+        self.mask
     }
 }
 
@@ -131,9 +183,16 @@ impl OpSet {
     }
 
     /// Whether `op` is in the set.
+    #[inline]
     #[must_use]
     pub const fn contains(self, op: AluOp) -> bool {
         self.0 >> op.index() & 1 == 1
+    }
+
+    /// The operations in either set.
+    #[must_use]
+    pub const fn union(self, other: OpSet) -> OpSet {
+        OpSet(self.0 | other.0)
     }
 }
 
@@ -199,6 +258,29 @@ mod tests {
         assert_eq!(AluOp::Shl.eval(1, 9, 8), 2); // shift by 9 mod 8 = 1
         assert_eq!(AluOp::Sltu.eval(3, 5, 8), 1);
         assert_eq!(AluOp::Sltu.eval(5, 3, 8), 0);
+    }
+
+    #[test]
+    fn shift_amounts_wrap_modulo_every_width() {
+        for width in 1..=64usize {
+            let w = width as u64;
+            let mask = Width::new(width).mask();
+            assert_eq!(mask.count_ones() as usize, width);
+            for b in [0, 1, w - 1, w, w + 1, 2 * w + 3, 1 << 32 | w, u64::MAX] {
+                // The amount is the masked `b`'s low 32 bits mod the width.
+                let sh = ((b & mask) as u32) % (width as u32);
+                assert_eq!(
+                    AluOp::Shl.eval(1, b, width),
+                    (1 << sh) & mask,
+                    "{b} at {width}"
+                );
+                assert_eq!(
+                    AluOp::Shr.eval(mask, b, width),
+                    mask >> sh,
+                    "{b} at {width}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1795,6 +1795,38 @@ mod tests {
                 assert!(decode(&flipped).is_none(), "bit {bit} of byte {pos}");
             }
         }
+        // Runs of 2, 8 and 64 adjacent flipped bits, 97 to 224 bits apart
+        // by a seeded LCG, the last one cut short at the end.
+        let bits = bytes.len() * 8;
+        let mut state = 0xD15C_0BAD_u64;
+        for run in [2, 8, 64] {
+            let mut start = 0;
+            while start < bits {
+                let mut flipped = bytes.clone();
+                for bit in start..(start + run).min(bits) {
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                }
+                assert!(decode(&flipped).is_none(), "{run} bits from bit {start}");
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                start += 97 + (state >> 57) as usize;
+            }
+        }
+        // Every line, header and body, deleted or duplicated.
+        let lines: Vec<&[u8]> = bytes.split_inclusive(|&b| b == b'\n').collect();
+        for i in 0..lines.len() {
+            for copies in [0, 2] {
+                let damaged: Vec<u8> = lines
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(j, line)| vec![*line; if j == i { copies } else { 1 }])
+                    .flatten()
+                    .copied()
+                    .collect();
+                assert!(decode(&damaged).is_none(), "line {i} ×{copies}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! Kernels compute **through** the recorder, so the trace is the real
 //! dynamic operand stream of the algorithm, not a synthetic lookalike.
 
-use circuits::{AluEvent, AluOp, OpSet};
+use circuits::{AluEvent, AluOp, OpSet, Width};
 
 /// One memory reference (for the cache layer of the CPI model).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,8 +111,10 @@ impl Keep {
     }
 }
 
-/// A [`Keep`] being applied: the stream number of the next event, and
-/// of the next one to keep (`usize::MAX` once `count` are kept).
+/// A [`Keep`] being applied: the stream number of the next event (which
+/// a recorder with one kept set brings up to date only at its keep
+/// steps), and of the next one to keep (`usize::MAX` once `count` are
+/// kept).
 #[derive(Debug, Clone)]
 struct Sampler {
     keep: Keep,
@@ -123,11 +125,16 @@ struct Sampler {
 
 impl Sampler {
     fn new(keep: Keep) -> Sampler {
+        let mut kept = Vec::new();
+        // A planned count never passes its stream's end. A count no
+        // allocation can hold (`usize::MAX`) reserves nothing up front,
+        // and the list grows as the stream delivers.
+        let _ = kept.try_reserve_exact(keep.count);
         let mut sampler = Sampler {
             keep,
             seen: 0,
             next: 0,
-            kept: Vec::with_capacity(keep.count),
+            kept,
         };
         sampler.advance();
         sampler
@@ -142,16 +149,25 @@ impl Sampler {
         };
     }
 
-    #[inline]
-    fn offer(&mut self, ev: AluEvent) {
+    /// Whether the sampler will keep no further event: `count` are kept,
+    /// or its next number is already past (a stride of 0 numbers back).
+    fn done(&self) -> bool {
+        self.next == usize::MAX || self.next < self.seen
+    }
+
+    /// Numbers `ev` if its op is in the set, and keeps it if its number
+    /// is next; returns whether it kept `ev`.
+    fn offer(&mut self, ev: AluEvent) -> bool {
         if !self.keep.ops.contains(ev.op) {
-            return;
+            return false;
         }
-        if self.seen == self.next {
+        let keep = self.seen == self.next;
+        if keep {
             self.kept.push(ev);
             self.advance();
         }
         self.seen += 1;
+        keep
     }
 }
 
@@ -209,6 +225,14 @@ impl ThreadSample {
 ///
 /// [`Recorder::event_count`] counts every event in every case.
 ///
+/// Per event, the inlined hot path masks the operands, bumps the tally,
+/// computes the result by [`AluOp::apply`] and counts down the events it
+/// watches to the next one it keeps; only that one reaches the
+/// out-of-line keep step. A counting recorder watches nothing. A
+/// sampling recorder with one kept set watches that set and jumps from
+/// pick to pick. [`Recorder::new`] and a recorder with several kept sets
+/// take the keep step on every event they watch.
+///
 /// ```
 /// let mut r = workloads::Recorder::new(16);
 /// let s = r.add(40_000, 30_000); // wraps at 16 bits
@@ -217,9 +241,13 @@ impl ThreadSample {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Recorder {
-    width: usize,
-    mask: u64,
+    width: Width,
     tally: Tally,
+    /// The operations whose events count down to the next keep step.
+    watch: OpSet,
+    /// Watched events up to and including the next one the keep step
+    /// sees (at least 1).
+    until: usize,
     /// Every event, when the recorder keeps everything.
     events: Option<Vec<AluEvent>>,
     /// Memory references, unless the recorder only counts.
@@ -237,6 +265,7 @@ impl Recorder {
     #[must_use]
     pub fn new(width: usize) -> Recorder {
         let mut rec = Recorder::counting(width);
+        rec.watch = OpSet::from_fn(|_| true);
         rec.events = Some(Vec::new());
         rec.mem_refs = Some(Vec::new());
         rec
@@ -244,16 +273,11 @@ impl Recorder {
 
     /// A recorder that keeps only its [`Tally`].
     pub(crate) fn counting(width: usize) -> Recorder {
-        assert!((1..=64).contains(&width), "width must be in 1..=64");
-        let mask = if width == 64 {
-            u64::MAX
-        } else {
-            (1u64 << width) - 1
-        };
         Recorder {
-            width,
-            mask,
+            width: Width::new(width),
             tally: Tally::default(),
+            watch: OpSet::default(),
+            until: 1,
             events: None,
             mem_refs: None,
             samplers: Vec::new(),
@@ -266,13 +290,14 @@ impl Recorder {
         let mut rec = Recorder::counting(width);
         rec.mem_refs = Some(Vec::new());
         rec.samplers = keeps.iter().copied().map(Sampler::new).collect();
+        rec.rewatch();
         rec
     }
 
     /// The datapath width in bits.
     #[must_use]
     pub fn width(&self) -> usize {
-        self.width
+        self.width.bits()
     }
 
     /// The per-opcode counts and branch count so far, whatever the
@@ -311,60 +336,106 @@ impl Recorder {
         }
     }
 
+    #[inline]
     fn op(&mut self, op: AluOp, a: u64, b: u64) -> u64 {
-        let a = a & self.mask;
-        let b = b & self.mask;
+        let a = a & self.width.mask();
+        let b = b & self.width.mask();
         self.tally.ops[op.index()] += 1;
+        if self.watch.contains(op) {
+            if self.until == 1 {
+                self.keep(op, a, b);
+            } else {
+                self.until -= 1;
+            }
+        }
+        op.apply(a, b, self.width)
+    }
+
+    /// The keep step, for the watched event the countdown stopped on.
+    #[cold]
+    #[inline(never)]
+    fn keep(&mut self, op: AluOp, a: u64, b: u64) {
+        let ev = AluEvent::new(op, a, b);
         if let Some(events) = &mut self.events {
-            events.push(AluEvent::new(op, a, b));
+            events.push(ev);
+            return;
         }
+        if let [one] = &mut self.samplers[..] {
+            // The countdown skipped the events before the number it keeps.
+            one.seen = one.next;
+        }
+        // One set moves its countdown on each keep; several sets watch
+        // less only when one of them finishes.
+        let mut rewatch = self.samplers.len() == 1;
         for sampler in &mut self.samplers {
-            sampler.offer(AluEvent::new(op, a, b));
+            rewatch |= sampler.offer(ev) && sampler.done();
         }
-        op.eval(a, b, self.width)
+        if rewatch {
+            self.rewatch();
+        }
+    }
+
+    /// Points the countdown at the next event a sampler may keep: one
+    /// set's next number, or each event of several sets still keeping.
+    fn rewatch(&mut self) {
+        let live = self.samplers.iter().filter(|s| !s.done());
+        self.watch = live.fold(OpSet::default(), |ops, s| ops.union(s.keep.ops));
+        self.until = match &self.samplers[..] {
+            [one] if !one.done() => one.next - one.seen + 1,
+            _ => 1,
+        };
     }
 
     /// Wrapping addition.
+    #[inline]
     pub fn add(&mut self, a: u64, b: u64) -> u64 {
         self.op(AluOp::Add, a, b)
     }
 
     /// Wrapping subtraction.
+    #[inline]
     pub fn sub(&mut self, a: u64, b: u64) -> u64 {
         self.op(AluOp::Sub, a, b)
     }
 
     /// Bitwise AND.
+    #[inline]
     pub fn and(&mut self, a: u64, b: u64) -> u64 {
         self.op(AluOp::And, a, b)
     }
 
     /// Bitwise OR.
+    #[inline]
     pub fn or(&mut self, a: u64, b: u64) -> u64 {
         self.op(AluOp::Or, a, b)
     }
 
     /// Bitwise XOR.
+    #[inline]
     pub fn xor(&mut self, a: u64, b: u64) -> u64 {
         self.op(AluOp::Xor, a, b)
     }
 
     /// Logical shift left by `b mod width`.
+    #[inline]
     pub fn shl(&mut self, a: u64, b: u64) -> u64 {
         self.op(AluOp::Shl, a, b)
     }
 
     /// Logical shift right by `b mod width`.
+    #[inline]
     pub fn shr(&mut self, a: u64, b: u64) -> u64 {
         self.op(AluOp::Shr, a, b)
     }
 
     /// Unsigned less-than as a 0/1 value.
+    #[inline]
     pub fn sltu(&mut self, a: u64, b: u64) -> u64 {
         self.op(AluOp::Sltu, a, b)
     }
 
     /// Unsigned comparison as a boolean (recorded as `sltu` + branch).
+    #[inline]
     pub fn less_than(&mut self, a: u64, b: u64) -> bool {
         let r = self.sltu(a, b);
         self.branch();
@@ -372,37 +443,43 @@ impl Recorder {
     }
 
     /// Multiplication, low half.
+    #[inline]
     pub fn mul(&mut self, a: u64, b: u64) -> u64 {
         self.op(AluOp::Mul, a, b)
     }
 
     /// Multiplication, high half.
+    #[inline]
     pub fn mulhi(&mut self, a: u64, b: u64) -> u64 {
         self.op(AluOp::MulHi, a, b)
     }
 
     /// Fixed-point multiply with `frac` fractional bits:
     /// `(a * b) >> frac`, all at datapath width.
+    #[inline(always)]
     pub fn fxmul(&mut self, a: u64, b: u64, frac: u32) -> u64 {
         let lo = self.mul(a, b);
         let hi = self.mulhi(a, b);
         // (hi << (width - frac)) | (lo >> frac), recorded as real shifts/or.
-        let hi_part = self.shl(hi, (self.width as u64) - u64::from(frac));
+        let hi_part = self.shl(hi, (self.width() as u64) - u64::from(frac));
         let lo_part = self.shr(lo, u64::from(frac));
         self.or(hi_part, lo_part)
     }
 
     /// Records a load from `addr` (also records the address computation as
     /// a real add of base + offset when callers use [`Recorder::index`]).
+    #[inline]
     pub fn load(&mut self, addr: u64) {
         self.mem_ref(addr, false);
     }
 
     /// Records a store to `addr`.
+    #[inline]
     pub fn store(&mut self, addr: u64) {
         self.mem_ref(addr, true);
     }
 
+    #[inline]
     fn mem_ref(&mut self, addr: u64, is_store: bool) {
         if let Some(refs) = &mut self.mem_refs {
             refs.push(MemRef { addr, is_store });
@@ -412,12 +489,14 @@ impl Recorder {
     /// Address arithmetic for `base[idx]` with `elem` bytes per element:
     /// recorded as a shift + add (what the AGEN datapath does), returns the
     /// byte address.
+    #[inline]
     pub fn index(&mut self, base: u64, idx: u64, elem: u64) -> u64 {
         let offset = self.shl(idx, elem.trailing_zeros() as u64);
         self.add(base, offset)
     }
 
     /// Records a conditional-branch instruction.
+    #[inline]
     pub fn branch(&mut self) {
         self.tally.branches += 1;
     }
@@ -426,6 +505,7 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::SplitMix64;
 
     #[test]
     fn arithmetic_is_masked_to_width() {
@@ -507,39 +587,191 @@ mod tests {
         );
     }
 
+    /// Applies `op` through its recorder method.
+    fn through(rec: &mut Recorder, op: AluOp, a: u64, b: u64) -> u64 {
+        match op {
+            AluOp::Add => rec.add(a, b),
+            AluOp::Sub => rec.sub(a, b),
+            AluOp::And => rec.and(a, b),
+            AluOp::Or => rec.or(a, b),
+            AluOp::Xor => rec.xor(a, b),
+            AluOp::Shl => rec.shl(a, b),
+            AluOp::Shr => rec.shr(a, b),
+            AluOp::Sltu => rec.sltu(a, b),
+            AluOp::Mul => rec.mul(a, b),
+            AluOp::MulHi => rec.mulhi(a, b),
+            _ => unreachable!("{op} has no recorder method"),
+        }
+    }
+
+    #[test]
+    fn every_recorder_computes_what_eval_does_at_every_width() {
+        let all = OpSet::from_fn(|_| true);
+        let complex = OpSet::from_fn(AluOp::is_complex);
+        let simple = OpSet::from_fn(|op| !op.is_complex());
+        let mut rng = SplitMix64::new(0x00AD_D5EE_D000);
+        for width in 1..=64 {
+            let mask = Width::new(width).mask();
+            let w = width as u64;
+            // Edge operands: the mask's neighbours, values above it, shift
+            // amounts at and above the width (also past 32 bits, which
+            // the shift rule truncates), and every bit set.
+            let mut operands = vec![
+                0,
+                1,
+                mask - 1,
+                mask,
+                mask.wrapping_add(1),
+                mask << 1 | 1,
+                w - 1,
+                w,
+                w + 1,
+                2 * w,
+                1 << 32 | w,
+                u64::MAX,
+            ];
+            operands.extend((0..8).map(|_| rng.next_u64()));
+            operands.extend((0..4).map(|_| rng.next_u64() & mask));
+            let mut recorders = [
+                Recorder::counting(width),
+                Recorder::sampling(
+                    width,
+                    &[Keep {
+                        ops: all,
+                        stride: 3,
+                        count: usize::MAX,
+                    }],
+                ),
+                Recorder::sampling(
+                    width,
+                    &[
+                        Keep {
+                            ops: simple,
+                            stride: 1,
+                            count: 7,
+                        },
+                        Keep {
+                            ops: complex,
+                            stride: 5,
+                            count: usize::MAX,
+                        },
+                    ],
+                ),
+                Recorder::new(width),
+            ];
+            let mut expect = Vec::new();
+            for op in AluOp::ALL {
+                for &a in &operands {
+                    for &b in &operands {
+                        let result = op.eval(a, b, width);
+                        for rec in &mut recorders {
+                            assert_eq!(through(rec, op, a, b), result, "{op} {a} {b} at {width}");
+                        }
+                        expect.push(AluEvent::new(op, a & mask, b & mask));
+                    }
+                }
+            }
+            let [counting, one_set, two_sets, full] = recorders;
+            let tally = full.tally();
+            for rec in [&counting, &one_set, &two_sets] {
+                assert_eq!(rec.tally(), tally, "width {width}");
+            }
+            assert_eq!(full.finish().events, expect, "width {width}");
+        }
+    }
+
+    /// Runs a seeded program of `len` random ops over `ops` through every
+    /// recorder of `recs`, with loads and branches between them.
+    fn random_program(recs: &mut [&mut Recorder], seed: u64, ops: &[AluOp], len: usize) {
+        let mut rng = SplitMix64::new(seed);
+        for _ in 0..len {
+            let op = ops[rng.below(ops.len() as u64) as usize];
+            let (a, b) = (rng.next_u64(), rng.next_u64());
+            let touch = rng.below(4);
+            for rec in recs.iter_mut() {
+                through(rec, op, a, b);
+                match touch {
+                    0 => rec.load(a),
+                    1 => rec.branch(),
+                    _ => {}
+                }
+            }
+        }
+    }
+
     #[test]
     fn sampling_recorders_keep_the_numbered_events_of_their_op_sets() {
-        let all = OpSet::from_fn(|_| true);
-        let muls = OpSet::from_fn(AluOp::is_complex);
-        let keeps = [
-            Keep {
-                ops: all,
-                stride: 1,
-                count: 4,
-            },
-            Keep {
-                ops: muls,
-                stride: 3,
-                count: 5,
-            },
-        ];
-        let mut full = Recorder::new(16);
-        let mut sampling = Recorder::sampling(16, &keeps);
-        program(&mut full);
-        program(&mut sampling);
-        let (full, sample) = (full.finish(), sampling.finish_sample());
-        assert_eq!(sample.kept(all), &full.events[..4]);
-        let mul_events: Vec<AluEvent> = full
-            .events
-            .iter()
-            .copied()
-            .filter(|e| e.op.is_complex())
-            .collect();
-        // Seeded pairs one stride apart: numbers 0, 1, 3, 4, 6.
-        let expect: Vec<AluEvent> = [0, 1, 3, 4, 6].iter().map(|&k| mul_events[k]).collect();
-        assert_eq!(sample.kept(muls), expect.as_slice());
-        assert_eq!(sample.mem_refs(), full.mem_refs.as_slice());
-        assert!(sample.kept(OpSet::default()).is_empty());
+        let mut rng = SplitMix64::new(0x5A3B_1E5E_ED00);
+        for case in 0..300 {
+            // Each program leaves out one op, so one set below is one it
+            // never issues.
+            let absent = AluOp::ALL[rng.below(AluOp::ALL.len() as u64) as usize];
+            let issued: Vec<AluOp> = AluOp::ALL.into_iter().filter(|&op| op != absent).collect();
+            let len = rng.below(400) as usize;
+            let seed = rng.next_u64();
+            let mut full = Recorder::new(16);
+            random_program(&mut [&mut full], seed, &issued, len);
+            let full = full.finish();
+            // Disjoint sets (a set and its complement), overlapping ones
+            // (a set and all ops), and the absent op's.
+            let bits = rng.next_u64();
+            let set = OpSet::from_fn(|op| bits >> op.index() & 1 == 1);
+            let unset = OpSet::from_fn(|op| !set.contains(op));
+            let choices = [
+                vec![set],
+                vec![set, unset],
+                vec![set, OpSet::from_fn(|_| true)],
+                vec![OpSet::from_fn(|op| op == absent), unset, set],
+            ];
+            // A thread sample holds one kept list per distinct set.
+            let mut sets = Vec::new();
+            for &ops in &choices[case % choices.len()] {
+                if !sets.contains(&ops) {
+                    sets.push(ops);
+                }
+            }
+            let keeps: Vec<Keep> = sets
+                .iter()
+                .map(|&ops| {
+                    let stream = full.events.iter().filter(|e| ops.contains(e.op)).count();
+                    let stride = match rng.below(3) {
+                        0 => 1,
+                        _ => (rng.below(8) * 2 + 3) as usize,
+                    };
+                    let count = match rng.below(5) {
+                        0 => 0,
+                        1 => 1,
+                        2 => stream,
+                        3 => stream + 1 + rng.below(9) as usize,
+                        _ => usize::MAX,
+                    };
+                    Keep { ops, stride, count }
+                })
+                .collect();
+            let mut sampling = Recorder::sampling(16, &keeps);
+            random_program(&mut [&mut sampling], seed, &issued, len);
+            let sample = sampling.finish_sample();
+            assert_eq!(*sample.tally(), full.tally(), "case {case}");
+            assert_eq!(sample.mem_refs(), full.mem_refs.as_slice(), "case {case}");
+            for keep in &keeps {
+                // Numbers j·stride and j·stride + 1 (every number at
+                // stride 1), the first `count` of them.
+                let expect: Vec<AluEvent> = full
+                    .events
+                    .iter()
+                    .filter(|e| keep.ops.contains(e.op))
+                    .enumerate()
+                    .filter(|(k, _)| k % keep.stride < 2)
+                    .map(|(_, &e)| e)
+                    .take(keep.count)
+                    .collect();
+                assert_eq!(
+                    sample.kept(keep.ops),
+                    expect.as_slice(),
+                    "case {case}: {keep:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -374,11 +374,16 @@ mod tests {
                 |i| {
                     assert_eq!(i, entered, "{bench}: planned as it enters");
                     entered += 1;
-                    vec![vec![Keep {
-                        ops: all,
-                        stride: 1,
-                        count: 5,
-                    }]]
+                    // Thread 1's count lies past any stream's end.
+                    [5, usize::MAX]
+                        .map(|count| {
+                            vec![Keep {
+                                ops: all,
+                                stride: 1,
+                                count,
+                            }]
+                        })
+                        .to_vec()
                 },
                 |_, samples| sampled.push(samples),
             );
@@ -391,7 +396,11 @@ mod tests {
                 for (t, (sample, work)) in samples.iter().zip(interval).enumerate() {
                     assert_eq!(*sample.tally(), work.tally(), "{bench}");
                     assert_eq!(sample.mem_refs(), work.mem_refs.as_slice(), "{bench}");
-                    let events = if t == 0 { work.events.len().min(5) } else { 0 };
+                    let events = match t {
+                        0 => work.events.len().min(5),
+                        1 => work.events.len(),
+                        _ => 0,
+                    };
                     assert_eq!(sample.kept(all), &work.events[..events], "{bench}");
                 }
             }
