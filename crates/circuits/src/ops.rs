@@ -84,13 +84,7 @@ impl AluOp {
     pub fn apply(self, a: u64, b: u64, width: Width) -> u64 {
         let a = a & width.mask;
         let b = b & width.mask;
-        // A power-of-two width, such as the paper's 16 bits, reduces
-        // shift amounts by a mask rather than a division.
-        let sh = if width.bits.is_power_of_two() {
-            b as u32 & (width.bits.get() - 1)
-        } else {
-            b as u32 % width.bits
-        };
+        let sh = b as u32 % width.bits;
         let r = match self {
             AluOp::Add => a.wrapping_add(b),
             AluOp::Sub => a.wrapping_sub(b),
@@ -187,12 +181,6 @@ impl OpSet {
     #[must_use]
     pub const fn contains(self, op: AluOp) -> bool {
         self.0 >> op.index() & 1 == 1
-    }
-
-    /// The operations in either set.
-    #[must_use]
-    pub const fn union(self, other: OpSet) -> OpSet {
-        OpSet(self.0 | other.0)
     }
 }
 

@@ -31,11 +31,12 @@
 //!
 //! Kernels compute through a [`Recorder`], whose per-event path is
 //! inlined into them: it masks the operands, bumps the per-opcode tally,
-//! computes the result by [`circuits::AluOp::apply`] and, for the events
-//! the recorder watches, counts down to the next one it keeps. Only that
-//! event leaves the hot path, for the out-of-line keep step. So a counting
-//! run watches nothing, a sampling run with one kept set jumps from pick
-//! to pick, and the oracle takes the keep step on every event.
+//! computes the result by [`circuits::AluOp::apply`] and counts the event
+//! down in one countdown per kept set whose operations hold it, all
+//! packed in one word. Only an event that is some set's next pick leaves
+//! the hot path, for the out-of-line keep step. So a counting run watches
+//! nothing, a sampling run jumps from pick to pick in each of its kept
+//! sets, and the oracle takes the keep step on every event.
 //!
 //! ```
 //! use workloads::{Benchmark, WorkloadConfig};

@@ -88,7 +88,7 @@ impl Tally {
 /// `j·stride` and `j·stride + 1` for j = 0, 1, … until `count` are kept
 /// (seeded pairs). This is the shape of `timing::Sampling`: a `Keep`
 /// built from it takes `stride` and `count` from its `stride()` and
-/// `kept()`.
+/// `kept()`. A thread keeps at most 64 sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Keep {
     /// The operations whose events form the numbered stream.
@@ -111,14 +111,14 @@ impl Keep {
     }
 }
 
-/// A [`Keep`] being applied: the stream number of the next event (which
-/// a recorder with one kept set brings up to date only at its keep
-/// steps), and of the next one to keep (`usize::MAX` once `count` are
-/// kept).
+/// A [`Keep`] being applied: the events of its stream up to and
+/// including the next one it keeps (`left`), that event's stream number
+/// (`next`) and what it kept. Once it keeps no further event, `left` and
+/// `next` are `usize::MAX`.
 #[derive(Debug, Clone)]
 struct Sampler {
     keep: Keep,
-    seen: usize,
+    left: usize,
     next: usize,
     kept: Vec<AluEvent>,
 }
@@ -130,44 +130,40 @@ impl Sampler {
         // allocation can hold (`usize::MAX`) reserves nothing up front,
         // and the list grows as the stream delivers.
         let _ = kept.try_reserve_exact(keep.count);
-        let mut sampler = Sampler {
-            keep,
-            seen: 0,
-            next: 0,
-            kept,
-        };
-        sampler.advance();
-        sampler
-    }
-
-    fn advance(&mut self) {
-        let n = self.kept.len();
-        self.next = if n < self.keep.count {
-            self.keep.number(n)
+        // Number 0 is always the first kept.
+        let (left, next) = if keep.count > 0 {
+            (1, 0)
         } else {
-            usize::MAX
+            (usize::MAX, usize::MAX)
         };
+        Sampler {
+            keep,
+            left,
+            next,
+            kept,
+        }
     }
 
-    /// Whether the sampler will keep no further event: `count` are kept,
-    /// or its next number is already past (a stride of 0 numbers back).
-    fn done(&self) -> bool {
-        self.next == usize::MAX || self.next < self.seen
+    fn live(&self) -> bool {
+        self.next != usize::MAX
     }
 
-    /// Numbers `ev` if its op is in the set, and keeps it if its number
-    /// is next; returns whether it kept `ev`.
-    fn offer(&mut self, ev: AluEvent) -> bool {
-        if !self.keep.ops.contains(ev.op) {
-            return false;
+    /// Keeps `ev`, the event its countdown stopped on, and counts down to
+    /// the next number it keeps: none once `count` are kept, or if that
+    /// number is not past this one (a stride of 0 numbers back).
+    fn take(&mut self, ev: AluEvent) {
+        self.kept.push(ev);
+        let n = self.kept.len();
+        match (n < self.keep.count).then(|| self.keep.number(n)) {
+            Some(next) if next > self.next => {
+                self.left = next - self.next;
+                self.next = next;
+            }
+            _ => {
+                self.left = usize::MAX;
+                self.next = usize::MAX;
+            }
         }
-        let keep = self.seen == self.next;
-        if keep {
-            self.kept.push(ev);
-            self.advance();
-        }
-        self.seen += 1;
-        keep
     }
 }
 
@@ -226,12 +222,14 @@ impl ThreadSample {
 /// [`Recorder::event_count`] counts every event in every case.
 ///
 /// Per event, the inlined hot path masks the operands, bumps the tally,
-/// computes the result by [`AluOp::apply`] and counts down the events it
-/// watches to the next one it keeps; only that one reaches the
-/// out-of-line keep step. A counting recorder watches nothing. A
-/// sampling recorder with one kept set watches that set and jumps from
-/// pick to pick. [`Recorder::new`] and a recorder with several kept sets
-/// take the keep step on every event they watch.
+/// computes the result by [`AluOp::apply`] and counts the event down in
+/// the lane of each kept set that holds it: one subtraction from a word
+/// of side-by-side countdowns, one lane per set, each running to its
+/// set's next pick. Only an event that runs a lane out reaches the
+/// out-of-line keep step, so a counting recorder watches nothing, a
+/// sampling recorder jumps from pick to pick in each of its sets, and
+/// [`Recorder::new`], which keeps every event of its one set, takes the
+/// keep step on each.
 ///
 /// ```
 /// let mut r = workloads::Recorder::new(16);
@@ -243,15 +241,22 @@ impl ThreadSample {
 pub struct Recorder {
     width: Width,
     tally: Tally,
-    /// The operations whose events count down to the next keep step.
-    watch: OpSet,
-    /// Watched events up to and including the next one the keep step
-    /// sees (at least 1).
-    until: usize,
-    /// Every event, when the recorder keeps everything.
-    events: Option<Vec<AluEvent>>,
+    /// Per opcode, what one of its events takes off `lanes`: the lowest
+    /// bit of the lane of each sampler still keeping whose set holds it.
+    steps: [u64; AluOp::ALL.len()],
+    /// The samplers' countdowns side by side, sampler `i`'s in the `i`th
+    /// lane of `lane_bits` bits: the top bit of a lane is its guard,
+    /// and the bits below it hold the events its sampler lets pass before
+    /// the next keep step. An event that finds a lane at zero borrows its
+    /// guard, which stops the borrow there.
+    lanes: u64,
+    /// The guard bits of all lanes.
+    guards: u64,
+    /// Bits per lane: 64 over the number of samplers.
+    lane_bits: u32,
     /// Memory references, unless the recorder only counts.
     mem_refs: Option<Vec<MemRef>>,
+    /// One per kept set; [`Recorder::new`]'s keeps every event.
     samplers: Vec<Sampler>,
 }
 
@@ -264,33 +269,44 @@ impl Recorder {
     /// Panics if `width` is outside `1..=64`.
     #[must_use]
     pub fn new(width: usize) -> Recorder {
-        let mut rec = Recorder::counting(width);
-        rec.watch = OpSet::from_fn(|_| true);
-        rec.events = Some(Vec::new());
-        rec.mem_refs = Some(Vec::new());
-        rec
+        let every = Keep {
+            ops: OpSet::from_fn(|_| true),
+            stride: 1,
+            count: usize::MAX,
+        };
+        Recorder::sampling(width, &[every])
     }
 
     /// A recorder that keeps only its [`Tally`].
     pub(crate) fn counting(width: usize) -> Recorder {
-        Recorder {
-            width: Width::new(width),
-            tally: Tally::default(),
-            watch: OpSet::default(),
-            until: 1,
-            events: None,
-            mem_refs: None,
-            samplers: Vec::new(),
-        }
+        let mut rec = Recorder::sampling(width, &[]);
+        rec.mem_refs = None;
+        rec
     }
 
     /// A recorder that keeps its tally, its memory references and the
     /// events `keeps` pick.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keeps` holds more than 64 sets: a lane needs a bit.
     pub(crate) fn sampling(width: usize, keeps: &[Keep]) -> Recorder {
-        let mut rec = Recorder::counting(width);
-        rec.mem_refs = Some(Vec::new());
-        rec.samplers = keeps.iter().copied().map(Sampler::new).collect();
-        rec.rewatch();
+        assert!(keeps.len() <= 64, "a recorder keeps at most 64 sets");
+        let mut rec = Recorder {
+            width: Width::new(width),
+            tally: Tally::default(),
+            steps: [0; AluOp::ALL.len()],
+            lanes: 0,
+            guards: 0,
+            lane_bits: 64 / keeps.len().max(1) as u32,
+            mem_refs: Some(Vec::new()),
+            samplers: keeps.iter().copied().map(Sampler::new).collect(),
+        };
+        for i in 0..keeps.len() {
+            rec.guards |= rec.guard(i);
+            rec.arm(i);
+        }
+        rec.restep();
         rec
     }
 
@@ -313,11 +329,16 @@ impl Recorder {
     }
 
     /// Consumes the recorder and returns what it kept as [`ThreadWork`]:
-    /// everything, for a recorder made by [`Recorder::new`].
+    /// everything, for a recorder made by [`Recorder::new`], whose one
+    /// kept set keeps every event.
     #[must_use]
     pub fn finish(self) -> ThreadWork {
         ThreadWork {
-            events: self.events.unwrap_or_default(),
+            events: self
+                .samplers
+                .into_iter()
+                .next()
+                .map_or_else(Vec::new, |s| s.kept),
             mem_refs: self.mem_refs.unwrap_or_default(),
             branches: self.tally.branches,
         }
@@ -341,49 +362,72 @@ impl Recorder {
         let a = a & self.width.mask();
         let b = b & self.width.mask();
         self.tally.ops[op.index()] += 1;
-        if self.watch.contains(op) {
-            if self.until == 1 {
+        let step = self.steps[op.index()];
+        if step != 0 {
+            self.lanes -= step;
+            if self.lanes & self.guards != self.guards {
                 self.keep(op, a, b);
-            } else {
-                self.until -= 1;
             }
         }
         op.apply(a, b, self.width)
     }
 
-    /// The keep step, for the watched event the countdown stopped on.
+    /// The keep step, for an event that ran a lane out.
     #[cold]
     #[inline(never)]
     fn keep(&mut self, op: AluOp, a: u64, b: u64) {
         let ev = AluEvent::new(op, a, b);
-        if let Some(events) = &mut self.events {
-            events.push(ev);
-            return;
+        let mut ended = false;
+        for i in 0..self.samplers.len() {
+            if self.lanes & self.guard(i) != 0 {
+                continue;
+            }
+            // The lane counted the sampler's events up to its pick, or as
+            // many as a lane reaches.
+            let reach = self.reach();
+            let sampler = &mut self.samplers[i];
+            sampler.left = sampler.left.saturating_sub(reach);
+            if sampler.left == 0 {
+                sampler.take(ev);
+                ended |= !sampler.live();
+            }
+            self.arm(i);
         }
-        if let [one] = &mut self.samplers[..] {
-            // The countdown skipped the events before the number it keeps.
-            one.seen = one.next;
-        }
-        // One set moves its countdown on each keep; several sets watch
-        // less only when one of them finishes.
-        let mut rewatch = self.samplers.len() == 1;
-        for sampler in &mut self.samplers {
-            rewatch |= sampler.offer(ev) && sampler.done();
-        }
-        if rewatch {
-            self.rewatch();
+        if ended {
+            self.restep();
         }
     }
 
-    /// Points the countdown at the next event a sampler may keep: one
-    /// set's next number, or each event of several sets still keeping.
-    fn rewatch(&mut self) {
-        let live = self.samplers.iter().filter(|s| !s.done());
-        self.watch = live.fold(OpSet::default(), |ops, s| ops.union(s.keep.ops));
-        self.until = match &self.samplers[..] {
-            [one] if !one.done() => one.next - one.seen + 1,
-            _ => 1,
-        };
+    /// The most events a lane counts to the keep step: one more than the
+    /// bits below its guard hold.
+    fn reach(&self) -> usize {
+        1 << (self.lane_bits - 1)
+    }
+
+    /// The guard bit of sampler `i`'s lane.
+    fn guard(&self, i: usize) -> u64 {
+        1 << ((i as u32 + 1) * self.lane_bits - 1)
+    }
+
+    /// Sets sampler `i`'s lane to run out on its next pick, or as far on
+    /// as a lane reaches.
+    fn arm(&mut self, i: usize) {
+        let shift = i as u32 * self.lane_bits;
+        let reach = self.samplers[i].left.min(self.reach());
+        let guard = self.guard(i);
+        let lane = (guard | (guard - 1)) & u64::MAX << shift;
+        self.lanes = self.lanes & !lane | guard | (reach as u64 - 1) << shift;
+    }
+
+    /// Counts each op down in the lanes of the samplers still keeping
+    /// whose sets hold it.
+    fn restep(&mut self) {
+        for op in AluOp::ALL {
+            self.steps[op.index()] = (0..self.samplers.len())
+                .filter(|&i| self.samplers[i].live() && self.samplers[i].keep.ops.contains(op))
+                .map(|i| 1 << (i as u32 * self.lane_bits))
+                .sum();
+        }
     }
 
     /// Wrapping addition.
@@ -717,11 +761,20 @@ mod tests {
             let bits = rng.next_u64();
             let set = OpSet::from_fn(|op| bits >> op.index() & 1 == 1);
             let unset = OpSet::from_fn(|op| !set.contains(op));
+            // Up to 64 sets narrow the lanes to one bit, below the
+            // distance between picks.
+            let many = (0..4 + rng.below(61))
+                .map(|_| {
+                    let bits = rng.next_u64();
+                    OpSet::from_fn(|op| bits >> op.index() & 1 == 1)
+                })
+                .collect();
             let choices = [
                 vec![set],
                 vec![set, unset],
                 vec![set, OpSet::from_fn(|_| true)],
                 vec![OpSet::from_fn(|op| op == absent), unset, set],
+                many,
             ];
             // A thread sample holds one kept list per distinct set.
             let mut sets = Vec::new();
@@ -772,6 +825,17 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a recorder keeps at most 64 sets")]
+    fn a_65th_kept_set_is_refused() {
+        let keep = Keep {
+            ops: OpSet::default(),
+            stride: 1,
+            count: 1,
+        };
+        let _ = Recorder::sampling(16, &[keep; 65]);
     }
 
     #[test]
